@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: sample, orbits, moments-check, density, rho-curve, estimate,
-posterior, tv, admissibility, threshold-sweep.  Common flags: --config
-(JSON experiment config), --seed, --threads (CORRMATCH_THREADS overrides
-the default), --out (file path; stdout otherwise).
+posterior, posterior-study, tv, admissibility, threshold-sweep.  Common
+flags: --config (JSON experiment config), --seed, --threads
+(CORRMATCH_THREADS overrides the default), --out (file path; stdout
+otherwise).
 
 Exit codes: 0 success, 2 statistical-check failure, 3 config error.
 """
@@ -14,18 +15,23 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .admissibility import check_admissible, default_constants
-from .density import rho_inverse
-from .graphs import Bijection, Graph, ModelParams, overlap, sample_correlated
+from .density import densest_subgraph_exact, rho_inverse
+from .graphs import Bijection, Graph, ModelParams, intersection_graph, overlap, sample_correlated
 from .harness import (
+    PLACEMENT_GRID,
     ConfigError,
     ExperimentConfig,
+    acceptance_rates,
     posterior_dump_csv,
     run_moment_verification,
     run_posterior_study,
     run_rho_curve,
     run_threshold_sweep,
+    sweep_grid,
+    sweep_reference_curve,
 )
 from .inference import (
     EstimatorConfig,
@@ -99,13 +105,26 @@ def _read_bundle(path: str) -> tuple[ModelParams, Bijection, Graph, Graph]:
         payload = json.load(fh)
     if payload.get("version") != BUNDLE_VERSION:
         raise ConfigError("unsupported sample bundle version")
-    params = ModelParams(n=payload["n"], p=payload["p"], s=payload["s"])
-    return (
-        params,
-        Bijection(payload["pi_star"]),
-        Graph.from_text(payload["g"]),
-        Graph.from_text(payload["g_bar"]),
-    )
+    try:
+        return (
+            ModelParams(n=payload["n"], p=payload["p"], s=payload["s"]),
+            Bijection(payload["pi_star"]),
+            Graph.from_text(payload["g"]),
+            Graph.from_text(payload["g_bar"]),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"sample bundle lacks the key {exc}") from exc
+
+
+def _read_graph(args, from_bundle) -> Graph:
+    """The graph a subcommand works on: from_bundle(params, pi_star, g,
+    g_bar) of --bundle when given, else the --graph edge-list file."""
+    if args.bundle:
+        return from_bundle(*_read_bundle(args.bundle))
+    if args.graph:
+        with open(args.graph) as fh:
+            return Graph.from_text(fh.read())
+    raise ConfigError(f"{args.command} needs --graph or --bundle")
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -148,14 +167,7 @@ def _cmd_moments_check(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    from .density import densest_subgraph_exact
-
-    if args.bundle:
-        _, _, g, _ = _read_bundle(args.bundle)
-    else:
-        with open(args.graph) as fh:
-            g = Graph.from_text(fh.read())
-    res = densest_subgraph_exact(g)
+    res = densest_subgraph_exact(_read_graph(args, lambda params, pi_star, g, g_bar: g))
     payload = {
         "density": float(res.density),
         "density_numerator": res.density.numerator,
@@ -241,14 +253,7 @@ def _cmd_tv(args) -> int:
 
 
 def _cmd_admissibility(args) -> int:
-    if args.bundle:
-        params, pi_star, g, g_bar = _read_bundle(args.bundle)
-        from .graphs import intersection_graph
-
-        h = intersection_graph(g, g_bar, pi_star)
-    else:
-        with open(args.graph) as fh:
-            h = Graph.from_text(fh.read())
+    h = _read_graph(args, lambda params, pi_star, g, g_bar: intersection_graph(g, g_bar, pi_star))
     consts = default_constants(args.alpha, args.rho_hat, h.n)
     report = check_admissible(h, consts)
     _emit(report.to_json() + "\n", args.out)
@@ -265,7 +270,17 @@ def _cmd_threshold_sweep(args) -> int:
         replicates=args.replicates,
         lambda_grid=grid,
     )
-    _emit(run_threshold_sweep(cfg, _threads(args)), args.out)
+    placed = not cfg.lambda_grid
+    if placed:
+        curve = sweep_reference_curve(replace(cfg, lambda_grid=PLACEMENT_GRID))
+        lam_star, grid = sweep_grid(curve, cfg.alpha)
+        cfg = replace(cfg, lambda_grid=grid)
+        print(f"lambda_hat* = {lam_star:.3f}; sweep grid = {grid}", file=sys.stderr)
+    sweep = run_threshold_sweep(cfg, _threads(args))
+    _emit(sweep, args.out)
+    if placed:
+        for lam, rate in acceptance_rates(sweep).items():
+            print(f"  lambda = {lam:6.3f}: pi* accepted in {rate:.0%} of replicates", file=sys.stderr)
     return EXIT_OK
 
 
@@ -355,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("threshold-sweep", help="pi*-acceptance across a lambda grid")
     common(sp)
-    sp.add_argument("--lambdas", type=str, default=None)
+    sp.add_argument("--lambdas", type=str, default=None, help="default: six around lambda_hat*")
     sp.add_argument("--n", type=int, default=500)
     sp.add_argument("--alpha", type=float, default=0.5)
     sp.add_argument("--replicates", type=int, default=10)

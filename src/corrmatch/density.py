@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .graphs import Graph, sample_er
 from .rng import stream
@@ -38,6 +38,8 @@ __all__ = [
     "densest_subgraph_bruteforce",
     "estimate_rho",
     "build_rho_curve",
+    "rho_draw",
+    "rho_curve_from_draws",
     "rho_inverse",
     "isotonic_fit",
     "rho_curve_csv",
@@ -97,26 +99,9 @@ def _improving_subset(g: Graph, gamma: Fraction) -> tuple[int, ...] | None:
     residual = graph - result.flow
     residual.data = np.maximum(residual.data, 0)
     residual.eliminate_zeros()
-    reach = _bfs_reachable(residual, src)
-    side = tuple(int(v) for v in np.flatnonzero(reach[:n]))
+    reach = breadth_first_order(residual, src, directed=True, return_predecessors=False)
+    side = tuple(int(v) for v in np.sort(reach[reach < n]))
     return side if side else None
-
-
-def _bfs_reachable(residual: csr_matrix, src: int) -> np.ndarray:
-    indptr, indices = residual.indptr, residual.indices
-    n_nodes = residual.shape[0]
-    seen = np.zeros(n_nodes, dtype=bool)
-    seen[src] = True
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(int(v))
-        frontier = nxt
-    return seen
 
 
 def densest_subgraph_exact(g: Graph) -> DensityResult:
@@ -197,32 +182,6 @@ class RhoEstimate:
     size_q50: float
 
 
-def estimate_rho(lam: float, n: int, replicates: int, seed: int, stream_offset: int = 0) -> RhoEstimate:
-    """Mean/stderr of the exact maximum density over G(n, lambda/n) draws,
-    plus quantiles of the maximizer size fraction (the c_lambda readout)."""
-    if lam < 0 or lam > n:
-        raise ValueError("lambda must lie in [0, n]")
-    if replicates < 1:
-        raise ValueError("need at least one replicate")
-    densities = np.empty(replicates)
-    fractions = np.empty(replicates)
-    for i in range(replicates):
-        g = sample_er(n, lam / n, stream(seed, stream_offset + i))
-        res = densest_subgraph_exact(g)
-        densities[i] = float(res.density)
-        fractions[i] = len(res.best_subset) / n
-    se = float(densities.std(ddof=1) / np.sqrt(replicates)) if replicates > 1 else 0.0
-    return RhoEstimate(
-        lam=lam,
-        n=n,
-        replicates=replicates,
-        mean=float(densities.mean()),
-        stderr=se,
-        size_q05=float(np.quantile(fractions, 0.05)),
-        size_q50=float(np.quantile(fractions, 0.50)),
-    )
-
-
 @dataclass(frozen=True)
 class RhoCurve:
     """rho estimates over a lambda grid, with uncertainty."""
@@ -257,24 +216,63 @@ class RhoCurve:
         return True
 
 
+def rho_draw(grid: tuple[float, ...], n: int, replicates: int, seed: int, k: int) -> tuple[float, float]:
+    """Draw k of a rho curve: replicate k % replicates at grid point
+    k // replicates, sampled from the stream (seed, k).  Returns the exact
+    maximum density of that G(n, lambda/n) and its maximizer's size
+    fraction (the c_lambda readout)."""
+    res = densest_subgraph_exact(sample_er(n, grid[k // replicates] / n, stream(seed, k)))
+    return float(res.density), len(res.best_subset) / n
+
+
+def rho_curve_from_draws(
+    grid: tuple[float, ...], n: int, replicates: int, draws: list[tuple[float, float]]
+) -> RhoCurve:
+    """Per grid point, the mean and stderr of the densities and the 5% / 50%
+    quantiles of the size fractions, over draws[j * replicates + i]."""
+    if replicates < 1:
+        raise ValueError("need at least one replicate")
+    rho_hat, stderr, q05, q50 = [], [], [], []
+    for j in range(len(grid)):
+        block = draws[j * replicates:(j + 1) * replicates]
+        densities = np.array([d for d, _ in block])
+        fractions = np.array([f for _, f in block])
+        rho_hat.append(float(densities.mean()))
+        stderr.append(float(densities.std(ddof=1) / np.sqrt(replicates)) if replicates > 1 else 0.0)
+        q05.append(float(np.quantile(fractions, 0.05)))
+        q50.append(float(np.quantile(fractions, 0.50)))
+    return RhoCurve(
+        lambda_grid=tuple(grid),
+        rho_hat=tuple(rho_hat),
+        stderr=tuple(stderr),
+        size_q05=tuple(q05),
+        size_q50=tuple(q50),
+        n_used=n,
+        replicates=replicates,
+    )
+
+
 def build_rho_curve(
     lambda_grid: list[float], n: int, replicates: int, seed: int
 ) -> RhoCurve:
-    """Estimate rho over a grid; replicate i of grid point j uses the
-    stream (seed, j * replicates + i) so the curve is reproducible."""
-    grid = sorted(float(v) for v in lambda_grid)
-    ests = [
-        estimate_rho(lam, n, replicates, seed, stream_offset=j * replicates)
-        for j, lam in enumerate(grid)
-    ]
-    return RhoCurve(
-        lambda_grid=tuple(grid),
-        rho_hat=tuple(e.mean for e in ests),
-        stderr=tuple(e.stderr for e in ests),
-        size_q05=tuple(e.size_q05 for e in ests),
-        size_q50=tuple(e.size_q50 for e in ests),
-        n_used=n,
+    """Estimate rho over a grid, one rho_draw after another."""
+    grid = tuple(sorted(float(v) for v in lambda_grid))
+    draws = [rho_draw(grid, n, replicates, seed, k) for k in range(len(grid) * replicates)]
+    return rho_curve_from_draws(grid, n, replicates, draws)
+
+
+def estimate_rho(lam: float, n: int, replicates: int, seed: int) -> RhoEstimate:
+    """The rho curve at the single point lam: replicate i uses the stream
+    (seed, i)."""
+    curve = build_rho_curve([lam], n, replicates, seed)
+    return RhoEstimate(
+        lam=lam,
+        n=n,
         replicates=replicates,
+        mean=curve.rho_hat[0],
+        stderr=curve.stderr[0],
+        size_q05=curve.size_q05[0],
+        size_q50=curve.size_q50[0],
     )
 
 

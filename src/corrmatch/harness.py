@@ -10,16 +10,17 @@ determinism contract covers every other column.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .density import RhoCurve, isotonic_fit, rho_curve_csv
+from .density import RhoCurve, rho_curve_csv, rho_curve_from_draws, rho_draw, rho_inverse
 from .graphs import Bijection, ModelParams, overlap, sample_correlated
 from .inference import (
     EstimatorConfig,
@@ -40,6 +41,7 @@ __all__ = [
     "run_moment_verification",
     "run_rho_curve",
     "run_threshold_sweep",
+    "sweep_grid",
     "run_posterior_study",
     "posterior_dump_csv",
 ]
@@ -227,41 +229,14 @@ def run_moment_verification(config: ExperimentConfig, threads: int | None = None
 
 
 def run_rho_curve(config: ExperimentConfig, threads: int | None = None) -> tuple[str, RhoCurve]:
-    """The rho-curve CSV, replicates parallelized; stream layout matches
-    density.build_rho_curve exactly."""
+    """The rho-curve CSV: density.rho_draw mapped over the replicates in
+    parallel, aggregated exactly as density.build_rho_curve does."""
     if not config.lambda_grid:
         raise ConfigError("rho curve needs a lambda grid")
-    from .density import densest_subgraph_exact
-    from .graphs import sample_er
-
-    grid = sorted(config.lambda_grid)
-    reps = config.replicates
-    tasks = [(j, i) for j in range(len(grid)) for i in range(reps)]
-
-    def one(task):
-        j, i = task
-        g = sample_er(config.n, grid[j] / config.n, stream(config.seed, j * reps + i))
-        res = densest_subgraph_exact(g)
-        return float(res.density), len(res.best_subset) / config.n
-
-    results = parallel_map(one, tasks, threads or config.threads)
-    rho_hat, stderr, q05, q50 = [], [], [], []
-    for j in range(len(grid)):
-        dens = np.array([results[j * reps + i][0] for i in range(reps)])
-        fracs = np.array([results[j * reps + i][1] for i in range(reps)])
-        rho_hat.append(float(dens.mean()))
-        stderr.append(float(dens.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0)
-        q05.append(float(np.quantile(fracs, 0.05)))
-        q50.append(float(np.quantile(fracs, 0.50)))
-    curve = RhoCurve(
-        lambda_grid=tuple(grid),
-        rho_hat=tuple(rho_hat),
-        stderr=tuple(stderr),
-        size_q05=tuple(q05),
-        size_q50=tuple(q50),
-        n_used=config.n,
-        replicates=reps,
-    )
+    grid = tuple(sorted(float(v) for v in config.lambda_grid))
+    draw = functools.partial(rho_draw, grid, config.n, config.replicates, config.seed)
+    draws = parallel_map(draw, range(len(grid) * config.replicates), threads or config.threads)
+    curve = rho_curve_from_draws(grid, config.n, config.replicates, draws)
     return rho_curve_csv(curve), curve
 
 
@@ -274,19 +249,33 @@ _SWEEP_CURVE_OFFSET = 10_000_000
 def sweep_reference_curve(config: ExperimentConfig) -> RhoCurve:
     """Small internal rho curve over the sweep grid, used for the per-lambda
     density levels and the size floor."""
-    ref_n = int(config.estimator.get("curve_n", min(config.n, 1000)))
-    ref_reps = int(config.estimator.get("curve_replicates", 6))
-    grid = sorted(config.lambda_grid)
-    ref = ExperimentConfig(
+    ref = replace(
+        config,
         kind="rho-curve",
-        n=ref_n,
+        n=int(config.estimator.get("curve_n", min(config.n, 1000))),
         seed=config.seed + _SWEEP_CURVE_OFFSET,
-        replicates=ref_reps,
-        lambda_grid=tuple(grid),
-        threads=config.threads,
+        replicates=int(config.estimator.get("curve_replicates", 6)),
     )
-    _, curve = run_rho_curve(ref)
-    return curve
+    return run_rho_curve(ref)[1]
+
+
+PLACEMENT_GRID = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5)
+
+
+def _sweep_alpha(alpha: float | None) -> float:
+    alpha = 0.5 if alpha is None else alpha
+    if not (0.0 < alpha < 1.0):
+        raise ConfigError("sweep alpha must lie in (0, 1)")
+    return alpha
+
+
+def sweep_grid(curve: RhoCurve, alpha: float | None) -> tuple[float, tuple[float, ...]]:
+    """(lambda_hat*, grid): lambda_hat* = rho_hat^{-1}(1/alpha) read off the
+    curve, and six lambdas evenly spanning [max(1.2, lambda_hat* - 1),
+    lambda_hat* + 1.5], rounded to 3 decimals.  alpha None means 1/2."""
+    lam_star = rho_inverse(1.0 / _sweep_alpha(alpha), curve).lambda_star
+    lo, hi = max(1.2, lam_star - 1.0), lam_star + 1.5
+    return lam_star, tuple(round(lo + i * (hi - lo) / 5, 3) for i in range(6))
 
 
 def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) -> str:
@@ -302,14 +291,12 @@ def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) ->
     """
     if not config.lambda_grid:
         raise ConfigError("threshold sweep needs a lambda grid")
-    alpha = config.alpha if config.alpha is not None else 0.5
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError("sweep alpha must lie in (0, 1)")
+    alpha = _sweep_alpha(config.alpha)
     n = config.n
     p = n ** (-alpha)
     grid = sorted(config.lambda_grid)
     curve = sweep_reference_curve(config)
-    iso = isotonic_fit(np.asarray(curve.rho_hat))
+    iso = curve.isotonic()
     eta = float(config.estimator.get("eta", 0.15))
     c_hat = float(config.estimator.get("c_lambda_hat", curve.size_q05[-1]))
     c_hat = min(max(c_hat, 1.0 / n), 1.0)

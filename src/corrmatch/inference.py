@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 
 from .admissibility import AdmissibilityConstants, check_admissible, is_good_set
-from .density import DensityResult, densest_subgraph_bruteforce, densest_subgraph_exact
+from .density import densest_subgraph_exact
 from .graphs import (
     Bijection,
     Graph,
@@ -161,9 +161,7 @@ def log_likelihood_ratio(pi: Bijection, g: Graph, g_bar: Graph, consts: Likeliho
 def joint_log_prob_given_pi(g: Graph, g_bar: Graph, pi: Bijection, params: ModelParams) -> float:
     """log Q[G, Gbar | pi* = pi]: product over pairs of the joint pair pmf."""
     n = g.n
-    p, s = params.p, params.s
-    ps = p * s
-    q11, q10, q00 = p * s * s, ps * (1.0 - s), 1.0 - 2.0 * ps + p * s * s
+    q11, q10, q00 = _pair_pmf(params.p, params.s)
     packed = _all_pairs_packed(n)
     x = g.contains_packed(packed)
     y = g_bar.contains_packed(pi.map_packed(n, packed))
@@ -340,89 +338,84 @@ def map_estimator(g: Graph, g_bar: Graph, params: ModelParams, config: Estimator
     the lexicographic tie-break.
     """
     _assert_p_above_one(params)
-    n = g.n
-    use_exhaustive = config.strategy == "exhaustive" or (config.strategy == "auto" and n <= 9)
-    if use_exhaustive:
-        if n > 9:
-            raise ValueError("exhaustive argmax limited to n <= 9")
-        best_count = -1
-        best_perm: tuple[int, ...] | None = None
-        chunk = 40320
-        buffer: list[tuple[int, ...]] = []
-        for perm in permutations(range(n)):
-            buffer.append(perm)
-            if len(buffer) == chunk:
-                best_count, best_perm = _scan_chunk(g, g_bar, buffer, best_count, best_perm)
-                buffer.clear()
-        if buffer:
-            best_count, best_perm = _scan_chunk(g, g_bar, buffer, best_count, best_perm)
-        return MapEstimate(
-            pi=Bijection(best_perm),
-            intersection_edges=best_count,
-            exhaustive=True,
-            budget_exhausted=False,
-        )
-    return _hill_climb(g, g_bar, config)
+    if not _use_exhaustive(config, g.n):
+        return _hill_climb(g, g_bar, config)
+    best_count, best_perm = -1, None
+    for block, counts in _counted_permutations(g, g_bar):
+        idx = int(counts.argmax())   # first maximum = lexicographically least
+        if counts[idx] > best_count:
+            best_count, best_perm = int(counts[idx]), block[idx]
+    return MapEstimate(
+        pi=Bijection(best_perm),
+        intersection_edges=best_count,
+        exhaustive=True,
+        budget_exhausted=False,
+    )
 
 
-def _scan_chunk(g, g_bar, perms_list, best_count, best_perm):
-    counts = _intersection_counts(g, g_bar, np.array(perms_list, dtype=np.int16))
-    idx = int(counts.argmax())   # first maximum = lexicographically least
-    if counts[idx] > best_count:
-        return int(counts[idx]), perms_list[idx]
-    return best_count, best_perm
+def _use_exhaustive(config: EstimatorConfig, n: int) -> bool:
+    """Enumerate all n! matchings: up to n = 9 under "auto", and whenever
+    forced, which is refused above n = 9."""
+    if config.strategy == "exhaustive" and n > 9:
+        raise ValueError("exhaustive enumeration limited to n <= 9")
+    return config.strategy == "exhaustive" or (config.strategy == "auto" and n <= 9)
+
+
+def _counted_permutations(g: Graph, g_bar: Graph):
+    """Every matching in lexicographic order, in blocks of up to 8! rows,
+    each block with its intersection-edge counts."""
+    perms = permutations(range(g.n))
+    for block in iter(lambda: list(islice(perms, 40320)), []):
+        yield block, _intersection_counts(g, g_bar, np.array(block, dtype=np.int16))
 
 
 def _hill_climb(g: Graph, g_bar: Graph, config: EstimatorConfig) -> MapEstimate:
-    n = g.n
-    if n < 2:
-        return MapEstimate(
-            pi=Bijection.identity(n), intersection_edges=0, exhaustive=False, budget_exhausted=False
-        )
-    rng = stream(config.seed, 0)
-    moves_left = config.budget
-    best_perm: np.ndarray | None = None
-    best_count = -1
-    exhausted = False
-    while moves_left > 0:
-        fwd = rng.permutation(n).astype(np.int64)
-        count = _count_for(g, g_bar, fwd)
-        improved = True
-        while improved and moves_left > 0:
-            improved = False
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if moves_left <= 0:
-                        exhausted = True
-                        break
-                    moves_left -= 1
-                    delta = _swap_delta(g, g_bar, fwd, i, j)
-                    if delta > 0:
-                        fwd[i], fwd[j] = fwd[j], fwd[i]
-                        count += delta
-                        improved = True
-                if exhausted:
-                    break
-        if count > best_count or (
-            count == best_count and best_perm is not None and tuple(fwd) < tuple(best_perm)
-        ):
-            best_count = count
-            best_perm = fwd.copy()
+    """The best state over all sweeps, ties to the lexicographically least.
+    A restart's count rises strictly until its last sweep, so this is the
+    best final state of any restart."""
+    best_perm, best_count = None, -1
+    for fwd, count, cut_short in _transposition_sweeps(g, g_bar, stream(config.seed, 0), config.budget):
+        if count > best_count or (count == best_count and tuple(fwd) < tuple(best_perm)):
+            best_perm, best_count = fwd.copy(), count
     return MapEstimate(
         pi=Bijection(best_perm),
         intersection_edges=best_count,
         exhaustive=False,
-        budget_exhausted=exhausted,
+        budget_exhausted=cut_short,
     )
 
 
-def _count_for(g: Graph, g_bar: Graph, fwd: np.ndarray) -> int:
-    edges = g.edge_array()
-    if edges.size == 0:
-        return 0
-    us, vs = fwd[edges[:, 0]], fwd[edges[:, 1]]
-    packed = np.minimum(us, vs) * g.n + np.maximum(us, vs)
-    return int(g_bar.contains_packed(packed).sum())
+def _transposition_sweeps(g: Graph, g_bar: Graph, rng: np.random.Generator, budget: int):
+    """Transposition hill climb on the intersection-edge count.
+
+    Each restart sweeps the pairs i < j of a uniform permutation, taking
+    every gaining swap, until a sweep gains nothing; restarts go on until
+    `budget` swaps have been evaluated.  Yields (fwd, count, cut_short)
+    after every sweep, fwd being the live array; cut_short says the budget
+    ran out mid-sweep.
+    """
+    n = g.n
+    if n < 2:   # the identity is the only matching
+        yield np.arange(n), 0, False
+        return
+    moves_left = budget
+    while moves_left > 0:
+        fwd = rng.permutation(n).astype(np.int64)
+        count = int(_intersection_counts(g, g_bar, fwd[None, :])[0])
+        improved = True
+        while improved and moves_left > 0:
+            improved = False
+            for i, j in combinations(range(n), 2):
+                if moves_left <= 0:
+                    yield fwd, count, True
+                    return
+                moves_left -= 1
+                delta = _swap_delta(g, g_bar, fwd, i, j)
+                if delta > 0:
+                    fwd[i], fwd[j] = fwd[j], fwd[i]
+                    count += delta
+                    improved = True
+            yield fwd, count, False
 
 
 def _swap_delta(g: Graph, g_bar: Graph, fwd: np.ndarray, i: int, j: int) -> int:
@@ -450,10 +443,6 @@ class CandidateCheck:
     certificate_density: Fraction | None
 
 
-def _best_density(g: Graph) -> DensityResult:
-    return densest_subgraph_bruteforce(g) if g.n <= 12 else densest_subgraph_exact(g)
-
-
 def reasonable_candidate_check(
     pi: Bijection, g: Graph, g_bar: Graph, config: EstimatorConfig
 ) -> CandidateCheck:
@@ -466,7 +455,7 @@ def reasonable_candidate_check(
     sound, a miss is possible.
     """
     h = intersection_graph(g, g_bar, pi)
-    dens = _best_density(h)
+    dens = densest_subgraph_exact(h)
     cap_ok = float(dens.density) <= config.rho_hat + config.eta
     size_min = max(1, math.ceil(config.c_lambda_hat * h.n))
     target = config.rho_hat - config.eta
@@ -529,7 +518,8 @@ def _peel_best_subset(
         return None
     removed = set(removal_order[: best[0]])
     subset = tuple(v for v in range(n) if v not in removed)
-    assert Fraction(h.edges_within(subset), len(subset)) == best[1]
+    if Fraction(h.edges_within(subset), len(subset)) != best[1]:
+        raise AssertionError("peeling lost track of the prefix edge count")
     return subset, best[1]
 
 
@@ -538,51 +528,46 @@ def reasonable_candidate_search(
 ) -> tuple[Bijection, CandidateCheck] | None:
     """Some accepted candidate matching, or None.
 
-    Exhaustive lexicographic scan for n <= 9 (cheap pre-filter: a
-    qualifying subset needs at least target * size_min intersection
-    edges); otherwise hill climbing on the intersection-edge count with
-    the acceptance test applied to each new incumbent.  Absence is a
-    legitimate outcome.
+    The candidates are every matching in lexicographic order for n <= 9,
+    otherwise the state after each hill-climb sweep; the acceptance test
+    runs on those passing a cheap pre-filter (a qualifying subset needs at
+    least target * size_min intersection edges).  Absence is a legitimate
+    outcome.
     """
-    n = g.n
-    use_exhaustive = config.strategy == "exhaustive" or (config.strategy == "auto" and n <= 9)
-    size_min = max(1, math.ceil(config.c_lambda_hat * n))
+    size_min = max(1, math.ceil(config.c_lambda_hat * g.n))
     min_edges = (config.rho_hat - config.eta) * size_min
-    if use_exhaustive:
-        if n > 9:
-            raise ValueError("exhaustive scan limited to n <= 9")
-        for perm in permutations(range(n)):
+    if _use_exhaustive(config, g.n):
+        candidates = (
+            pair for block, counts in _counted_permutations(g, g_bar) for pair in zip(block, counts)
+        )
+    else:
+        sweeps = _transposition_sweeps(g, g_bar, stream(config.seed, 1), config.budget)
+        candidates = ((fwd, count) for fwd, count, _ in sweeps)
+    for perm, count in candidates:
+        if count >= min_edges:
             pi = Bijection(perm)
-            if _count_for(g, g_bar, pi.forward) < min_edges:
-                continue
             check = reasonable_candidate_check(pi, g, g_bar, config)
             if check.accepted:
                 return pi, check
-        return None
-    rng = stream(config.seed, 1)
-    moves_left = config.budget
-    while moves_left > 0:
-        fwd = rng.permutation(n).astype(np.int64)
-        improved = True
-        while improved and moves_left > 0:
-            improved = False
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if moves_left <= 0:
-                        break
-                    moves_left -= 1
-                    if _swap_delta(g, g_bar, fwd, i, j) > 0:
-                        fwd[i], fwd[j] = fwd[j], fwd[i]
-                        improved = True
-            pi = Bijection(fwd.copy())
-            if _count_for(g, g_bar, fwd) >= min_edges:
-                check = reasonable_candidate_check(pi, g, g_bar, config)
-                if check.accepted:
-                    return pi, check
     return None
 
 
 # -- total variation ------------------------------------------------------------------
+
+
+def _pair_perm_maps(n: int) -> np.ndarray:
+    """One row per permutation of range(n), in lexicographic order: entry k
+    is the index of the image of the k-th vertex pair (pairs u < v in
+    lexicographic order)."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pair_index = {e: i for i, e in enumerate(pairs)}
+    return np.array(
+        [
+            [pair_index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+            for perm in permutations(range(n))
+        ],
+        dtype=np.int64,
+    )
 
 
 def _pair_pmf(p: float, s: float) -> tuple[float, float, float]:
@@ -595,9 +580,8 @@ def tv_exact(params: ModelParams) -> float:
     n = params.n
     if n > 4:
         raise ValueError("exact TV limited to n <= 4")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    n_pairs = len(pairs)
-    pair_index = {e: i for i, e in enumerate(pairs)}
+    perm_maps = _pair_perm_maps(n)
+    n_pairs = perm_maps.shape[1]
     q11, q10, q00 = _pair_pmf(params.p, params.s)
     q = params.p * params.s
     n_graphs = 1 << n_pairs
@@ -608,15 +592,11 @@ def tv_exact(params: ModelParams) -> float:
     p_null = np.exp(log_pg[:, None] + log_pg[None, :])
     # correlated: average over pi* of the per-pair joint pmf
     q_corr = np.zeros((n_graphs, n_graphs))
-    perm_list = list(permutations(range(n)))
     lookup = np.array([[q00, q10], [q10, q11]])
-    for perm in perm_list:
-        mapped = np.array(
-            [pair_index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
-        )
+    for mapped in perm_maps:
         contrib = lookup[bits[:, None, :].astype(int), bits[None, :, mapped].astype(int)]
         q_corr += contrib.prod(axis=2)
-    q_corr /= len(perm_list)
+    q_corr /= len(perm_maps)
     return 0.5 * float(np.abs(p_null - q_corr).sum())
 
 
@@ -628,14 +608,7 @@ def tv_mc(params: ModelParams, replicates: int, seed: int) -> tuple[float, float
         raise ValueError(f"mixture likelihood enumeration limited to n <= {_POSTERIOR_N_MAX}")
     if replicates < 2:
         raise ValueError("need at least two replicates")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    pair_index = {e: i for i, e in enumerate(pairs)}
-    perm_maps = np.array(
-        [
-            [pair_index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
-            for perm in permutations(range(n))
-        ]
-    )
+    perm_maps = _pair_perm_maps(n)
     consts = LikelihoodConstants.from_params(params.p, params.s)
     table = consts.ll_table()
     vals = np.empty(replicates)

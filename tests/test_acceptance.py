@@ -17,7 +17,6 @@ from corrmatch.density import (
     densest_subgraph_bruteforce,
     densest_subgraph_exact,
     estimate_rho,
-    rho_inverse,
 )
 from corrmatch.graphs import Bijection, ModelParams, sample_correlated, sample_er
 from corrmatch.harness import (
@@ -25,6 +24,7 @@ from corrmatch.harness import (
     acceptance_rates,
     run_rho_curve,
     run_threshold_sweep,
+    sweep_grid,
 )
 from corrmatch.inference import (
     LikelihoodConstants,
@@ -415,9 +415,7 @@ def test_criterion_10_threshold_trend():
         lambda_grid=(1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5),
     )
     _, curve = run_rho_curve(cfg_curve, threads=THREADS)
-    lam_star = rho_inverse(2.0, curve).lambda_star
-    lo, hi = max(1.2, lam_star - 1.0), lam_star + 1.5
-    grid = tuple(round(lo + i * (hi - lo) / 5, 3) for i in range(6))
+    lam_star, grid = sweep_grid(curve, 0.5)
     cfg = ExperimentConfig(
         kind="threshold-sweep",
         n=2000,

@@ -35,6 +35,22 @@ def test_density_from_edge_list_file(tmp_path, capsys):
     assert res["density_numerator"] == 3 and res["density_denominator"] == 2
 
 
+def test_density_and_admissibility_need_an_input(capsys):
+    assert RUN(["density"]) == 3
+    assert RUN(["admissibility"]) == 3
+    assert "needs --graph or --bundle" in capsys.readouterr().err
+
+
+def test_bundle_missing_a_key_exits_3(tmp_path, capsys):
+    bundle = tmp_path / "bundle.json"
+    assert RUN(["sample", "--n", "6", "--p", "0.5", "--s", "0.8", "--seed", "1", "--out", str(bundle)]) == 0
+    payload = json.loads(bundle.read_text())
+    del payload["p"]
+    bundle.write_text(json.dumps(payload))
+    assert RUN(["density", "--bundle", str(bundle)]) == 3
+    assert "'p'" in capsys.readouterr().err
+
+
 def test_moments_check_exit_codes(tmp_path, capsys):
     assert (
         RUN(["moments-check", "--p", "0.3", "--s", "0.6", "--replicates", "20000", "--seed", "2"])
@@ -115,6 +131,17 @@ def test_threshold_sweep_cli(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "lambda,n,seed,estimator,overlap_fraction,accepted,wall_time_s"
+
+
+def test_threshold_sweep_cli_places_its_grid(capsys):
+    assert RUN(["threshold-sweep", "--n", "120", "--replicates", "1", "--seed", "9"]) == 0
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
+    grid = sorted({float(row.split(",")[0]) for row in rows})
+    assert len(rows) == len(grid) == 6
+    assert grid[0] >= 1.2 and grid[-1] - grid[0] <= 2.5 + 1e-9
+    assert "lambda_hat* = " in captured.err
+    assert captured.err.count("pi* accepted in") == 6
 
 
 def test_config_file_flow(tmp_path, capsys):

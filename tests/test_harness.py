@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from corrmatch.density import build_rho_curve
 from corrmatch.graphs import ModelParams, sample_correlated
 from corrmatch.harness import (
     ConfigError,
@@ -69,6 +70,11 @@ def test_rho_curve_byte_identical_across_threads():
     csv1, _ = run_rho_curve(cfg, threads=1)
     csv8, _ = run_rho_curve(cfg, threads=8)
     assert csv1 == csv8
+
+
+def test_run_rho_curve_matches_build_rho_curve():
+    cfg = small_config("rho-curve", n=80, replicates=3, lambda_grid=(3.0, 1.5), seed=21, threads=2)
+    assert run_rho_curve(cfg)[1] == build_rho_curve([3.0, 1.5], n=80, replicates=3, seed=21)
 
 
 def test_moment_verification_byte_identical_across_threads():

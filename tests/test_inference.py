@@ -282,6 +282,29 @@ def test_map_hill_climb_agrees_with_exhaustive_usually():
     assert agree >= 0.95 * trials
 
 
+# (seed, budget) -> (pi, intersection_edges, budget_exhausted) pinned at
+# fixed seeds; budgets of whole sweeps (66 pairs at n = 12) end with the
+# budget unexhausted.
+MAP_HILL_CLIMB_PINS = {
+    (3, 66): ([8, 2, 11, 4, 9, 1, 3, 10, 7, 0, 6, 5], 13, False),
+    (3, 67): ([8, 2, 11, 4, 9, 1, 3, 10, 7, 0, 6, 5], 13, True),
+    (3, 132): ([8, 9, 11, 4, 2, 1, 3, 10, 7, 0, 6, 5], 14, False),
+    (3, 150): ([8, 9, 11, 4, 2, 1, 3, 10, 7, 0, 6, 5], 14, True),
+    (3, 5000): ([4, 7, 8, 5, 2, 1, 3, 0, 10, 9, 11, 6], 15, True),
+    (17, 5000): ([1, 5, 7, 6, 2, 11, 8, 0, 4, 3, 10, 9], 16, True),
+}
+
+
+@pytest.mark.parametrize("seed,budget", sorted(MAP_HILL_CLIMB_PINS))
+def test_map_hill_climb_pinned_outputs(seed, budget):
+    params = ModelParams(n=12, p=0.4, s=0.8)
+    smpl = sample_correlated(params, seed=710, replicate=seed)
+    cfg = EstimatorConfig(rho_hat=1.0, c_lambda_hat=0.5, strategy="hill_climb", budget=budget, seed=seed)
+    est = map_estimator(smpl.g, smpl.g_bar, params, cfg)
+    got = ([int(v) for v in est.pi.forward], est.intersection_edges, est.budget_exhausted)
+    assert got == MAP_HILL_CLIMB_PINS[(seed, budget)]
+
+
 def test_candidate_check_empty_intersection_fails_dense_side():
     cfg = EstimatorConfig(rho_hat=1.2, c_lambda_hat=0.3, eta=0.1)
     g = Graph(10, [(0, 1)])
@@ -339,6 +362,26 @@ def test_candidate_search_exhaustive_finds_accepted_candidate():
     assert check.accepted
     inner = reasonable_candidate_check(pi, g, g_bar, cfg)
     assert inner.accepted
+
+
+def test_candidate_search_hill_climb_pinned_outputs():
+    # n = 10 is past the exhaustive scan: the hill climb finds a planted
+    # 5-clique (plus a path); pi pinned at fixed seeds
+    n = 10
+    clique = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    g = Graph(n, clique + [(5, 6), (6, 7), (7, 8), (8, 9)])
+    g_bar = relabel(g, Bijection([7, 2, 9, 0, 4, 8, 1, 5, 3, 6]))
+    params = ModelParams(n=n, p=0.3, s=0.8)
+    pins = {
+        0: [9, 4, 2, 7, 0, 8, 1, 5, 3, 6],
+        1: [2, 7, 4, 0, 9, 6, 3, 5, 1, 8],
+        2: [4, 7, 9, 2, 0, 8, 1, 5, 3, 6],
+    }
+    for seed, want in pins.items():
+        cfg = EstimatorConfig(rho_hat=2.0, c_lambda_hat=5 / n, eta=0.2, budget=2000, seed=seed)
+        pi, check = reasonable_candidate_search(g, g_bar, params, cfg)
+        assert [int(v) for v in pi.forward] == want
+        assert check.accepted and check.certificate == (0, 1, 2, 3, 4)
 
 
 # -- total variation --
