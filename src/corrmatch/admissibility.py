@@ -316,8 +316,10 @@ def simple_cycle_counts(
         for root in range(h.n):
             if not alive[root]:
                 continue
-            # iterative DFS over simple paths from root using vertices > root
-            stack = [(root, iter([w for w in adj[root] if alive[w] and w > root]))]
+            # iterative DFS over simple paths from root using vertices > root;
+            # a path closes into a cycle at a neighbour of root
+            closers = {w for w in adj[root] if alive[w] and w > root}
+            stack = [(root, iter(sorted(closers)))]
             path = [root]
             in_path = {root}
             while stack:
@@ -329,7 +331,7 @@ def simple_cycle_counts(
                 for w in it:
                     if w in in_path:
                         continue
-                    if len(path) >= 2 and h.has_edge(w, root) and path[1] < w:
+                    if len(path) >= 2 and w in closers and path[1] < w:
                         counts[len(path) + 1] += 1
                         if collect_vertices:
                             on_cycles.update(path)

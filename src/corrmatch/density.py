@@ -59,11 +59,14 @@ class DensityResult:
             raise ValueError("maximizer must be nonempty")
 
 
-def _improving_subset(g: Graph, gamma: Fraction) -> tuple[int, ...] | None:
-    """A vertex set with density strictly above gamma, or None.
+def _improving_subset(g: Graph, gamma: Fraction) -> tuple[tuple[int, ...], int] | None:
+    """A vertex set with density strictly above gamma and its edge count,
+    or None.
 
     One integer max-flow on the reduction network; the residual source
-    side realizes max_U (b|E(U)| - a|U|).
+    side U realizes max_U (b|E(U)| - a|U|).  Its edge count, read off the
+    edge arrays, is checked against the cut identity
+    2(b|E(U)| - a|U|) = 2bm - flow_value.
     """
     n, m = g.n, g.edge_count
     a, b = gamma.numerator, gamma.denominator
@@ -100,8 +103,13 @@ def _improving_subset(g: Graph, gamma: Fraction) -> tuple[int, ...] | None:
     residual.data = np.maximum(residual.data, 0)
     residual.eliminate_zeros()
     reach = breadth_first_order(residual, src, directed=True, return_predecessors=False)
-    side = tuple(int(v) for v in np.sort(reach[reach < n]))
-    return side if side else None
+    in_side = np.zeros(n, dtype=bool)
+    in_side[reach[reach < n]] = True
+    side_edges = int(np.count_nonzero(in_side[edges[:, 0]] & in_side[edges[:, 1]]))
+    side = tuple(np.flatnonzero(in_side).tolist())
+    if 2 * (b * side_edges - a * len(side)) != 2 * b * m - result.flow_value:
+        raise AssertionError("witness edge count disagrees with the minimum cut")
+    return side, side_edges
 
 
 def densest_subgraph_exact(g: Graph) -> DensityResult:
@@ -115,31 +123,32 @@ def densest_subgraph_exact(g: Graph) -> DensityResult:
         raise ValueError("graph must have at least one vertex")
     if g.edge_count == 0:
         return DensityResult(best_subset=(0,), density=Fraction(0), witness_edges=0)
-    best = tuple(range(g.n))
-    val = Fraction(g.edge_count, g.n)
+    best, best_edges = tuple(range(g.n)), g.edge_count
+    val = Fraction(best_edges, g.n)
     for _ in range(2 * g.n * g.n + 8):
         improved = _improving_subset(g, val)
         if improved is None:
-            return DensityResult(best_subset=best, density=val, witness_edges=g.edges_within(best))
-        cand = Fraction(g.edges_within(improved), len(improved))
+            return DensityResult(best_subset=best, density=val, witness_edges=best_edges)
+        cand = Fraction(improved[1], len(improved[0]))
         if cand <= val:
             raise AssertionError("flow witness failed to improve the density")
-        best, val = improved, cand
+        (best, best_edges), val = improved, cand
     raise AssertionError("density refinement did not terminate")
 
 
 def densest_subgraph_bruteforce(g: Graph) -> DensityResult:
     """Exhaustive maximum over all 2^n - 1 nonempty subsets (n <= 20).
 
-    Subset edge counts fill in by dynamic programming on the lowest bit.
-    Ties break toward smaller, then lexicographically earlier subsets.
+    Subset edge counts fill in by dynamic programming on the lowest bit,
+    over adjacency bitsets built here.  Ties break toward smaller, then
+    lexicographically earlier subsets.
     """
     if g.n > 20:
         raise ValueError("brute force limited to n <= 20")
     if g.edge_count == 0:
         return DensityResult(best_subset=(0,), density=Fraction(0), witness_edges=0)
     n = g.n
-    adj = [g.adjacency_bits(v) for v in range(n)]
+    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
     counts = [0] * (1 << n)
     best_mask, best_val = 1, Fraction(0)
     for mask in range(1, 1 << n):

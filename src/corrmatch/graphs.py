@@ -12,6 +12,7 @@ carries the semantic distinction between V and the matched side.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -38,14 +39,17 @@ def _pack(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 
 class Graph:
-    """Simple undirected graph on n labeled vertices.
+    """Simple undirected graph on n labeled vertices, in O(n + m) memory.
 
-    Edges are canonical unordered pairs (u, v) with u < v, stored once, as
-    a sorted packed index array (vector membership tests) and per-vertex
-    adjacency bitsets (O(1) scalar membership).  Instances are immutable.
+    Edges are canonical unordered pairs (u, v) with u < v.  They are stored
+    once as a sorted packed index array (vector membership tests) and twice
+    in compressed sparse rows, kept as flat Python lists for the scalar
+    queries: `_indices[_indptr[u]:_indptr[u + 1]]` lists u's neighbours in
+    ascending order.  A build costs one sort of the 2m directed keys
+    u*n + v.  Instances are immutable.
     """
 
-    __slots__ = ("n", "_packed", "_adj_bits", "_degrees")
+    __slots__ = ("n", "_packed", "_indptr", "_indices", "_degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -53,30 +57,24 @@ class Graph:
         arr = np.asarray(sorted({(min(u, v), max(u, v)) for u, v in edges}), dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
-        self._init_from_canonical(n, arr)
+        self._init_from_canonical(n, arr[:, 0], arr[:, 1])
 
-    def _init_from_canonical(self, n: int, arr: np.ndarray) -> None:
-        if arr.size:
-            if arr.min() < 0 or arr.max() >= n:
+    def _init_from_canonical(self, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
+        if lo.size:
+            if lo.min() < 0 or hi.max() >= n:
                 raise ValueError("edge endpoint out of range")
-            if (arr[:, 0] == arr[:, 1]).any():
+            if (lo == hi).any():
                 raise ValueError("self-loops are not allowed")
         self.n = n
-        packed = _pack(n, arr[:, 0], arr[:, 1]) if arr.size else np.empty(0, dtype=np.int64)
-        order = np.argsort(packed, kind="stable")
-        self._packed = packed[order]
+        self._packed = np.sort(_pack(n, lo, hi))
         if np.any(self._packed[1:] == self._packed[:-1]):
             raise ValueError("duplicate edge")
-        adj = [0] * n
-        deg = np.zeros(n, dtype=np.int64)
-        for u, v in arr:
-            adj[u] |= 1 << int(v)
-            adj[v] |= 1 << int(u)
-            deg[u] += 1
-            deg[v] += 1
-        self._adj_bits = adj
-        self._degrees = deg
+        keys = np.sort(np.concatenate([self._packed, _pack(n, hi, lo)]))
+        self._degrees = np.bincount(keys // n, minlength=n)
+        self._packed.flags.writeable = False
         self._degrees.flags.writeable = False
+        self._indptr = [0] + np.cumsum(self._degrees).tolist()
+        self._indices = (keys % n).tolist()
 
     @classmethod
     def from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
@@ -86,7 +84,7 @@ class Graph:
         lo = np.minimum(us, vs)
         hi = np.maximum(us, vs)
         g = cls.__new__(cls)
-        g._init_from_canonical(n, np.column_stack([lo, hi]) if lo.size else np.empty((0, 2), dtype=np.int64))
+        g._init_from_canonical(n, lo, hi)
         return g
 
     # -- basic queries ----------------------------------------------------
@@ -105,10 +103,16 @@ class Graph:
             return np.empty((0, 2), dtype=np.int64)
         return np.column_stack([self._packed // self.n, self._packed % self.n])
 
+    def _check(self, u) -> None:
+        if not 0 <= u < self.n:
+            raise ValueError("vertex out of range")
+
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return bool((self._adj_bits[u] >> v) & 1)
+        self._check(u)
+        self._check(v)
+        lo, hi = self._indptr[u], self._indptr[u + 1]
+        i = bisect_left(self._indices, v, lo, hi)
+        return i < hi and self._indices[i] == v
 
     def contains_packed(self, packed: np.ndarray) -> np.ndarray:
         """Vector membership test for packed canonical pair indices."""
@@ -119,37 +123,25 @@ class Graph:
         return self._packed[idx] == packed
 
     def degree(self, u: int) -> int:
-        return int(self._degrees[u])
+        self._check(u)
+        return self._indptr[u + 1] - self._indptr[u]
 
     @property
     def degrees(self) -> np.ndarray:
         return self._degrees
 
     def neighbors(self, u: int) -> list[int]:
-        bits = self._adj_bits[u]
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
-
-    def adjacency_bits(self, u: int) -> int:
-        return self._adj_bits[u]
+        """u's neighbours in ascending order."""
+        self._check(u)
+        return self._indices[self._indptr[u]:self._indptr[u + 1]]
 
     def edges_within(self, vertices: Iterable[int]) -> int:
         """Number of edges with both endpoints in the given vertex set."""
-        mask = 0
-        for v in vertices:
-            mask |= 1 << int(v)
-        total = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            total += (self._adj_bits[v] & mask).bit_count()
-            rest ^= low
-        return total // 2
+        vset = set(vertices)
+        if vset and (min(vset) < 0 or max(vset) >= self.n):
+            raise ValueError("vertex out of range")
+        indptr, indices, inside = self._indptr, self._indices, vset.__contains__
+        return sum(sum(map(inside, indices[indptr[v]:indptr[v + 1]])) for v in vset) // 2
 
     def __eq__(self, other: object) -> bool:
         return (

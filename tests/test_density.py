@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +45,18 @@ def test_density_is_attained_by_reported_subset():
         k = len(res.best_subset)
         assert res.witness_edges == g.edges_within(res.best_subset)
         assert res.density == Fraction(res.witness_edges, k)
+
+
+def test_exact_solver_at_n_1e5():
+    n = 100_000
+    rng = stream(5, 0)
+    t0 = time.perf_counter()
+    g = sample_er(n, 4 / n, rng)
+    assert time.perf_counter() - t0 <= 2.0
+    res = densest_subgraph_exact(g)   # an OverflowError here would mean the int32 guard tripped
+    assert res.density == Fraction(res.witness_edges, len(res.best_subset))
+    assert res.witness_edges == g.edges_within(res.best_subset)
+    assert res.density >= Fraction(g.edge_count, n)
 
 
 def test_exact_equals_bruteforce_random_corpus():

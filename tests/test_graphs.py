@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,61 @@ def test_text_round_trip():
 def test_from_text_rejects_bad_count():
     with pytest.raises(ValueError):
         Graph.from_text("3 2\n0 1\n")
+
+
+def _csr_corpus():
+    """(n, edge list) cases; each edge appears in a random orientation."""
+    rng = stream(31, 0)
+    corpus = [(6, []), (2, [(1, 0)]), (8, [(i, j) for i in range(8) for j in range(i + 1, 8)])]
+    for n in (0, 1, 2, 50, 300):
+        for q in (0.0, 0.02, 0.1, 0.5):
+            keep = [e for e in itertools.combinations(range(n), 2) if rng.random() < q]
+            corpus.append((n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in keep]))
+    return corpus
+
+
+@pytest.mark.parametrize("n, edges", _csr_corpus(), ids=lambda c: f"m{len(c)}" if isinstance(c, list) else f"n{c}")
+def test_csr_queries_match_set_reference(n, edges):
+    g = Graph(n, edges)
+    ref = {v: set() for v in range(n)}
+    for u, v in edges:
+        ref[u].add(v)
+        ref[v].add(u)
+    for v in range(n):
+        assert g.neighbors(v) == sorted(ref[v])
+    for u in range(n):
+        assert [g.has_edge(u, v) for v in range(n)] == [v in ref[u] for v in range(n)]
+    assert g.degrees.tolist() == [len(ref[v]) for v in range(n)]
+    assert g.degrees.tolist() == np.bincount(np.asarray(edges, dtype=np.int64).ravel(), minlength=n).tolist()
+    assert [g.degree(v) for v in range(n)] == g.degrees.tolist()
+    rng = stream(33, n)
+    for _ in range(20):
+        sub = set(rng.choice(n, int(rng.integers(0, n + 1)), replace=False).tolist()) if n else set()
+        assert g.edges_within(sub) == sum(1 for u, v in edges if u in sub and v in sub)
+    canonical = sorted((min(u, v), max(u, v)) for u, v in edges)
+    assert list(g.edges) == canonical
+    assert [tuple(e) for e in g.edge_array().tolist()] == canonical
+    us, vs = (np.asarray(c, dtype=np.int64) for c in zip(*edges)) if edges else (np.empty(0, np.int64),) * 2
+    assert Graph.from_arrays(n, us, vs) == g
+    assert Graph.from_text(g.to_text()) == g
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda g: g.has_edge(-1, 3),
+        lambda g: g.has_edge(3, 5),
+        lambda g: g.neighbors(-1),
+        lambda g: g.degree(5),
+        lambda g: g.edges_within([-1]),
+        lambda g: g.edges_within([0, 5]),
+    ],
+    ids=["has_edge_neg", "has_edge_n", "neighbors", "degree", "edges_within_neg", "edges_within_n"],
+)
+def test_vertex_out_of_range_raises(query):
+    g = Graph(5, [(3, 4), (0, 1)])
+    with pytest.raises(ValueError, match="vertex out of range"):
+        query(g)
 
 
 # -- bijections --
