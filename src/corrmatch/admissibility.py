@@ -208,34 +208,20 @@ class AdmissibilityReport:
                     return False
             elif name == "local_unicyclicity":
                 sub = w["subset"]
-                if len(sub) > consts.tiny_component_cap or not _connected(h, sub):
+                if not 0 < len(sub) <= consts.tiny_component_cap:
                     return False
+                vset = set(sub)
+                if len(_bfs(_adjacency(h), sub[:1], within=vset)) != len(vset):
+                    return False   # not connected
                 if not h.edges_within(sub) > len(sub):
                     return False
             elif name == "cycle_counts":
+                # either count is a lower bound when its enumeration was cut short
                 k = w["length"]
-                counts, done = simple_cycle_counts(h, k)
-                if not (done and counts.get(k, 0) == w["count"] > consts.cycle_count_cap(k)):
+                counts, _ = simple_cycle_counts(h, k)
+                if not counts.get(k, 0) >= w["count"] > consts.cycle_count_cap(k):
                     return False
         return True
-
-
-def _connected(h: Graph, vertices) -> bool:
-    vset = set(int(v) for v in vertices)
-    if not vset:
-        return False
-    start = next(iter(vset))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in h.neighbors(u):
-                if w in vset and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen == vset
 
 
 # -- enumeration machinery ----------------------------------------------------
@@ -243,6 +229,24 @@ def _connected(h: Graph, vertices) -> bool:
 
 def _adjacency(h: Graph) -> list[list[int]]:
     return [h.neighbors(v) for v in range(h.n)]
+
+
+def _bfs(adj: list[list[int]], sources, depth: int | None = None, within=None) -> dict[int, int]:
+    """Hop distances from sources, up to depth (unbounded when None), along
+    paths whose vertices past the sources all lie in within (any when None)."""
+    dist = {s: 0 for s in sources}
+    frontier = list(dist)
+    d = 0
+    while frontier and (depth is None or d < depth):
+        d += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in dist and (within is None or w in within):
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 def _core(adj: list[list[int]], min_degree: int) -> list[bool]:
@@ -265,18 +269,20 @@ def _core(adj: list[list[int]], min_degree: int) -> list[bool]:
 
 
 def _connected_sets(adj: list[list[int]], alive: list[bool], max_size: int, budget: list[int]):
-    """Yield every connected vertex set of size <= max_size within the
-    alive mask exactly once (ESU-style growth from each root)."""
+    """Yield (set, edge count) for every connected vertex set of size <=
+    max_size within the alive mask, each set exactly once (ESU-style growth
+    from each root).  The edge count of the induced subgraph is kept up to
+    date as each set grows."""
     n = len(adj)
     for root in range(n):
         if not alive[root]:
             continue
 
-        def grow(sub: list[int], in_sub: set[int], ext: list[int], banned: set[int]):
+        def grow(sub: list[int], in_sub: set[int], ext: list[int], banned: set[int], edges: int):
             budget[0] -= 1
             if budget[0] < 0:
                 raise BudgetExceeded
-            yield tuple(sub)
+            yield tuple(sub), edges
             if len(sub) == max_size:
                 return
             for i, u in enumerate(ext):
@@ -286,14 +292,15 @@ def _connected_sets(adj: list[list[int]], alive: list[bool], max_size: int, budg
                     if alive[w] and w > root and w not in in_sub and w not in banned
                 ]
                 banned_next = banned | set(ext[i + 1:]) | set(fresh)
+                gained = sum(1 for w in adj[u] if w in in_sub)
                 sub.append(u)
                 in_sub.add(u)
-                yield from grow(sub, in_sub, ext[i + 1:] + fresh, banned_next)
+                yield from grow(sub, in_sub, ext[i + 1:] + fresh, banned_next, edges + gained)
                 sub.pop()
                 in_sub.remove(u)
 
         ext0 = [w for w in adj[root] if alive[w] and w > root]
-        yield from grow([root], {root}, ext0, set(ext0))
+        yield from grow([root], {root}, ext0, set(ext0), 0)
 
 
 def simple_cycle_counts(
@@ -301,48 +308,69 @@ def simple_cycle_counts(
 ) -> tuple[dict[int, int], bool] | tuple[dict[int, int], bool, set[int]]:
     """Count simple cycles per length 3..max_len.
 
-    Each cycle is counted once, rooted at its least vertex with the two
+    Each cycle is counted once, rooted at its least vertex r with the two
     traversal directions deduplicated.  Returns (counts, completed); the
     optional third element collects all vertices lying on counted cycles.
     Only the 2-core is searched (cycles live there).
+
+    The depth-first search from r walks simple paths through alive vertices
+    > r and is pruned by the distance back to r.  Let dist be the BFS
+    distance from r in the subgraph induced on r and the alive vertices > r.
+    A vertex w at path position d is pushed only if
+    d + max(dist(w), 2) <= max_len.  The pruning is exact: a path pushed on
+    through w returns to r inside that subgraph, so it takes at least
+    dist(w) more edges, and at least two since its next vertex is not r.
+    For the same reason the BFS stops at radius max_len // 2: a vertex
+    farther out has d >= dist(w) > max_len / 2.  Surviving branches keep
+    their order, so the counts and the vertex set are those of the unpruned
+    search.
+
+    ``budget`` caps the pruned DFS steps (one per push or pop).  When it
+    runs out, completed is False and the counts are lower bounds.
     """
     adj = _adjacency(h)
     alive = _core(adj, 2)
     counts = {k: 0 for k in range(3, max_len + 1)}
     on_cycles: set[int] = set()
+    above = {v for v in range(h.n) if alive[v]}   # alive vertices > root
     steps = budget
     completed = True
     try:
         for root in range(h.n):
             if not alive[root]:
                 continue
-            # iterative DFS over simple paths from root using vertices > root;
-            # a path closes into a cycle at a neighbour of root
-            closers = {w for w in adj[root] if alive[w] and w > root}
-            stack = [(root, iter(sorted(closers)))]
+            above.discard(root)
+            # the last path position at which each vertex may still be pushed
+            room = {
+                v: max_len - max(dist, 2)
+                for v, dist in _bfs(adj, [root], max_len // 2, above).items()
+                if v != root
+            }
+            # iterative DFS over simple paths from root; a path closes into
+            # a cycle at a neighbour of root
+            closers = {w for w in adj[root] if w in room}
+            stack = [iter(sorted(closers))]
             path = [root]
             in_path = {root}
             while stack:
                 steps -= 1
                 if steps < 0:
                     raise BudgetExceeded
-                node, it = stack[-1]
-                advanced = False
-                for w in it:
+                d = len(path)
+                for w in stack[-1]:
                     if w in in_path:
                         continue
-                    if len(path) >= 2 and w in closers and path[1] < w:
-                        counts[len(path) + 1] += 1
+                    if d >= 2 and path[1] < w and w in closers:
+                        counts[d + 1] += 1
                         if collect_vertices:
                             on_cycles.update(path)
                             on_cycles.add(w)
-                    if len(path) + 1 < max_len:
+                    if d <= room[w]:
                         path.append(w)
                         in_path.add(w)
-                        stack.append((w, iter([x for x in adj[w] if alive[x] and x > root])))
-                        advanced = True
+                        stack.append(iter([x for x in adj[w] if x in room]))
                         break
-                if not advanced:
+                else:
                     stack.pop()
                     in_path.remove(path.pop())
     except BudgetExceeded:
@@ -402,11 +430,11 @@ def _check_small_sets(h, consts, dens, set_budget) -> ConditionResult:
     alive = _core(adj, math.floor(consts.zeta) + 1)
     budget = [set_budget]
     try:
-        for sub in _connected_sets(adj, alive, consts.small_set_cap, budget):
-            if h.edges_within(sub) > consts.zeta * len(sub):
-                return ConditionResult("fail", {"subset": list(sub), "edges": h.edges_within(sub)})
+        for sub, edges in _connected_sets(adj, alive, consts.small_set_cap, budget):
+            if edges > consts.zeta * len(sub):
+                return ConditionResult("fail", {"subset": list(sub), "edges": edges})
     except BudgetExceeded:
-        return ConditionResult("undecided")
+        return ConditionResult("undecided", {"stage": "connected_sets", "budget": set_budget})
     return ConditionResult("pass")
 
 
@@ -430,22 +458,25 @@ def _check_tiny_components(h, consts, set_budget) -> ConditionResult:
     alive = _core(adj, 2)
     budget = [set_budget]
     try:
-        for sub in _connected_sets(adj, alive, consts.tiny_component_cap, budget):
-            if h.edges_within(sub) > len(sub):
-                return ConditionResult("fail", {"subset": list(sub), "edges": h.edges_within(sub)})
+        for sub, edges in _connected_sets(adj, alive, consts.tiny_component_cap, budget):
+            if edges > len(sub):
+                return ConditionResult("fail", {"subset": list(sub), "edges": edges})
     except BudgetExceeded:
-        return ConditionResult("undecided")
+        return ConditionResult("undecided", {"stage": "connected_sets", "budget": set_budget})
     return ConditionResult("pass")
 
 
 def _check_cycle_counts(h, consts, cycle_budget) -> ConditionResult:
+    """Fail at the first length whose count exceeds its cap.  When the
+    enumeration was cut short the witness count is a lower bound on the
+    true count, which still proves the violation."""
     counts, completed = simple_cycle_counts(h, consts.cycle_len_cap, cycle_budget)
     for k in range(3, consts.cycle_len_cap + 1):
         cap = consts.cycle_count_cap(k)
         if counts.get(k, 0) > cap:
             return ConditionResult("fail", {"length": k, "count": counts[k], "cap": cap})
     if not completed:
-        return ConditionResult("undecided")
+        return ConditionResult("undecided", {"stage": "cycle_paths", "budget": cycle_budget})
     return ConditionResult("pass")
 
 
@@ -461,22 +492,6 @@ class GoodSetResult:
         return self.ok
 
 
-def _balls(h: Graph, sources: set[int], depth: int) -> set[int]:
-    seen = set(sources)
-    frontier = list(sources)
-    for _ in range(depth):
-        nxt = []
-        for u in frontier:
-            for w in h.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-        if not frontier:
-            break
-    return seen
-
-
 def _short_cycle_vertices(h: Graph, c_big: int) -> set[int]:
     if c_big < 3:
         return set()
@@ -489,15 +504,15 @@ def _short_cycle_vertices(h: Graph, c_big: int) -> set[int]:
 def is_good_set(h: Graph, a: set[int], c_big: int) -> GoodSetResult:
     """True iff members of a are pairwise farther than 2C+2 apart and
     farther than C from every cycle of length <= C."""
+    adj = _adjacency(h)
     a_sorted = sorted(int(v) for v in a)
-    near_cycles = _balls(h, _short_cycle_vertices(h, c_big), c_big)
+    near_cycles = _bfs(adj, _short_cycle_vertices(h, c_big), c_big)
     for v in a_sorted:
         if v in near_cycles:
             return GoodSetResult(False, {"vertex": v, "reason": "within C of a short cycle"})
     taken: set[int] = set()
     for v in a_sorted:
-        ball = _balls(h, {v}, 2 * c_big + 2)
-        hit = ball & taken
+        hit = taken.intersection(_bfs(adj, [v], 2 * c_big + 2))
         if hit:
             return GoodSetResult(False, {"pair": [min(hit), v], "reason": "closer than 2C+2"})
         taken.add(v)
@@ -509,7 +524,8 @@ def find_good_set(h: Graph, b: set[int], k_target: int, c_big: int) -> tuple[int
     candidates in ascending id whose (2C+2)-ball avoids the current set.
     Returns the first k_target vertices found, or the maximal set if the
     greedy runs out (a shortfall, not an error)."""
-    blocked = _balls(h, _short_cycle_vertices(h, c_big), c_big)
+    adj = _adjacency(h)
+    blocked = _bfs(adj, _short_cycle_vertices(h, c_big), c_big)
     chosen: list[int] = []
     covered: set[int] = set()
     for v in sorted(int(u) for u in b):
@@ -518,5 +534,5 @@ def find_good_set(h: Graph, b: set[int], k_target: int, c_big: int) -> tuple[int
         chosen.append(v)
         if len(chosen) == k_target:
             break
-        covered |= _balls(h, {v}, 2 * c_big + 2)
+        covered.update(_bfs(adj, [v], 2 * c_big + 2))
     return tuple(chosen)

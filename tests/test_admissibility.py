@@ -1,10 +1,16 @@
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from corrmatch.admissibility import (
+    AdmissibilityReport,
+    ConditionResult,
     ConstantsInfeasibleError,
+    _adjacency,
+    _connected_sets,
+    _core,
     check_admissible,
     default_constants,
     find_good_set,
@@ -139,6 +145,13 @@ def test_local_unicyclicity_condition():
     # single triangle passes (one cycle only)
     tri = Graph(4, [(0, 1), (1, 2), (0, 2)])
     assert check_admissible(tri, consts).conditions["local_unicyclicity"].status == "pass"
+    # a dense but disconnected witness (K4 plus an isolated vertex) is rejected
+    consts5 = lenient_constants(6, tiny_component_cap=5)
+    for subset in ([0, 1, 2, 3, 5], [0, 1, 2, 3]):
+        forged = AdmissibilityReport(
+            {"local_unicyclicity": ConditionResult("fail", {"subset": subset, "edges": 6})}
+        )
+        assert forged.revalidate(k4(6), consts5) == (subset == [0, 1, 2, 3])
 
 
 def test_cycle_count_condition_and_witness():
@@ -165,6 +178,27 @@ def test_budget_exhaustion_reports_undecided():
     statuses = {name: r.status for name, r in report.conditions.items()}
     assert "undecided" in statuses.values()
     assert not report.admissible
+    assert report.conditions["cycle_counts"].witness == {"stage": "cycle_paths", "budget": 5}
+    # a 20-cycle is unicyclic, so only the budget stops the set enumeration
+    ring = Graph(20, [(i, (i + 1) % 20) for i in range(20)])
+    res = check_admissible(ring, lenient_constants(20, tiny_component_cap=10), set_budget=5)
+    res = res.conditions["local_unicyclicity"]
+    assert res.status == "undecided"
+    assert res.witness == {"stage": "connected_sets", "budget": 5}
+
+
+def test_budget_cut_cycle_witness_revalidates():
+    # the cut-short count is a lower bound: 10 of the 71406 8-cycles
+    g = sample_er(16, 0.5, stream(31, 0))
+    consts = default_constants(0.5, 1.4, 16)
+    report = check_admissible(g, consts, cycle_budget=2000)
+    res = report.conditions["cycle_counts"]
+    assert res.status == "fail"
+    k, count, cap = res.witness["length"], res.witness["count"], res.witness["cap"]
+    assert count > cap == consts.cycle_count_cap(k)
+    full, done = simple_cycle_counts(g, k)
+    assert done and full[k] >= count
+    assert report.revalidate(g, consts)
 
 
 def test_report_json_schema():
@@ -187,6 +221,61 @@ def test_simple_cycle_counts_triangle_with_chord():
     counts, done = simple_cycle_counts(g, 4)
     assert done
     assert counts[3] == 2 and counts[4] == 1
+
+
+def test_simple_cycle_counts_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = stream(61, 0)
+    for _ in range(120):
+        n = int(rng.integers(3, 41))
+        p = min(float(rng.uniform(0.05, 0.35)), 3.0 / n)   # keeps cycle counts small
+        max_len = int(rng.integers(3, 13))
+        g = sample_er(n, p, rng)
+        counts, done, verts = simple_cycle_counts(g, max_len, collect_vertices=True)
+        assert done
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(g.edges)
+        want = {k: 0 for k in range(3, max_len + 1)}
+        want_verts = set()
+        for cyc in nx.simple_cycles(ref, length_bound=max_len):
+            if len(cyc) >= 3:
+                want[len(cyc)] += 1
+                want_verts.update(cyc)
+        assert counts == want
+        assert verts == want_verts
+
+
+def _induced_connected(adj, subset):
+    seen, frontier = {subset[0]}, [subset[0]]
+    while frontier:
+        u = frontier.pop()
+        for w in adj[u]:
+            if w in subset and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen) == len(subset)
+
+
+def test_connected_sets_match_bruteforce():
+    rng = stream(62, 0)
+    for _ in range(30):
+        n = int(rng.integers(2, 13))
+        g = sample_er(n, float(rng.uniform(0.1, 0.6)), rng)
+        adj = _adjacency(g)
+        max_size = int(rng.integers(1, n + 1))
+        for alive in (_core(adj, 2), [True] * n):
+            got = Counter()
+            for sub, edges in _connected_sets(adj, alive, max_size, [10**6]):
+                got[frozenset(sub)] += 1
+                assert edges == g.edges_within(sub)
+            assert set(got.values()) <= {1}
+            want = set()
+            for mask in range(1, 1 << n):
+                sub = [v for v in range(n) if mask >> v & 1]
+                if len(sub) <= max_size and all(alive[v] for v in sub) and _induced_connected(adj, sub):
+                    want.add(frozenset(sub))
+            assert set(got) == want
 
 
 # -- good sets --
