@@ -249,25 +249,6 @@ def _bfs(adj: list[list[int]], sources, depth: int | None = None, within=None) -
     return dist
 
 
-def _core(adj: list[list[int]], min_degree: int) -> list[bool]:
-    """Vertices surviving repeated removal of degree < min_degree."""
-    n = len(adj)
-    alive = [True] * n
-    deg = [len(a) for a in adj]
-    stack = [v for v in range(n) if deg[v] < min_degree]
-    while stack:
-        v = stack.pop()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for w in adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] < min_degree:
-                    stack.append(w)
-    return alive
-
-
 def _connected_sets(adj: list[list[int]], alive: list[bool], max_size: int, budget: list[int]):
     """Yield (set, edge count) for every connected vertex set of size <=
     max_size within the alive mask, each set exactly once (ESU-style growth
@@ -329,7 +310,7 @@ def simple_cycle_counts(
     runs out, completed is False and the counts are lower bounds.
     """
     adj = _adjacency(h)
-    alive = _core(adj, 2)
+    alive = (h.core_numbers() >= 2).tolist()
     counts = {k: 0 for k in range(3, max_len + 1)}
     on_cycles: set[int] = set()
     above = {v for v in range(h.n) if alive[v]}   # alive vertices > root
@@ -427,7 +408,7 @@ def _check_small_sets(h, consts, dens, set_budget) -> ConditionResult:
         return ConditionResult("fail", {"subset": shrunk, "edges": h.edges_within(shrunk)})
     # exhaustive: minimal violators are connected with min degree > zeta
     adj = _adjacency(h)
-    alive = _core(adj, math.floor(consts.zeta) + 1)
+    alive = (h.core_numbers() >= math.floor(consts.zeta) + 1).tolist()
     budget = [set_budget]
     try:
         for sub, edges in _connected_sets(adj, alive, consts.small_set_cap, budget):
@@ -455,7 +436,7 @@ def _shrink_violator(h: Graph, subset: list[int], ratio: float) -> list[int]:
 
 def _check_tiny_components(h, consts, set_budget) -> ConditionResult:
     adj = _adjacency(h)
-    alive = _core(adj, 2)
+    alive = (h.core_numbers() >= 2).tolist()
     budget = [set_budget]
     try:
         for sub, edges in _connected_sets(adj, alive, consts.tiny_component_cap, budget):

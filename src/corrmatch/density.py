@@ -10,6 +10,16 @@ by the last witness), which keeps all capacities integral and small; the
 attainable densities are rationals with denominator <= n, so the loop
 terminates at the exact optimum.
 
+Two facts cut the work without touching exactness.  The first guess
+gamma_0 is the best density among the whole graph and its k-cores, read
+off one vectorised core peel; every guess is an attained density, so
+gamma_0 <= rho*.  And each flow runs on the ceil(gamma)-core only: a
+maximizer U of |E(U)| - gamma|U| loses by dropping any vertex, so every
+vertex has at least gamma neighbours in U and U lies in that core.  The
+flow at gamma = rho* ends the loop; its maximal source side is the union
+of all densest subsets (the maximal densest subgraph, unique because
+densest sets are closed under union), and that is the reported maximizer.
+
 rho(lambda), the large-n limit of the maximum density of G(n, lambda/n),
 has no usable closed form; it is estimated here by Monte Carlo over exact
 solves, and the threshold estimate is read off by inverting the fitted
@@ -19,8 +29,10 @@ monotone curve.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -59,20 +71,23 @@ class DensityResult:
             raise ValueError("maximizer must be nonempty")
 
 
-def _improving_subset(g: Graph, gamma: Fraction) -> tuple[tuple[int, ...], int] | None:
-    """A vertex set with density strictly above gamma and its edge count,
-    or None.
+def _cut_side(n: int, edges: np.ndarray, gamma: Fraction) -> tuple[bool, np.ndarray, int]:
+    """One integer max-flow on the reduction network of the graph with
+    vertices [0, n) and the (m, 2) edge array `edges`, at gamma = a/b.
 
-    One integer max-flow on the reduction network; the residual source
-    side U realizes max_U (b|E(U)| - a|U|).  Its edge count, read off the
+    Returns (improved, side, side_edges).  When some U has
+    b|E(U)| - a|U| > 0 (improved), side holds the minimal source side, the
+    vertices reachable from the source in the residual graph: the least
+    maximizer, whose density exceeds gamma.  Otherwise side holds the
+    maximal source side, the vertices that cannot reach the sink in the
+    residual graph: the union of all maximizers, which at gamma = rho* is
+    the maximal densest subgraph.  Either way its edge count, read off the
     edge arrays, is checked against the cut identity
     2(b|E(U)| - a|U|) = 2bm - flow_value.
     """
-    n, m = g.n, g.edge_count
+    m = len(edges)
     a, b = gamma.numerator, gamma.denominator
     src, dst = n, n + 1
-    edges = g.edge_array()
-    deg = g.degrees
     rows = np.concatenate([
         np.full(n, src, dtype=np.int64),
         np.arange(n, dtype=np.int64),
@@ -86,7 +101,7 @@ def _improving_subset(g: Graph, gamma: Fraction) -> tuple[tuple[int, ...], int] 
         edges[:, 0],
     ])
     caps = np.concatenate([
-        b * deg,
+        b * np.bincount(edges.ravel(), minlength=n),
         np.full(n, 2 * a, dtype=np.int64),
         np.full(m, b, dtype=np.int64),
         np.full(m, b, dtype=np.int64),
@@ -97,23 +112,43 @@ def _improving_subset(g: Graph, gamma: Fraction) -> tuple[tuple[int, ...], int] 
         (caps.astype(np.int32), (rows, cols)), shape=(n + 2, n + 2)
     )
     result = maximum_flow(graph, src, dst)
-    if result.flow_value >= 2 * b * m:
-        return None
     residual = graph - result.flow
     residual.data = np.maximum(residual.data, 0)
     residual.eliminate_zeros()
-    reach = breadth_first_order(residual, src, directed=True, return_predecessors=False)
-    in_side = np.zeros(n, dtype=bool)
-    in_side[reach[reach < n]] = True
-    side_edges = int(np.count_nonzero(in_side[edges[:, 0]] & in_side[edges[:, 1]]))
-    side = tuple(np.flatnonzero(in_side).tolist())
-    if 2 * (b * side_edges - a * len(side)) != 2 * b * m - result.flow_value:
+    improved = result.flow_value < 2 * b * m
+    if improved:
+        reach = breadth_first_order(residual, src, directed=True, return_predecessors=False)
+    else:
+        reach = breadth_first_order(residual.T.tocsr(), dst, directed=True, return_predecessors=False)
+    side = np.full(n, not improved)
+    side[reach[reach < n]] = improved
+    side_edges = int(np.count_nonzero(side[edges[:, 0]] & side[edges[:, 1]]))
+    if 2 * (b * side_edges - a * int(side.sum())) != 2 * b * m - result.flow_value:
         raise AssertionError("witness edge count disagrees with the minimum cut")
-    return side, side_edges
+    return improved, np.flatnonzero(side), side_edges
+
+
+@lru_cache(maxsize=4)
+def _vertex_ids(n: int) -> tuple[int, ...]:
+    """One shared int object per vertex of an n-vertex graph.  A maximizer
+    of G(n, lambda/n) holds a constant fraction of the vertices; building
+    best_subset from this table stores a pointer per member instead of a
+    fresh int object, which makes a held result about 4x smaller."""
+    return tuple(range(n))
 
 
 def densest_subgraph_exact(g: Graph) -> DensityResult:
-    """Exact maximizer of |E(U)|/|U| over nonempty U, as a rational.
+    """Exact maximizer of |E(U)|/|U| over nonempty U, as a rational: the
+    maximal densest subgraph, the union of all densest subsets.
+
+    The Newton loop starts at gamma_0, the best density among the whole
+    graph and its k-cores (from `Graph.core_numbers`), and runs each flow
+    on the ceil(gamma)-core only.  That is exact: a vertex v of a maximizer
+    U of |E(U)| - gamma|U| has deg_U(v) >= gamma, or dropping it would gain,
+    so U lies in the ceil(gamma)-core.  Each improving flow returns the
+    least maximizer, which is strictly denser than gamma; the terminating
+    flow, at gamma = rho*, returns the union of all maximizers, which is
+    the maximal densest subgraph (densest sets are closed under union).
 
     Edgeless graphs report density 0 on the singleton {0}.  Distinct
     attainable densities differ by at least 1/(n(n-1)), and every Newton
@@ -123,16 +158,31 @@ def densest_subgraph_exact(g: Graph) -> DensityResult:
         raise ValueError("graph must have at least one vertex")
     if g.edge_count == 0:
         return DensityResult(best_subset=(0,), density=Fraction(0), witness_edges=0)
-    best, best_edges = tuple(range(g.n)), g.edge_count
-    val = Fraction(best_edges, g.n)
+    core = g.core_numbers()
+    edges = g.edge_array()
+    edge_core = np.minimum(core[edges[:, 0]], core[edges[:, 1]])
+    # vertex and edge counts of the k-cores, k = 0 .. max core
+    core_sizes = np.cumsum(np.bincount(core)[::-1])[::-1]
+    core_edges = np.cumsum(np.bincount(edge_core, minlength=core_sizes.size)[::-1])[::-1]
+    val = max(Fraction(int(e), int(v)) for e, v in zip(core_edges, core_sizes))
     for _ in range(2 * g.n * g.n + 8):
-        improved = _improving_subset(g, val)
-        if improved is None:
-            return DensityResult(best_subset=best, density=val, witness_edges=best_edges)
-        cand = Fraction(improved[1], len(improved[0]))
+        k = math.ceil(val)
+        verts = np.flatnonzero(core >= k)
+        local = np.cumsum(core >= k) - 1
+        improved, side, side_edges = _cut_side(verts.size, local[edges[edge_core >= k]], val)
+        if not improved:
+            if side.size == 0 or Fraction(side_edges, side.size) != val:
+                raise AssertionError("maximal source side is not a densest subgraph")
+            ids = _vertex_ids(g.n)
+            return DensityResult(
+                best_subset=tuple(map(ids.__getitem__, verts[side].tolist())),
+                density=val,
+                witness_edges=side_edges,
+            )
+        cand = Fraction(side_edges, side.size)
         if cand <= val:
             raise AssertionError("flow witness failed to improve the density")
-        (best, best_edges), val = improved, cand
+        val = cand
     raise AssertionError("density refinement did not terminate")
 
 

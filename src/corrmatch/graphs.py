@@ -45,11 +45,12 @@ class Graph:
     once as a sorted packed index array (vector membership tests) and twice
     in compressed sparse rows, kept as flat Python lists for the scalar
     queries: `_indices[_indptr[u]:_indptr[u + 1]]` lists u's neighbours in
-    ascending order.  A build costs one sort of the 2m directed keys
-    u*n + v.  Instances are immutable.
+    ascending order.  `_columns` holds the same rows as a numpy array for
+    the vectorised core peel.  A build costs one sort of the 2m directed
+    keys u*n + v.  Instances are immutable.
     """
 
-    __slots__ = ("n", "_packed", "_indptr", "_indices", "_degrees")
+    __slots__ = ("n", "_packed", "_indptr", "_indices", "_columns", "_degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -71,10 +72,11 @@ class Graph:
             raise ValueError("duplicate edge")
         keys = np.sort(np.concatenate([self._packed, _pack(n, hi, lo)]))
         self._degrees = np.bincount(keys // n, minlength=n)
-        self._packed.flags.writeable = False
-        self._degrees.flags.writeable = False
+        self._columns = keys % n
+        for arr in (self._packed, self._degrees, self._columns):
+            arr.flags.writeable = False
         self._indptr = [0] + np.cumsum(self._degrees).tolist()
-        self._indices = (keys % n).tolist()
+        self._indices = self._columns.tolist()
 
     @classmethod
     def from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
@@ -135,6 +137,40 @@ class Graph:
         self._check(u)
         return self._indices[self._indptr[u]:self._indptr[u + 1]]
 
+    def core_numbers(self) -> np.ndarray:
+        """Each vertex's core number: the largest k such that the k-core,
+        the maximal subgraph of minimum degree >= k, contains it.  The
+        k-core's vertex mask is therefore `core_numbers() >= k`.
+
+        Peels in vectorised rounds.  Level k starts at the least remaining
+        degree; each round removes every remaining vertex of degree <= k at
+        once, and the next round looks only at the neighbours whose degree
+        just fell.  Each vertex is removed once and each arc is followed
+        once, so the work is O(n + m) numpy element operations, O(n) more per
+        level and a few numpy calls per round; a long chain costs one round
+        per vertex peeled from each of its ends.
+        """
+        n = self.n
+        degree, core = self._degrees.copy(), np.zeros(n, dtype=np.int64)
+        alive = np.ones(n, dtype=bool)
+        starts = np.cumsum(self._degrees) - self._degrees
+        left = n
+        while left:
+            k = int(degree[alive].min())
+            batch = np.flatnonzero(alive & (degree <= k))
+            while batch.size:
+                alive[batch] = False
+                core[batch] = k
+                left -= batch.size
+                lens = self._degrees[batch]
+                ends = np.cumsum(lens)
+                arcs = np.arange(ends[-1]) + np.repeat(starts[batch] - ends + lens, lens)
+                hit = self._columns[arcs]
+                hit, drops = np.unique(hit[alive[hit]], return_counts=True)
+                degree[hit] -= drops
+                batch = hit[degree[hit] <= k]
+        return core
+
     def edges_within(self, vertices: Iterable[int]) -> int:
         """Number of edges with both endpoints in the given vertex set."""
         vset = set(vertices)
@@ -173,6 +209,9 @@ class Graph:
         n, m = int(rows[0][0]), int(rows[0][1])
         if len(rows) - 1 != m:
             raise ValueError(f"header promises {m} edges, found {len(rows) - 1}")
+        for r in rows[1:]:
+            if len(r) != 2:
+                raise ValueError(f"malformed edge row {' '.join(r)!r}; expected 'u v'")
         return cls(n, [(int(r[0]), int(r[1])) for r in rows[1:]])
 
 

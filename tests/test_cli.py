@@ -35,6 +35,24 @@ def test_density_from_edge_list_file(tmp_path, capsys):
     assert res["density_numerator"] == 3 and res["density_denominator"] == 2
 
 
+def test_malformed_edge_rows_exit_3(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    for text in ("3 1\n0\n", "3 1\n0 1 9\n"):
+        path.write_text(text)
+        assert RUN(["density", "--graph", str(path)]) == 3
+        assert "malformed edge row" in capsys.readouterr().err
+
+
+def test_directory_as_input_path_exits_3(tmp_path, capsys):
+    for argv in (
+        ["density", "--graph", str(tmp_path)],
+        ["admissibility", "--bundle", str(tmp_path)],
+        ["posterior-study", "--config", str(tmp_path)],
+    ):
+        assert RUN(argv) == 3
+        assert "config error" in capsys.readouterr().err
+
+
 def test_density_and_admissibility_need_an_input(capsys):
     assert RUN(["density"]) == 3
     assert RUN(["admissibility"]) == 3

@@ -1,9 +1,12 @@
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import maximum_flow
 
+import corrmatch.density as density_module
 from corrmatch.density import (
     RhoCurve,
     build_rho_curve,
@@ -66,6 +69,108 @@ def test_exact_equals_bruteforce_random_corpus():
         q = float(rng.random()) * 0.8
         g = sample_er(n, q, rng)
         assert densest_subgraph_exact(g).density == densest_subgraph_bruteforce(g).density
+
+
+def _maximal_densest_bruteforce(g):
+    """The union of all subsets of maximum density, over all 2^n - 1
+    nonempty subsets."""
+    n = g.n
+    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
+    counts = [0] * (1 << n)
+    best_edges, best_size, union = 0, 1, 0
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        prev = mask ^ low
+        counts[mask] = counts[prev] + (adj[low.bit_length() - 1] & prev).bit_count()
+        size = mask.bit_count()
+        if counts[mask] * best_size > best_edges * size:
+            best_edges, best_size, union = counts[mask], size, mask
+        elif counts[mask] * best_size == best_edges * size:
+            union |= mask
+    return tuple(v for v in range(n) if union >> v & 1), Fraction(best_edges, best_size)
+
+
+def _disjoint(*parts):
+    """Disjoint union of (vertex count, edge list) parts."""
+    edges, n = [], 0
+    for k, part in parts:
+        edges.extend((u + n, v + n) for u, v in part)
+        n += k
+    return Graph(n, edges)
+
+
+def _cycle(k):
+    return k, [(i, (i + 1) % k) for i in range(k)]
+
+
+def _clique(k):
+    return k, [(i, j) for i in range(k) for j in range(i + 1, k)]
+
+
+def _tie_corpus():
+    triangles = _disjoint(_cycle(3), _cycle(3), _cycle(3), (1, []))
+    two_k4 = _disjoint(_clique(4), (2, [(0, 1)]), _clique(4))
+    # cycles with pendant trees hanging off them
+    c5_tree = _disjoint((8, [*_cycle(5)[1], (0, 5), (5, 6), (2, 7)]))
+    two_cycles_trees = _disjoint(
+        (7, [*_cycle(4)[1], (0, 4), (4, 5), (4, 6)]), (6, [*_cycle(3)[1], (1, 3), (3, 4), (2, 5)])
+    )
+    theta_and_k4 = _disjoint(_clique(4), (6, [*_cycle(6)[1], (0, 3)]))
+    return [triangles, two_k4, c5_tree, two_cycles_trees, theta_and_k4]
+
+
+def test_exact_returns_the_maximal_densest_subgraph():
+    rng = stream(14, 0)
+    corpus = _tie_corpus()
+    for _ in range(80):
+        n = int(rng.integers(1, 15))
+        corpus.append(sample_er(n, float(rng.uniform(0.05, 0.6)), rng))
+    for g in corpus:
+        res = densest_subgraph_exact(g)
+        if g.edge_count == 0:
+            assert res.best_subset == (0,) and res.density == 0
+            continue
+        union, rho = _maximal_densest_bruteforce(g)
+        assert (res.best_subset, res.density) == (union, rho)
+        assert res.witness_edges == g.edges_within(union)
+
+
+def _count_flows(monkeypatch, alter=lambda call, result: result):
+    """Route density.maximum_flow through a counter; alter(call, result)
+    may replace the result of each call."""
+    calls = []
+
+    def counted(graph, source, sink):
+        calls.append(graph)
+        return alter(len(calls) - 1, maximum_flow(graph, source, sink))
+
+    monkeypatch.setattr(density_module, "maximum_flow", counted)
+    return calls
+
+
+def test_core_warm_start_needs_one_flow(monkeypatch):
+    # K5 plus a disjoint 3-vertex path: the 2-core is the K5, so
+    # gamma_0 = rho* = 2 and the single flow already terminates
+    g = _disjoint(_clique(5), (3, [(0, 1), (1, 2)]))
+    calls = _count_flows(monkeypatch)
+    res = densest_subgraph_exact(g)
+    assert (res.best_subset, res.density, res.witness_edges) == ((0, 1, 2, 3, 4), Fraction(2), 10)
+    assert len(calls) == 1
+    assert calls[0].shape == (7, 7)   # the K5 and the two terminals
+
+
+def test_every_flow_is_checked_against_the_cut_identity(monkeypatch):
+    g = sample_er(300, 3 / 300, stream(11, 0))
+    calls = _count_flows(monkeypatch)
+    densest_subgraph_exact(g)
+    assert len(calls) == 3   # Newton steps, then the terminating flow
+    for bad in range(len(calls)):
+        _count_flows(
+            monkeypatch,
+            lambda call, r: SimpleNamespace(flow_value=r.flow_value - 1, flow=r.flow) if call == bad else r,
+        )
+        with pytest.raises(AssertionError, match="minimum cut"):
+            densest_subgraph_exact(g)
 
 
 def test_solver_invariant_under_relabeling():

@@ -88,6 +88,16 @@ def test_csr_queries_match_set_reference(n, edges):
     us, vs = (np.asarray(c, dtype=np.int64) for c in zip(*edges)) if edges else (np.empty(0, np.int64),) * 2
     assert Graph.from_arrays(n, us, vs) == g
     assert Graph.from_text(g.to_text()) == g
+    # core numbers by the sequential min-degree peel
+    deg, left, level, core = {v: len(ref[v]) for v in range(n)}, set(range(n)), 0, [0] * n
+    while left:
+        v = min(left, key=lambda u: (deg[u], u))
+        level = max(level, deg[v])
+        core[v] = level
+        left.remove(v)
+        for w in ref[v] & left:
+            deg[w] -= 1
+    assert g.core_numbers().tolist() == core
 
 
 @pytest.mark.parametrize(
