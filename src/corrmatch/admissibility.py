@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .density import densest_subgraph_exact
 from .graphs import Graph
@@ -92,10 +92,6 @@ class AdmissibilityConstants:
     def good_set_size(self) -> int:
         """K = floor(n^beta), the good-set size used by the truncation."""
         return math.floor(self.n**self.beta)
-
-    def with_caps(self, **caps: int) -> "AdmissibilityConstants":
-        """Copy with overridden caps (tests inflate them to exercise paths)."""
-        return replace(self, **caps)
 
 
 def default_constants(alpha: float, rho_hat: float, n: int) -> AdmissibilityConstants:
@@ -252,36 +248,36 @@ def _bfs(adj: list[list[int]], sources, depth: int | None = None, within=None) -
 def _connected_sets(adj: list[list[int]], alive: list[bool], max_size: int, budget: list[int]):
     """Yield (set, edge count) for every connected vertex set of size <=
     max_size within the alive mask, each set exactly once (ESU-style growth
-    from each root).  The edge count of the induced subgraph is kept up to
-    date as each set grows."""
-    n = len(adj)
-    for root in range(n):
-        if not alive[root]:
-            continue
+    from each root).
 
-        def grow(sub: list[int], in_sub: set[int], ext: list[int], banned: set[int], edges: int):
+    cover[w] counts the current members adjacent to w.  ESU bans from the
+    extension every alive vertex above the root that already neighbours the
+    set, which is every such w with cover[w] > 0 (members past the root
+    included), so a neighbour of a new member is fresh exactly when it is
+    alive, above the root and uncovered.  A joining vertex u adds cover[u]
+    edges to the set."""
+    cover = [0] * len(adj)
+
+    def grow(root: int, sub: list[int], ext: list[int], edges: int):
+        for i, u in enumerate(ext):
             budget[0] -= 1
             if budget[0] < 0:
                 raise BudgetExceeded
-            yield tuple(sub), edges
-            if len(sub) == max_size:
-                return
-            for i, u in enumerate(ext):
-                fresh = [
-                    w
-                    for w in adj[u]
-                    if alive[w] and w > root and w not in in_sub and w not in banned
-                ]
-                banned_next = banned | set(ext[i + 1:]) | set(fresh)
-                gained = sum(1 for w in adj[u] if w in in_sub)
-                sub.append(u)
-                in_sub.add(u)
-                yield from grow(sub, in_sub, ext[i + 1:] + fresh, banned_next, edges + gained)
-                sub.pop()
-                in_sub.remove(u)
+            sub.append(u)
+            grown = edges + cover[u]
+            yield tuple(sub), grown
+            if len(sub) < max_size:
+                fresh = [w for w in adj[u] if alive[w] and w > root and not cover[w]]
+                for w in adj[u]:
+                    cover[w] += 1
+                yield from grow(root, sub, ext[i + 1:] + fresh, grown)
+                for w in adj[u]:
+                    cover[w] -= 1
+            sub.pop()
 
-        ext0 = [w for w in adj[root] if alive[w] and w > root]
-        yield from grow([root], {root}, ext0, set(ext0), 0)
+    for root in range(len(adj)):
+        if alive[root]:
+            yield from grow(root, [], [root], 0)
 
 
 def simple_cycle_counts(
@@ -392,7 +388,7 @@ def check_admissible(
     else:
         results["max_degree"] = ConditionResult("pass")
 
-    results["local_unicyclicity"] = _check_tiny_components(h, consts, set_budget)
+    results["local_unicyclicity"] = _first_dense_set(h, consts.tiny_component_cap, 1, set_budget)
     results["cycle_counts"] = _check_cycle_counts(h, consts, cycle_budget)
     return AdmissibilityReport(conditions=results)
 
@@ -406,41 +402,39 @@ def _check_small_sets(h, consts, dens, set_budget) -> ConditionResult:
     shrunk = _shrink_violator(h, subset, consts.zeta)
     if len(shrunk) <= consts.small_set_cap:
         return ConditionResult("fail", {"subset": shrunk, "edges": h.edges_within(shrunk)})
-    # exhaustive: minimal violators are connected with min degree > zeta
-    adj = _adjacency(h)
-    alive = (h.core_numbers() >= math.floor(consts.zeta) + 1).tolist()
-    budget = [set_budget]
-    try:
-        for sub, edges in _connected_sets(adj, alive, consts.small_set_cap, budget):
-            if edges > consts.zeta * len(sub):
-                return ConditionResult("fail", {"subset": list(sub), "edges": edges})
-    except BudgetExceeded:
-        return ConditionResult("undecided", {"stage": "connected_sets", "budget": set_budget})
-    return ConditionResult("pass")
+    return _first_dense_set(h, consts.small_set_cap, consts.zeta, set_budget)
 
 
 def _shrink_violator(h: Graph, subset: list[int], ratio: float) -> list[int]:
-    """Greedily peel to an inclusion-minimal set with edges > ratio * size."""
+    """Greedily peel to an inclusion-minimal set with edges > ratio * size:
+    remove the first member, in (global degree, id) order, whose removal
+    keeps the ratio exceeded, and start over.  In-set degrees make a trial
+    O(1)."""
     current = set(subset)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(current, key=lambda u: (h.degree(u), u)):
-            trial = current - {v}
-            if trial and h.edges_within(trial) > ratio * len(trial):
-                current = trial
-                changed = True
-                break
-    return sorted(current)
+    din = {v: sum(w in current for w in h.neighbors(v)) for v in current}
+    edges = sum(din.values()) // 2
+    order = sorted(current, key=lambda u: (h.degree(u), u))
+    while True:
+        size = len(current) - 1
+        v = next((v for v in order if v in current and edges - din[v] > ratio * size), None)
+        if v is None:
+            return sorted(current)
+        current.remove(v)
+        edges -= din[v]
+        for w in h.neighbors(v):
+            if w in current:
+                din[w] -= 1
 
 
-def _check_tiny_components(h, consts, set_budget) -> ConditionResult:
-    adj = _adjacency(h)
-    alive = (h.core_numbers() >= 2).tolist()
+def _first_dense_set(h: Graph, cap: int, ratio: float, set_budget: int) -> ConditionResult:
+    """Fail on the first connected set of at most cap vertices inside the
+    (floor(ratio) + 1)-core with more than ratio * size edges; undecided
+    when set_budget sets were enumerated without one, pass otherwise."""
+    alive = (h.core_numbers() >= math.floor(ratio) + 1).tolist()
     budget = [set_budget]
     try:
-        for sub, edges in _connected_sets(adj, alive, consts.tiny_component_cap, budget):
-            if edges > len(sub):
+        for sub, edges in _connected_sets(_adjacency(h), alive, cap, budget):
+            if edges > ratio * len(sub):
                 return ConditionResult("fail", {"subset": list(sub), "edges": edges})
     except BudgetExceeded:
         return ConditionResult("undecided", {"stage": "connected_sets", "budget": set_budget})

@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -56,7 +57,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment run.  Round-trips losslessly through JSON; unknown
-    keys are rejected rather than ignored."""
+    keys, at the top level and inside ``estimator``, are rejected rather
+    than ignored."""
 
     kind: str
     n: int = 100
@@ -70,7 +72,6 @@ class ExperimentConfig:
     k_grid: tuple[int, ...] = ()
     threads: int = 1
     estimator: dict = field(default_factory=dict)
-    admissibility: dict = field(default_factory=dict)
     version: int = CONFIG_VERSION
 
     KINDS = (
@@ -79,6 +80,7 @@ class ExperimentConfig:
         "threshold-sweep",
         "posterior-study",
     )
+    ESTIMATOR_KEYS = ("curve_n", "curve_replicates", "eta", "c_lambda_hat", "budget", "run_map")
 
     def __post_init__(self) -> None:
         if self.version != CONFIG_VERSION:
@@ -91,6 +93,11 @@ class ExperimentConfig:
             raise ConfigError("n must be at least 2")
         if self.threads < 1:
             raise ConfigError("thread count must be at least 1")
+        if not isinstance(self.estimator, dict):
+            raise ConfigError("estimator must be a JSON object")
+        unknown = set(self.estimator) - set(self.ESTIMATOR_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown estimator keys: {sorted(unknown)}")
 
     def to_json(self) -> str:
         payload = asdict(self)
@@ -172,8 +179,13 @@ class CsvReport:
 
 
 def parallel_map(fn, items, threads: int) -> list:
-    """Order-preserving map; results identical for any thread count."""
+    """Order-preserving map; results identical for any thread count.
+
+    The pool never exceeds os.cpu_count() threads: the work is GIL-bound
+    Python, so threads past the core count only add contention, and since
+    results come back in item order the cap cannot change any output."""
     items = list(items)
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:

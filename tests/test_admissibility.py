@@ -4,19 +4,21 @@ from dataclasses import replace
 
 import pytest
 
+import corrmatch.admissibility as adm
 from corrmatch.admissibility import (
     AdmissibilityReport,
     ConditionResult,
     ConstantsInfeasibleError,
     _adjacency,
     _connected_sets,
+    _shrink_violator,
     check_admissible,
     default_constants,
     find_good_set,
     is_good_set,
     simple_cycle_counts,
 )
-from corrmatch.density import densest_subgraph_bruteforce
+from corrmatch.density import densest_subgraph_bruteforce, densest_subgraph_exact
 from corrmatch.graphs import Graph, sample_er
 from corrmatch.rng import stream
 
@@ -119,6 +121,84 @@ def test_density_condition_agrees_with_bruteforce_small_n():
         assert (report.conditions["density_cap"].status == "pass") == (
             float(dens.density) <= consts_base.xi
         )
+
+
+def _has_small_violator(g, cap, zeta):
+    """Brute force over all vertex subsets: does some U with |U| <= cap
+    have more than zeta * |U| edges?"""
+    masks = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+    edges = [0] * (1 << g.n)
+    for mask in range(1, 1 << g.n):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        edges[mask] = edges[rest] + bin(masks[low] & rest).count("1")
+        size = bin(mask).count("1")
+        if size <= cap and edges[mask] > zeta * size:
+            return True
+    return False
+
+
+def test_small_set_density_matches_bruteforce(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(adm, name)
+
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return run
+
+    for name in ("_shrink_violator", "_first_dense_set"):
+        monkeypatch.setattr(adm, name, counted(name))
+    stages = Counter()
+    rng = stream(63, 0)
+    for _ in range(300):
+        n = int(rng.integers(4, 13))
+        g = sample_er(n, float(rng.uniform(0.2, 0.8)), rng)
+        zeta = float(rng.choice([1.25, 1.5]))
+        consts = lenient_constants(n, zeta=zeta, small_set_cap=int(rng.integers(2, 6)))
+        calls.clear()
+        res = adm._check_small_sets(g, consts, densest_subgraph_exact(g), 10**6)
+        assert res.status == ("fail" if _has_small_violator(g, consts.small_set_cap, zeta) else "pass")
+        if res.status == "fail":
+            report = AdmissibilityReport({"small_set_density": res})
+            assert report.revalidate(g, consts)
+        if calls["_first_dense_set"]:
+            stages["scan " + res.status] += 1
+        elif calls["_shrink_violator"]:
+            stages["shrunk fail"] += 1
+        else:
+            stages["maximizer fail" if res.status == "fail" else "density pass"] += 1
+    assert set(stages) == {"density pass", "maximizer fail", "shrunk fail", "scan pass", "scan fail"}, stages
+
+
+def _shrink_reference(h, subset, ratio):
+    """Reference greedy: the same trials, each an edges_within call."""
+    current = set(subset)
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(current, key=lambda u: (h.degree(u), u)):
+            trial = current - {v}
+            if trial and h.edges_within(trial) > ratio * len(trial):
+                current = trial
+                changed = True
+                break
+    return sorted(current)
+
+
+def test_shrink_violator_matches_reference_greedy():
+    rng = stream(64, 0)
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        g = sample_er(n, float(rng.uniform(0.1, 0.7)), rng)
+        subsets = [list(range(n)), list(densest_subgraph_exact(g).best_subset)]
+        subsets.append(sorted(int(v) for v in rng.choice(n, size=max(1, n // 2), replace=False)))
+        for subset in subsets:
+            for ratio in (1.0, 1.25, 1.5, 2.0):
+                assert _shrink_violator(g, subset, ratio) == _shrink_reference(g, subset, ratio)
 
 
 def test_max_degree_condition():

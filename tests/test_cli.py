@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from corrmatch.cli import main
 
@@ -186,6 +188,14 @@ def test_config_file_flow(tmp_path, capsys):
     assert RUN(["posterior-study", "--config", str(path)]) == 3
 
 
+def test_misspelled_estimator_key_exits_3(tmp_path, capsys):
+    cfg = {"kind": "threshold-sweep", "n": 120, "lambda_grid": [2.0], "estimator": {"curve_N": 100}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert RUN(["threshold-sweep", "--config", str(path)]) == 3
+    assert "curve_N" in capsys.readouterr().err
+
+
 def test_env_threads_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CORRMATCH_THREADS", "2")
     assert RUN(["rho-curve", "--lambdas", "2", "--n", "50", "--replicates", "2", "--seed", "1"]) == 0
@@ -195,10 +205,13 @@ def test_env_threads_override(tmp_path, monkeypatch, capsys):
 
 
 def test_console_entry_point_runs():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "corrmatch.cli", "tv", "--n", "3", "--p", "0.4", "--s", "0.5", "--replicates", "100"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert "mc_estimate" in proc.stdout

@@ -52,6 +52,19 @@ def test_config_rejects_unknown_keys_and_bad_values():
         ExperimentConfig.from_json('{"kind": "rho-curve", "version": 99}')
 
 
+def test_config_rejects_unread_keys():
+    with pytest.raises(ConfigError, match="admissibility"):
+        ExperimentConfig.from_json('{"kind": "rho-curve", "admissibility": {}}')
+    for estimator in ({"curve_N": 1000}, {"eta": 0.1, "etaa": 0.2}, ["eta"]):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(kind="threshold-sweep", estimator=estimator)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json(json.dumps({"kind": "threshold-sweep", "estimator": estimator}))
+    keys = ("curve_n", "curve_replicates", "eta", "c_lambda_hat", "budget", "run_map")
+    cfg = ExperimentConfig(kind="threshold-sweep", estimator=dict.fromkeys(keys, 1))
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+
 def test_csv_report_schema_validation():
     rep = CsvReport(("a", "b"), (int, float))
     rep.add_row(1, 2.0)
@@ -121,6 +134,24 @@ def test_sweep_determinism_modulo_wall_time():
 def test_parallel_map_preserves_order():
     got = parallel_map(lambda x: x * x, range(20), threads=4)
     assert got == [x * x for x in range(20)]
+
+
+def test_parallel_map_caps_threads_at_cpu_count(monkeypatch):
+    import corrmatch.harness as harness
+
+    pools = []
+    real_pool = harness.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert parallel_map(str, range(5), threads=8) == [str(x) for x in range(5)]
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+    assert parallel_map(str, range(5), threads=8) == [str(x) for x in range(5)]
+    assert pools == [2]
 
 
 # -- posterior study and dump --
