@@ -19,6 +19,13 @@ candidate sets inside the relevant core (any inclusion-minimal violator is
 connected with min degree above the ratio, hence lives in that core).  The
 enumeration carries an explicit budget; exceeding it yields an "undecided"
 status, never a silent pass.
+
+Condition (v) and the short-cycle vertices behind good sets come from
+simple_cycle_counts, which counts cycles on the contracted 2-core: every
+maximal chain of core-degree-2 vertices becomes one weighted edge between
+kernel vertices (core degree >= 3), so its search runs over the kernel
+and not over every core vertex.  It carries a budget of kernel steps in
+the same way.
 """
 
 from __future__ import annotations
@@ -280,79 +287,189 @@ def _connected_sets(adj: list[list[int]], alive: list[bool], max_size: int, budg
             yield from grow(root, [], [root], 0)
 
 
+def _contract_core(adj: list[list[int]], alive: list[bool], max_len: int):
+    """Contract the 2-core (the alive mask) to its kernel multigraph.
+
+    Kernel vertices are those of core degree >= 3; every other core vertex
+    lies on exactly one chain, a maximal path of core-degree-2 vertices,
+    which is walked once.  Returns (kadj, inner, lone): kadj[v] lists
+    (w, length, chain id) for every chain of at most max_len edges between
+    distinct kernel vertices v and w, inner[id] holds that chain's interior
+    vertices, and lone holds the vertex lists of the cycles that are one
+    chain of at most max_len edges: a chain whose two ends are the same
+    kernel vertex, and a 2-core component with no kernel vertex (a ring)."""
+    n = len(adj)
+    nbrs = [[w for w in adj[v] if alive[w]] if alive[v] else [] for v in range(n)]
+    kernel = [len(nb) >= 3 for nb in nbrs]
+    walked = [False] * n
+    kadj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    inner: list[list[int]] = []
+    lone: list[list[int]] = []
+
+    def walk(prev: int, cur: int) -> tuple[list[int], int]:
+        """The core-degree-2 vertices from cur onwards (away from prev) up
+        to the first kernel vertex or already walked vertex, and that end."""
+        interior = []
+        while not kernel[cur] and not walked[cur]:
+            walked[cur] = True
+            interior.append(cur)
+            a, b = nbrs[cur]
+            prev, cur = cur, (b if a == prev else a)
+        return interior, cur
+
+    for u in range(n):
+        if not kernel[u]:
+            continue
+        for w in nbrs[u]:
+            if kernel[w]:
+                if u > w:
+                    continue   # a one-edge chain, taken from its lower end
+                interior, end = [], w
+            elif walked[w]:
+                continue       # walked from its other end
+            else:
+                interior, end = walk(u, w)
+            if len(interior) >= max_len:
+                continue       # longer than max_len edges
+            if end == u:
+                lone.append([u] + interior)
+            else:
+                kadj[u].append((end, len(interior) + 1, len(inner)))
+                kadj[end].append((u, len(interior) + 1, len(inner)))
+                inner.append(interior)
+    for v in range(n):
+        if nbrs[v] and not walked[v] and not kernel[v]:
+            ring, _ = walk(nbrs[v][0], v)
+            if len(ring) <= max_len:
+                lone.append(ring)
+    return kadj, inner, lone
+
+
+def _chain_distances(kadj: list[list[tuple[int, int, int]]], root: int, radius: int) -> dict[int, int]:
+    """Chain-length (weighted) distances from root, up to radius, along
+    chains whose kernel vertices past the root all lie above it.  Chain
+    lengths are positive integers, so one bucket per distance replaces the
+    heap (Dial's algorithm)."""
+    dist = {root: 0}
+    buckets: list[list[int]] = [[root]] + [[] for _ in range(radius)]
+    for d, bucket in enumerate(buckets):
+        for u in bucket:
+            if dist[u] < d:
+                continue   # settled at a shorter distance
+            for w, length, _ in kadj[u]:
+                e = d + length
+                if w > root and e <= radius and e < dist.get(w, e + 1):
+                    dist[w] = e
+                    buckets[e].append(w)
+    return dist
+
+
 def simple_cycle_counts(
     h: Graph, max_len: int, budget: int = 20_000_000, collect_vertices: bool = False
 ) -> tuple[dict[int, int], bool] | tuple[dict[int, int], bool, set[int]]:
     """Count simple cycles per length 3..max_len.
 
-    Each cycle is counted once, rooted at its least vertex r with the two
-    traversal directions deduplicated.  Returns (counts, completed); the
-    optional third element collects all vertices lying on counted cycles.
-    Only the 2-core is searched (cycles live there).
+    Returns (counts, completed); the optional third element collects all
+    vertices lying on counted cycles.  Cycles live in the 2-core, and they
+    are counted on its kernel multigraph (see ``_contract_core``): the
+    kernel vertices are the core vertices of core degree >= 3, and each
+    maximal chain of core-degree-2 vertices between two of them becomes
+    one edge weighted by its length and labelled by a chain id.  A simple
+    cycle of the graph is a simple cycle of that multigraph of the same
+    total length.  Chains longer than max_len lie on no counted cycle and
+    are dropped.  A cycle that is one chain (a chain whose ends coincide,
+    or a 2-core component with no kernel vertex) is counted directly.
 
-    The depth-first search from r walks simple paths through alive vertices
-    > r and is pruned by the distance back to r.  Let dist be the BFS
-    distance from r in the subgraph induced on r and the alive vertices > r.
-    A vertex w at path position d is pushed only if
-    d + max(dist(w), 2) <= max_len.  The pruning is exact: a path pushed on
-    through w returns to r inside that subgraph, so it takes at least
-    dist(w) more edges, and at least two since its next vertex is not r.
-    For the same reason the BFS stops at radius max_len // 2: a vertex
-    farther out has d >= dist(w) > max_len / 2.  Surviving branches keep
-    their order, so the counts and the vertex set are those of the unpruned
-    search.
+    Every other cycle uses at least two chains and is counted once, rooted
+    at its least kernel vertex r.  The depth-first search from r walks
+    chains through kernel vertices > r, none twice.  On reaching a kernel
+    vertex w it closes a cycle through each chain from w to r whose id
+    exceeds the id of the first chain taken, the dedup rule: it drops the
+    reverse traversal of each cycle and any return along the first chain,
+    so r's largest-id chain is never taken first.
 
-    ``budget`` caps the pruned DFS steps (one per push or pop).  When it
-    runs out, completed is False and the counts are lower bounds.
+    The search is pruned by the distance back to r.  Let dist be the
+    chain-length distance from r over r and the kernel vertices > r.  A
+    chain of length L from a path of length d to a kernel vertex w is
+    followed only if d + L + dist(w) <= max_len: the path returns to r
+    inside that subgraph, so it takes at least dist(w) more edges.  The
+    cycles it closes at w are counted then, and w is pushed to go on only
+    if d + L <= max_len - 2, since going on takes two chains or more.
+    Every kernel vertex of a counted cycle splits it into two paths to r,
+    one of length at most max_len // 2, so the distances stop at that
+    radius.  The pruning is exact: the counts and the vertex set are those
+    of an unpruned search over all simple cycles.
+
+    ``budget`` caps the kernel DFS steps (one per kernel vertex pushed or
+    popped); cycles that are one chain take none.  When it runs out,
+    completed is False and the counts are lower bounds.
     """
-    adj = _adjacency(h)
-    alive = (h.core_numbers() >= 2).tolist()
+    kadj, inner, lone = _contract_core(_adjacency(h), (h.core_numbers() >= 2).tolist(), max_len)
     counts = {k: 0 for k in range(3, max_len + 1)}
     on_cycles: set[int] = set()
-    above = {v for v in range(h.n) if alive[v]}   # alive vertices > root
+    on_chains: set[int] = set()   # ids of the chains on counted cycles
+    for cycle in lone:
+        counts[len(cycle)] += 1
+        if collect_vertices:
+            on_cycles.update(cycle)
+    limit = max_len - 2
     steps = budget
     completed = True
     try:
         for root in range(h.n):
-            if not alive[root]:
-                continue
-            above.discard(root)
-            # the last path position at which each vertex may still be pushed
-            room = {
-                v: max_len - max(dist, 2)
-                for v, dist in _bfs(adj, [root], max_len // 2, above).items()
-                if v != root
-            }
-            # iterative DFS over simple paths from root; a path closes into
-            # a cycle at a neighbour of root
-            closers = {w for w in adj[root] if w in room}
-            stack = [iter(sorted(closers))]
+            if sum(w > root for w, _, _ in kadj[root]) < 2:
+                continue   # root is the least kernel vertex of no cycle
+            # the longest path length at which each kernel vertex may be reached
+            reach = {v: max_len - d for v, d in _chain_distances(kadj, root, max_len // 2).items()}
+            del reach[root]
+            closers: dict[int, list[tuple[int, int]]] = {}   # w -> (length, id) of w-root chains
+            for w, length, cid in kadj[root]:
+                if w in reach:
+                    closers.setdefault(w, []).append((length, cid))
+            top = max((cid for chains in closers.values() for _, cid in chains), default=-1)
+            # iterative DFS over simple kernel paths from root; a frame is
+            # (path length, chains left to try), and used holds the path's
+            # chain ids
+            stack = [(0, iter([c for c in kadj[root] if c[0] in reach and c[2] != top]))]
             path = [root]
+            used: list[int] = []
             in_path = {root}
             while stack:
                 steps -= 1
                 if steps < 0:
                     raise BudgetExceeded
-                d = len(path)
-                for w in stack[-1]:
-                    if w in in_path:
+                d, chains = stack[-1]
+                for w, length, cid in chains:
+                    d_w = d + length
+                    if d_w > reach[w] or w in in_path:
                         continue
-                    if d >= 2 and path[1] < w and w in closers:
-                        counts[d + 1] += 1
-                        if collect_vertices:
-                            on_cycles.update(path)
-                            on_cycles.add(w)
-                    if d <= room[w]:
+                    if w in closers:
+                        first = used[0] if used else cid
+                        for back, last in closers[w]:
+                            if last > first and d_w + back <= max_len:
+                                counts[d_w + back] += 1
+                                if collect_vertices:
+                                    on_cycles.update(path)
+                                    on_cycles.add(w)
+                                    on_chains.update(used)
+                                    on_chains.add(cid)
+                                    on_chains.add(last)
+                    if d_w <= limit:   # the way on takes two chains or more
                         path.append(w)
+                        used.append(cid)
                         in_path.add(w)
-                        stack.append(iter([x for x in adj[w] if x in room]))
+                        stack.append((d_w, iter([c for c in kadj[w] if c[0] in reach])))
                         break
                 else:
                     stack.pop()
-                    in_path.remove(path.pop())
+                    if used:
+                        used.pop()
+                        in_path.remove(path.pop())
     except BudgetExceeded:
         completed = False
     if collect_vertices:
+        for cid in on_chains:
+            on_cycles.update(inner[cid])
         return counts, completed, on_cycles
     return counts, completed
 

@@ -58,7 +58,9 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """One experiment run.  Round-trips losslessly through JSON; unknown
     keys, at the top level and inside ``estimator``, are rejected rather
-    than ignored."""
+    than ignored, and so are ``estimator`` values of the wrong type:
+    ``run_map`` must be a bool, ``curve_n``, ``curve_replicates`` and
+    ``budget`` integers >= 1, ``eta`` and ``c_lambda_hat`` finite numbers."""
 
     kind: str
     n: int = 100
@@ -98,6 +100,15 @@ class ExperimentConfig:
         unknown = set(self.estimator) - set(self.ESTIMATOR_KEYS)
         if unknown:
             raise ConfigError(f"unknown estimator keys: {sorted(unknown)}")
+        for key, value in self.estimator.items():
+            # bool is an int subclass, so JSON true must not pass as 1
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if key == "run_map" and not isinstance(value, bool):
+                raise ConfigError(f"estimator run_map must be true or false, got {value!r}")
+            if key in ("eta", "c_lambda_hat") and not (number and (isinstance(value, int) or math.isfinite(value))):
+                raise ConfigError(f"estimator {key} must be a finite number, got {value!r}")
+            if key in ("curve_n", "curve_replicates", "budget") and not (number and isinstance(value, int) and value >= 1):
+                raise ConfigError(f"estimator {key} must be an integer >= 1, got {value!r}")
 
     def to_json(self) -> str:
         payload = asdict(self)
@@ -313,7 +324,7 @@ def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) ->
     c_hat = float(config.estimator.get("c_lambda_hat", curve.size_q05[-1]))
     c_hat = min(max(c_hat, 1.0 / n), 1.0)
     reps = config.replicates
-    run_map = bool(config.estimator.get("run_map", False))
+    run_map = config.estimator.get("run_map", False)
 
     def one(task):
         j, r = task

@@ -10,6 +10,7 @@ from corrmatch.admissibility import (
     ConditionResult,
     ConstantsInfeasibleError,
     _adjacency,
+    _bfs,
     _connected_sets,
     _shrink_violator,
     check_admissible,
@@ -323,6 +324,174 @@ def test_simple_cycle_counts_match_networkx():
                 want_verts.update(cyc)
         assert counts == want
         assert verts == want_verts
+
+
+def _reference_cycle_counts(h, max_len, budget=20_000_000, collect_vertices=False):
+    """Vertex-level oracle: each simple cycle of the 2-core, rooted at its
+    least vertex r, is found by a DFS over simple paths through vertices
+    > r, pruned by the BFS distance back to r, and counted once by
+    closing only at a neighbour of r above the path's first vertex."""
+    adj = _adjacency(h)
+    alive = (h.core_numbers() >= 2).tolist()
+    counts = {k: 0 for k in range(3, max_len + 1)}
+    on_cycles = set()
+    above = {v for v in range(h.n) if alive[v]}
+    steps = budget
+    completed = True
+    for root in range(h.n):
+        if not alive[root]:
+            continue
+        above.discard(root)
+        room = {
+            v: max_len - max(dist, 2)
+            for v, dist in _bfs(adj, [root], max_len // 2, above).items()
+            if v != root
+        }
+        closers = {w for w in adj[root] if w in room}
+        stack = [iter(sorted(closers))]
+        path = [root]
+        in_path = {root}
+        while stack and completed:
+            steps -= 1
+            if steps < 0:
+                completed = False
+                break
+            d = len(path)
+            for w in stack[-1]:
+                if w in in_path:
+                    continue
+                if d >= 2 and path[1] < w and w in closers:
+                    counts[d + 1] += 1
+                    if collect_vertices:
+                        on_cycles.update(path)
+                        on_cycles.add(w)
+                if d <= room[w]:
+                    path.append(w)
+                    in_path.add(w)
+                    stack.append(iter([x for x in adj[w] if x in room]))
+                    break
+            else:
+                stack.pop()
+                in_path.remove(path.pop())
+    if collect_vertices:
+        return counts, completed, on_cycles
+    return counts, completed
+
+
+def _disjoint_union(*parts):
+    """Graph on the parts side by side; a part is (vertex count, edges)."""
+    edges, offset = [], 0
+    for n, part_edges in parts:
+        edges += [(u + offset, v + offset) for u, v in part_edges]
+        offset += n
+    return Graph(offset, edges)
+
+
+def _chain_graph(kernel, chains, tail=0):
+    """Vertices 0..kernel-1 joined by chains (a, b, length), each through
+    length - 1 fresh interior vertices, plus a pendant path of tail edges
+    off vertex 0, which the 2-core drops.  A vertex with two chain ends
+    only is not kernel: one chain from 0 back to 0 makes a ring."""
+    edges, n = [], kernel
+    for a, b, length in chains:
+        walk = [a] + list(range(n, n + length - 1)) + [b]
+        edges += zip(walk, walk[1:])
+        n += length - 1
+    walk = [0] + list(range(n, n + tail))
+    edges += zip(walk, walk[1:])
+    return n + tail, edges
+
+
+def _complete(n):
+    return _chain_graph(n, [(i, j, 1) for i in range(n) for j in range(i + 1, n)])
+
+
+# each case with its cycle counts at max_len 5
+KERNEL_CASES = {
+    "rings of length max_len and max_len + 1": (
+        [_chain_graph(1, [(0, 0, 5)]), _chain_graph(1, [(0, 0, 6)], tail=2)],
+        {5: 1},
+    ),
+    "theta": ([_chain_graph(2, [(0, 1, 1), (0, 1, 2), (0, 1, 3)])], {3: 1, 4: 1, 5: 1}),
+    "theta with a chain longer than max_len": ([_chain_graph(2, [(0, 1, 2), (0, 1, 2), (0, 1, 9)])], {4: 1}),
+    "chains back to their own kernel vertex": ([_chain_graph(1, [(0, 0, 3), (0, 0, 5), (0, 0, 7)], tail=2)], {3: 1, 5: 1}),
+    "theta with a chain back to its end": ([_chain_graph(2, [(0, 1, 1), (0, 1, 3), (0, 1, 4), (0, 0, 4)])], {4: 2, 5: 1}),
+    "K4 and K5": ([_complete(4), _complete(5)], {3: 4 + 10, 4: 3 + 15, 5: 12}),
+    "K4 with every edge a 2-chain": ([_chain_graph(4, [(i, j, 2) for i in range(4) for j in range(i + 1, 4)])], {}),
+}
+
+
+def _assert_matches_reference(g, max_len):
+    got = simple_cycle_counts(g, max_len, collect_vertices=True)
+    assert got == _reference_cycle_counts(g, max_len, collect_vertices=True), max_len
+    assert got[1]
+    return got
+
+
+def test_simple_cycle_counts_match_reference():
+    rng = stream(65, 0)
+    for _ in range(300):
+        n = int(rng.integers(3, 80))
+        g = sample_er(n, min(1.0, float(rng.uniform(0.5, 4.0)) / n), rng)
+        _assert_matches_reference(g, int(rng.integers(3, 10)))
+    for n in (4, 5, 6):
+        for max_len in range(0, n + 2):
+            _assert_matches_reference(_disjoint_union(_complete(n)), max_len)
+
+
+def test_simple_cycle_counts_kernel_cases():
+    total = Counter()
+    for name, (parts, at_5) in KERNEL_CASES.items():
+        g = _disjoint_union(*parts)
+        counts, _, _ = _assert_matches_reference(g, 5)
+        assert counts == {k: at_5.get(k, 0) for k in range(3, 6)}, name
+        total.update(at_5)
+        for max_len in range(0, 12):
+            _assert_matches_reference(g, max_len)
+    union = _disjoint_union(*(part for parts, _ in KERNEL_CASES.values() for part in parts))
+    assert _assert_matches_reference(union, 5)[0] == {k: total[k] for k in range(3, 6)}
+    for max_len in range(0, 12):
+        _assert_matches_reference(union, max_len)
+    # the 6-ring and the tail lie on no counted cycle at max_len 5
+    rings = _disjoint_union(*KERNEL_CASES["rings of length max_len and max_len + 1"][0])
+    assert simple_cycle_counts(rings, 5, collect_vertices=True)[2] == set(range(5))
+    assert simple_cycle_counts(rings, 6, collect_vertices=True)[2] == set(range(11))
+
+
+def test_cycle_budget_cut_gives_lower_bounds():
+    rng = stream(66, 0)
+    cut = 0
+    for _ in range(30):
+        n = int(rng.integers(6, 30))
+        g = sample_er(n, min(1.0, float(rng.uniform(1.5, 5.0)) / n), rng)
+        max_len = int(rng.integers(3, 10))
+        full = simple_cycle_counts(g, max_len, collect_vertices=True)
+        assert full[1]
+        # the least budget that completes; completion is monotone in the budget
+        lo, hi = 0, 1
+        while not simple_cycle_counts(g, max_len, budget=hi)[1]:
+            lo, hi = hi, 2 * hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if simple_cycle_counts(g, max_len, budget=mid)[1] else (mid + 1, hi)
+        budgets = {0, hi - 1, hi, hi + 1} | {int(b) for b in rng.integers(0, hi + 1, size=4)}
+        previous = None
+        for budget in sorted(b for b in budgets if b >= 0):
+            counts, done, verts = simple_cycle_counts(g, max_len, budget=budget, collect_vertices=True)
+            assert done == (budget >= hi)
+            if done:
+                assert (counts, verts) == (full[0], full[2])
+                continue
+            cut += 1
+            assert all(counts[k] <= full[0][k] for k in full[0])
+            assert verts <= full[2]
+            if previous is not None:   # a larger budget extends the same search
+                assert all(previous[k] <= counts[k] for k in counts)
+            previous = counts
+    assert cut > 30
+    # cycles that are one chain are counted before the search, whatever the budget
+    ring = _disjoint_union(_chain_graph(1, [(0, 0, 5)]))
+    assert simple_cycle_counts(ring, 5, budget=0) == ({3: 0, 4: 0, 5: 1}, True)
 
 
 def _induced_connected(adj, subset):

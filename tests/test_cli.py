@@ -196,6 +196,19 @@ def test_misspelled_estimator_key_exits_3(tmp_path, capsys):
     assert "curve_N" in capsys.readouterr().err
 
 
+def test_string_run_map_exits_3(tmp_path, capsys):
+    cfg = {"kind": "threshold-sweep", "n": 120, "lambda_grid": [2.0], "estimator": {"run_map": "false"}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert RUN(["threshold-sweep", "--config", str(path)]) == 3
+    assert "run_map" in capsys.readouterr().err
+    cfg["estimator"]["run_map"] = False
+    path.write_text(json.dumps(cfg))
+    assert RUN(["threshold-sweep", "--config", str(path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows and all(row.split(",")[3] == "pi_star" for row in rows)
+
+
 def test_env_threads_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CORRMATCH_THREADS", "2")
     assert RUN(["rho-curve", "--lambdas", "2", "--n", "50", "--replicates", "2", "--seed", "1"]) == 0

@@ -60,9 +60,33 @@ def test_config_rejects_unread_keys():
             ExperimentConfig(kind="threshold-sweep", estimator=estimator)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(json.dumps({"kind": "threshold-sweep", "estimator": estimator}))
-    keys = ("curve_n", "curve_replicates", "eta", "c_lambda_hat", "budget", "run_map")
-    cfg = ExperimentConfig(kind="threshold-sweep", estimator=dict.fromkeys(keys, 1))
+    keys = ("curve_n", "curve_replicates", "eta", "c_lambda_hat", "budget")
+    cfg = ExperimentConfig(kind="threshold-sweep", estimator={**dict.fromkeys(keys, 1), "run_map": True})
     assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+
+@pytest.mark.parametrize(
+    "key, bad, good",
+    [
+        ("run_map", ["false", 0, 1, None], [True, False]),
+        ("curve_n", [0, -3, 2.0, "100", True, None], [1, 500]),
+        ("curve_replicates", [0, 1.5, False], [1, 6]),
+        ("budget", [0, 20000.0, "20000", True], [1, 20000]),
+        ("eta", [math.nan, math.inf, -math.inf, "0.15", True, None], [0, 0.15, -1.0]),
+        ("c_lambda_hat", [math.nan, math.inf, "0.5", False, [0.5]], [1, 0.5]),
+    ],
+)
+def test_config_rejects_mistyped_estimator_values(key, bad, good):
+    for value in bad:
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(kind="threshold-sweep", estimator={key: value})
+    for value in good:
+        cfg = ExperimentConfig(kind="threshold-sweep", estimator={key: value})
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+    # NaN and Infinity parse as floats from JSON text, and are rejected there too
+    if key in ("eta", "c_lambda_hat"):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_json('{"kind": "threshold-sweep", "estimator": {"%s": NaN}}' % key)
 
 
 def test_csv_report_schema_validation():
