@@ -14,18 +14,42 @@ at desk scale the natural-log caps sit so low that typical sparse graphs
 fail condition (iii) constantly, which would defeat the event's purpose of
 holding with probability near one.
 
-Conditions (ii) and (iv) are decided by exhaustive enumeration of connected
-candidate sets inside the relevant core (any inclusion-minimal violator is
-connected with min degree above the ratio, hence lives in that core).  The
-enumeration carries an explicit budget; exceeding it yields an "undecided"
-status, never a silent pass.
+Conditions (i) and (ii) first ask the flow solver one question: with
+x = min(xi, zeta) and gamma = (floor(x n) - 1) / n, is any vertex set
+denser than gamma?  One max-flow on the ceil(gamma)-core answers it
+(density.density_exceeds).  "No" proves rho* <= gamma <= x - 1/n, so both
+conditions pass, and the 1/n margin keeps their float comparisons on the
+same side.  On "yes", or when gamma <= 0, the exact maximizer decides (i),
+and (ii) fails on it or on its greedy shrink when either is small enough.
 
-Condition (v) and the short-cycle vertices behind good sets come from
-simple_cycle_counts, which counts cycles on the contracted 2-core: every
-maximal chain of core-degree-2 vertices becomes one weighted edge between
-kernel vertices (core degree >= 3), so its search runs over the kernel
-and not over every core vertex.  It carries a budget of kernel steps in
-the same way.
+Otherwise conditions (ii) and (iv) are decided by exhaustive enumeration of
+connected candidate sets inside the relevant core (any inclusion-minimal
+violator is connected with min degree above the ratio, hence lives in that
+core).  The enumeration carries an explicit budget; exceeding it yields an
+"undecided" status, never a silent pass.
+
+Condition (iv) (at most t vertices) enumerates near short cycles only.  An
+inclusion-minimal violator U has |E(U)| > |U| and minimum degree 2 in U,
+so it holds a theta graph (two vertices joined by three internally
+disjoint paths) or two cycles joined by a path of length >= 0, and the
+vertex set of that subgraph is itself a violator, hence all of U.  In a
+theta every vertex lies on a cycle of length <= |U| <= t.  In the other
+shape every vertex lies on one of the two cycles, each of length <= t, or
+inside the path; a path with interior vertices joins two disjoint cycles,
+which take at least 6 vertices, so it has at most t - 6 of them, each
+within t - 6 hops of a cycle.  So the scan covers the 2-core vertices
+within max(0, t - 6) hops of a vertex on a cycle of length <= t, read off
+the cycle scan of condition (v), and it falls back to the whole 2-core
+when that scan ran out of budget or stops short of length t
+(t > cycle_len_cap).
+
+Condition (v) and the short-cycle vertices behind good sets come from one
+cycle scan, which counts cycles on the contracted 2-core: every maximal
+chain of core-degree-2 vertices becomes one weighted edge between kernel
+vertices (core degree >= 3), so its search runs over the kernel and not
+over every core vertex.  It carries a budget of kernel steps in the same
+way.  check_admissible runs it once, sharing one adjacency list and one
+core peel between (iv) and (v).
 """
 
 from __future__ import annotations
@@ -33,8 +57,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .density import densest_subgraph_exact
+import numpy as np
+
+from .density import densest_subgraph_exact, density_exceeds
 from .graphs import Graph
 
 __all__ = [
@@ -370,15 +397,40 @@ def simple_cycle_counts(
     """Count simple cycles per length 3..max_len.
 
     Returns (counts, completed); the optional third element collects all
-    vertices lying on counted cycles.  Cycles live in the 2-core, and they
-    are counted on its kernel multigraph (see ``_contract_core``): the
-    kernel vertices are the core vertices of core degree >= 3, and each
-    maximal chain of core-degree-2 vertices between two of them becomes
-    one edge weighted by its length and labelled by a chain id.  A simple
-    cycle of the graph is a simple cycle of that multigraph of the same
-    total length.  Chains longer than max_len lie on no counted cycle and
-    are dropped.  A cycle that is one chain (a chain whose ends coincide,
-    or a 2-core component with no kernel vertex) is counted directly.
+    vertices lying on counted cycles.  See _cycle_scan for the method and
+    the budget."""
+    counts, completed, shortest = _cycle_scan(
+        _adjacency(h), (h.core_numbers() >= 2).tolist(), max_len, budget, collect_vertices
+    )
+    if collect_vertices:
+        return counts, completed, set(shortest)
+    return counts, completed
+
+
+def _lower(table: dict[int, int], keys, length: int) -> None:
+    """table[k] = min(table[k], length) for each key, absent keys included."""
+    for k in keys:
+        if length < table.get(k, length + 1):
+            table[k] = length
+
+
+def _cycle_scan(
+    adj: list[list[int]], alive: list[bool], max_len: int, budget: int, collect: bool
+) -> tuple[dict[int, int], bool, dict[int, int]]:
+    """(counts, completed, shortest) of the simple cycles of lengths
+    3..max_len in the graph adj, whose 2-core is the alive mask.  When
+    collect is set, shortest maps each vertex on a counted cycle to the
+    length of the shortest counted cycle through it; otherwise it is empty.
+
+    Cycles live in the 2-core, and they are counted on its kernel
+    multigraph (see ``_contract_core``): the kernel vertices are the core
+    vertices of core degree >= 3, and each maximal chain of core-degree-2
+    vertices between two of them becomes one edge weighted by its length
+    and labelled by a chain id.  A simple cycle of the graph is a simple
+    cycle of that multigraph of the same total length.  Chains longer than
+    max_len lie on no counted cycle and are dropped.  A cycle that is one
+    chain (a chain whose ends coincide, or a 2-core component with no
+    kernel vertex) is counted directly.
 
     Every other cycle uses at least two chains and is counted once, rooted
     at its least kernel vertex r.  The depth-first search from r walks
@@ -397,26 +449,27 @@ def simple_cycle_counts(
     if d + L <= max_len - 2, since going on takes two chains or more.
     Every kernel vertex of a counted cycle splits it into two paths to r,
     one of length at most max_len // 2, so the distances stop at that
-    radius.  The pruning is exact: the counts and the vertex set are those
-    of an unpruned search over all simple cycles.
+    radius.  The pruning is exact: the counts and the shortest lengths are
+    those of an unpruned search over all simple cycles.
 
     ``budget`` caps the kernel DFS steps (one per kernel vertex pushed or
     popped); cycles that are one chain take none.  When it runs out,
-    completed is False and the counts are lower bounds.
+    completed is False, the counts are lower bounds and shortest covers
+    the cycles counted so far.
     """
-    kadj, inner, lone = _contract_core(_adjacency(h), (h.core_numbers() >= 2).tolist(), max_len)
+    kadj, inner, lone = _contract_core(adj, alive, max_len)
     counts = {k: 0 for k in range(3, max_len + 1)}
-    on_cycles: set[int] = set()
-    on_chains: set[int] = set()   # ids of the chains on counted cycles
+    shortest: dict[int, int] = {}     # kernel vertex -> shortest counted cycle through it
+    chain_shortest: dict[int, int] = {}   # chain id -> the same, for the chains
     for cycle in lone:
         counts[len(cycle)] += 1
-        if collect_vertices:
-            on_cycles.update(cycle)
+        if collect:
+            _lower(shortest, cycle, len(cycle))
     limit = max_len - 2
     steps = budget
     completed = True
     try:
-        for root in range(h.n):
+        for root in range(len(adj)):
             if sum(w > root for w, _, _ in kadj[root]) < 2:
                 continue   # root is the least kernel vertex of no cycle
             # the longest path length at which each kernel vertex may be reached
@@ -446,14 +499,12 @@ def simple_cycle_counts(
                     if w in closers:
                         first = used[0] if used else cid
                         for back, last in closers[w]:
-                            if last > first and d_w + back <= max_len:
-                                counts[d_w + back] += 1
-                                if collect_vertices:
-                                    on_cycles.update(path)
-                                    on_cycles.add(w)
-                                    on_chains.update(used)
-                                    on_chains.add(cid)
-                                    on_chains.add(last)
+                            length = d_w + back
+                            if last > first and length <= max_len:
+                                counts[length] += 1
+                                if collect:
+                                    _lower(shortest, (*path, w), length)
+                                    _lower(chain_shortest, (*used, cid, last), length)
                     if d_w <= limit:   # the way on takes two chains or more
                         path.append(w)
                         used.append(cid)
@@ -467,11 +518,10 @@ def simple_cycle_counts(
                         in_path.remove(path.pop())
     except BudgetExceeded:
         completed = False
-    if collect_vertices:
-        for cid in on_chains:
-            on_cycles.update(inner[cid])
-        return counts, completed, on_cycles
-    return counts, completed
+    for cid, length in chain_shortest.items():
+        for v in inner[cid]:   # an interior vertex lies on its chain only
+            shortest[v] = length
+    return counts, completed, shortest
 
 
 # -- the admissibility check ----------------------------------------------------
@@ -485,28 +535,42 @@ def check_admissible(
 ) -> AdmissibilityReport:
     """Evaluate the five conditions on h; see the module docstring."""
     consts.validate()
+    if h.n == 0:
+        raise ValueError("graph must have at least one vertex")
     results: dict[str, ConditionResult] = {}
 
-    dens = densest_subgraph_exact(h)
-    size = len(dens.best_subset)
-    if dens.witness_edges > consts.xi * size:
-        results["density_cap"] = ConditionResult(
-            "fail", {"subset": list(dens.best_subset), "edges": dens.witness_edges}
-        )
+    # (i) and (ii): rho* <= (floor(x n) - 1) / n <= x - 1/n passes both,
+    # with room for their float comparisons
+    x = min(consts.xi, consts.zeta)
+    gamma = Fraction(math.floor(x * h.n) - 1, h.n)
+    if gamma > 0 and not density_exceeds(h, gamma):
+        results["density_cap"] = results["small_set_density"] = ConditionResult("pass")
     else:
-        results["density_cap"] = ConditionResult("pass")
-
-    results["small_set_density"] = _check_small_sets(h, consts, dens, set_budget)
+        dens = densest_subgraph_exact(h)
+        size = len(dens.best_subset)
+        if dens.witness_edges > consts.xi * size:
+            results["density_cap"] = ConditionResult(
+                "fail", {"subset": list(dens.best_subset), "edges": dens.witness_edges}
+            )
+        else:
+            results["density_cap"] = ConditionResult("pass")
+        results["small_set_density"] = _check_small_sets(h, consts, dens, set_budget)
 
     degs = h.degrees
-    if h.n and int(degs.max()) >= consts.degree_cap:
+    if int(degs.max()) >= consts.degree_cap:
         v = int(degs.argmax())
         results["max_degree"] = ConditionResult("fail", {"vertex": v, "degree": int(degs[v])})
     else:
         results["max_degree"] = ConditionResult("pass")
 
-    results["local_unicyclicity"] = _first_dense_set(h, consts.tiny_component_cap, 1, set_budget)
-    results["cycle_counts"] = _check_cycle_counts(h, consts, cycle_budget)
+    adj = _adjacency(h)
+    core = h.core_numbers()
+    t, max_len = consts.tiny_component_cap, consts.cycle_len_cap
+    # the shortest cycles are needed for (iv) only if the scan reaches length t
+    counts, completed, shortest = _cycle_scan(adj, (core >= 2).tolist(), max_len, cycle_budget, t <= max_len)
+    near = shortest if completed and t <= max_len else None
+    results["local_unicyclicity"] = _check_tiny_components(adj, core, t, near, set_budget)
+    results["cycle_counts"] = _check_cycle_counts(counts, completed, consts, cycle_budget)
     return AdmissibilityReport(conditions=results)
 
 
@@ -519,7 +583,8 @@ def _check_small_sets(h, consts, dens, set_budget) -> ConditionResult:
     shrunk = _shrink_violator(h, subset, consts.zeta)
     if len(shrunk) <= consts.small_set_cap:
         return ConditionResult("fail", {"subset": shrunk, "edges": h.edges_within(shrunk)})
-    return _first_dense_set(h, consts.small_set_cap, consts.zeta, set_budget)
+    alive = (h.core_numbers() >= math.floor(consts.zeta) + 1).tolist()
+    return _first_dense_set(_adjacency(h), alive, consts.small_set_cap, consts.zeta, set_budget)
 
 
 def _shrink_violator(h: Graph, subset: list[int], ratio: float) -> list[int]:
@@ -543,14 +608,17 @@ def _shrink_violator(h: Graph, subset: list[int], ratio: float) -> list[int]:
                 din[w] -= 1
 
 
-def _first_dense_set(h: Graph, cap: int, ratio: float, set_budget: int) -> ConditionResult:
-    """Fail on the first connected set of at most cap vertices inside the
-    (floor(ratio) + 1)-core with more than ratio * size edges; undecided
-    when set_budget sets were enumerated without one, pass otherwise."""
-    alive = (h.core_numbers() >= math.floor(ratio) + 1).tolist()
+def _first_dense_set(
+    adj: list[list[int]], alive: list[bool], cap: int, ratio: float, set_budget: int
+) -> ConditionResult:
+    """Fail on the first connected set of at most cap alive vertices with
+    more than ratio * size edges; undecided when set_budget sets were
+    enumerated without one, pass otherwise.  Every inclusion-minimal such
+    set has minimum degree above ratio inside it, so an alive mask that
+    holds the (floor(ratio) + 1)-core loses none."""
     budget = [set_budget]
     try:
-        for sub, edges in _connected_sets(_adjacency(h), alive, cap, budget):
+        for sub, edges in _connected_sets(adj, alive, cap, budget):
             if edges > ratio * len(sub):
                 return ConditionResult("fail", {"subset": list(sub), "edges": edges})
     except BudgetExceeded:
@@ -558,11 +626,27 @@ def _first_dense_set(h: Graph, cap: int, ratio: float, set_budget: int) -> Condi
     return ConditionResult("pass")
 
 
-def _check_cycle_counts(h, consts, cycle_budget) -> ConditionResult:
+def _check_tiny_components(
+    adj: list[list[int]], core: np.ndarray, t: int, shortest: dict[int, int] | None, set_budget: int
+) -> ConditionResult:
+    """Condition (iv): no connected set of at most t vertices has more
+    edges than vertices.  shortest maps every vertex on a cycle of length
+    <= t to the length of its shortest cycle, or is None when the cycle
+    scan did not cover length t.  With it, the enumeration runs over the
+    2-core vertices within max(0, t - 6) hops of such a vertex; without
+    it, over the whole 2-core.  The module docstring says why the smaller
+    region loses no inclusion-minimal violator."""
+    if shortest is None:
+        return _first_dense_set(adj, (core >= 2).tolist(), t, 1, set_budget)
+    seeds = [v for v, length in shortest.items() if length <= t]
+    region = _bfs(adj, seeds, max(0, t - 6), within=set(np.flatnonzero(core >= 2).tolist()))
+    return _first_dense_set(adj, [v in region for v in range(len(adj))], t, 1, set_budget)
+
+
+def _check_cycle_counts(counts, completed, consts, cycle_budget) -> ConditionResult:
     """Fail at the first length whose count exceeds its cap.  When the
     enumeration was cut short the witness count is a lower bound on the
     true count, which still proves the violation."""
-    counts, completed = simple_cycle_counts(h, consts.cycle_len_cap, cycle_budget)
     for k in range(3, consts.cycle_len_cap + 1):
         cap = consts.cycle_count_cap(k)
         if counts.get(k, 0) > cap:

@@ -101,19 +101,41 @@ def _sample_bundle(params: ModelParams, seed: int) -> dict:
 
 
 def _read_bundle(path: str) -> tuple[ModelParams, Bijection, Graph, Graph]:
+    """The (params, pi_star, g, g_bar) of a sample bundle, with every field
+    type-checked and every size equal to n."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ConfigError("sample bundle must be a JSON object")
     if payload.get("version") != BUNDLE_VERSION:
         raise ConfigError("unsupported sample bundle version")
-    try:
-        return (
-            ModelParams(n=payload["n"], p=payload["p"], s=payload["s"]),
-            Bijection(payload["pi_star"]),
-            Graph.from_text(payload["g"]),
-            Graph.from_text(payload["g_bar"]),
+    missing = [key for key in ("n", "p", "s", "pi_star", "g", "g_bar") if key not in payload]
+    if missing:
+        raise ConfigError(f"sample bundle lacks the key {missing[0]!r}")
+    n, p, s, pi_star = payload["n"], payload["p"], payload["s"], payload["pi_star"]
+    if not _is_int(n):
+        raise ConfigError(f"sample bundle n must be an integer, got {n!r}")
+    for key, value in (("p", p), ("s", s)):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"sample bundle {key} must be a number, got {value!r}")
+    if not (isinstance(pi_star, list) and all(map(_is_int, pi_star))):
+        raise ConfigError("sample bundle pi_star must be a list of integers")
+    for key in ("g", "g_bar"):
+        if not isinstance(payload[key], str):
+            raise ConfigError(f"sample bundle {key} must be an edge-list string")
+    params = ModelParams(n=n, p=p, s=s)
+    pi = Bijection(pi_star)
+    g, g_bar = Graph.from_text(payload["g"]), Graph.from_text(payload["g_bar"])
+    if not pi.n == g.n == g_bar.n == n:
+        raise ConfigError(
+            f"sample bundle sizes disagree: n = {n}, pi_star has {pi.n} entries, "
+            f"g has {g.n} vertices and g_bar {g_bar.n}"
         )
-    except KeyError as exc:
-        raise ConfigError(f"sample bundle lacks the key {exc}") from exc
+    return params, pi, g, g_bar
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)   # JSON true is no 1
 
 
 def _read_graph(args, from_bundle) -> Graph:

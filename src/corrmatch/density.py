@@ -19,6 +19,8 @@ vertex has at least gamma neighbours in U and U lies in that core.  The
 flow at gamma = rho* ends the loop; its maximal source side is the union
 of all densest subsets (the maximal densest subgraph, unique because
 densest sets are closed under union), and that is the reported maximizer.
+When only "rho* <= gamma?" is asked, density_exceeds answers with the one
+flow at gamma on the same core.
 
 rho(lambda), the large-n limit of the maximum density of G(n, lambda/n),
 has no usable closed form; it is estimated here by Monte Carlo over exact
@@ -47,6 +49,7 @@ __all__ = [
     "RhoCurve",
     "LambdaStarEstimate",
     "densest_subgraph_exact",
+    "density_exceeds",
     "densest_subgraph_bruteforce",
     "estimate_rho",
     "build_rho_curve",
@@ -137,6 +140,49 @@ def _vertex_ids(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
+def _edge_cores(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Core numbers, the (m, 2) edge array and, per edge, the largest k
+    whose k-core holds it."""
+    core = g.core_numbers()
+    edges = g.edge_array()
+    return core, edges, np.minimum(core[edges[:, 0]], core[edges[:, 1]])
+
+
+def _best_core_density(core: np.ndarray, edge_core: np.ndarray) -> Fraction:
+    """The best density among the whole graph and its k-cores, which is
+    attained and so at most rho*."""
+    # vertex and edge counts of the k-cores, k = 0 .. max core
+    core_sizes = np.cumsum(np.bincount(core)[::-1])[::-1]
+    core_edges = np.cumsum(np.bincount(edge_core, minlength=core_sizes.size)[::-1])[::-1]
+    return max(Fraction(int(e), int(v)) for e, v in zip(core_edges, core_sizes))
+
+
+def _core_cut(core, edges, edge_core, gamma: Fraction):
+    """_cut_side at gamma on the ceil(gamma)-core, which holds every
+    maximizer of |E(U)| - gamma|U| (a member v has deg_U(v) >= gamma, or
+    dropping it would gain).  Returns the core's vertex ids with the
+    (improved, side, side_edges) of the flow, side in core-local ids."""
+    k = math.ceil(gamma)
+    verts = np.flatnonzero(core >= k)
+    local = np.cumsum(core >= k) - 1
+    return (verts, *_cut_side(verts.size, local[edges[edge_core >= k]], gamma))
+
+
+def density_exceeds(g: Graph, gamma: Fraction) -> bool:
+    """Whether some vertex set U of g has more than gamma * |U| edges, for
+    gamma > 0.  A k-core denser than gamma answers yes, an empty
+    ceil(gamma)-core answers no, and otherwise one max-flow on that core
+    decides.  No proves rho* <= gamma without solving for rho*."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    core, edges, edge_core = _edge_cores(g)
+    if _best_core_density(core, edge_core) > gamma:
+        return True
+    if not (core >= math.ceil(gamma)).any():
+        return False
+    return _core_cut(core, edges, edge_core, gamma)[1]
+
+
 def densest_subgraph_exact(g: Graph) -> DensityResult:
     """Exact maximizer of |E(U)|/|U| over nonempty U, as a rational: the
     maximal densest subgraph, the union of all densest subsets.
@@ -158,18 +204,10 @@ def densest_subgraph_exact(g: Graph) -> DensityResult:
         raise ValueError("graph must have at least one vertex")
     if g.edge_count == 0:
         return DensityResult(best_subset=(0,), density=Fraction(0), witness_edges=0)
-    core = g.core_numbers()
-    edges = g.edge_array()
-    edge_core = np.minimum(core[edges[:, 0]], core[edges[:, 1]])
-    # vertex and edge counts of the k-cores, k = 0 .. max core
-    core_sizes = np.cumsum(np.bincount(core)[::-1])[::-1]
-    core_edges = np.cumsum(np.bincount(edge_core, minlength=core_sizes.size)[::-1])[::-1]
-    val = max(Fraction(int(e), int(v)) for e, v in zip(core_edges, core_sizes))
+    core, edges, edge_core = _edge_cores(g)
+    val = _best_core_density(core, edge_core)
     for _ in range(2 * g.n * g.n + 8):
-        k = math.ceil(val)
-        verts = np.flatnonzero(core >= k)
-        local = np.cumsum(core >= k) - 1
-        improved, side, side_edges = _cut_side(verts.size, local[edges[edge_core >= k]], val)
+        verts, improved, side, side_edges = _core_cut(core, edges, edge_core, val)
         if not improved:
             if side.size == 0 or Fraction(side_edges, side.size) != val:
                 raise AssertionError("maximal source side is not a densest subgraph")

@@ -50,7 +50,7 @@ class Graph:
     keys u*n + v.  Instances are immutable.
     """
 
-    __slots__ = ("n", "_packed", "_indptr", "_indices", "_columns", "_degrees")
+    __slots__ = ("n", "_packed", "_indptr", "_indices", "_columns", "_degrees", "_core")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -77,6 +77,7 @@ class Graph:
             arr.flags.writeable = False
         self._indptr = [0] + np.cumsum(self._degrees).tolist()
         self._indices = self._columns.tolist()
+        self._core = None
 
     @classmethod
     def from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
@@ -148,8 +149,11 @@ class Graph:
         just fell.  Each vertex is removed once and each arc is followed
         once, so the work is O(n + m) numpy element operations, O(n) more per
         level and a few numpy calls per round; a long chain costs one round
-        per vertex peeled from each of its ends.
+        per vertex peeled from each of its ends.  The graph is immutable, so
+        the peel runs once and later calls return the same read-only array.
         """
+        if self._core is not None:
+            return self._core
         n = self.n
         degree, core = self._degrees.copy(), np.zeros(n, dtype=np.int64)
         alive = np.ones(n, dtype=bool)
@@ -169,6 +173,8 @@ class Graph:
                 hit, drops = np.unique(hit[alive[hit]], return_counts=True)
                 degree[hit] -= drops
                 batch = hit[degree[hit] <= k]
+        core.flags.writeable = False
+        self._core = core
         return core
 
     def edges_within(self, vertices: Iterable[int]) -> int:

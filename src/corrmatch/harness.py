@@ -58,9 +58,11 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """One experiment run.  Round-trips losslessly through JSON; unknown
     keys, at the top level and inside ``estimator``, are rejected rather
-    than ignored, and so are ``estimator`` values of the wrong type:
-    ``run_map`` must be a bool, ``curve_n``, ``curve_replicates`` and
-    ``budget`` integers >= 1, ``eta`` and ``c_lambda_hat`` finite numbers."""
+    than ignored, and so are values of the wrong type: ``n``, ``seed``,
+    ``replicates`` and ``threads`` must be integers (not bools), the grids
+    JSON arrays, and in ``estimator`` ``run_map`` must be a bool,
+    ``curve_n``, ``curve_replicates`` and ``budget`` integers >= 1, ``eta``
+    and ``c_lambda_hat`` finite numbers."""
 
     kind: str
     n: int = 100
@@ -89,6 +91,10 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported config version {self.version}")
         if self.kind not in self.KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        for key in ("n", "seed", "replicates", "threads"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):   # JSON true is no 1
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.replicates < 1:
             raise ConfigError("replicate count must be at least 1")
         if self.n < 2:
@@ -130,6 +136,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("lambda_grid", "theta_grid", "k_grid"):
             if key in payload:
+                if not isinstance(payload[key], list):
+                    raise ConfigError(f"{key} must be a JSON array, got {payload[key]!r}")
                 payload[key] = tuple(payload[key])
         try:
             return cls(**payload)

@@ -234,6 +234,127 @@ def test_local_unicyclicity_condition():
         assert forged.revalidate(k4(6), consts5) == (subset == [0, 1, 2, 3])
 
 
+def test_empty_vertex_set_is_refused():
+    with pytest.raises(ValueError):
+        check_admissible(Graph(0), lenient_constants(4))
+
+
+def _least_dense_connected_set(g):
+    """Brute force over all vertex subsets: the size of the smallest
+    connected U with more edges than vertices (None when there is none)."""
+    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+    edges = [0] * (1 << g.n)
+    best = None
+    for mask in range(1, 1 << g.n):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        edges[mask] = edges[rest] + bin(adj[low] & rest).count("1")
+        size = bin(mask).count("1")
+        if edges[mask] <= size or (best is not None and size >= best):
+            continue
+        seen, frontier = 1 << low, 1 << low
+        while frontier:
+            grown = 0
+            for v in range(g.n):
+                if frontier >> v & 1:
+                    grown |= adj[v]
+            frontier = grown & mask & ~seen
+            seen |= frontier
+        if seen == mask:
+            best = size
+    return best
+
+
+def _two_cycles_and_a_path(a, b, path):
+    """An a-cycle and a b-cycle joined by a path of `path` edges."""
+    edges = [(i, (i + 1) % a) for i in range(a)]
+    edges += [(a + i, a + (i + 1) % b) for i in range(b)]
+    walk = [0] + list(range(a + b, a + b + path - 1)) + [a]
+    edges += zip(walk, walk[1:])
+    return Graph(a + b + max(path - 1, 0), edges)
+
+
+def test_local_unicyclicity_matches_bruteforce(monkeypatch):
+    real = adm._check_tiny_components
+    scans = []
+
+    def recorded(adj, core, t, shortest, set_budget):
+        res = real(adj, core, t, shortest, set_budget)
+        scans.append(("near cycles" if shortest is not None else "whole core", res.status))
+        return res
+
+    monkeypatch.setattr(adm, "_check_tiny_components", recorded)
+    rng = stream(67, 0)
+    graphs = [_two_cycles_and_a_path(3, 4, k) for k in range(4)]
+    graphs.append(Graph(*_chain_graph(2, [(0, 1, 1), (0, 1, 3), (0, 1, 4)])))   # theta on 7 vertices
+    while len(graphs) < 45:
+        n = int(rng.integers(5, 13))
+        graphs.append(sample_er(n, min(1.0, float(rng.uniform(1.5, 3.5)) / n), rng))
+    for g in graphs:
+        least = _least_dense_connected_set(g)
+        for t in range(3, 9):
+            for cycle_len_cap, cycle_budget in ((t, 10**6), (t + 3, 10**6), (t - 1, 10**6), (t + 3, 0)):
+                consts = lenient_constants(g.n, tiny_component_cap=t, cycle_len_cap=cycle_len_cap)
+                report = check_admissible(g, consts, cycle_budget=cycle_budget)
+                res = report.conditions["local_unicyclicity"]
+                assert res.status == ("fail" if least is not None and least <= t else "pass"), (g.edges, t)
+                if res.status == "fail":
+                    assert report.revalidate(g, consts)
+    # both the short-cycle region and the whole-core fallback (t above
+    # cycle_len_cap, or a scan cut by its budget) see passes and fails
+    assert set(scans) == {(where, status) for where in ("near cycles", "whole core") for status in ("pass", "fail")}
+
+
+def test_local_unicyclicity_reaches_along_a_path():
+    # two triangles joined by a 2-edge path: 7 vertices and 8 edges, and
+    # the middle vertex of the path lies on no cycle
+    g = _two_cycles_and_a_path(3, 3, 2)
+    for t, status in ((6, "pass"), (7, "fail"), (8, "fail")):
+        consts = lenient_constants(7, tiny_component_cap=t, cycle_len_cap=8)
+        report = check_admissible(g, consts)
+        res = report.conditions["local_unicyclicity"]
+        assert res.status == status, t
+        if status == "fail":
+            assert sorted(res.witness["subset"]) == list(range(7))
+            assert report.revalidate(g, consts)
+
+
+def test_density_decision_matches_the_full_path(monkeypatch):
+    real = adm.density_exceeds
+    decisions = []
+
+    def recorded(h, gamma):
+        decisions.append(real(h, gamma))
+        return decisions[-1]
+
+    stages = Counter()
+    rng = stream(68, 0)
+    for _ in range(160):
+        n = int(rng.integers(2, 25))
+        g = sample_er(n, min(1.0, float(rng.uniform(1.0, 5.0)) / n), rng)
+        xi = float(rng.choice([0.2, 1.0, 1.2, 1.25, 1.5, 2.5]))
+        zeta = float(rng.choice([1.125, 1.2, 1.25, 1.5, 1.75]))
+        consts = lenient_constants(n, xi=xi, zeta=zeta, small_set_cap=int(rng.integers(2, 8)))
+        decisions.clear()
+        monkeypatch.setattr(adm, "density_exceeds", recorded)
+        fast = check_admissible(g, consts).conditions
+        monkeypatch.setattr(adm, "density_exceeds", lambda h, gamma: True)
+        full = check_admissible(g, consts).conditions
+        for name in ("density_cap", "small_set_density"):
+            assert fast[name] == full[name], (name, g.edges, xi, zeta)
+        x = min(xi, zeta)
+        rho = densest_subgraph_exact(g).density
+        if not decisions:
+            stages["gamma <= 0"] += 1
+        elif not decisions[0]:
+            stages["one flow passes"] += 1
+        else:
+            stages["rho* in (gamma, x]" if rho <= x else "rho* > x"] += 1
+        stages["xi < zeta" if xi < zeta else "xi > zeta"] += 1
+    want = {"gamma <= 0", "one flow passes", "rho* in (gamma, x]", "rho* > x", "xi < zeta", "xi > zeta"}
+    assert set(stages) == want, stages
+
+
 def test_cycle_count_condition_and_witness():
     # three disjoint triangles against a cap of 2
     edges = []

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from corrmatch.cli import main
 
 RUN = lambda argv: main(argv)
@@ -69,6 +71,37 @@ def test_bundle_missing_a_key_exits_3(tmp_path, capsys):
     bundle.write_text(json.dumps(payload))
     assert RUN(["density", "--bundle", str(bundle)]) == 3
     assert "'p'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda b: [b], "JSON object"),
+        (lambda b: {**b, "n": "8"}, "n must be an integer"),
+        (lambda b: {**b, "n": True}, "n must be an integer"),
+        (lambda b: {**b, "p": None}, "p must be a number"),
+        (lambda b: {**b, "g": 5}, "g must be an edge-list string"),
+        (lambda b: {**b, "pi_star": "01234567"}, "pi_star must be a list"),
+        (lambda b: {**b, "n": 9}, "sizes disagree"),
+    ],
+    ids=["list", "string n", "bool n", "null p", "int g", "string pi_star", "n off by one"],
+)
+def test_malformed_bundle_exits_3(tmp_path, capsys, change, message):
+    bundle = tmp_path / "bundle.json"
+    assert RUN(["sample", "--n", "8", "--p", "0.5", "--s", "0.8", "--seed", "2", "--out", str(bundle)]) == 0
+    bundle.write_text(json.dumps(change(json.loads(bundle.read_text()))))
+    assert RUN(["density", "--bundle", str(bundle)]) == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("field, value", [("lambda_grid", 5), ("threads", 1.5), ("replicates", True)])
+def test_mistyped_config_value_exits_3(tmp_path, capsys, field, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "rho-curve", "n": 50, "lambda_grid": [2.0], field: value}))
+    assert RUN(["rho-curve", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
 
 
 def test_moments_check_exit_codes(tmp_path, capsys):

@@ -12,6 +12,7 @@ from corrmatch.density import (
     build_rho_curve,
     densest_subgraph_bruteforce,
     densest_subgraph_exact,
+    density_exceeds,
     estimate_rho,
     isotonic_fit,
     rho_curve_csv,
@@ -171,6 +172,31 @@ def test_every_flow_is_checked_against_the_cut_identity(monkeypatch):
         )
         with pytest.raises(AssertionError, match="minimum cut"):
             densest_subgraph_exact(g)
+
+
+def test_density_exceeds_matches_the_exact_maximum(monkeypatch):
+    calls = _count_flows(monkeypatch)
+    branches = set()
+    rng = stream(12, 0)
+    for _ in range(120):
+        n = int(rng.integers(2, 31))
+        g = sample_er(n, min(1.0, float(rng.uniform(0.5, 6.0)) / n), rng)
+        rho = densest_subgraph_exact(g).density
+        gammas = {rho, rho + Fraction(1, n * n), Fraction(int(rng.integers(1, 4 * n)), n)}
+        if rho > 0:
+            gammas.add(rho - Fraction(1, n * n))
+        for gamma in gammas:
+            if gamma <= 0:
+                continue
+            calls.clear()
+            assert density_exceeds(g, gamma) == (rho > gamma), (n, gamma)
+            assert len(calls) <= 1
+            branches.add((len(calls), rho > gamma))
+    # a k-core denser than gamma (no flow), an empty ceil(gamma)-core (no
+    # flow), and both answers of the flow
+    assert branches == {(0, True), (0, False), (1, True), (1, False)}
+    with pytest.raises(ValueError):
+        density_exceeds(g, Fraction(0))
 
 
 def test_solver_invariant_under_relabeling():

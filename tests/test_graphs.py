@@ -98,6 +98,8 @@ def test_csr_queries_match_set_reference(n, edges):
         for w in ref[v] & left:
             deg[w] -= 1
     assert g.core_numbers().tolist() == core
+    # the peel runs once; its result is shared read-only
+    assert g.core_numbers() is g.core_numbers() and not g.core_numbers().flags.writeable
 
 
 @pytest.mark.parametrize(

@@ -89,6 +89,27 @@ def test_config_rejects_mistyped_estimator_values(key, bad, good):
             ExperimentConfig.from_json('{"kind": "threshold-sweep", "estimator": {"%s": NaN}}' % key)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lambda_grid", 5),
+        ("theta_grid", "0.5"),
+        ("k_grid", {"k": 3}),
+        ("threads", 1.5),
+        ("replicates", True),
+        ("n", 100.0),
+        ("seed", "3"),
+        ("seed", None),
+    ],
+)
+def test_config_rejects_mistyped_top_level_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig.from_json(json.dumps({"kind": "rho-curve", field: value}))
+    if not field.endswith("_grid"):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(kind="rho-curve", **{field: value})
+
+
 def test_csv_report_schema_validation():
     rep = CsvReport(("a", "b"), (int, float))
     rep.add_row(1, 2.0)
