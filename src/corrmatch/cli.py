@@ -1,19 +1,25 @@
 """Command-line interface.
 
 Subcommands: sample, orbits, moments-check, density, rho-curve, estimate,
-posterior, posterior-study, tv, admissibility, threshold-sweep.  Common
-flags: --config (JSON experiment config), --seed, --threads
-(CORRMATCH_THREADS overrides the default), --out (file path; stdout
-otherwise).
+posterior, posterior-study, tv, admissibility, threshold-sweep.
 
-Exit codes: 0 success, 2 statistical-check failure, 3 config error.
+Shared flags go only to the subcommands that read them.  --out (file
+path; stdout otherwise) is on every subcommand.  --seed is on sample,
+orbits, estimate and tv (default 0) and on the four config subcommands:
+moments-check, rho-curve, posterior-study and threshold-sweep.  Only the
+config subcommands take --config (JSON experiment config) and --threads
+(worker threads; default: the config's threads field, 1 without a config).
+A --config file replaces the subcommand's own experiment flags (--n,
+--lambdas, --replicates, --p, --s, --alpha); --seed and --threads are
+applied on top of it.
+
+Exit codes: 0 success, 2 statistical-check failure, 3 config or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -59,18 +65,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("CORRMATCH_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"CORRMATCH_THREADS is not an integer: {env!r}") from exc
-    return 1
-
-
 def _load_config(args, kind: str, **defaults) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
@@ -79,11 +73,8 @@ def _load_config(args, kind: str, **defaults) -> ExperimentConfig:
             raise ConfigError(f"config kind {cfg.kind!r} does not match subcommand {kind!r}")
     else:
         cfg = ExperimentConfig(kind=kind, **defaults)
-    if args.seed is not None:
-        cfg = ExperimentConfig.from_json(
-            json.dumps({**json.loads(cfg.to_json()), "seed": args.seed})
-        )
-    return cfg
+    flags = {key: getattr(args, key) for key in ("seed", "threads") if getattr(args, key) is not None}
+    return replace(cfg, **flags)   # re-runs the config validation
 
 
 def _sample_bundle(params: ModelParams, seed: int) -> dict:
@@ -154,7 +145,7 @@ def _read_graph(args, from_bundle) -> Graph:
 
 def _cmd_sample(args) -> int:
     params = ModelParams(n=args.n, p=args.p, s=args.s)
-    bundle = _sample_bundle(params, args.seed if args.seed is not None else 0)
+    bundle = _sample_bundle(params, args.seed)
     _emit(json.dumps(bundle, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -166,7 +157,7 @@ def _cmd_orbits(args) -> int:
     elif args.pi == "identity":
         pi = Bijection.identity(params.n)
     else:
-        pi = Bijection.uniform(params.n, stream(args.seed or 0, 1))
+        pi = Bijection.uniform(params.n, stream(args.seed, 1))
     if args.subset:
         subset = {int(v) for v in args.subset.split(",")}
         dec = restricted_orbits(pi_star, pi, subset)
@@ -180,7 +171,7 @@ def _cmd_moments_check(args) -> int:
     cfg = _load_config(
         args, "moment-verification", p=args.p, s=args.s, replicates=args.replicates, n=2
     )
-    csv, worst = run_moment_verification(cfg, _threads(args))
+    csv, worst = run_moment_verification(cfg)
     _emit(csv, args.out)
     if worst > 4.0:
         print(f"FAIL: worst |z| = {worst:.2f} exceeds 4", file=sys.stderr)
@@ -206,7 +197,7 @@ def _cmd_rho_curve(args) -> int:
     cfg = _load_config(
         args, "rho-curve", n=args.n, replicates=args.replicates, lambda_grid=grid
     )
-    csv, curve = run_rho_curve(cfg, _threads(args))
+    csv, curve = run_rho_curve(cfg)
     _emit(csv, args.out)
     if args.invert_at is not None:
         est = rho_inverse(args.invert_at, curve)
@@ -226,7 +217,7 @@ def _cmd_estimate(args) -> int:
         eta=args.eta,
         strategy=args.strategy,
         budget=args.budget,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     est = map_estimator(g, g_bar, params, cfg)
     check = reasonable_candidate_check(est.pi, g, g_bar, cfg)
@@ -256,13 +247,13 @@ def _cmd_posterior_study(args) -> int:
     cfg = _load_config(
         args, "posterior-study", n=args.n, p=args.p, s=args.s, replicates=args.replicates
     )
-    _emit(run_posterior_study(cfg, _threads(args)), args.out)
+    _emit(run_posterior_study(cfg), args.out)
     return EXIT_OK
 
 
 def _cmd_tv(args) -> int:
     params = ModelParams(n=args.n, p=args.p, s=args.s)
-    est, se = tv_mc(params, args.replicates, args.seed if args.seed is not None else 0)
+    est, se = tv_mc(params, args.replicates, args.seed)
     payload = {"mc_estimate": est, "mc_stderr": se}
     if params.n <= 4:
         exact = tv_exact(params)
@@ -298,7 +289,7 @@ def _cmd_threshold_sweep(args) -> int:
         lam_star, grid = sweep_grid(curve, cfg.alpha)
         cfg = replace(cfg, lambda_grid=grid)
         print(f"lambda_hat* = {lam_star:.3f}; sweep grid = {grid}", file=sys.stderr)
-    sweep = run_threshold_sweep(cfg, _threads(args))
+    sweep = run_threshold_sweep(cfg)
     _emit(sweep, args.out)
     if placed:
         for lam, rate in acceptance_rates(sweep).items():
@@ -306,97 +297,91 @@ def _cmd_threshold_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, but here 2 means a failed
+    statistical check: a malformed command line is a config error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="corrmatch", description=__doc__)
+    parser = _Parser(prog="corrmatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", type=str, default=None, help="experiment config JSON")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
+    def add(name, fn, summary, *, seeded=False, config=False):
+        """A subcommand with only the shared flags its handler reads."""
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(fn=fn)
+        if config:
+            sp.add_argument("--config", type=str, default=None, help="experiment config JSON")
+            sp.add_argument("--seed", type=int, default=None)
+            sp.add_argument("--threads", type=int, default=None)
+        elif seeded:
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", type=str, default=None)
+        return sp
 
-    sp = sub.add_parser("sample", help="draw a correlated pair bundle")
-    common(sp)
+    sp = add("sample", _cmd_sample, "draw a correlated pair bundle", seeded=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--s", type=float, required=True)
-    sp.set_defaults(fn=_cmd_sample)
 
-    sp = sub.add_parser("orbits", help="edge-orbit census CSV")
-    common(sp)
+    sp = add("orbits", _cmd_orbits, "edge-orbit census CSV", seeded=True)
     sp.add_argument("--bundle", type=str, required=True)
     sp.add_argument("--pi", choices=("star", "identity", "random"), default="star")
     sp.add_argument("--subset", type=str, default=None, help="comma-separated vertex set")
-    sp.set_defaults(fn=_cmd_orbits)
 
-    sp = sub.add_parser("moments-check", help="moment verification CSV; exit 2 if |z| > 4")
-    common(sp)
+    sp = add("moments-check", _cmd_moments_check, "moment verification CSV; exit 2 if |z| > 4", config=True)
     sp.add_argument("--p", type=float, default=0.3)
     sp.add_argument("--s", type=float, default=0.6)
     sp.add_argument("--replicates", type=int, default=200_000)
-    sp.set_defaults(fn=_cmd_moments_check)
 
-    sp = sub.add_parser("density", help="exact densest subgraph of a graph")
-    common(sp)
+    sp = add("density", _cmd_density, "exact densest subgraph of a graph")
     sp.add_argument("--graph", type=str, default=None, help="edge-list text file")
     sp.add_argument("--bundle", type=str, default=None)
-    sp.set_defaults(fn=_cmd_density)
 
-    sp = sub.add_parser("rho-curve", help="empirical rho over a lambda grid")
-    common(sp)
+    sp = add("rho-curve", _cmd_rho_curve, "empirical rho over a lambda grid", config=True)
     sp.add_argument("--lambdas", type=str, default="1,1.5,2,4,8")
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--replicates", type=int, default=10)
     sp.add_argument("--invert-at", type=float, default=None, help="report rho^{-1}(target)")
-    sp.set_defaults(fn=_cmd_rho_curve)
 
-    sp = sub.add_parser("estimate", help="MAP matching + candidate acceptance")
-    common(sp)
+    sp = add("estimate", _cmd_estimate, "MAP matching + candidate acceptance", seeded=True)
     sp.add_argument("--bundle", type=str, required=True)
     sp.add_argument("--rho-hat", dest="rho_hat", type=float, default=1.5)
     sp.add_argument("--c-lambda-hat", dest="c_lambda_hat", type=float, default=0.3)
     sp.add_argument("--eta", type=float, default=0.15)
     sp.add_argument("--strategy", choices=("auto", "exhaustive", "hill_climb"), default="auto")
     sp.add_argument("--budget", type=int, default=50_000)
-    sp.set_defaults(fn=_cmd_estimate)
 
-    sp = sub.add_parser("posterior", help="exact posterior dump for a small bundle")
-    common(sp)
+    sp = add("posterior", _cmd_posterior, "exact posterior dump for a small bundle")
     sp.add_argument("--bundle", type=str, required=True)
-    sp.set_defaults(fn=_cmd_posterior)
 
-    sp = sub.add_parser("posterior-study", help="posterior mass at the truth over replicates")
-    common(sp)
+    sp = add("posterior-study", _cmd_posterior_study, "posterior mass at the truth over replicates", config=True)
     sp.add_argument("--n", type=int, default=5)
     sp.add_argument("--p", type=float, default=0.4)
     sp.add_argument("--s", type=float, default=0.8)
     sp.add_argument("--replicates", type=int, default=50)
-    sp.set_defaults(fn=_cmd_posterior_study)
 
-    sp = sub.add_parser("tv", help="total variation: Monte Carlo, exact at n <= 4")
-    common(sp)
+    sp = add("tv", _cmd_tv, "total variation: Monte Carlo, exact at n <= 4", seeded=True)
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--p", type=float, default=0.5)
     sp.add_argument("--s", type=float, default=0.8)
     sp.add_argument("--replicates", type=int, default=2000)
-    sp.set_defaults(fn=_cmd_tv)
 
-    sp = sub.add_parser("admissibility", help="five-condition report as JSON")
-    common(sp)
+    sp = add("admissibility", _cmd_admissibility, "five-condition report as JSON")
     sp.add_argument("--graph", type=str, default=None)
     sp.add_argument("--bundle", type=str, default=None, help="checks H_{pi*} of the bundle")
     sp.add_argument("--alpha", type=float, default=0.5)
     sp.add_argument("--rho-hat", dest="rho_hat", type=float, default=1.4)
-    sp.set_defaults(fn=_cmd_admissibility)
 
-    sp = sub.add_parser("threshold-sweep", help="pi*-acceptance across a lambda grid")
-    common(sp)
+    sp = add("threshold-sweep", _cmd_threshold_sweep, "pi*-acceptance across a lambda grid", config=True)
     sp.add_argument("--lambdas", type=str, default=None, help="default: six around lambda_hat*")
     sp.add_argument("--n", type=int, default=500)
     sp.add_argument("--alpha", type=float, default=0.5)
     sp.add_argument("--replicates", type=int, default=10)
-    sp.set_defaults(fn=_cmd_threshold_sweep)
 
     return parser
 

@@ -36,7 +36,6 @@ from .rng import stream
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "SweepRecord",
     "CsvReport",
     "parallel_map",
     "run_moment_verification",
@@ -143,21 +142,6 @@ class ExperimentConfig:
             return cls(**payload)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    lam: float
-    n: int
-    seed: int
-    estimator: str
-    overlap_fraction: float
-    accepted: bool
-    wall_time_s: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.overlap_fraction <= 1.0):
-            raise ValueError("overlap fraction must lie in [0, 1]")
 
 
 class CsvReport:
@@ -369,16 +353,9 @@ def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) ->
     )
     for rows in results:
         for row in rows:
-            record = SweepRecord(*row)
-            report.add_row(
-                record.lam,
-                record.n,
-                record.seed,
-                record.estimator,
-                record.overlap_fraction,
-                record.accepted,
-                record.wall_time_s,
-            )
+            if not (0.0 <= row[4] <= 1.0):
+                raise ValueError("overlap fraction must lie in [0, 1]")
+            report.add_row(*row)
     return report.text()
 
 

@@ -286,15 +286,13 @@ class EstimatorConfig:
     """Knobs for the estimators.
 
     rho_hat and c_lambda_hat come from the density module; eta is the
-    density margin; delta the overlap fraction of interest.  In the
-    supercritical regime eta should satisfy 0 < eta < (rho_hat - 1/alpha)/4
-    (see check_supercritical).
+    density margin.  In the supercritical regime eta should satisfy
+    0 < eta < (rho_hat - 1/alpha)/4 (see check_supercritical).
     """
 
     rho_hat: float
     c_lambda_hat: float
     eta: float = 0.1
-    delta: float = 0.1
     strategy: str = "auto"          # auto | exhaustive | hill_climb
     budget: int = 50_000
     seed: int = 0
@@ -304,8 +302,6 @@ class EstimatorConfig:
             raise ValueError("eta must be positive")
         if not (0.0 < self.c_lambda_hat <= 1.0):
             raise ValueError("c_lambda_hat must lie in (0, 1]")
-        if not (0.0 <= self.delta <= 1.0):
-            raise ValueError("delta must lie in [0, 1]")
         if self.strategy not in ("auto", "exhaustive", "hill_climb"):
             raise ValueError(f"unknown strategy {self.strategy}")
         if self.budget < 1:

@@ -310,11 +310,6 @@ def _objective(T: int, nks: Sequence[int], point: Sequence[float], rates: tuple[
     return sum(nks) - T + point[0] + sum(r * xv for r, xv in zip(rates, point[1:]))
 
 
-def _rates_for(nks: Sequence[int], alpha: float) -> tuple[float, ...]:
-    big_n = len(nks)
-    return tuple((k - 1) / k for k in range(1, big_n + 1)) + (min(alpha, big_n / (big_n + 1)),)
-
-
 def combinatorial_minimum(
     T: int,
     nks: Sequence[int],
@@ -330,6 +325,8 @@ def combinatorial_minimum(
     and the caps are laminar, so the cheapest-first water-fill is exact; it
     reproduces the closed-form point x_0 = 0, x_k = (rho+eta) k n_k,
     x_{N+1} = ((rho-eta)T - sum) v 0 whenever that point is feasible.
+    The rates are tail_rates(alpha, N), so alpha outside (0, 1] raises
+    ValueError.
     """
     big_n = len(nks)
     if big_n < 1:
@@ -342,7 +339,7 @@ def combinatorial_minimum(
         raise ValueError("rho must exceed 1")
     if eta < 0.0:
         raise ValueError("eta must be non-negative")
-    rates = _rates_for(nks, alpha)
+    rates = tail_rates(alpha, len(nks)).alpha_k
     box = rho * T
     need = (rho - eta) * T
     xs = [0.0] * (big_n + 2)   # x_0, x_1, ..., x_{N+1}
@@ -388,7 +385,7 @@ def combinatorial_minimum_oracle(
     pre-scanned table over all x_{N+1} values.  Exponential; intended for
     T <= 30, N <= 3."""
     big_n = len(nks)
-    rates = _rates_for(nks, alpha)
+    rates = tail_rates(alpha, len(nks)).alpha_k
     rate_last = rates[-1]
     box = floor(rho * T)
     need_total = (rho - eta) * T

@@ -116,7 +116,7 @@ def test_moments_check_exit_codes(tmp_path, capsys):
 def test_moments_check_exits_2_on_statistical_failure(monkeypatch, capsys):
     import corrmatch.cli as cli
 
-    monkeypatch.setattr(cli, "run_moment_verification", lambda cfg, threads: ("stub\n", 5.3))
+    monkeypatch.setattr(cli, "run_moment_verification", lambda cfg, threads=None: ("stub\n", 5.3))
     assert RUN(["moments-check"]) == 2
     capsys.readouterr()
 
@@ -242,12 +242,101 @@ def test_string_run_map_exits_3(tmp_path, capsys):
     assert rows and all(row.split(",")[3] == "pi_star" for row in rows)
 
 
-def test_env_threads_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CORRMATCH_THREADS", "2")
-    assert RUN(["rho-curve", "--lambdas", "2", "--n", "50", "--replicates", "2", "--seed", "1"]) == 0
+def test_thread_count_reaches_parallel_map(tmp_path, monkeypatch, capsys):
+    import corrmatch.harness as harness
+
+    seen, real = [], harness.parallel_map
+
+    def spy(fn, items, threads):
+        seen.append(threads)
+        return real(fn, items, threads)
+
+    monkeypatch.setattr(harness, "parallel_map", spy)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "rho-curve", "n": 50, "lambda_grid": [2.0], "replicates": 2, "threads": 2}))
+    assert RUN(["rho-curve", "--config", str(path)]) == 0
+    assert RUN(["rho-curve", "--config", str(path), "--threads", "3"]) == 0
+    assert RUN(["rho-curve", "--lambdas", "2", "--n", "50", "--replicates", "2"]) == 0
     capsys.readouterr()
-    monkeypatch.setenv("CORRMATCH_THREADS", "junk")
-    assert RUN(["rho-curve", "--lambdas", "2", "--n", "50", "--replicates", "2", "--seed", "1"]) == 3
+    assert seen == [2, 3, 1]
+
+
+def test_zero_threads_exits_3(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "rho-curve", "n": 50, "lambda_grid": [2.0]}))
+    for argv in (
+        ["rho-curve", "--lambdas", "2", "--n", "50", "--replicates", "2", "--threads", "0"],
+        ["rho-curve", "--config", str(path), "--threads", "0"],
+    ):
+        assert RUN(argv) == 3
+        assert "thread count" in capsys.readouterr().err
+
+
+def test_seed_flag_applies_on_top_of_config(tmp_path, capsys):
+    base = {"kind": "rho-curve", "n": 60, "lambda_grid": [1.5, 3.0], "replicates": 2, "seed": 1}
+    for name, cfg in (("c1.json", base), ("c7.json", {**base, "seed": 7})):
+        (tmp_path / name).write_text(json.dumps(cfg))
+    outs = {}
+    for key, argv in (
+        ("flag", ["--config", str(tmp_path / "c1.json"), "--seed", "7"]),
+        ("file", ["--config", str(tmp_path / "c7.json")]),
+        ("seed 1", ["--config", str(tmp_path / "c1.json")]),
+    ):
+        outs[key] = tmp_path / f"{key}.csv"
+        assert RUN(["rho-curve", *argv, "--out", str(outs[key])]) == 0
+    assert outs["flag"].read_bytes() == outs["file"].read_bytes()
+    assert outs["flag"].read_bytes() != outs["seed 1"].read_bytes()
+
+
+def usage_exit(argv, capsys) -> tuple[int, str]:
+    with pytest.raises(SystemExit) as exc:
+        RUN(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rho-curve", "--n", "abc"],
+        ["sample", "--p", "0.5", "--s", "0.8"],
+        ["tv", "--bogus", "1"],
+        ["density", "--graph", "g.txt", "--seed", "3"],
+    ],
+    ids=["non-integer n", "missing required n", "unknown flag", "removed flag"],
+)
+def test_usage_error_exits_3(capsys, argv):
+    code, err = usage_exit(argv, capsys)
+    assert code == 3 and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    code, _ = usage_exit(["rho-curve", "--help"], capsys)
+    assert code == 0
+
+
+# Each subcommand's required flags, so that the shared flag under test is
+# the only thing argparse refuses.
+REQUIRED = {
+    "sample": ["--n", "4", "--p", "0.5", "--s", "0.8"],
+    "orbits": ["--bundle", "b.json"],
+    "estimate": ["--bundle", "b.json"],
+    "tv": [],
+    "density": ["--graph", "g.txt"],
+    "posterior": ["--bundle", "b.json"],
+    "admissibility": ["--graph", "g.txt"],
+}
+UNREAD_FLAGS = [
+    (command, flag)
+    for command in REQUIRED
+    for flag in ("--seed", "--config", "--threads")
+    if not (flag == "--seed" and command in ("sample", "orbits", "estimate", "tv"))
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS, ids=[" ".join(c) for c in UNREAD_FLAGS])
+def test_shared_flag_a_subcommand_ignores_is_refused(capsys, command, flag):
+    code, err = usage_exit([command, *REQUIRED[command], flag, "1"], capsys)
+    assert code == 3 and f"unrecognized arguments: {flag} 1" in err
 
 
 def test_console_entry_point_runs():

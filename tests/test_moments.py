@@ -305,6 +305,14 @@ def test_polytope_always_feasible_under_valid_inputs():
         combinatorial_minimum(5, (1,), rho=2.0, eta=-0.1, alpha=0.5)  # negative eta
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, 2.0])
+def test_minimum_refuses_alpha_outside_unit_interval(alpha):
+    # the water-fill is exact only for rates in [0, 1]
+    for minimum in (combinatorial_minimum, combinatorial_minimum_oracle):
+        with pytest.raises(ValueError, match="alpha"):
+            minimum(10, (1, 1), 2.0, 0.1, alpha)
+
+
 def test_minimum_respects_prefix_caps():
     T, rho, eta, alpha = 12, 2.0, 0.25, 0.5
     nks = (1, 2)
