@@ -5,7 +5,10 @@ of grid point j always draws from the stream (seed, j * replicates + i),
 aggregation happens in index order, and parallelism is replicate-level
 only, so thread count cannot change any output byte.  The one exception is
 the sweep's wall-time column, which is measurement, not simulation; the
-determinism contract covers every other column.
+determinism contract covers every other column.  The thread count is read
+from config.threads only; a `threads` argument to a run_* function
+replaces that field once, on entry, so nested runs (the sweep's reference
+curve) see it too.
 """
 
 from __future__ import annotations
@@ -201,6 +204,8 @@ def parallel_map(fn, items, threads: int) -> list:
 def run_moment_verification(config: ExperimentConfig, threads: int | None = None) -> tuple[str, float]:
     """Closed-form orbit moments against Monte Carlo, one row per
     (class, k, theta); returns (csv, worst |z|)."""
+    if threads is not None:
+        config = replace(config, threads=threads)
     if config.p is None or config.s is None:
         raise ConfigError("moment verification needs p and s")
     k_grid = config.k_grid or (1, 2, 3, 4, 6)
@@ -228,7 +233,7 @@ def run_moment_verification(config: ExperimentConfig, threads: int | None = None
         z = (mean - closed) / se if se > 0 else 0.0
         return cls, k, theta, closed, mean, se, z
 
-    results = parallel_map(one, list(enumerate(rows)), threads or config.threads)
+    results = parallel_map(one, list(enumerate(rows)), config.threads)
     report = CsvReport(
         ("class", "k", "theta", "closed_form", "mc_mean", "mc_se", "z_score"),
         (str, int, float, float, float, float, float),
@@ -246,11 +251,13 @@ def run_moment_verification(config: ExperimentConfig, threads: int | None = None
 def run_rho_curve(config: ExperimentConfig, threads: int | None = None) -> tuple[str, RhoCurve]:
     """The rho-curve CSV: density.rho_draw mapped over the replicates in
     parallel, aggregated exactly as density.build_rho_curve does."""
+    if threads is not None:
+        config = replace(config, threads=threads)
     if not config.lambda_grid:
         raise ConfigError("rho curve needs a lambda grid")
     grid = tuple(sorted(float(v) for v in config.lambda_grid))
     draw = functools.partial(rho_draw, grid, config.n, config.replicates, config.seed)
-    draws = parallel_map(draw, range(len(grid) * config.replicates), threads or config.threads)
+    draws = parallel_map(draw, range(len(grid) * config.replicates), config.threads)
     curve = rho_curve_from_draws(grid, config.n, config.replicates, draws)
     return rho_curve_csv(curve), curve
 
@@ -304,6 +311,8 @@ def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) ->
     top grid point), which is what makes the readout sensitive below the
     threshold where maximizers are small.
     """
+    if threads is not None:
+        config = replace(config, threads=threads)
     if not config.lambda_grid:
         raise ConfigError("threshold sweep needs a lambda grid")
     alpha = _sweep_alpha(config.alpha)
@@ -346,7 +355,7 @@ def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) ->
         return out
 
     tasks = [(j, r) for j in range(len(grid)) for r in range(reps)]
-    results = parallel_map(one, tasks, threads or config.threads)
+    results = parallel_map(one, tasks, config.threads)
     report = CsvReport(
         ("lambda", "n", "seed", "estimator", "overlap_fraction", "accepted", "wall_time_s"),
         (float, int, int, str, float, bool, float),
@@ -377,6 +386,8 @@ def acceptance_rates(sweep_csv: str, estimator: str = "pi_star") -> dict[float, 
 def run_posterior_study(config: ExperimentConfig, threads: int | None = None) -> str:
     """Exact-posterior replicates at tiny n: posterior mass at the truth,
     the top atom, and their ratio to the uniform baseline."""
+    if threads is not None:
+        config = replace(config, threads=threads)
     if config.p is None or config.s is None:
         raise ConfigError("posterior study needs p and s")
     if config.n > 7:
@@ -390,7 +401,7 @@ def run_posterior_study(config: ExperimentConfig, threads: int | None = None) ->
         at_truth = table.probability_of(smpl.pi_star)
         return r, at_truth, float(table.probs.max())
 
-    results = parallel_map(one, range(config.replicates), threads or config.threads)
+    results = parallel_map(one, range(config.replicates), config.threads)
     report = CsvReport(
         ("replicate", "n", "p", "s", "posterior_pi_star", "max_atom", "uniform", "ratio_to_uniform"),
         (int, int, float, float, float, float, float, float),

@@ -479,20 +479,25 @@ def _peel_best_subset(
     h: Graph, size_min: int, target: float
 ) -> tuple[tuple[int, ...], Fraction] | None:
     """Min-degree peeling; best prefix of size >= size_min with density >=
-    target, or None."""
+    target, or None.  Prefix densities are compared exactly, by integer
+    cross-multiplication against target as a fraction; among prefixes of
+    equal density the largest is kept."""
     import heapq
 
     n = h.n
-    deg = [h.degree(v) for v in range(n)]
+    indptr, indices = h._indptr, h._indices
+    deg = h.degrees.tolist()
     alive = [True] * n
     edges_left = h.edge_count
-    heap = [(deg[v], v) for v in range(n)]
+    heap = list(zip(deg, range(n)))
     heapq.heapify(heap)
     removal_order = []
-    best: tuple[int, Fraction] | None = None   # (#removed before, density)
+    goal = Fraction(target)
+    num, den = goal.numerator, goal.denominator
+    best: tuple[int, int, int] | None = None   # (#removed before, edges, size)
     size = n
     if size >= size_min and edges_left >= target * size:
-        best = (0, Fraction(edges_left, size))
+        best = (0, edges_left, size)
     while size > 1:
         while True:
             d, v = heapq.heappop(heap)
@@ -500,23 +505,26 @@ def _peel_best_subset(
                 break
         alive[v] = False
         removal_order.append(v)
-        for w in h.neighbors(v):
+        for w in indices[indptr[v]:indptr[v + 1]]:
             if alive[w]:
                 deg[w] -= 1
                 edges_left -= 1
                 heapq.heappush(heap, (deg[w], w))
         size -= 1
-        if size >= size_min:
-            density = Fraction(edges_left, size)
-            if density >= target and (best is None or density > best[1]):
-                best = (len(removal_order), density)
+        if (
+            size >= size_min
+            and edges_left * den >= num * size
+            and (best is None or edges_left * best[2] > best[1] * size)
+        ):
+            best = (len(removal_order), edges_left, size)
     if best is None:
         return None
     removed = set(removal_order[: best[0]])
     subset = tuple(v for v in range(n) if v not in removed)
-    if Fraction(h.edges_within(subset), len(subset)) != best[1]:
+    density = Fraction(best[1], best[2])
+    if Fraction(h.edges_within(subset), len(subset)) != density:
         raise AssertionError("peeling lost track of the prefix edge count")
-    return subset, best[1]
+    return subset, density
 
 
 def reasonable_candidate_search(

@@ -4,7 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 import corrmatch.density as density_module
 from corrmatch.density import (
@@ -172,6 +173,140 @@ def test_every_flow_is_checked_against_the_cut_identity(monkeypatch):
         )
         with pytest.raises(AssertionError, match="minimum cut"):
             densest_subgraph_exact(g)
+
+
+def _textbook_cut(n, edges, gamma):
+    """The two-arcs-per-vertex reduction network (source->v capacity
+    b*deg(v), v->sink capacity 2a, doubled internal arcs of capacity b):
+    (improved, side, side_edges, flow_value), with the same source sides
+    as density._cut_side."""
+    m = len(edges)
+    a, b = gamma.numerator, gamma.denominator
+    src, dst = n, n + 1
+    rows = np.concatenate([np.full(n, src), np.arange(n), edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([np.arange(n), np.full(n, dst), edges[:, 1], edges[:, 0]])
+    caps = np.concatenate([
+        b * np.bincount(edges.ravel(), minlength=n), np.full(n, 2 * a), np.full(2 * m, b)
+    ])
+    graph = csr_matrix((caps.astype(np.int32), (rows, cols)), shape=(n + 2, n + 2))
+    result = maximum_flow(graph, src, dst)
+    residual = graph - result.flow
+    residual.data = np.maximum(residual.data, 0)
+    residual.eliminate_zeros()
+    improved = result.flow_value < 2 * b * m
+    if improved:
+        reach = breadth_first_order(residual, src, return_predecessors=False)
+    else:
+        reach = breadth_first_order(residual.T.tocsr(), dst, return_predecessors=False)
+    side = np.full(n, not improved)
+    side[reach[reach < n]] = improved
+    side_edges = int(np.count_nonzero(side[edges[:, 0]] & side[edges[:, 1]]))
+    return improved, np.flatnonzero(side), side_edges, result.flow_value
+
+
+def test_one_terminal_arc_network_matches_the_textbook_one(monkeypatch):
+    flows = []
+
+    def recorded(call, result):
+        flows.append(result)
+        return result
+
+    _count_flows(monkeypatch, recorded)
+    rng = stream(15, 0)
+    pairs = zero_arcs = 0
+    outcomes = set()
+    while pairs < 240:
+        n = int(rng.integers(2, 41))
+        g = sample_er(n, min(1.0, float(rng.uniform(0.5, 8.0)) / n), rng)
+        if g.edge_count == 0:
+            continue
+        edges = g.edge_array()
+        rho = densest_subgraph_exact(g).density
+        deg = int(rng.choice(g.degrees))
+        gammas = {
+            rho,
+            rho + Fraction(1, n * n),
+            rho - Fraction(1, n * n),
+            Fraction(int(rng.integers(1, 4 * n)), n),
+            Fraction(max(deg, 1), 2),   # some vertex gets no terminal arc
+        }
+        for gamma in gammas:
+            if gamma <= 0:
+                continue
+            want = _textbook_cut(n, edges, gamma)
+            flows.clear()
+            improved, side, side_edges = density_module._cut_side(n, edges, gamma)
+            a, b = gamma.numerator, gamma.denominator
+            base = int(np.minimum(b * np.bincount(edges.ravel(), minlength=n), 2 * a).sum())
+            assert (improved, side.tolist(), side_edges) == (want[0], want[1].tolist(), want[2])
+            assert want[3] - flows[0].flow_value == base
+            assert improved == (rho > gamma)
+            outcomes.add(improved)
+            zero_arcs += bool((b * np.bincount(edges.ravel(), minlength=n) == 2 * a).any())
+            pairs += 1
+    assert outcomes == {True, False} and zero_arcs >= 20
+
+
+def _source_sides_bruteforce(g, gamma):
+    """(least, union) of the maximizers of |E(U)| - gamma|U| over all 2^n
+    vertex sets U, the empty set included, as bitmasks."""
+    n = g.n
+    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
+    counts = [0] * (1 << n)
+    best, least, union = Fraction(0), (1 << n) - 1, 0
+    for mask in range(1 << n):
+        if mask:
+            low = mask & -mask
+            prev = mask ^ low
+            counts[mask] = counts[prev] + (adj[low.bit_length() - 1] & prev).bit_count()
+        val = counts[mask] - gamma * mask.bit_count()
+        if val > best:
+            best, least, union = val, mask, mask
+        elif val == best:
+            least &= mask
+            union |= mask
+    return least, union
+
+
+def test_parametric_source_sides_nest():
+    rng = stream(16, 0)
+    seen, nonempty = set(), 0
+    for _ in range(60):
+        n = int(rng.integers(2, 13))
+        g = sample_er(n, float(rng.uniform(0.15, 0.9)), rng)
+        edges = g.edge_array()
+        rho = densest_subgraph_exact(g).density
+        lo, hi = sorted(rho * Fraction(int(x), 10) + Fraction(1, n * n) for x in rng.integers(0, 14, size=2))
+        if lo == hi:
+            continue
+        least_lo, _ = _source_sides_bruteforce(g, lo)
+        _, union_hi = _source_sides_bruteforce(g, hi)
+        assert union_hi & ~least_lo == 0, (n, lo, hi)
+        nonempty += union_hi != 0
+        for gamma in (lo, hi):
+            least, union = _source_sides_bruteforce(g, gamma)
+            improved, side, _ = density_module._cut_side(n, edges, gamma)
+            assert sum(1 << int(v) for v in side) == (least if improved else union)
+            seen.add(improved)
+    assert seen == {True, False}, seen
+    assert nonempty >= 10, nonempty
+
+
+def test_newton_steps_run_inside_the_last_witness(monkeypatch):
+    g = sample_er(300, 3 / 300, stream(11, 0))
+    calls = _count_flows(monkeypatch)
+    res = densest_subgraph_exact(g)
+    assert len(calls) >= 2
+    assert all(later.nnz <= earlier.nnz for earlier, later in zip(calls, calls[1:]))
+    restricted = [graph.nnz for graph in calls]
+    core_cut = density_module._core_cut
+    monkeypatch.setattr(
+        density_module, "_core_cut", lambda core, edges, edge_core, gamma, within=None: core_cut(core, edges, edge_core, gamma)
+    )
+    calls = _count_flows(monkeypatch)
+    assert densest_subgraph_exact(g) == res
+    assert len(calls) == len(restricted)
+    assert restricted[0] == calls[0].nnz and restricted[-1] < calls[-1].nnz
 
 
 def test_density_exceeds_matches_the_exact_maximum(monkeypatch):

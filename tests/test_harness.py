@@ -176,6 +176,33 @@ def test_sweep_determinism_modulo_wall_time():
     assert set(rates) == {2.0, 4.0}
 
 
+def test_threads_argument_reaches_the_reference_curve(monkeypatch):
+    import corrmatch.harness as harness
+
+    seen, real = [], harness.parallel_map
+
+    def spy(fn, items, threads):
+        seen.append(threads)
+        return real(fn, items, threads)
+
+    monkeypatch.setattr(harness, "parallel_map", spy)
+    cfg = small_config(
+        "threshold-sweep",
+        n=60,
+        alpha=0.5,
+        replicates=1,
+        lambda_grid=(2.0,),
+        seed=3,
+        threads=1,
+        estimator={"curve_n": 60, "curve_replicates": 2},
+    )
+    run_threshold_sweep(cfg, threads=2)
+    assert seen == [2, 2]   # the reference curve, then the sweep
+    seen.clear()
+    run_threshold_sweep(cfg)
+    assert seen == [1, 1]
+
+
 def test_parallel_map_preserves_order():
     got = parallel_map(lambda x: x * x, range(20), threads=4)
     assert got == [x * x for x in range(20)]

@@ -1,4 +1,6 @@
+import heapq
 import math
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
@@ -13,6 +15,7 @@ from corrmatch.graphs import (
     overlap,
     relabel,
     sample_correlated,
+    sample_er,
 )
 from corrmatch.inference import (
     EstimatorConfig,
@@ -26,6 +29,7 @@ from corrmatch.inference import (
     posterior_overlap_mass,
     posterior_w,
     reasonable_candidate_check,
+    _peel_best_subset,
     reasonable_candidate_search,
     truncated_mass_f,
     truncated_mass_g,
@@ -340,6 +344,82 @@ def test_candidate_check_certificate_is_sound():
             size = len(res.certificate)
             assert size >= math.ceil(cfg.c_lambda_hat * params.n)
             assert h.edges_within(res.certificate) >= (cfg.rho_hat - cfg.eta) * size
+
+
+def _reference_peel(h, size_min, target):
+    """Min-degree peeling with a Fraction comparison at every step and
+    per-vertex Graph queries: the best prefix of size >= size_min with
+    density >= target, or None."""
+    n = h.n
+    deg = [h.degree(v) for v in range(n)]
+    alive = [True] * n
+    edges_left = h.edge_count
+    heap = [(deg[v], v) for v in range(n)]
+    heapq.heapify(heap)
+    removal_order = []
+    best = None   # (#removed before, density)
+    size = n
+    if size >= size_min and edges_left >= target * size:
+        best = (0, Fraction(edges_left, size))
+    while size > 1:
+        while True:
+            d, v = heapq.heappop(heap)
+            if alive[v] and d == deg[v]:
+                break
+        alive[v] = False
+        removal_order.append(v)
+        for w in h.neighbors(v):
+            if alive[w]:
+                deg[w] -= 1
+                edges_left -= 1
+                heapq.heappush(heap, (deg[w], w))
+        size -= 1
+        if size >= size_min:
+            density = Fraction(edges_left, size)
+            if density >= target and (best is None or density > best[1]):
+                best = (len(removal_order), density)
+    if best is None:
+        return None
+    removed = set(removal_order[: best[0]])
+    return tuple(v for v in range(n) if v not in removed), best[1]
+
+
+def test_peel_matches_the_reference_peel():
+    rng = stream(17, 0)
+    blocks = [
+        (3, [(0, 1), (1, 2), (0, 2)]),
+        (4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
+        (5, [(i, (i + 1) % 5) for i in range(5)]),
+    ]
+    found = tied = 0
+    for trial in range(240):
+        n = int(rng.integers(1, 40))
+        k = copies = 0
+        if trial % 3 == 0:
+            # disjoint copies of one block plus a tail: many prefixes tie
+            k, part = blocks[trial % len(blocks)]
+            copies = max(1, n // k)
+            edges = [(u + c * k, v + c * k) for c in range(copies) for u, v in part]
+            n = copies * k + int(rng.integers(0, 3))
+            g = Graph(n, edges)
+        else:
+            g = sample_er(n, min(1.0, float(rng.uniform(0.3, 6.0)) / n), rng)
+        size_min = int(rng.integers(1, n + 1))
+        prefix = Fraction(g.edge_count, n)
+        targets = (
+            float(prefix),
+            float(prefix) + 1e-12,
+            0.1 * int(rng.integers(0, 30)),
+            float(rng.uniform(-0.5, 3.0)),
+            1.0,
+        )
+        for target in targets:
+            want = _reference_peel(g, size_min, target)
+            assert _peel_best_subset(g, size_min, target) == want, (trial, size_min, target)
+            found += want is not None
+            # the prefixes of copies * k and (copies - 1) * k vertices tie
+            tied += want is not None and copies >= 2 and len(want[0]) == copies * k and size_min <= (copies - 1) * k
+    assert found >= 200 and tied >= 20, (found, tied)
 
 
 def test_candidate_search_empty_graphs_returns_none():
