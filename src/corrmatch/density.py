@@ -93,7 +93,7 @@ def _cut_side(n: int, edges: np.ndarray, gamma: Fraction) -> tuple[bool, np.ndar
     the reversed network, from the sink to the source, which has the same
     maximum flow value: from that end, where the many low-degree vertices
     (b*deg(v) < 2a) hang, scipy's Dinic solver took 10-25% less time on
-    the flows of sparse G(n, c/n) draws (n from 2000 to 3e4).
+    the flows of sparse G(n, c/n) draws (n from 1e3 to 3e4).
 
     Returns (improved, side, side_edges).  When some U has
     b|E(U)| - a|U| > 0 (improved), side holds the minimal source side, the

@@ -492,8 +492,7 @@ def _peel_best_subset(
     heap = list(zip(deg, range(n)))
     heapq.heapify(heap)
     removal_order = []
-    goal = Fraction(target)
-    num, den = goal.numerator, goal.denominator
+    num, den = Fraction(target).as_integer_ratio()
     best: tuple[int, int, int] | None = None   # (#removed before, edges, size)
     size = n
     if size >= size_min and edges_left >= target * size:
