@@ -48,7 +48,7 @@ cycle scan, which counts cycles on the contracted 2-core: every maximal
 chain of core-degree-2 vertices becomes one weighted edge between kernel
 vertices (core degree >= 3), so its search runs over the kernel and not
 over every core vertex.  It carries a budget of kernel steps in the same
-way.  check_admissible runs it once, sharing one adjacency list and one
+way.  check_admissible runs it once, sharing the graph's adjacency view and
 core peel between (iv) and (v).
 """
 
@@ -241,7 +241,7 @@ class AdmissibilityReport:
                 if not 0 < len(sub) <= consts.tiny_component_cap:
                     return False
                 vset = set(sub)
-                if len(_bfs(_adjacency(h), sub[:1], within=vset)) != len(vset):
+                if len(_bfs(h.adjacency(), sub[:1], within=vset)) != len(vset):
                     return False   # not connected
                 if not h.edges_within(sub) > len(sub):
                     return False
@@ -257,11 +257,7 @@ class AdmissibilityReport:
 # -- enumeration machinery ----------------------------------------------------
 
 
-def _adjacency(h: Graph) -> list[list[int]]:
-    return [h.neighbors(v) for v in range(h.n)]
-
-
-def _bfs(adj: list[list[int]], sources, depth: int | None = None, within=None) -> dict[int, int]:
+def _bfs(adj: tuple[tuple[int, ...], ...], sources, depth: int | None = None, within=None) -> dict[int, int]:
     """Hop distances from sources, up to depth (unbounded when None), along
     paths whose vertices past the sources all lie in within (any when None)."""
     dist = {s: 0 for s in sources}
@@ -279,7 +275,7 @@ def _bfs(adj: list[list[int]], sources, depth: int | None = None, within=None) -
     return dist
 
 
-def _connected_sets(adj: list[list[int]], alive: list[bool], max_size: int, budget: list[int]):
+def _connected_sets(adj: tuple[tuple[int, ...], ...], alive: list[bool], max_size: int, budget: list[int]):
     """Yield (set, edge count) for every connected vertex set of size <=
     max_size within the alive mask, each set exactly once (ESU-style growth
     from each root).
@@ -314,7 +310,7 @@ def _connected_sets(adj: list[list[int]], alive: list[bool], max_size: int, budg
             yield from grow(root, [], [root], 0)
 
 
-def _contract_core(adj: list[list[int]], alive: list[bool], max_len: int):
+def _contract_core(adj: tuple[tuple[int, ...], ...], alive: list[bool], max_len: int):
     """Contract the 2-core (the alive mask) to its kernel multigraph.
 
     Kernel vertices are those of core degree >= 3; every other core vertex
@@ -400,7 +396,7 @@ def simple_cycle_counts(
     vertices lying on counted cycles.  See _cycle_scan for the method and
     the budget."""
     counts, completed, shortest = _cycle_scan(
-        _adjacency(h), (h.core_numbers() >= 2).tolist(), max_len, budget, collect_vertices
+        h.adjacency(), (h.core_numbers() >= 2).tolist(), max_len, budget, collect_vertices
     )
     if collect_vertices:
         return counts, completed, set(shortest)
@@ -415,7 +411,7 @@ def _lower(table: dict[int, int], keys, length: int) -> None:
 
 
 def _cycle_scan(
-    adj: list[list[int]], alive: list[bool], max_len: int, budget: int, collect: bool
+    adj: tuple[tuple[int, ...], ...], alive: list[bool], max_len: int, budget: int, collect: bool
 ) -> tuple[dict[int, int], bool, dict[int, int]]:
     """(counts, completed, shortest) of the simple cycles of lengths
     3..max_len in the graph adj, whose 2-core is the alive mask.  When
@@ -563,7 +559,7 @@ def check_admissible(
     else:
         results["max_degree"] = ConditionResult("pass")
 
-    adj = _adjacency(h)
+    adj = h.adjacency()
     core = h.core_numbers()
     t, max_len = consts.tiny_component_cap, consts.cycle_len_cap
     # the shortest cycles are needed for (iv) only if the scan reaches length t
@@ -584,7 +580,7 @@ def _check_small_sets(h, consts, dens, set_budget) -> ConditionResult:
     if len(shrunk) <= consts.small_set_cap:
         return ConditionResult("fail", {"subset": shrunk, "edges": h.edges_within(shrunk)})
     alive = (h.core_numbers() >= math.floor(consts.zeta) + 1).tolist()
-    return _first_dense_set(_adjacency(h), alive, consts.small_set_cap, consts.zeta, set_budget)
+    return _first_dense_set(h.adjacency(), alive, consts.small_set_cap, consts.zeta, set_budget)
 
 
 def _shrink_violator(h: Graph, subset: list[int], ratio: float) -> list[int]:
@@ -609,7 +605,7 @@ def _shrink_violator(h: Graph, subset: list[int], ratio: float) -> list[int]:
 
 
 def _first_dense_set(
-    adj: list[list[int]], alive: list[bool], cap: int, ratio: float, set_budget: int
+    adj: tuple[tuple[int, ...], ...], alive: list[bool], cap: int, ratio: float, set_budget: int
 ) -> ConditionResult:
     """Fail on the first connected set of at most cap alive vertices with
     more than ratio * size edges; undecided when set_budget sets were
@@ -627,7 +623,11 @@ def _first_dense_set(
 
 
 def _check_tiny_components(
-    adj: list[list[int]], core: np.ndarray, t: int, shortest: dict[int, int] | None, set_budget: int
+    adj: tuple[tuple[int, ...], ...],
+    core: np.ndarray,
+    t: int,
+    shortest: dict[int, int] | None,
+    set_budget: int,
 ) -> ConditionResult:
     """Condition (iv): no connected set of at most t vertices has more
     edges than vertices.  shortest maps every vertex on a cycle of length
@@ -680,7 +680,7 @@ def _short_cycle_vertices(h: Graph, c_big: int) -> set[int]:
 def is_good_set(h: Graph, a: set[int], c_big: int) -> GoodSetResult:
     """True iff members of a are pairwise farther than 2C+2 apart and
     farther than C from every cycle of length <= C."""
-    adj = _adjacency(h)
+    adj = h.adjacency()
     a_sorted = sorted(int(v) for v in a)
     near_cycles = _bfs(adj, _short_cycle_vertices(h, c_big), c_big)
     for v in a_sorted:
@@ -700,7 +700,7 @@ def find_good_set(h: Graph, b: set[int], k_target: int, c_big: int) -> tuple[int
     candidates in ascending id whose (2C+2)-ball avoids the current set.
     Returns the first k_target vertices found, or the maximal set if the
     greedy runs out (a shortfall, not an error)."""
-    adj = _adjacency(h)
+    adj = h.adjacency()
     blocked = _bfs(adj, _short_cycle_vertices(h, c_big), c_big)
     chosen: list[int] = []
     covered: set[int] = set()

@@ -215,7 +215,6 @@ def _cmd_estimate(args) -> int:
         rho_hat=args.rho_hat,
         c_lambda_hat=args.c_lambda_hat,
         eta=args.eta,
-        strategy=args.strategy,
         budget=args.budget,
         seed=args.seed,
     )
@@ -353,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho-hat", dest="rho_hat", type=float, default=1.5)
     sp.add_argument("--c-lambda-hat", dest="c_lambda_hat", type=float, default=0.3)
     sp.add_argument("--eta", type=float, default=0.15)
-    sp.add_argument("--strategy", choices=("auto", "exhaustive", "hill_climb"), default="auto")
     sp.add_argument("--budget", type=int, default=50_000)
 
     sp = add("posterior", _cmd_posterior, "exact posterior dump for a small bundle")

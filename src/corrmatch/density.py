@@ -28,14 +28,15 @@ only "rho* <= gamma?" is asked, density_exceeds answers with the one flow
 at gamma on the ceil(gamma)-core.
 
 rho(lambda), the large-n limit of the maximum density of G(n, lambda/n),
-has no usable closed form; it is estimated here by Monte Carlo over exact
-solves, and the threshold estimate is read off by inverting the fitted
-monotone curve.
+has no usable closed form; it is estimated by Monte Carlo over exact
+solves.  This module supplies one replicate (rho_draw), the aggregation
+(rho_curve_from_draws) and the inversion of the fitted monotone curve
+(rho_inverse); harness.run_rho_curve drives the replicates and writes the
+CSV.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,19 +51,15 @@ from .rng import stream
 
 __all__ = [
     "DensityResult",
-    "RhoEstimate",
     "RhoCurve",
     "LambdaStarEstimate",
     "densest_subgraph_exact",
     "density_exceeds",
     "densest_subgraph_bruteforce",
-    "estimate_rho",
-    "build_rho_curve",
     "rho_draw",
     "rho_curve_from_draws",
     "rho_inverse",
     "isotonic_fit",
-    "rho_curve_csv",
 ]
 
 
@@ -297,19 +294,6 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class RhoEstimate:
-    """Monte Carlo estimate of rho at a single lambda."""
-
-    lam: float
-    n: int
-    replicates: int
-    mean: float
-    stderr: float
-    size_q05: float
-    size_q50: float
-
-
-@dataclass(frozen=True)
 class RhoCurve:
     """rho estimates over a lambda grid, with uncertainty."""
 
@@ -379,30 +363,6 @@ def rho_curve_from_draws(
     )
 
 
-def build_rho_curve(
-    lambda_grid: list[float], n: int, replicates: int, seed: int
-) -> RhoCurve:
-    """Estimate rho over a grid, one rho_draw after another."""
-    grid = tuple(sorted(float(v) for v in lambda_grid))
-    draws = [rho_draw(grid, n, replicates, seed, k) for k in range(len(grid) * replicates)]
-    return rho_curve_from_draws(grid, n, replicates, draws)
-
-
-def estimate_rho(lam: float, n: int, replicates: int, seed: int) -> RhoEstimate:
-    """The rho curve at the single point lam: replicate i uses the stream
-    (seed, i)."""
-    curve = build_rho_curve([lam], n, replicates, seed)
-    return RhoEstimate(
-        lam=lam,
-        n=n,
-        replicates=replicates,
-        mean=curve.rho_hat[0],
-        stderr=curve.stderr[0],
-        size_q05=curve.size_q05[0],
-        size_q50=curve.size_q50[0],
-    )
-
-
 def isotonic_fit(values: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators fit: the closest non-decreasing sequence."""
     vals = [float(v) for v in values]
@@ -418,6 +378,9 @@ def isotonic_fit(values: np.ndarray) -> np.ndarray:
     for v, w in blocks:
         out.extend([v] * int(round(w)))
     return np.asarray(out)
+
+
+_STDERR_BAND = 2.0   # half-width of rho_inverse's interval, in stderrs
 
 
 @dataclass(frozen=True)
@@ -445,12 +408,12 @@ def _invert_monotone(grid: np.ndarray, values: np.ndarray, target: float) -> flo
     return (lo + hi) / 2.0
 
 
-def rho_inverse(target: float, curve: RhoCurve, band: float = 2.0) -> LambdaStarEstimate:
+def rho_inverse(target: float, curve: RhoCurve) -> LambdaStarEstimate:
     """lambda* estimate: invert the isotonic rho curve at `target`.
 
-    The interval comes from inverting the curve shifted by +-band*stderr;
-    targets outside the observed isotonic range are refused rather than
-    extrapolated.
+    The interval comes from inverting the curve shifted by +-2 stderr
+    (_STDERR_BAND); targets outside the observed isotonic range are refused
+    rather than extrapolated.
     """
     grid = np.asarray(curve.lambda_grid)
     iso = curve.isotonic()
@@ -460,21 +423,9 @@ def rho_inverse(target: float, curve: RhoCurve, band: float = 2.0) -> LambdaStar
         )
     se = np.asarray(curve.stderr)
     center = _invert_monotone(grid, iso, target)
-    upper_curve = isotonic_fit(np.asarray(curve.rho_hat) + band * se)
-    lower_curve = isotonic_fit(np.asarray(curve.rho_hat) - band * se)
+    upper_curve = isotonic_fit(np.asarray(curve.rho_hat) + _STDERR_BAND * se)
+    lower_curve = isotonic_fit(np.asarray(curve.rho_hat) - _STDERR_BAND * se)
     lo = _invert_monotone(grid, upper_curve, target) if target <= upper_curve[-1] else float(grid[-1])
     hi = _invert_monotone(grid, lower_curve, target) if target <= lower_curve[-1] else float(grid[-1])
     return LambdaStarEstimate(target=target, lambda_star=center, lo=min(lo, hi), hi=max(lo, hi))
 
-
-def rho_curve_csv(curve: RhoCurve) -> str:
-    """Columns: lambda, n, replicates, rho_hat, stderr, size_q05, size_q50."""
-    buf = io.StringIO()
-    buf.write("lambda,n,replicates,rho_hat,stderr,size_q05,size_q50\n")
-    for lam, r, se, q05, q50 in zip(
-        curve.lambda_grid, curve.rho_hat, curve.stderr, curve.size_q05, curve.size_q50
-    ):
-        buf.write(
-            f"{lam:.10g},{curve.n_used},{curve.replicates},{r:.10g},{se:.10g},{q05:.10g},{q50:.10g}\n"
-        )
-    return buf.getvalue()

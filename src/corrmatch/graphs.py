@@ -43,14 +43,13 @@ class Graph:
 
     Edges are canonical unordered pairs (u, v) with u < v.  They are stored
     once as a sorted packed index array (vector membership tests) and twice
-    in compressed sparse rows, kept as flat Python lists for the scalar
-    queries: `_indices[_indptr[u]:_indptr[u + 1]]` lists u's neighbours in
-    ascending order.  `_columns` holds the same rows as a numpy array for
-    the vectorised core peel.  A build costs one sort of the 2m directed
-    keys u*n + v.  Instances are immutable.
+    in compressed sparse rows as numpy arrays, `_columns` and `_degrees`,
+    for the vectorised core peel.  The scalar queries read one Python view,
+    `adjacency()`, built on first use.  A build costs one sort of the 2m
+    directed keys u*n + v.  Instances are immutable.
     """
 
-    __slots__ = ("n", "_packed", "_indptr", "_indices", "_columns", "_degrees", "_core")
+    __slots__ = ("n", "_packed", "_columns", "_degrees", "_core", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -75,9 +74,8 @@ class Graph:
         self._columns = keys % n
         for arr in (self._packed, self._degrees, self._columns):
             arr.flags.writeable = False
-        self._indptr = [0] + np.cumsum(self._degrees).tolist()
-        self._indices = self._columns.tolist()
         self._core = None
+        self._adj = None
 
     @classmethod
     def from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
@@ -113,9 +111,9 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check(u)
         self._check(v)
-        lo, hi = self._indptr[u], self._indptr[u + 1]
-        i = bisect_left(self._indices, v, lo, hi)
-        return i < hi and self._indices[i] == v
+        row = self.adjacency()[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def contains_packed(self, packed: np.ndarray) -> np.ndarray:
         """Vector membership test for packed canonical pair indices."""
@@ -127,16 +125,28 @@ class Graph:
 
     def degree(self, u: int) -> int:
         self._check(u)
-        return self._indptr[u + 1] - self._indptr[u]
+        return len(self.adjacency()[u])
 
     @property
     def degrees(self) -> np.ndarray:
         return self._degrees
 
     def neighbors(self, u: int) -> list[int]:
-        """u's neighbours in ascending order."""
+        """u's neighbours in ascending order, as a fresh list."""
         self._check(u)
-        return self._indices[self._indptr[u]:self._indptr[u + 1]]
+        return list(self.adjacency()[u])
+
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Every vertex's neighbours, as ascending tuples indexed by vertex.
+        The graph is immutable, so the rows are built on the first call and
+        later calls return the same tuple."""
+        if self._adj is None:
+            columns = self._columns.tolist()
+            ends = np.cumsum(self._degrees).tolist()
+            self._adj = tuple(
+                tuple(columns[start:end]) for start, end in zip([0] + ends, ends)
+            )
+        return self._adj
 
     def core_numbers(self) -> np.ndarray:
         """Each vertex's core number: the largest k such that the k-core,
@@ -182,8 +192,8 @@ class Graph:
         vset = set(vertices)
         if vset and (min(vset) < 0 or max(vset) >= self.n):
             raise ValueError("vertex out of range")
-        indptr, indices, inside = self._indptr, self._indices, vset.__contains__
-        return sum(sum(map(inside, indices[indptr[v]:indptr[v + 1]])) for v in vset) // 2
+        adj, inside = self.adjacency(), vset.__contains__
+        return sum(sum(map(inside, adj[v])) for v in vset) // 2
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -281,6 +291,15 @@ class Bijection:
         return f"Bijection({list(self.forward)})"
 
 
+def check_p_s(p: float, s: float) -> None:
+    """Refuse a parent edge probability p outside (0, 1) or a subsampling
+    probability s outside (0, 1]."""
+    if not (0.0 < p < 1.0):
+        raise ValueError("p must lie in (0, 1)")
+    if not (0.0 < s <= 1.0):
+        raise ValueError("s must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters (n, p, s) of the correlated pair model.
@@ -297,10 +316,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        if not (0.0 < self.p < 1.0):
-            raise ValueError("p must lie in (0, 1)")
-        if not (0.0 < self.s <= 1.0):
-            raise ValueError("s must lie in (0, 1]")
+        check_p_s(self.p, self.s)
 
     @property
     def lam(self) -> float:

@@ -9,6 +9,9 @@ determinism contract covers every other column.  The thread count is read
 from config.threads only; a `threads` argument to a run_* function
 replaces that field once, on entry, so nested runs (the sweep's reference
 curve) see it too.
+
+run_rho_curve is the one driver of the rho curve, at one lambda or many,
+and every report, its CSV included, is written through CsvReport.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .density import RhoCurve, rho_curve_csv, rho_curve_from_draws, rho_draw, rho_inverse
+from .density import RhoCurve, rho_curve_from_draws, rho_draw, rho_inverse
 from .graphs import Bijection, ModelParams, overlap, sample_correlated
 from .inference import (
     EstimatorConfig,
@@ -249,8 +252,9 @@ def run_moment_verification(config: ExperimentConfig, threads: int | None = None
 
 
 def run_rho_curve(config: ExperimentConfig, threads: int | None = None) -> tuple[str, RhoCurve]:
-    """The rho-curve CSV: density.rho_draw mapped over the replicates in
-    parallel, aggregated exactly as density.build_rho_curve does."""
+    """The rho curve over the sorted lambda grid and its CSV, one row per
+    grid point: density.rho_draw mapped over the replicates in parallel,
+    aggregated by density.rho_curve_from_draws."""
     if threads is not None:
         config = replace(config, threads=threads)
     if not config.lambda_grid:
@@ -259,7 +263,15 @@ def run_rho_curve(config: ExperimentConfig, threads: int | None = None) -> tuple
     draw = functools.partial(rho_draw, grid, config.n, config.replicates, config.seed)
     draws = parallel_map(draw, range(len(grid) * config.replicates), config.threads)
     curve = rho_curve_from_draws(grid, config.n, config.replicates, draws)
-    return rho_curve_csv(curve), curve
+    report = CsvReport(
+        ("lambda", "n", "replicates", "rho_hat", "stderr", "size_q05", "size_q50"),
+        (float, int, int, float, float, float, float),
+    )
+    for lam, rho, se, q05, q50 in zip(
+        curve.lambda_grid, curve.rho_hat, curve.stderr, curve.size_q05, curve.size_q50
+    ):
+        report.add_row(lam, curve.n_used, curve.replicates, rho, se, q05, q50)
+    return report.text(), curve
 
 
 # -- threshold sweep ----------------------------------------------------------------

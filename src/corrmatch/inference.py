@@ -30,6 +30,7 @@ from .graphs import (
     Bijection,
     Graph,
     ModelParams,
+    check_p_s,
     intersection_graph,
     sample_independent,
 )
@@ -58,6 +59,8 @@ __all__ = [
 ]
 
 _POSTERIOR_N_MAX = 7
+_EXHAUSTIVE_N_MAX = 9       # the MAP search enumerates all n! matchings up to here
+_POSTERIOR_W_CHUNK = 512    # reference matchings per block in posterior_w
 
 
 @dataclass(frozen=True)
@@ -77,10 +80,7 @@ class LikelihoodConstants:
 
     @classmethod
     def from_params(cls, p: float, s: float) -> "LikelihoodConstants":
-        if not (0.0 < p < 1.0):
-            raise ValueError("p must lie in (0, 1)")
-        if not (0.0 < s <= 1.0):
-            raise ValueError("s must lie in (0, 1]")
+        check_p_s(p, s)
         ps = p * s
         q00 = 1.0 - 2.0 * ps + p * s * s
         if s < 1.0:
@@ -262,7 +262,7 @@ def posterior_overlap_mass(table: PosteriorTable, pi_tilde: Bijection, delta: fl
     return float(table.probs[agree >= threshold].sum())
 
 
-def posterior_w(table: PosteriorTable, delta: float, chunk: int = 512) -> float:
+def posterior_w(table: PosteriorTable, delta: float) -> float:
     """max over reference matchings of the delta-overlap posterior mass
     (exhaustive over all n! references)."""
     if not (0.0 <= delta <= 1.0):
@@ -270,8 +270,8 @@ def posterior_w(table: PosteriorTable, delta: float, chunk: int = 512) -> float:
     threshold = math.ceil(delta * table.n)
     best = 0.0
     perms = table.perms
-    for start in range(0, len(perms), chunk):
-        block = perms[start:start + chunk]
+    for start in range(0, len(perms), _POSTERIOR_W_CHUNK):
+        block = perms[start:start + _POSTERIOR_W_CHUNK]
         agree = (perms[None, :, :] == block[:, None, :]).sum(axis=2)
         masses = np.where(agree >= threshold, table.probs[None, :], 0.0).sum(axis=1)
         best = max(best, float(masses.max()))
@@ -293,7 +293,6 @@ class EstimatorConfig:
     rho_hat: float
     c_lambda_hat: float
     eta: float = 0.1
-    strategy: str = "auto"          # auto | exhaustive | hill_climb
     budget: int = 50_000
     seed: int = 0
 
@@ -302,8 +301,6 @@ class EstimatorConfig:
             raise ValueError("eta must be positive")
         if not (0.0 < self.c_lambda_hat <= 1.0):
             raise ValueError("c_lambda_hat must lie in (0, 1]")
-        if self.strategy not in ("auto", "exhaustive", "hill_climb"):
-            raise ValueError(f"unknown strategy {self.strategy}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
 
@@ -328,13 +325,13 @@ def _assert_p_above_one(params: ModelParams) -> None:
 def map_estimator(g: Graph, g_bar: Graph, params: ModelParams, config: EstimatorConfig) -> MapEstimate:
     """Posterior-mode matching: argmax of the intersection-edge count.
 
-    Exhaustive (lexicographic argmax) up to n = 9 or when forced;
-    otherwise transposition hill climbing with restarts under the move
+    Exhaustive (lexicographic argmax) up to n = 9 (_EXHAUSTIVE_N_MAX);
+    above, transposition hill climbing with restarts under the move
     budget.  An empty g makes every matching optimal and the identity wins
     the lexicographic tie-break.
     """
     _assert_p_above_one(params)
-    if not _use_exhaustive(config, g.n):
+    if g.n > _EXHAUSTIVE_N_MAX:
         return _hill_climb(g, g_bar, config)
     best_count, best_perm = -1, None
     for block, counts in _counted_permutations(g, g_bar):
@@ -347,14 +344,6 @@ def map_estimator(g: Graph, g_bar: Graph, params: ModelParams, config: Estimator
         exhaustive=True,
         budget_exhausted=False,
     )
-
-
-def _use_exhaustive(config: EstimatorConfig, n: int) -> bool:
-    """Enumerate all n! matchings: up to n = 9 under "auto", and whenever
-    forced, which is refused above n = 9."""
-    if config.strategy == "exhaustive" and n > 9:
-        raise ValueError("exhaustive enumeration limited to n <= 9")
-    return config.strategy == "exhaustive" or (config.strategy == "auto" and n <= 9)
 
 
 def _counted_permutations(g: Graph, g_bar: Graph):
@@ -457,7 +446,7 @@ def reasonable_candidate_check(
     target = config.rho_hat - config.eta
     certificate = None
     cert_density = None
-    if len(dens.best_subset) >= size_min and float(dens.density) >= target:
+    if len(dens.best_subset) >= size_min and dens.density >= target:
         certificate = dens.best_subset
         cert_density = dens.density
     else:
@@ -485,7 +474,7 @@ def _peel_best_subset(
     import heapq
 
     n = h.n
-    indptr, indices = h._indptr, h._indices
+    adj = h.adjacency()
     deg = h.degrees.tolist()
     alive = [True] * n
     edges_left = h.edge_count
@@ -495,7 +484,7 @@ def _peel_best_subset(
     num, den = Fraction(target).as_integer_ratio()
     best: tuple[int, int, int] | None = None   # (#removed before, edges, size)
     size = n
-    if size >= size_min and edges_left >= target * size:
+    if size >= size_min and edges_left * den >= num * size:
         best = (0, edges_left, size)
     while size > 1:
         while True:
@@ -504,7 +493,7 @@ def _peel_best_subset(
                 break
         alive[v] = False
         removal_order.append(v)
-        for w in indices[indptr[v]:indptr[v + 1]]:
+        for w in adj[v]:
             if alive[w]:
                 deg[w] -= 1
                 edges_left -= 1
@@ -539,7 +528,7 @@ def reasonable_candidate_search(
     """
     size_min = max(1, math.ceil(config.c_lambda_hat * g.n))
     min_edges = (config.rho_hat - config.eta) * size_min
-    if _use_exhaustive(config, g.n):
+    if g.n <= _EXHAUSTIVE_N_MAX:
         candidates = (
             pair for block, counts in _counted_permutations(g, g_bar) for pair in zip(block, counts)
         )

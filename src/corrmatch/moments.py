@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import ModelParams
+from .graphs import ModelParams, check_p_s
 from .orbits import OrbitDecomposition
 
 __all__ = [
@@ -56,20 +56,13 @@ class InfeasiblePolytopeError(ValueError):
     """The constraint polytope is empty."""
 
 
-def _check_params(p: float, s: float) -> None:
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie in (0, 1)")
-    if not (0.0 < s <= 1.0):
-        raise ValueError("s must lie in (0, 1]")
-
-
 def char_roots(theta: float, p: float, s: float) -> tuple[float, float]:
     """Roots (mu1, mu2) of the characteristic polynomial, mu1 >= mu2.
 
     The discriminant is non-negative for valid parameters; computed with
     the stable quadratic formula so mu2 keeps full precision when small.
     """
-    _check_params(p, s)
+    check_p_s(p, s)
     nu = exp(theta) - 1.0
     b = 1.0 + p * s * s * nu
     c = (p * s * s - p * p * s * s) * nu
@@ -100,7 +93,7 @@ def chain_recurrence(m: int, theta: float, p: float, s: float) -> tuple[float, f
 
 def _chain_triple_scaled(m: int, theta: float, p: float, s: float) -> tuple[float, float, float, float]:
     """(a_m, b_m, c_m) / exp(logscale), max of the triple kept near 1."""
-    _check_params(p, s)
+    check_p_s(p, s)
     if m < 1:
         raise ValueError("m must be at least 1")
     et = exp(theta)
@@ -145,7 +138,7 @@ def cycle_moment(k: int, theta: float, p: float, s: float) -> float:
     (1-2ps+ps^2) a_k + p s^2 b_k + 2 ps (1-s) c_k; the routes must agree
     to relative 1e-9.  Returns the closed form.
     """
-    _check_params(p, s)
+    check_p_s(p, s)
     log_closed = log_cycle_moment(k, theta, p, s)
     a, b, c, logscale = _chain_triple_scaled(k, theta, p, s)
     ps = p * s
@@ -191,7 +184,7 @@ def log_chain_moment(k: int, theta: float, p: float, s: float) -> float:
     """log of the k-chain moment via the boundary combination."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    _check_params(p, s)
+    check_p_s(p, s)
     a, b, c, logscale = _chain_triple_scaled(k, theta, p, s)
     ps = p * s
     combo = (1.0 - ps) ** 2 * a + ps * ps * b + 2.0 * ps * (1.0 - ps) * c

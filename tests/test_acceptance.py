@@ -13,11 +13,7 @@ import numpy as np
 import pytest
 
 from corrmatch.admissibility import check_admissible, default_constants, find_good_set, is_good_set
-from corrmatch.density import (
-    densest_subgraph_bruteforce,
-    densest_subgraph_exact,
-    estimate_rho,
-)
+from corrmatch.density import densest_subgraph_bruteforce, densest_subgraph_exact
 from corrmatch.graphs import Bijection, ModelParams, sample_correlated, sample_er
 from corrmatch.harness import (
     ExperimentConfig,
@@ -351,8 +347,8 @@ def test_criterion_08_permutation_count_bound():
 def test_criterion_09_admissibility_and_good_sets():
     t0 = time.time()
     # (a) pass rate at n = 2000, lambda = 2 with default constants
-    rho2 = estimate_rho(2.0, n=1200, replicates=6, seed=905)
-    consts = default_constants(0.5, rho2.mean, 2000)
+    rho2 = run_rho_curve(ExperimentConfig(kind="rho-curve", n=1200, replicates=6, seed=905, lambda_grid=(2.0,)))[1]
+    consts = default_constants(0.5, rho2.rho_hat[0], 2000)
     passes = 0
     for rep in range(50):
         g = sample_er(2000, 2 / 2000, stream(906, rep))

@@ -9,7 +9,6 @@ from corrmatch.admissibility import (
     AdmissibilityReport,
     ConditionResult,
     ConstantsInfeasibleError,
-    _adjacency,
     _bfs,
     _connected_sets,
     _shrink_violator,
@@ -452,7 +451,7 @@ def _reference_cycle_counts(h, max_len, collect_vertices=False):
     least vertex r, is found by a DFS over simple paths through vertices
     > r, pruned by the BFS distance back to r, and counted once by
     closing only at a neighbour of r above the path's first vertex."""
-    adj = _adjacency(h)
+    adj = h.adjacency()
     alive = (h.core_numbers() >= 2).tolist()
     counts = {k: 0 for k in range(3, max_len + 1)}
     on_cycles = set()
@@ -622,7 +621,7 @@ def test_connected_sets_match_bruteforce():
     for _ in range(30):
         n = int(rng.integers(2, 13))
         g = sample_er(n, float(rng.uniform(0.1, 0.6)), rng)
-        adj = _adjacency(g)
+        adj = g.adjacency()
         max_size = int(rng.integers(1, n + 1))
         for alive in ((g.core_numbers() >= 2).tolist(), [True] * n):
             got = Counter()

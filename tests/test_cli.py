@@ -339,6 +339,32 @@ def test_shared_flag_a_subcommand_ignores_is_refused(capsys, command, flag):
     assert code == 3 and f"unrecognized arguments: {flag} 1" in err
 
 
+# Options that were removed: argparse refuses them like any unknown flag.
+REMOVED_OPTIONS = [("estimate", "--strategy", "hill_climb")]
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_OPTIONS, ids=[" ".join(c) for c in REMOVED_OPTIONS])
+def test_removed_option_is_refused(capsys, command, flag, value):
+    code, err = usage_exit([command, *REQUIRED[command], flag, value], capsys)
+    assert code == 3 and f"unrecognized arguments: {flag} {value}" in err
+
+
+def test_import_loads_no_test_only_dependency():
+    # runtime dependencies are numpy and scipy; networkx, hypothesis and
+    # pytest serve the tests only
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, corrmatch, corrmatch.cli; print(sorted({'networkx', 'hypothesis', 'pytest'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_console_entry_point_runs():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

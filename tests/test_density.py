@@ -10,17 +10,21 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 import corrmatch.density as density_module
 from corrmatch.density import (
     RhoCurve,
-    build_rho_curve,
     densest_subgraph_bruteforce,
     densest_subgraph_exact,
     density_exceeds,
-    estimate_rho,
     isotonic_fit,
-    rho_curve_csv,
     rho_inverse,
 )
 from corrmatch.graphs import Bijection, Graph, relabel, sample_er
+from corrmatch.harness import ExperimentConfig, run_rho_curve
 from corrmatch.rng import stream
+
+
+def rho_curve(grid, n, replicates, seed):
+    """(csv, curve) of the rho curve over grid, from the harness driver."""
+    config = ExperimentConfig(kind="rho-curve", n=n, replicates=replicates, seed=seed, lambda_grid=tuple(grid))
+    return run_rho_curve(config)
 
 
 def test_trivial_examples_both_solvers():
@@ -354,15 +358,15 @@ def test_bruteforce_rejects_large_n():
         densest_subgraph_bruteforce(Graph(21))
 
 
-def test_estimate_rho_whole_graph_bound():
-    est = estimate_rho(3.0, n=400, replicates=5, seed=5)
+def test_one_point_rho_curve_whole_graph_bound():
+    _, curve = rho_curve([3.0], n=400, replicates=5, seed=5)
     floor_val = 3.0 / 2 * (400 - 1) / 400
-    assert est.mean >= floor_val - 3 * est.stderr
-    assert 0 < est.size_q05 <= est.size_q50 <= 1
+    assert curve.rho_hat[0] >= floor_val - 3 * curve.stderr[0]
+    assert 0 < curve.size_q05[0] <= curve.size_q50[0] <= 1
 
 
 def test_rho_curve_monotone_after_isotonic_and_bounds():
-    curve = build_rho_curve([1.5, 2.0, 4.0], n=300, replicates=4, seed=6)
+    _, curve = rho_curve([1.5, 2.0, 4.0], n=300, replicates=4, seed=6)
     iso = curve.isotonic()
     assert all(iso[i] <= iso[i + 1] + 1e-12 for i in range(len(iso) - 1))
     assert curve.lower_bound_ok(slack=0.1)
@@ -399,14 +403,14 @@ def test_rho_inverse_at_knot_and_refusal():
 def test_rho_inverse_target_two_bounded_by_four():
     # rho(4) >= 2 by the whole-graph bound, so the alpha = 1/2 threshold
     # estimate cannot exceed 4 by more than the band.
-    curve = build_rho_curve([1.0, 2.0, 3.0, 4.0, 5.0], n=500, replicates=5, seed=12)
+    _, curve = rho_curve([1.0, 2.0, 3.0, 4.0, 5.0], n=500, replicates=5, seed=12)
     est = rho_inverse(2.0, curve)
     assert est.lambda_star <= 4.0 + (est.hi - est.lo) + 0.5
 
 
 def test_rho_curve_csv_schema():
-    curve = build_rho_curve([1.0, 2.0], n=100, replicates=3, seed=3)
-    lines = rho_curve_csv(curve).strip().splitlines()
+    csv, _ = rho_curve([1.0, 2.0], n=100, replicates=3, seed=3)
+    lines = csv.strip().splitlines()
     assert lines[0] == "lambda,n,replicates,rho_hat,stderr,size_q05,size_q50"
     assert len(lines) == 3
     assert all(len(row.split(",")) == 7 for row in lines[1:])

@@ -73,6 +73,16 @@ def test_csr_queries_match_set_reference(n, edges):
         ref[v].add(u)
     for v in range(n):
         assert g.neighbors(v) == sorted(ref[v])
+    # one adjacency view, built once: ascending tuples of the same arcs
+    adj = g.adjacency()
+    assert adj is g.adjacency() and isinstance(adj, tuple)
+    assert [row for row in adj if not isinstance(row, tuple)] == []
+    assert [list(row) for row in adj] == [sorted(ref[v]) for v in range(n)]
+    # neighbors hands out a fresh list; changing it leaves the graph alone
+    for v in range(n):
+        mine = g.neighbors(v)
+        mine.append(n)
+        assert g.neighbors(v) == list(adj[v]) == sorted(ref[v])
     for u in range(n):
         assert [g.has_edge(u, v) for v in range(n)] == [v in ref[u] for v in range(n)]
     assert g.degrees.tolist() == [len(ref[v]) for v in range(n)]

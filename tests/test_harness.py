@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from corrmatch.density import build_rho_curve
+from corrmatch.density import rho_curve_from_draws, rho_draw
 from corrmatch.graphs import ModelParams, sample_correlated
 from corrmatch.harness import (
     ConfigError,
@@ -130,9 +130,11 @@ def test_rho_curve_byte_identical_across_threads():
     assert csv1 == csv8
 
 
-def test_run_rho_curve_matches_build_rho_curve():
+def test_run_rho_curve_matches_sequential_reference():
     cfg = small_config("rho-curve", n=80, replicates=3, lambda_grid=(3.0, 1.5), seed=21, threads=2)
-    assert run_rho_curve(cfg)[1] == build_rho_curve([3.0, 1.5], n=80, replicates=3, seed=21)
+    grid = (1.5, 3.0)
+    draws = [rho_draw(grid, 80, 3, 21, k) for k in range(len(grid) * 3)]
+    assert run_rho_curve(cfg)[1] == rho_curve_from_draws(grid, 80, 3, draws)
 
 
 def test_moment_verification_byte_identical_across_threads():

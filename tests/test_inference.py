@@ -29,6 +29,7 @@ from corrmatch.inference import (
     posterior_overlap_mass,
     posterior_w,
     reasonable_candidate_check,
+    _hill_climb,
     _peel_best_subset,
     reasonable_candidate_search,
     truncated_mass_f,
@@ -275,12 +276,10 @@ def test_map_hill_climb_agrees_with_exhaustive_usually():
     trials = 30
     for t in range(trials):
         smpl = sample_correlated(params, seed=700, replicate=t)
-        cfg_ex = EstimatorConfig(rho_hat=1.0, c_lambda_hat=0.5, strategy="exhaustive")
-        cfg_hc = EstimatorConfig(
-            rho_hat=1.0, c_lambda_hat=0.5, strategy="hill_climb", budget=6000, seed=t
-        )
-        ex = map_estimator(smpl.g, smpl.g_bar, params, cfg_ex)
-        hc = map_estimator(smpl.g, smpl.g_bar, params, cfg_hc)
+        cfg = EstimatorConfig(rho_hat=1.0, c_lambda_hat=0.5, budget=6000, seed=t)
+        ex = map_estimator(smpl.g, smpl.g_bar, params, cfg)   # exhaustive at n = 8
+        hc = _hill_climb(smpl.g, smpl.g_bar, cfg)
+        assert ex.exhaustive and not hc.exhaustive
         assert hc.intersection_edges <= ex.intersection_edges
         agree += hc.intersection_edges == ex.intersection_edges
     assert agree >= 0.95 * trials
@@ -303,7 +302,7 @@ MAP_HILL_CLIMB_PINS = {
 def test_map_hill_climb_pinned_outputs(seed, budget):
     params = ModelParams(n=12, p=0.4, s=0.8)
     smpl = sample_correlated(params, seed=710, replicate=seed)
-    cfg = EstimatorConfig(rho_hat=1.0, c_lambda_hat=0.5, strategy="hill_climb", budget=budget, seed=seed)
+    cfg = EstimatorConfig(rho_hat=1.0, c_lambda_hat=0.5, budget=budget, seed=seed)
     est = map_estimator(smpl.g, smpl.g_bar, params, cfg)
     got = ([int(v) for v in est.pi.forward], est.intersection_edges, est.budget_exhausted)
     assert got == MAP_HILL_CLIMB_PINS[(seed, budget)]
@@ -359,7 +358,7 @@ def _reference_peel(h, size_min, target):
     removal_order = []
     best = None   # (#removed before, density)
     size = n
-    if size >= size_min and edges_left >= target * size:
+    if size >= size_min and Fraction(edges_left, size) >= target:
         best = (0, Fraction(edges_left, size))
     while size > 1:
         while True:
@@ -420,6 +419,23 @@ def test_peel_matches_the_reference_peel():
             # the prefixes of copies * k and (copies - 1) * k vertices tie
             tied += want is not None and copies >= 2 and len(want[0]) == copies * k and size_min <= (copies - 1) * k
     assert found >= 200 and tied >= 20, (found, tied)
+
+
+def test_peel_compares_the_whole_graph_exactly():
+    # density 1/10 falls short of the float 0.1, which exceeds 1/10
+    assert Fraction(1, 10) < 0.1
+    assert _peel_best_subset(Graph(10, [(0, 1)]), 10, 0.1) is None
+
+
+def test_candidate_check_compares_the_maximizer_exactly():
+    # the 5-vertex path peaks at density 4/5 on the whole graph, short of
+    # the float target 0.9 - 0.1, which exceeds 4/5
+    path = Graph(5, [(i, i + 1) for i in range(4)])
+    cfg = EstimatorConfig(rho_hat=0.9, c_lambda_hat=0.2, eta=0.1)
+    assert Fraction(4, 5) < cfg.rho_hat - cfg.eta
+    res = reasonable_candidate_check(Bijection.identity(5), path, path, cfg)
+    assert res.max_density == Fraction(4, 5) and res.density_cap_ok
+    assert not res.dense_subset_ok and res.certificate is None and not res.accepted
 
 
 def test_candidate_search_empty_graphs_returns_none():
