@@ -8,9 +8,10 @@ Submodules:
   density       exact densest subgraph, rho curve, threshold inversion
   admissibility truncation event and good sets
   inference     likelihoods, exact posterior, estimators, TV experiments
-  harness       experiment configs, deterministic replication, CSV reports
+  harness       experiment configs, deterministic replication
+  report        CsvReport, the schema-checked writer of every CSV report
 """
 
-from . import admissibility, density, graphs, harness, inference, moments, orbits  # noqa: F401
+from . import admissibility, density, graphs, harness, inference, moments, orbits, report  # noqa: F401
 
 __version__ = "0.1.0"

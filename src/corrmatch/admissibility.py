@@ -38,18 +38,23 @@ shape every vertex lies on one of the two cycles, each of length <= t, or
 inside the path; a path with interior vertices joins two disjoint cycles,
 which take at least 6 vertices, so it has at most t - 6 of them, each
 within t - 6 hops of a cycle.  So the scan covers the 2-core vertices
-within max(0, t - 6) hops of a vertex on a cycle of length <= t, read off
-the cycle scan of condition (v), and it falls back to the whole 2-core
-when that scan ran out of budget or stops short of length t
-(t > cycle_len_cap).
+within max(0, t - 6) hops of a vertex on a cycle of length <= t.  Those
+vertices come from their own cycle scan, at length t with vertex
+collection, and the scan falls back to the whole 2-core only when that
+cycle scan ran out of budget.
 
-Condition (v) and the short-cycle vertices behind good sets come from one
-cycle scan, which counts cycles on the contracted 2-core: every maximal
-chain of core-degree-2 vertices becomes one weighted edge between kernel
-vertices (core degree >= 3), so its search runs over the kernel and not
-over every core vertex.  It carries a budget of kernel steps in the same
-way.  check_admissible runs it once, sharing the graph's adjacency view and
-core peel between (iv) and (v).
+Condition (v) is one more cycle scan, at length cycle_len_cap without
+collection; both scans go through simple_cycle_counts.  A scan counts
+cycles on the contracted 2-core: every maximal chain of core-degree-2
+vertices becomes one weighted edge between kernel vertices (core degree
+>= 3), and the cycles of more than one chain are found by extending
+kernel paths from each root in numpy, many paths per step, pruned by the
+unrestricted kernel distance back to the root.  That distance is a lower
+bound on the length of any way back that a counted cycle can take, so
+the pruning loses no cycle.  The scan's budget counts the path extensions
+it keeps, in one fixed order; running out yields lower-bound counts and
+"undecided" (or a failure those lower bounds already prove), never a
+silent pass.
 """
 
 from __future__ import annotations
@@ -58,8 +63,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .density import densest_subgraph_exact, density_exceeds
 from .graphs import Graph
@@ -79,6 +87,9 @@ __all__ = [
 ]
 
 ZETA_GRID = tuple(1.0 + 0.5**j for j in range(1, 8))   # 1.5, 1.25, ..., ~1.0078
+
+_ROW_BLOCK = 32768      # arcs joined per step of the cycle scan
+_DIST_CELLS = 1 << 17   # root-to-kernel distances (one byte each) per block of roots
 
 
 class ConstantsInfeasibleError(ValueError):
@@ -310,81 +321,93 @@ def _connected_sets(adj: tuple[tuple[int, ...], ...], alive: list[bool], max_siz
             yield from grow(root, [], [root], 0)
 
 
-def _contract_core(adj: tuple[tuple[int, ...], ...], alive: list[bool], max_len: int):
-    """Contract the 2-core (the alive mask) to its kernel multigraph.
-
-    Kernel vertices are those of core degree >= 3; every other core vertex
-    lies on exactly one chain, a maximal path of core-degree-2 vertices,
-    which is walked once.  Returns (kadj, inner, lone): kadj[v] lists
-    (w, length, chain id) for every chain of at most max_len edges between
-    distinct kernel vertices v and w, inner[id] holds that chain's interior
-    vertices, and lone holds the vertex lists of the cycles that are one
-    chain of at most max_len edges: a chain whose two ends are the same
-    kernel vertex, and a 2-core component with no kernel vertex (a ring)."""
-    n = len(adj)
-    nbrs = [[w for w in adj[v] if alive[w]] if alive[v] else [] for v in range(n)]
-    kernel = [len(nb) >= 3 for nb in nbrs]
-    walked = [False] * n
-    kadj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    inner: list[list[int]] = []
-    lone: list[list[int]] = []
-
-    def walk(prev: int, cur: int) -> tuple[list[int], int]:
-        """The core-degree-2 vertices from cur onwards (away from prev) up
-        to the first kernel vertex or already walked vertex, and that end."""
-        interior = []
-        while not kernel[cur] and not walked[cur]:
-            walked[cur] = True
-            interior.append(cur)
-            a, b = nbrs[cur]
-            prev, cur = cur, (b if a == prev else a)
-        return interior, cur
-
-    for u in range(n):
-        if not kernel[u]:
-            continue
-        for w in nbrs[u]:
-            if kernel[w]:
-                if u > w:
-                    continue   # a one-edge chain, taken from its lower end
-                interior, end = [], w
-            elif walked[w]:
-                continue       # walked from its other end
-            else:
-                interior, end = walk(u, w)
-            if len(interior) >= max_len:
-                continue       # longer than max_len edges
-            if end == u:
-                lone.append([u] + interior)
-            else:
-                kadj[u].append((end, len(interior) + 1, len(inner)))
-                kadj[end].append((u, len(interior) + 1, len(inner)))
-                inner.append(interior)
-    for v in range(n):
-        if nbrs[v] and not walked[v] and not kernel[v]:
-            ring, _ = walk(nbrs[v][0], v)
-            if len(ring) <= max_len:
-                lone.append(ring)
-    return kadj, inner, lone
+def _csr(size: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> csr_matrix:
+    """The size x size sparse matrix of the arcs src -> dst, which come
+    sorted by src, built straight from its row pointers."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=size))])
+    return csr_matrix((weight, dst, indptr), shape=(size, size))
 
 
-def _chain_distances(kadj: list[list[tuple[int, int, int]]], root: int, radius: int) -> dict[int, int]:
-    """Chain-length (weighted) distances from root, up to radius, along
-    chains whose kernel vertices past the root all lie above it.  Chain
-    lengths are positive integers, so one bucket per distance replaces the
-    heap (Dial's algorithm)."""
-    dist = {root: 0}
-    buckets: list[list[int]] = [[root]] + [[] for _ in range(radius)]
-    for d, bucket in enumerate(buckets):
-        for u in bucket:
-            if dist[u] < d:
-                continue   # settled at a shorter distance
-            for w, length, _ in kadj[u]:
-                e = d + length
-                if w > root and e <= radius and e < dist.get(w, e + 1):
-                    dist[w] = e
-                    buckets[e].append(w)
-    return dist
+class _Kernel(NamedTuple):
+    """The kernel multigraph of a 2-core; see ``_contract_core``."""
+
+    vertices: np.ndarray     # kernel vertex ids, ascending; kernel index i is vertices[i]
+    indptr: np.ndarray       # the arcs out of kernel index u are indptr[u]:indptr[u + 1]
+    dst: np.ndarray          # per arc: the kernel index at its far end
+    length: np.ndarray       # per arc: the length of its chain, in edges
+    chain: np.ndarray        # per arc: its chain id
+    chain_run: np.ndarray    # per chain id: the run of its interior, -1 for one edge
+    runs: np.ndarray         # per graph vertex: its run, -1 off the runs
+    lone_length: np.ndarray  # per one-chain cycle: its length
+    lone_run: np.ndarray     # per one-chain cycle: its run
+    lone_vertex: np.ndarray  # per one-chain cycle: its kernel vertex id, -1 for a ring
+
+
+def _contract_core(edges: np.ndarray, alive: np.ndarray, max_len: int) -> _Kernel:
+    """Contract the 2-core (the alive mask) of the graph with canonical
+    edge array edges to its kernel multigraph, in numpy.
+
+    Kernel vertices are those of core degree >= 3.  Every other core vertex
+    has core degree 2 and lies in one run, a connected component of the
+    core-degree-2 vertices (labelled by one connected_components call).  A
+    run is either a ring, a whole 2-core component with no kernel vertex,
+    or the interior of a chain, whose two boundary edges lead to kernel
+    vertices; an edge between two kernel vertices is a chain of its own.
+    A chain between distinct kernel vertices becomes two arcs, one each
+    way, sorted by (source, far end, chain id).  A chain back to its own
+    kernel vertex and a ring are each one cycle, kept as one-chain cycles.
+    Chains and cycles of more than max_len edges lie on no counted cycle
+    and are dropped."""
+    n = alive.size
+    e = edges[alive[edges[:, 0]] & alive[edges[:, 1]]]
+    deg = np.bincount(e.ravel(), minlength=n)
+    kernel = deg >= 3
+    inside = (deg == 2)[e]
+    links = e[inside.all(axis=1)]
+    n_runs, label = connected_components(_csr(n, links[:, 0], links[:, 1], np.ones(len(links))), directed=False)
+    runs = np.where(deg == 2, label, -1)
+    size = np.bincount(runs[runs >= 0], minlength=n_runs)
+    # each chain's two boundary edges (run vertex, kernel vertex), paired up by run
+    cut = inside[:, 0] != inside[:, 1]
+    flip = inside[cut, 1]
+    inner, outer = np.where(flip, e[cut, 1], e[cut, 0]), np.where(flip, e[cut, 0], e[cut, 1])
+    order = np.argsort(runs[inner], kind="stable")
+    run, a, b = runs[inner[order[0::2]]], outer[order[0::2]], outer[order[1::2]]
+    loop = a == b
+    ring = np.ones(n_runs, dtype=bool)
+    ring[run] = False
+    ring &= size > 0
+    rings = np.flatnonzero(ring)
+    lone_length = np.concatenate([size[run[loop]] + 1, size[rings]])
+    lone_run = np.concatenate([run[loop], rings])
+    lone_vertex = np.concatenate([a[loop], np.full(rings.size, -1)])
+    short = lone_length <= max_len
+    # chains between distinct kernel vertices: single edges, then runs
+    pair = e[kernel[e[:, 0]] & kernel[e[:, 1]]]
+    chain_a = np.concatenate([pair[:, 0], a[~loop]])
+    chain_b = np.concatenate([pair[:, 1], b[~loop]])
+    chain_len = np.concatenate([np.ones(len(pair), dtype=np.int64), size[run[~loop]] + 1])
+    chain_run = np.concatenate([np.full(len(pair), -1), run[~loop]])
+    keep = chain_len <= max_len
+    chain_a, chain_b, chain_len, chain_run = chain_a[keep], chain_b[keep], chain_len[keep], chain_run[keep]
+    vertices = np.flatnonzero(kernel)
+    index = np.cumsum(kernel) - 1
+    ids = np.arange(chain_len.size)
+    src = np.concatenate([index[chain_a], index[chain_b]])
+    dst = np.concatenate([index[chain_b], index[chain_a]])
+    order = np.lexsort((np.concatenate([ids, ids]), dst, src))
+    return _Kernel(
+        vertices=vertices,
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(src, minlength=vertices.size))]),
+        dst=dst[order],
+        length=np.concatenate([chain_len, chain_len])[order],
+        chain=np.concatenate([ids, ids])[order],
+        chain_run=chain_run,
+        runs=runs,
+        lone_length=lone_length[short],
+        lone_run=lone_run[short],
+        lone_vertex=lone_vertex[short],
+    )
 
 
 def simple_cycle_counts(
@@ -393,131 +416,220 @@ def simple_cycle_counts(
     """Count simple cycles per length 3..max_len.
 
     Returns (counts, completed); the optional third element collects all
-    vertices lying on counted cycles.  See _cycle_scan for the method and
-    the budget."""
-    counts, completed, shortest = _cycle_scan(
-        h.adjacency(), (h.core_numbers() >= 2).tolist(), max_len, budget, collect_vertices
+    vertices lying on counted cycles.  ``budget`` caps the path extensions
+    of the kernel search; see _cycle_scan for the method and the budget."""
+    counts, completed, verts = _cycle_scan(
+        h.edge_array(), h.core_numbers() >= 2, max_len, budget, collect_vertices
     )
     if collect_vertices:
-        return counts, completed, set(shortest)
+        return counts, completed, verts
     return counts, completed
 
 
-def _lower(table: dict[int, int], keys, length: int) -> None:
-    """table[k] = min(table[k], length) for each key, absent keys included."""
-    for k in keys:
-        if length < table.get(k, length + 1):
-            table[k] = length
+def _segments(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, position) of every element of the ranges
+    starts[i]:starts[i] + sizes[i], laid end to end in order of i."""
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    offsets = np.cumsum(sizes) - sizes
+    return owner, np.arange(owner.size) + (starts - offsets)[owner]
+
+
+@dataclass(eq=False)
+class _Paths:
+    """A block of simple kernel paths of the cycle scan, all of the same
+    number of chains.  Path i is path parent[i] of the block below, one
+    chain shorter, extended by chain[i] to the kernel vertex end[i]; the
+    roots, one-vertex paths, have no block below.  lead[i] is the path's
+    first chain id (-1 for a root), length[i] its length in edges, and
+    seen[i] has bit v % 64 set for every kernel vertex v past the root.
+    Paths before next have been extended."""
+
+    below: _Paths | None
+    parent: np.ndarray
+    end: np.ndarray
+    chain: np.ndarray
+    root: np.ndarray
+    lead: np.ndarray
+    length: np.ndarray
+    seen: np.ndarray
+    next: int = 0
 
 
 def _cycle_scan(
-    adj: tuple[tuple[int, ...], ...], alive: list[bool], max_len: int, budget: int, collect: bool
-) -> tuple[dict[int, int], bool, dict[int, int]]:
-    """(counts, completed, shortest) of the simple cycles of lengths
-    3..max_len in the graph adj, whose 2-core is the alive mask.  When
-    collect is set, shortest maps each vertex on a counted cycle to the
-    length of the shortest counted cycle through it; otherwise it is empty.
+    edges: np.ndarray, alive: np.ndarray, max_len: int, budget: int, collect: bool
+) -> tuple[dict[int, int], bool, set[int]]:
+    """(counts, completed, vertices) of the simple cycles of lengths
+    3..max_len in the graph with canonical edge array edges, whose 2-core
+    is the alive mask.  When collect is set, vertices holds every vertex
+    on a counted cycle; otherwise it is empty.
 
     Cycles live in the 2-core, and they are counted on its kernel
-    multigraph (see ``_contract_core``): the kernel vertices are the core
-    vertices of core degree >= 3, and each maximal chain of core-degree-2
-    vertices between two of them becomes one edge weighted by its length
-    and labelled by a chain id.  A simple cycle of the graph is a simple
-    cycle of that multigraph of the same total length.  Chains longer than
-    max_len lie on no counted cycle and are dropped.  A cycle that is one
-    chain (a chain whose ends coincide, or a 2-core component with no
-    kernel vertex) is counted directly.
+    multigraph (see ``_contract_core``): each maximal chain of
+    core-degree-2 vertices between two kernel vertices becomes one edge
+    weighted by its length and labelled by a chain id.  A simple cycle of
+    the graph is a simple cycle of that multigraph of the same total
+    length.  A cycle that is one chain (a chain whose ends coincide, or a
+    ring) is counted directly.
 
     Every other cycle uses at least two chains and is counted once, rooted
-    at its least kernel vertex r.  The depth-first search from r walks
-    chains through kernel vertices > r, none twice.  On reaching a kernel
-    vertex w it closes a cycle through each chain from w to r whose id
-    exceeds the id of the first chain taken, the dedup rule: it drops the
-    reverse traversal of each cycle and any return along the first chain,
-    so r's largest-id chain is never taken first.
+    at its least kernel vertex r, by extending simple kernel paths from r
+    through kernel vertices above r.  The roots are taken in blocks and
+    all paths of a block grow together, one numpy step per block of paths
+    (``_Paths``): a path of length d from r to u is joined to every arc
+    out of u, and the extension along a chain of length L to w is kept if
+    w > r, w is not on the path and d + L + dist(r, w) <= max_len.  Each
+    kept extension closes a cycle through every chain from w to r whose id
+    exceeds the path's first chain id, the dedup rule: it drops the
+    reverse traversal of each cycle and any return along the first chain.
+    It is extended further only if d + L <= max_len - 2, since going on
+    takes two chains or more.  Paths grow depth first, at most _ROW_BLOCK
+    joined arcs a step, so memory stays O(n + m) plus about max_len
+    blocks of paths and one block of at most _DIST_CELLS distances.
 
-    The search is pruned by the distance back to r.  Let dist be the
-    chain-length distance from r over r and the kernel vertices > r.  A
-    chain of length L from a path of length d to a kernel vertex w is
-    followed only if d + L + dist(w) <= max_len: the path returns to r
-    inside that subgraph, so it takes at least dist(w) more edges.  The
-    cycles it closes at w are counted then, and w is pushed to go on only
-    if d + L <= max_len - 2, since going on takes two chains or more.
-    Every kernel vertex of a counted cycle splits it into two paths to r,
-    one of length at most max_len // 2, so the distances stop at that
-    radius.  The pruning is exact: the counts and the shortest lengths are
-    those of an unpruned search over all simple cycles.
+    dist is the chain-length distance in the whole kernel, from C-level
+    dijkstra calls stopped at max_len // 2, each over a slice of the block
+    of roots whose float64 rows fit in _DIST_CELLS bytes; the block keeps
+    them capped at 255, one byte each.  A cycle's way back from w to r runs
+    through kernel vertices above r, so it is at least this unrestricted
+    distance, and a cap only lowers it: the test never drops an extension
+    that can still close a counted cycle.  Every kernel vertex of a counted
+    cycle is within max_len // 2 of r along the cycle, so distances past
+    that radius may stay infinite.  The pruning is exact: the counts and
+    vertices are those of an unpruned search over all simple cycles.
 
-    ``budget`` caps the kernel DFS steps (one per kernel vertex pushed or
-    popped); cycles that are one chain take none.  When it runs out,
-    completed is False, the counts are lower bounds and shortest covers
-    the cycles counted so far.
+    ``budget`` caps the path extensions kept, taken in one fixed order
+    (blocks of roots ascending, then depth first, arcs in kernel order);
+    cycles that are one chain take none.  When it runs out, completed is
+    False, and the counts and vertices are those of the first budget
+    extensions, so they are lower bounds that only grow with the budget.
     """
-    kadj, inner, lone = _contract_core(adj, alive, max_len)
-    counts = {k: 0 for k in range(3, max_len + 1)}
-    shortest: dict[int, int] = {}     # kernel vertex -> shortest counted cycle through it
-    chain_shortest: dict[int, int] = {}   # chain id -> the same, for the chains
-    for cycle in lone:
-        counts[len(cycle)] += 1
-        if collect:
-            _lower(shortest, cycle, len(cycle))
-    limit = max_len - 2
-    steps = budget
-    completed = True
-    try:
-        for root in range(len(adj)):
-            if sum(w > root for w, _, _ in kadj[root]) < 2:
-                continue   # root is the least kernel vertex of no cycle
-            # the longest path length at which each kernel vertex may be reached
-            reach = {v: max_len - d for v, d in _chain_distances(kadj, root, max_len // 2).items()}
-            del reach[root]
-            closers: dict[int, list[tuple[int, int]]] = {}   # w -> (length, id) of w-root chains
-            for w, length, cid in kadj[root]:
-                if w in reach:
-                    closers.setdefault(w, []).append((length, cid))
-            top = max((cid for chains in closers.values() for _, cid in chains), default=-1)
-            # iterative DFS over simple kernel paths from root; a frame is
-            # (path length, chains left to try), and used holds the path's
-            # chain ids
-            stack = [(0, iter([c for c in kadj[root] if c[0] in reach and c[2] != top]))]
-            path = [root]
-            used: list[int] = []
-            in_path = {root}
-            while stack:
-                steps -= 1
-                if steps < 0:
-                    raise BudgetExceeded
-                d, chains = stack[-1]
-                for w, length, cid in chains:
-                    d_w = d + length
-                    if d_w > reach[w] or w in in_path:
-                        continue
-                    if w in closers:
-                        first = used[0] if used else cid
-                        for back, last in closers[w]:
-                            length = d_w + back
-                            if last > first and length <= max_len:
-                                counts[length] += 1
-                                if collect:
-                                    _lower(shortest, (*path, w), length)
-                                    _lower(chain_shortest, (*used, cid, last), length)
-                    if d_w <= limit:   # the way on takes two chains or more
-                        path.append(w)
-                        used.append(cid)
-                        in_path.add(w)
-                        stack.append((d_w, iter([c for c in kadj[w] if c[0] in reach])))
-                        break
-                else:
-                    stack.pop()
-                    if used:
-                        used.pop()
-                        in_path.remove(path.pop())
-    except BudgetExceeded:
-        completed = False
-    for cid, length in chain_shortest.items():
-        for v in inner[cid]:   # an interior vertex lies on its chain only
-            shortest[v] = length
-    return counts, completed, shortest
+    if max_len < 3:
+        return {}, True, set()
+    kern = _contract_core(edges, alive, max_len)
+    counts = np.bincount(kern.lone_length, minlength=max_len + 1)
+    size = kern.vertices.size
+    outdeg = np.diff(kern.indptr)
+    src = np.repeat(np.arange(size), outdeg)
+    roots = np.flatnonzero(np.bincount(src[kern.dst > src], minlength=size) >= 2)
+    marks = (np.zeros(size, dtype=bool), np.zeros(kern.chain_run.size, dtype=bool)) if collect else None
+    left = max(budget, 0)
+    keys = src * size + kern.dst   # ascending: the arcs are sorted by (source, far end)
+    if roots.size:
+        # the shortest chain between each pair of adjacent kernel vertices
+        pairs = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        nearest = _csr(size, src[pairs], kern.dst[pairs], np.minimum.reduceat(kern.length, pairs).astype(float))
+    per_block = max(1, _DIST_CELLS // max(size, 1))
+    per_call = max(1, per_block // 8)   # float64 rows take 8 times the bytes
+    for lo in range(0, roots.size, per_block):
+        block = roots[lo:lo + per_block]
+        # distances capped at 255 (a cap only lowers them) in one byte each
+        dist = np.empty((block.size, size), dtype=np.uint8)
+        for at in range(0, block.size, per_call):
+            part = dijkstra(nearest, indices=block[at:at + per_call], limit=max_len // 2)
+            dist[at:at + per_call] = np.minimum(part, 255, out=part)
+        left = _scan_roots(kern, keys, block, dist.ravel(), max_len, left, counts, marks)
+        if left < 0:
+            break
+    verts: set[int] = set()
+    if collect:
+        kernel_on, chain_on = marks
+        run_on = np.zeros(kern.runs.max(initial=-1) + 1, dtype=bool)
+        run_on[kern.chain_run[chain_on & (kern.chain_run >= 0)]] = True
+        run_on[kern.lone_run] = True
+        on_runs = np.flatnonzero(kern.runs >= 0)
+        verts.update(on_runs[run_on[kern.runs[on_runs]]].tolist())
+        verts.update(kern.vertices[kernel_on].tolist())
+        verts.update(kern.lone_vertex[kern.lone_vertex >= 0].tolist())
+    return {k: int(counts[k]) for k in range(3, max_len + 1)}, left >= 0, verts
+
+
+def _scan_roots(
+    kern: _Kernel,
+    keys: np.ndarray,
+    block: np.ndarray,
+    dist: np.ndarray,
+    max_len: int,
+    left: int,
+    counts: np.ndarray,
+    marks: tuple[np.ndarray, np.ndarray] | None,
+) -> int:
+    """Count into counts the cycles of length <= max_len rooted at the
+    kernel vertices in block, as _cycle_scan describes, and mark in marks
+    (kernel vertices, chains) those they use.  keys[i] is source * size +
+    far end of arc i, dist the capped distance from each root of the block
+    to each kernel vertex, row by row.  Takes at most left extensions;
+    returns how many are left, or -1 when they ran out first."""
+    size = kern.vertices.size
+    outdeg = np.diff(kern.indptr)
+    slot = np.zeros(size, dtype=np.int64)
+    slot[block] = np.arange(block.size)
+    none = np.full(block.size, -1)
+    stack = [_Paths(None, none, block, none, block, none, np.zeros_like(block), np.zeros(block.size, dtype=np.uint64))]
+    while stack:
+        paths = stack[-1]
+        start = paths.next
+        fan = np.cumsum(outdeg[paths.end[start:start + _ROW_BLOCK]])
+        paths.next = stop = start + max(1, int(np.searchsorted(fan, _ROW_BLOCK, side="right")))
+        if stop >= paths.end.size:
+            stack.pop()
+        # the arcs out of each path's end to kernel vertices above its root:
+        # a suffix of the end's arcs, which are sorted by far end
+        ends, root = paths.end[start:stop], paths.root[start:stop]
+        above = np.searchsorted(keys, ends * size + root + 1)
+        row, arc = _segments(above, kern.indptr[ends + 1] - above)
+        row += start
+        w, root = kern.dst[arc], paths.root[row]
+        length = paths.length[row] + kern.length[arc]
+        keep = np.flatnonzero(length + dist[slot[root] * size + w] <= max_len)
+        row, arc, w, root, length = row[keep], arc[keep], w[keep], root[keep], length[keep]
+        bit = np.left_shift(np.uint64(1), (w & 63).astype(np.uint64))
+        clash = (paths.seen[row] & bit) != 0
+        if size > 64 and clash.any():   # the filter is exact up to 64 kernel vertices
+            maybe = np.flatnonzero(clash)
+            on_path = np.zeros(maybe.size, dtype=bool)
+            prefix, rows = paths, row[maybe]
+            while prefix.below is not None:   # the root is below w anyway
+                on_path |= prefix.end[rows] == w[maybe]
+                prefix, rows = prefix.below, prefix.parent[rows]
+            clash[maybe] = on_path
+        keep = np.flatnonzero(~clash)
+        if keep.size > left:
+            keep = keep[:left]
+            left = -1
+        else:
+            left -= keep.size
+        row, arc, w, root, length, bit = row[keep], arc[keep], w[keep], root[keep], length[keep], bit[keep]
+        chain = kern.chain[arc]
+        lead = paths.lead[row]
+        lead = np.where(lead < 0, chain, lead)
+        # close through each chain between w and the root whose id is above
+        # the first chain's
+        query = w * size + root
+        first = np.searchsorted(keys, query)
+        hit, back = _segments(first, np.searchsorted(keys, query, side="right") - first)
+        ok = (kern.chain[back] > lead[hit]) & (length[hit] + kern.length[back] <= max_len)
+        hit, back = hit[ok], back[ok]
+        counts += np.bincount(length[hit] + kern.length[back], minlength=max_len + 1)
+        if marks is not None and hit.size and not (marks[0].all() and marks[1].all()):
+            kernel_on, chain_on = marks
+            kernel_on[w[hit]] = True
+            chain_on[chain[hit]] = True
+            chain_on[kern.chain[back]] = True
+            prefix, rows = paths, np.unique(row[hit])
+            while prefix.below is not None:
+                kernel_on[prefix.end[rows]] = True
+                chain_on[prefix.chain[rows]] = True
+                prefix, rows = prefix.below, np.unique(prefix.parent[rows])
+            kernel_on[prefix.end[rows]] = True
+        if left < 0:
+            return left
+        go = np.flatnonzero(length <= max_len - 2)
+        if go.size:
+            parent = row[go]
+            stack.append(_Paths(
+                paths, parent, w[go], chain[go], paths.root[parent], lead[go], length[go], paths.seen[parent] | bit[go]
+            ))
+    return left
 
 
 # -- the admissibility check ----------------------------------------------------
@@ -559,13 +671,13 @@ def check_admissible(
     else:
         results["max_degree"] = ConditionResult("pass")
 
-    adj = h.adjacency()
-    core = h.core_numbers()
-    t, max_len = consts.tiny_component_cap, consts.cycle_len_cap
-    # the shortest cycles are needed for (iv) only if the scan reaches length t
-    counts, completed, shortest = _cycle_scan(adj, (core >= 2).tolist(), max_len, cycle_budget, t <= max_len)
-    near = shortest if completed and t <= max_len else None
-    results["local_unicyclicity"] = _check_tiny_components(adj, core, t, near, set_budget)
+    # (iv) looks near the cycles of length <= t, (v) counts up to cycle_len_cap
+    t = consts.tiny_component_cap
+    _, near_done, near = simple_cycle_counts(h, t, cycle_budget, collect_vertices=True)
+    results["local_unicyclicity"] = _check_tiny_components(
+        h.adjacency(), h.core_numbers(), t, near if near_done else None, set_budget
+    )
+    counts, completed = simple_cycle_counts(h, consts.cycle_len_cap, cycle_budget)
     results["cycle_counts"] = _check_cycle_counts(counts, completed, consts, cycle_budget)
     return AdmissibilityReport(conditions=results)
 
@@ -626,20 +738,19 @@ def _check_tiny_components(
     adj: tuple[tuple[int, ...], ...],
     core: np.ndarray,
     t: int,
-    shortest: dict[int, int] | None,
+    near: set[int] | None,
     set_budget: int,
 ) -> ConditionResult:
     """Condition (iv): no connected set of at most t vertices has more
-    edges than vertices.  shortest maps every vertex on a cycle of length
-    <= t to the length of its shortest cycle, or is None when the cycle
-    scan did not cover length t.  With it, the enumeration runs over the
-    2-core vertices within max(0, t - 6) hops of such a vertex; without
-    it, over the whole 2-core.  The module docstring says why the smaller
-    region loses no inclusion-minimal violator."""
-    if shortest is None:
+    edges than vertices.  near holds every vertex on a cycle of length
+    <= t, or is None when the cycle scan that collects them ran out of
+    budget.  With it, the enumeration runs over the 2-core vertices within
+    max(0, t - 6) hops of near; without it, over the whole 2-core.  The
+    module docstring says why the smaller region loses no
+    inclusion-minimal violator."""
+    if near is None:
         return _first_dense_set(adj, (core >= 2).tolist(), t, 1, set_budget)
-    seeds = [v for v, length in shortest.items() if length <= t]
-    region = _bfs(adj, seeds, max(0, t - 6), within=set(np.flatnonzero(core >= 2).tolist()))
+    region = _bfs(adj, near, max(0, t - 6), within=set(np.flatnonzero(core >= 2).tolist()))
     return _first_dense_set(adj, [v in region for v in range(len(adj))], t, 1, set_budget)
 
 

@@ -17,7 +17,6 @@ and every report, its CSV included, is written through CsvReport.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import math
 import os
@@ -37,6 +36,7 @@ from .inference import (
     reasonable_candidate_check,
 )
 from .moments import chain_moment, cycle_moment, sample_chain_orbit_edges, sample_cycle_orbit_edges
+from .report import CsvReport
 from .rng import stream
 
 __all__ = [
@@ -148,43 +148,6 @@ class ExperimentConfig:
             return cls(**payload)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-
-
-class CsvReport:
-    """Schema-validated CSV accumulation: every row is checked against the
-    declared column types before it is written."""
-
-    def __init__(self, columns: tuple[str, ...], types: tuple[type, ...]):
-        if len(columns) != len(types):
-            raise ValueError("columns and types must align")
-        self.columns = columns
-        self.types = types
-        self._rows: list[tuple] = []
-
-    def add_row(self, *values) -> None:
-        if len(values) != len(self.columns):
-            raise ValueError(f"expected {len(self.columns)} fields, got {len(values)}")
-        for v, t in zip(values, self.types):
-            if t is float and isinstance(v, (int, np.integer)):
-                continue
-            if not isinstance(v, t):
-                raise TypeError(f"field {v!r} is not of type {t.__name__}")
-        self._rows.append(values)
-
-    def text(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(self.columns) + "\n")
-        for row in self._rows:
-            rendered = []
-            for v, t in zip(row, self.types):
-                if t is float:
-                    rendered.append(f"{float(v):.10g}")
-                elif t is bool:
-                    rendered.append("true" if v else "false")
-                else:
-                    rendered.append(str(v))
-            buf.write(",".join(rendered) + "\n")
-        return buf.getvalue()
 
 
 def parallel_map(fn, items, threads: int) -> list:

@@ -13,13 +13,13 @@ of length x generates an x/2-cycle, called special.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from math import floor
 
 import numpy as np
 
 from .graphs import Bijection, CorrelatedSample
+from .report import CsvReport
 
 __all__ = [
     "NodeCycleDecomposition",
@@ -283,14 +283,11 @@ def orbit_edge_stats(
 
 
 def census_csv(decomposition: OrbitDecomposition) -> str:
-    """Census export with columns (length, kind, special, count)."""
-    buf = io.StringIO()
-    buf.write("length,kind,special,count\n")
+    """Census export with columns (length, kind, special, count), one row
+    per non-zero census entry."""
+    report = CsvReport(("length", "kind", "special", "count"), (int, str, bool, int))
     for k, (s_k, l_k, t_k) in decomposition.census.items():
-        if s_k:
-            buf.write(f"{k},cycle,true,{s_k}\n")
-        if l_k:
-            buf.write(f"{k},cycle,false,{l_k}\n")
-        if t_k:
-            buf.write(f"{k},chain,false,{t_k}\n")
-    return buf.getvalue()
+        for kind, special, count in (("cycle", True, s_k), ("cycle", False, l_k), ("chain", False, t_k)):
+            if count:
+                report.add_row(k, kind, special, count)
+    return report.text()

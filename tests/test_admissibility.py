@@ -1,7 +1,10 @@
+import functools
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import corrmatch.admissibility as adm
@@ -379,9 +382,10 @@ def test_budget_exhaustion_reports_undecided():
     assert "undecided" in statuses.values()
     assert not report.admissible
     assert report.conditions["cycle_counts"].witness == {"stage": "cycle_paths", "budget": 5}
-    # a 20-cycle is unicyclic, so only the budget stops the set enumeration
-    ring = Graph(20, [(i, (i + 1) % 20) for i in range(20)])
-    res = check_admissible(ring, lenient_constants(20, tiny_component_cap=10), set_budget=5)
+    # a 10-cycle is unicyclic, so only the budget stops the set enumeration
+    # near it (t = 10 reaches the cycle)
+    ring = Graph(10, [(i, (i + 1) % 10) for i in range(10)])
+    res = check_admissible(ring, lenient_constants(10, tiny_component_cap=10), set_budget=5)
     res = res.conditions["local_unicyclicity"]
     assert res.status == "undecided"
     assert res.witness == {"stage": "connected_sets", "budget": 5}
@@ -532,6 +536,12 @@ KERNEL_CASES = {
     "theta with a chain back to its end": ([_chain_graph(2, [(0, 1, 1), (0, 1, 3), (0, 1, 4), (0, 0, 4)])], {4: 2, 5: 1}),
     "K4 and K5": ([_complete(4), _complete(5)], {3: 4 + 10, 4: 3 + 15, 5: 12}),
     "K4 with every edge a 2-chain": ([_chain_graph(4, [(i, j, 2) for i in range(4) for j in range(i + 1, 4)])], {}),
+    "four parallel chains of one length": ([_chain_graph(2, [(0, 1, 2)] * 4)], {4: 6}),
+    "an edge beside parallel chains": ([_chain_graph(2, [(0, 1, 1), (0, 1, 2), (0, 1, 2)])], {3: 2, 4: 1}),
+    "parallel chains and loops at both ends": (
+        [_chain_graph(2, [(0, 1, 2), (0, 1, 3), (0, 0, 3), (1, 1, 4), (1, 1, 6)])],
+        {3: 1, 4: 1, 5: 1},
+    ),
 }
 
 
@@ -603,6 +613,223 @@ def test_cycle_budget_cut_gives_lower_bounds():
     # cycles that are one chain are counted before the search, whatever the budget
     ring = Graph(*_chain_graph(1, [(0, 0, 5)]))
     assert simple_cycle_counts(ring, 5, budget=0) == ({3: 0, 4: 0, 5: 1}, True)
+
+
+def _kernel_dfs_counts(h, max_len):
+    """Kernel-level reference: the chain contraction walked vertex by
+    vertex, then a depth-first search per root over kernel vertices above
+    it, pruned by Dial's bucketed distances back to the root through such
+    vertices.  Returns (counts, True, vertices on counted cycles)."""
+    adj = h.adjacency()
+    alive = (h.core_numbers() >= 2).tolist()
+    nbrs = [[w for w in adj[v] if alive[w]] if alive[v] else [] for v in range(h.n)]
+    kernel = [len(nb) >= 3 for nb in nbrs]
+    walked = [False] * h.n
+    kadj = [[] for _ in range(h.n)]    # (far end, length, chain id)
+    inner, lone = [], []
+
+    def walk(prev, cur):
+        interior = []
+        while not kernel[cur] and not walked[cur]:
+            walked[cur] = True
+            interior.append(cur)
+            a, b = nbrs[cur]
+            prev, cur = cur, (b if a == prev else a)
+        return interior, cur
+
+    for u in range(h.n):
+        if not kernel[u]:
+            continue
+        for w in nbrs[u]:
+            if kernel[w]:
+                if u > w:
+                    continue
+                interior, end = [], w
+            elif walked[w]:
+                continue
+            else:
+                interior, end = walk(u, w)
+            if len(interior) >= max_len:
+                continue
+            if end == u:
+                lone.append([u] + interior)
+            else:
+                kadj[u].append((end, len(interior) + 1, len(inner)))
+                kadj[end].append((u, len(interior) + 1, len(inner)))
+                inner.append(interior)
+    for v in range(h.n):
+        if nbrs[v] and not walked[v] and not kernel[v]:
+            ring, _ = walk(nbrs[v][0], v)
+            if len(ring) <= max_len:
+                lone.append(ring)
+    counts = {k: 0 for k in range(3, max_len + 1)}
+    on_cycles, chains_on = set(), set()
+    for cycle in lone:
+        if len(cycle) <= max_len:
+            counts[len(cycle)] += 1
+            on_cycles.update(cycle)
+    for root in range(h.n):
+        if sum(w > root for w, _, _ in kadj[root]) < 2:
+            continue
+        radius = max_len // 2
+        dist = {root: 0}
+        buckets = [[root]] + [[] for _ in range(radius)]
+        for d, bucket in enumerate(buckets):
+            for u in bucket:
+                if dist[u] < d:
+                    continue
+                for w, length, _ in kadj[u]:
+                    e = d + length
+                    if w > root and e <= radius and e < dist.get(w, e + 1):
+                        dist[w] = e
+                        buckets[e].append(w)
+        reach = {v: max_len - d for v, d in dist.items() if v != root}
+        closers = {}
+        for w, length, cid in kadj[root]:
+            if w in reach:
+                closers.setdefault(w, []).append((length, cid))
+        stack = [(0, iter([c for c in kadj[root] if c[0] in reach]))]
+        path, used, in_path = [root], [], {root}
+        while stack:
+            d, chains = stack[-1]
+            for w, length, cid in chains:
+                d_w = d + length
+                if d_w > reach[w] or w in in_path:
+                    continue
+                first = used[0] if used else cid
+                for back, last in closers.get(w, ()):
+                    if last > first and d_w + back <= max_len:
+                        counts[d_w + back] += 1
+                        on_cycles.update(path)
+                        on_cycles.add(w)
+                        chains_on.update((*used, cid, last))
+                if d_w <= max_len - 2:
+                    path.append(w)
+                    used.append(cid)
+                    in_path.add(w)
+                    stack.append((d_w, iter([c for c in kadj[w] if c[0] in reach])))
+                    break
+            else:
+                stack.pop()
+                if used:
+                    used.pop()
+                    in_path.remove(path.pop())
+    for cid in chains_on:
+        on_cycles.update(inner[cid])
+    return counts, True, on_cycles
+
+
+def test_simple_cycle_counts_match_kernel_dfs_on_workload_graphs():
+    # the 24 draws of G(2000, 2/2000) that the admissibility benchmark checks
+    for g in (sample_er(2000, 2.0 / 2000, stream(906, rep)) for rep in range(24)):
+        got = simple_cycle_counts(g, 12, collect_vertices=True)
+        assert got == _kernel_dfs_counts(g, 12)
+        # past 64 kernel vertices the path filter needs its exact check
+        assert adm._contract_core(g.edge_array(), g.core_numbers() >= 2, 12).vertices.size > 64
+
+
+def test_simple_cycle_counts_do_not_depend_on_block_sizes(monkeypatch):
+    # tiny blocks: many blocks of roots, and paths split across steps
+    rng = stream(69, 0)
+    graphs = [sample_er(int(n), min(1.0, 3.0 / n), rng) for n in rng.integers(30, 80, size=5)]
+    graphs.append(_disjoint_union(*(part for parts, _ in KERNEL_CASES.values() for part in parts)))
+    want = [[_kernel_dfs_counts(g, max_len) for max_len in (5, 8)] for g in graphs]
+    for row_block, dist_cells in ((3, 5), (16, 40)):
+        monkeypatch.setattr(adm, "_ROW_BLOCK", row_block)
+        monkeypatch.setattr(adm, "_DIST_CELLS", dist_cells)
+        for g, expected in zip(graphs, want):
+            for max_len, counts in zip((5, 8), expected):
+                assert simple_cycle_counts(g, max_len, collect_vertices=True) == counts
+
+
+def _subset_cycle_counts(h, max_len):
+    """Vertex-level oracle by dynamic programming over vertex subsets, for
+    graphs of up to about 20 vertices: walks[mask, v] counts the simple
+    paths that start at the least vertex of mask, visit exactly mask and
+    end at v.  Each k-cycle is two such paths of k vertices whose ends are
+    adjacent.  Returns (counts, True, vertices on counted cycles)."""
+    n = h.n
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v in h.edges:
+        adj[u, v] = adj[v, u] = 1
+    masks = np.arange(1 << n)
+    low = np.full(1 << n, n)
+    for v in reversed(range(n)):
+        low[masks >> v & 1 == 1] = v
+    size = np.bitwise_count(masks)
+    walks = np.zeros((1 << n, n), dtype=np.int64)
+    walks[1 << np.arange(n), np.arange(n)] = 1
+    counts = {k: 0 for k in range(3, max_len + 1)}
+    on_cycles = 0
+    for k in range(1, max_len + 1):
+        layer = masks[size == k]
+        if k >= 3:
+            closed = (walks[layer] * adj[low[layer]]).sum(axis=1)
+            counts[k] = int(closed.sum()) // 2
+            on_cycles |= int(np.bitwise_or.reduce(layer[closed > 0], initial=0))
+        for u in range(n):
+            grow = layer[(layer >> u & 1 == 0) & (low[layer] < u)]
+            walks[grow | 1 << u, u] += walks[grow] @ adj[:, u]
+    return counts, True, {v for v in range(n) if on_cycles >> v & 1}
+
+
+@functools.cache
+def _dense_scan():
+    """The scan of G(16, 0.5) at max_len 12 with the default budget, and
+    its tracemalloc peak in bytes."""
+    g = sample_er(16, 0.5, stream(31, 0))
+    g.core_numbers()
+    tracemalloc.start()
+    try:
+        got = simple_cycle_counts(g, 12, collect_vertices=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return g, got, peak
+
+
+def test_subset_oracle_matches_the_vertex_dfs():
+    rng = stream(70, 0)
+    for _ in range(30):
+        n = int(rng.integers(3, 11))
+        g = sample_er(n, float(rng.uniform(0.2, 0.9)), rng)
+        max_len = int(rng.integers(3, n + 2))
+        assert _subset_cycle_counts(g, max_len) == _reference_cycle_counts(g, max_len, collect_vertices=True)
+
+
+def test_simple_cycle_counts_dense_graph_at_length_12():
+    g, got, _ = _dense_scan()
+    assert got == _subset_cycle_counts(g, 12)
+    assert got[0][8] == 71406 and got[0][12] == 2711841
+
+
+# tracemalloc peaks measured on a 2-core x86-64 VM (Python 3.11, numpy 2.4,
+# scipy 1.17): 9.0 MB on G(16, 0.5) at max_len 12 and 2.7 MB on
+# G(2e4, 2/2e4).  The bounds leave room for allocator and library
+# differences.  A level of paths held whole (millions of paths on the dense
+# graph) or a root-by-kernel distance table (19.9 MB even at one byte a
+# cell for the sparse graph's 4 461 kernel vertices) breaks them.
+DENSE_PEAK_BOUND = 24 * 2**20
+SPARSE_PEAK_BOUND = 8 * 2**20
+
+
+def test_cycle_scan_memory_dense():
+    _, (_, completed, _), peak = _dense_scan()
+    assert completed
+    assert peak < DENSE_PEAK_BOUND, peak
+
+
+def test_cycle_scan_memory_sparse():
+    g = sample_er(20_000, 2.0 / 20_000, stream(71, 0))
+    g.core_numbers()
+    tracemalloc.start()
+    try:
+        counts, completed = simple_cycle_counts(g, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert completed and sum(counts.values()) > 0
+    assert peak < SPARSE_PEAK_BOUND, peak
 
 
 def _induced_connected(adj, subset):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from corrmatch.density import rho_curve_from_draws, rho_draw
@@ -17,6 +18,7 @@ from corrmatch.harness import (
     run_rho_curve,
     run_threshold_sweep,
 )
+from corrmatch import report
 from corrmatch.inference import exact_posterior
 
 
@@ -118,6 +120,20 @@ def test_csv_report_schema_validation():
     with pytest.raises(TypeError):
         rep.add_row("x", 2.0)
     assert rep.text().splitlines()[0] == "a,b"
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False)])
+def test_csv_report_refuses_bools_in_numeric_columns(value):
+    rep = CsvReport(("a", "b", "c"), (int, float, bool))
+    for row in ((value, 1.0, True), (1, value, True)):
+        with pytest.raises(TypeError, match="bool"):
+            rep.add_row(*row)
+    rep.add_row(1, np.int64(2), bool(value))
+    assert rep.text() == f"a,b,c\n1,2,{'true' if value else 'false'}\n"
+
+
+def test_csv_report_is_one_object():
+    assert CsvReport is report.CsvReport
 
 
 # -- determinism across thread counts --

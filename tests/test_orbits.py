@@ -266,3 +266,30 @@ def test_census_csv_schema():
     assert lines[0] == "length,kind,special,count"
     assert all(len(line.split(",")) == 4 for line in lines[1:])
     assert any(",cycle,true," in line for line in lines[1:])
+
+
+def _census_csv_by_hand(decomposition):
+    """The census CSV as it was written before CsvReport wrote it."""
+    text = "length,kind,special,count\n"
+    for k, (s_k, l_k, t_k) in decomposition.census.items():
+        if s_k:
+            text += f"{k},cycle,true,{s_k}\n"
+        if l_k:
+            text += f"{k},cycle,false,{l_k}\n"
+        if t_k:
+            text += f"{k},chain,false,{t_k}\n"
+    return text
+
+
+def test_census_csv_bytes_unchanged():
+    rng = stream(72, 0)
+    kinds = set()
+    for _ in range(40):
+        n = int(rng.integers(2, 14))
+        phi = Bijection([int(v) for v in rng.permutation(n)])
+        universe = {int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)}
+        dec = restricted_orbits(phi, IDENT(n), universe)
+        text = census_csv(dec)
+        assert text == _census_csv_by_hand(dec)
+        kinds.update(tuple(line.split(",")[1:3]) for line in text.splitlines()[1:])
+    assert kinds == {("cycle", "true"), ("cycle", "false"), ("chain", "false")}
