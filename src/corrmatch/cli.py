@@ -8,7 +8,8 @@ path; stdout otherwise) is on every subcommand.  --seed is on sample,
 orbits, estimate and tv (default 0) and on the four config subcommands:
 moments-check, rho-curve, posterior-study and threshold-sweep.  Only the
 config subcommands take --config (JSON experiment config) and --threads
-(worker threads; default: the config's threads field, 1 without a config).
+(worker processes, capped at the CPU count; default: the config's threads
+field, 1 without a config).  The output bytes do not depend on it.
 A --config file replaces the subcommand's own experiment flags (--n,
 --lambdas, --replicates, --p, --s, --alpha); --seed and --threads are
 applied on top of it.
@@ -316,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             sp.add_argument("--config", type=str, default=None, help="experiment config JSON")
             sp.add_argument("--seed", type=int, default=None)
-            sp.add_argument("--threads", type=int, default=None)
+            sp.add_argument(
+                "--threads", type=int, default=None,
+                help="worker processes, at most the CPU count (default: the config's threads, else 1)",
+            )
         elif seeded:
             sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", type=str, default=None)

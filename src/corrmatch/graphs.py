@@ -358,22 +358,37 @@ def _decode_pairs(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return us, vs
 
 
+def _first_appearances(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct values of draws, ascending; the position where each
+    first appears).  One sort of value * len + position when that key fits
+    in an int64, else one stable argsort."""
+    size = draws.size
+    if int(draws.max()) <= (np.iinfo(np.int64).max - size) // size:
+        values, pos = np.divmod(np.sort(draws * size + np.arange(size)), size)
+    else:
+        pos = np.argsort(draws, kind="stable")
+        values = draws[pos]
+    head = np.ones(size, dtype=bool)
+    head[1:] = values[1:] != values[:-1]
+    return values[head], pos[head]
+
+
 def _sample_distinct(rng: np.random.Generator, universe: int, m: int) -> np.ndarray:
-    """m distinct uniform indices in [0, universe), by first appearance."""
+    """The first m distinct values of a uniform draw sequence over
+    [0, universe) (a uniform m-subset), ascending."""
     if m > universe:
         raise ValueError("cannot sample more indices than the universe holds")
     if m == 0:
         return np.empty(0, dtype=np.int64)
     if 2 * m > universe:
-        return rng.permutation(universe)[:m].astype(np.int64)
+        return np.sort(rng.permutation(universe)[:m]).astype(np.int64)
     draws = np.empty(0, dtype=np.int64)
     while True:
         batch = rng.integers(0, universe, size=max(16, int(1.2 * (m + 8))), dtype=np.int64)
         draws = np.concatenate([draws, batch])
-        uniq, first = np.unique(draws, return_index=True)
-        if uniq.size >= m:
-            keep = uniq[np.argsort(first)][:m]
-            return keep
+        values, first = _first_appearances(draws)
+        if values.size >= m:
+            return values[first <= np.partition(first, m - 1)[m - 1]]
 
 
 def sample_er(n: int, q: float, rng: np.random.Generator) -> Graph:
@@ -382,7 +397,7 @@ def sample_er(n: int, q: float, rng: np.random.Generator) -> Graph:
         raise ValueError("edge probability must lie in [0, 1]")
     total = _pair_count(n)
     m = int(rng.binomial(total, q)) if total else 0
-    idx = np.sort(_sample_distinct(rng, total, m))
+    idx = _sample_distinct(rng, total, m)
     us, vs = _decode_pairs(n, idx)
     return Graph.from_arrays(n, us, vs)
 
@@ -396,7 +411,7 @@ def sample_correlated(params: ModelParams, seed: int, replicate: int = 0) -> Cor
     pi_star = Bijection.uniform(n, rng)
     total = _pair_count(n)
     parent_m = int(rng.binomial(total, params.p))
-    parent_idx = np.sort(_sample_distinct(rng, total, parent_m))
+    parent_idx = _sample_distinct(rng, total, parent_m)
     keep_g = rng.random(parent_m) < params.s
     keep_gbar = rng.random(parent_m) < params.s
     us, vs = _decode_pairs(n, parent_idx)

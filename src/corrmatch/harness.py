@@ -3,12 +3,20 @@
 Every experiment is a pure function of (config, master seed): replicate i
 of grid point j always draws from the stream (seed, j * replicates + i),
 aggregation happens in index order, and parallelism is replicate-level
-only, so thread count cannot change any output byte.  The one exception is
-the sweep's wall-time column, which is measurement, not simulation; the
-determinism contract covers every other column.  The thread count is read
-from config.threads only; a `threads` argument to a run_* function
-replaces that field once, on entry, so nested runs (the sweep's reference
-curve) see it too.
+only, so the worker count cannot change any output byte.  The one
+exception is the sweep's wall-time column, which is measurement, not
+simulation; the determinism contract covers every other column.
+
+Replicates run in worker processes that parallel_map forks, at most
+os.cpu_count() of them, because the exact flow solves hold the GIL and
+threads would take turns on one core.  The start method is named
+("fork"), not left to the platform default, which Python 3.14 moves to
+"forkserver" on Linux: forked workers inherit the replicate closures,
+which could not be pickled.  Results are collected in item order.  One
+worker, one item, a map inside a worker and a platform without fork run
+serially.  The worker count is read from config.threads only; a
+`threads` argument to a run_* function replaces that field once, on
+entry, so nested runs (the sweep's reference curve) see it too.
 
 run_rho_curve is the one driver of the rho curve, at one lambda or many,
 and every report, its CSV included, is written through CsvReport.
@@ -19,9 +27,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import multiprocessing
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -150,18 +160,48 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def parallel_map(fn, items, threads: int) -> list:
-    """Order-preserving map; results identical for any thread count.
+_task = None   # (fn, items) of the running parallel_map, inherited by its workers
+_pool_lock = threading.Lock()   # held while a pool runs, so its forked workers inherit it held
 
-    The pool never exceeds os.cpu_count() threads: the work is GIL-bound
-    Python, so threads past the core count only add contention, and since
-    results come back in item order the cap cannot change any output."""
+
+def _run_item(i: int):
+    fn, items = _task
+    return fn(items[i])
+
+
+def parallel_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], computed by up to `threads` worker processes;
+    the result is the same for any worker count.
+
+    The workers are forked ("fork" is named, not left to the platform
+    default, which Python 3.14 moves to "forkserver" on Linux), so they
+    inherit fn and items from a module global and only item indices and
+    results cross the pipes: fn may be a closure or a lambda, but what it
+    returns or raises must pickle.  Results come back in item order, and the
+    first item in that order whose fn raises passes its exception, type
+    kept, to the caller, as a serial map would; a worker that dies raises
+    BrokenProcessPool.  The pool never exceeds os.cpu_count() processes,
+    since more would only take turns on the same cores.  The map runs
+    serially in the calling process for one worker or at most one item,
+    where fork is unavailable, and while another pool of this process is
+    running: inside a pool worker (no nested pools) or on a second thread."""
+    global _task
     items = list(items)
-    threads = min(threads, os.cpu_count() or 1)
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, os.cpu_count() or 1)
+    if (
+        workers <= 1
+        or len(items) <= 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or not _pool_lock.acquire(blocking=False)
+    ):
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    try:
+        _task = (fn, items)
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_run_item, range(len(items))))
+    finally:
+        _task = None
+        _pool_lock.release()
 
 
 # -- moment verification ----------------------------------------------------------

@@ -242,6 +242,21 @@ def test_string_run_map_exits_3(tmp_path, capsys):
     assert rows and all(row.split(",")[3] == "pi_star" for row in rows)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rho-curve", "--n", "5", "--lambdas", "2,8", "--replicates", "2"], "edge probability"),
+        (["threshold-sweep", "--n", "60", "--lambdas", "2,10", "--replicates", "2"], "needs s > 1"),
+    ],
+)
+def test_worker_errors_exit_3_with_two_workers(argv, message, monkeypatch, capsys):
+    import corrmatch.harness as harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert RUN(argv + ["--threads", "2"]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_thread_count_reaches_parallel_map(tmp_path, monkeypatch, capsys):
     import corrmatch.harness as harness
 

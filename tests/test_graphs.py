@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrmatch import graphs
 from corrmatch.graphs import (
     Bijection,
     Graph,
@@ -309,3 +310,46 @@ def test_er_sampler_mean():
     mean = np.mean(counts) / pairs
     se = np.sqrt(0.3 * 0.7 / (300 * pairs))
     assert abs(mean - 0.3) < 4 * se
+
+
+def _sample_distinct_by_unique(rng, universe, m):
+    """The earlier sampler, kept as the oracle: np.unique for the first
+    appearances, then an argsort of them; unsorted output."""
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    if 2 * m > universe:
+        return rng.permutation(universe)[:m].astype(np.int64)
+    draws = np.empty(0, dtype=np.int64)
+    while True:
+        batch = rng.integers(0, universe, size=max(16, int(1.2 * (m + 8))), dtype=np.int64)
+        draws = np.concatenate([draws, batch])
+        uniq, first = np.unique(draws, return_index=True)
+        if uniq.size >= m:
+            return uniq[np.argsort(first)][:m]
+
+
+@pytest.mark.parametrize(
+    "universe, m",
+    [
+        (1, 1), (10, 6), (100, 51),                     # 2m > universe: a permutation prefix
+        (10, 0), (10, 3), (100, 50), (1000, 499),       # one batch; (1000, 499) takes two
+        (1_999_000, 44_700), (2**40, 1000),             # n = 2000 at p = n^-1/2; a sparse huge universe
+        (2**62, 100), (2**63 - 1, 17),                  # value * size + position overflows int64
+    ],
+)
+def test_sample_distinct_matches_the_unique_oracle(universe, m):
+    for seed in range(3):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = graphs._sample_distinct(new, universe, m)
+        want = np.sort(_sample_distinct_by_unique(old, universe, m))
+        assert got.dtype == want.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+        assert new.bit_generator.state == old.bit_generator.state   # same draws consumed
+
+
+def test_first_appearances_at_the_packed_key_limit():
+    top = (np.iinfo(np.int64).max - 5) // 5   # the largest value the packed key holds at 5 draws
+    for big in (top, top + 1, np.iinfo(np.int64).max):
+        draws = np.array([big, 3, big, 0, 3], dtype=np.int64)
+        values, first = graphs._first_appearances(draws)
+        assert values.tolist() == [0, 3, big] and first.tolist() == [3, 1, 0]

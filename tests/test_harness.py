@@ -1,5 +1,9 @@
 import json
 import math
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -136,7 +140,7 @@ def test_csv_report_is_one_object():
     assert CsvReport is report.CsvReport
 
 
-# -- determinism across thread counts --
+# -- determinism across worker counts, and the worker pool --
 
 
 def test_rho_curve_byte_identical_across_threads():
@@ -230,18 +234,80 @@ def test_parallel_map_caps_threads_at_cpu_count(monkeypatch):
     import corrmatch.harness as harness
 
     pools = []
-    real_pool = harness.ThreadPoolExecutor
+    real_pool = harness.ProcessPoolExecutor
 
-    def recording_pool(max_workers):
+    def recording_pool(max_workers, **kwargs):
         pools.append(max_workers)
-        return real_pool(max_workers=max_workers)
+        return real_pool(max_workers, **kwargs)
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     assert parallel_map(str, range(5), threads=8) == [str(x) for x in range(5)]
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
     assert parallel_map(str, range(5), threads=8) == [str(x) for x in range(5)]
     assert pools == [2]
+
+
+def test_parallel_map_runs_two_workers_in_two_processes(monkeypatch):
+    import corrmatch.harness as harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    # neither item can pass the barrier until the other one has reached it
+    barrier = multiprocessing.get_context("fork").Barrier(2, timeout=60)
+    pids = parallel_map(lambda _: (barrier.wait(), os.getpid())[1], range(2), threads=2)
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+
+
+def test_parallel_map_nested_in_a_worker_runs_serially(monkeypatch):
+    import corrmatch.harness as harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+
+    def inner(x):
+        return parallel_map(lambda y: (x * 10 + y, os.getpid()), range(3), threads=2)
+
+    got = parallel_map(inner, range(4), threads=2)
+    assert [[v for v, _ in row] for row in got] == [[x * 10 + y for y in range(3)] for x in range(4)]
+    for row in got:
+        assert len({pid for _, pid in row}) == 1 and row[0][1] != os.getpid()
+    # likewise on a thread of a process whose pool is running
+    with harness._pool_lock:
+        assert parallel_map(lambda y: (y, os.getpid()), range(3), threads=2) == [(y, os.getpid()) for y in range(3)]
+
+
+def test_parallel_map_fails_when_a_worker_dies(monkeypatch):
+    import corrmatch.harness as harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    caller = os.getpid()
+
+    def die(x):
+        if x == 1 and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    with pytest.raises(BrokenProcessPool):
+        parallel_map(die, range(4), threads=2)
+    assert parallel_map(str, range(4), threads=2) == ["0", "1", "2", "3"]   # and the next map runs
+
+
+def test_worker_errors_keep_their_type(monkeypatch):
+    import corrmatch.harness as harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    # lambda 10 needs s > 1 at n = 60, alpha = 1/2: the sweep's replicate raises
+    sweep = small_config(
+        "threshold-sweep", n=60, alpha=0.5, replicates=2, lambda_grid=(2.0, 10.0), seed=3,
+        estimator={"curve_n": 60, "curve_replicates": 2},
+    )
+    # lambda 8 at n = 5 asks sample_er for q > 1
+    curve = small_config("rho-curve", n=5, replicates=2, lambda_grid=(2.0, 8.0), seed=3)
+    for threads in (1, 2):
+        with pytest.raises(ConfigError, match="needs s > 1"):
+            run_threshold_sweep(sweep, threads=threads)
+        with pytest.raises(ValueError, match="edge probability") as info:
+            run_rho_curve(curve, threads=threads)
+        assert type(info.value) is ValueError
 
 
 # -- posterior study and dump --
@@ -257,6 +323,11 @@ def test_posterior_study_csv_and_signal():
     assert len(ratios) == 20
     # correlated instances should beat the uniform baseline on average
     assert sum(ratios) / len(ratios) > 1.0
+
+
+def test_posterior_study_byte_identical_across_workers():
+    cfg = small_config("posterior-study", n=5, p=0.4, s=0.8, replicates=6, seed=13)
+    assert run_posterior_study(cfg, threads=1) == run_posterior_study(cfg, threads=2)
 
 
 def test_posterior_study_rejects_large_n():
