@@ -37,22 +37,24 @@ theta every vertex lies on a cycle of length <= |U| <= t.  In the other
 shape every vertex lies on one of the two cycles, each of length <= t, or
 inside the path; a path with interior vertices joins two disjoint cycles,
 which take at least 6 vertices, so it has at most t - 6 of them, each
-within t - 6 hops of a cycle.  So the scan covers the 2-core vertices
-within max(0, t - 6) hops of a vertex on a cycle of length <= t.  Those
-vertices come from their own cycle scan, at length t with vertex
-collection, and the scan falls back to the whole 2-core only when that
-cycle scan ran out of budget.
+within t - 6 hops of a cycle.  So the enumeration covers the 2-core
+vertices within max(0, t - 6) hops of a vertex on a cycle of length <= t,
+and falls back to the whole 2-core only when the cycle scan ran out of
+budget.
 
-Condition (v) is one more cycle scan, at length cycle_len_cap without
-collection; both scans go through simple_cycle_counts.  A scan counts
-cycles on the contracted 2-core: every maximal chain of core-degree-2
-vertices becomes one weighted edge between kernel vertices (core degree
->= 3), and the cycles of more than one chain are found by extending
-kernel paths from each root in numpy, many paths per step, pruned by the
-unrestricted kernel distance back to the root.  That distance is a lower
-bound on the length of any way back that a counted cycle can take, so
-the pruning loses no cycle.  The scan's budget counts the path extensions
-it keeps, in one fixed order; running out yields lower-bound counts and
+Condition (v) counts the simple cycles of each length up to
+cycle_len_cap.  One cycle scan, simple_cycle_counts at length
+max(t, cycle_len_cap), serves both conditions: it counts the cycles for
+(v) and collects the vertices on cycles of length <= t for (iv).  The
+scan counts cycles on the contracted 2-core: every maximal chain of
+core-degree-2 vertices becomes one weighted edge between kernel vertices
+(core degree >= 3), and the cycles of more than one chain are found by
+extending kernel paths from each root in numpy, many paths per step,
+pruned by the unrestricted kernel distance back to the root, which one
+dijkstra call gives per block of roots.  That distance is a lower bound
+on the length of any way back that a counted cycle can take, so the
+pruning loses no cycle.  The scan's budget counts the path extensions it
+keeps, in one fixed order; running out yields lower-bound counts and
 "undecided" (or a failure those lower bounds already prove), never a
 silent pass.
 """
@@ -89,7 +91,7 @@ __all__ = [
 ZETA_GRID = tuple(1.0 + 0.5**j for j in range(1, 8))   # 1.5, 1.25, ..., ~1.0078
 
 _ROW_BLOCK = 32768      # arcs joined per step of the cycle scan
-_DIST_CELLS = 1 << 17   # root-to-kernel distances (one byte each) per block of roots
+_DIST_CELLS = 1 << 17   # root-to-kernel distances (float64 each) per block of roots
 
 
 class ConstantsInfeasibleError(ValueError):
@@ -259,7 +261,7 @@ class AdmissibilityReport:
             elif name == "cycle_counts":
                 # either count is a lower bound when its enumeration was cut short
                 k = w["length"]
-                counts, _ = simple_cycle_counts(h, k)
+                counts = simple_cycle_counts(h, k)[0]
                 if not counts.get(k, 0) >= w["count"] > consts.cycle_count_cap(k):
                     return False
         return True
@@ -410,22 +412,6 @@ def _contract_core(edges: np.ndarray, alive: np.ndarray, max_len: int) -> _Kerne
     )
 
 
-def simple_cycle_counts(
-    h: Graph, max_len: int, budget: int = 20_000_000, collect_vertices: bool = False
-) -> tuple[dict[int, int], bool] | tuple[dict[int, int], bool, set[int]]:
-    """Count simple cycles per length 3..max_len.
-
-    Returns (counts, completed); the optional third element collects all
-    vertices lying on counted cycles.  ``budget`` caps the path extensions
-    of the kernel search; see _cycle_scan for the method and the budget."""
-    counts, completed, verts = _cycle_scan(
-        h.edge_array(), h.core_numbers() >= 2, max_len, budget, collect_vertices
-    )
-    if collect_vertices:
-        return counts, completed, verts
-    return counts, completed
-
-
 def _segments(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner, position) of every element of the ranges
     starts[i]:starts[i] + sizes[i], laid end to end in order of i."""
@@ -455,13 +441,13 @@ class _Paths:
     next: int = 0
 
 
-def _cycle_scan(
-    edges: np.ndarray, alive: np.ndarray, max_len: int, budget: int, collect: bool
+def simple_cycle_counts(
+    h: Graph, max_len: int, budget: int = 20_000_000, collect_len: int = 0
 ) -> tuple[dict[int, int], bool, set[int]]:
-    """(counts, completed, vertices) of the simple cycles of lengths
-    3..max_len in the graph with canonical edge array edges, whose 2-core
-    is the alive mask.  When collect is set, vertices holds every vertex
-    on a counted cycle; otherwise it is empty.
+    """(counts, completed, vertices) of the simple cycles of h of lengths
+    3..max_len: counts per length, whether the search finished within
+    budget, and every vertex on a counted cycle of length <= collect_len
+    (none at 0).
 
     Cycles live in the 2-core, and they are counted on its kernel
     multigraph (see ``_contract_core``): each maximal chain of
@@ -486,16 +472,16 @@ def _cycle_scan(
     joined arcs a step, so memory stays O(n + m) plus about max_len
     blocks of paths and one block of at most _DIST_CELLS distances.
 
-    dist is the chain-length distance in the whole kernel, from C-level
-    dijkstra calls stopped at max_len // 2, each over a slice of the block
-    of roots whose float64 rows fit in _DIST_CELLS bytes; the block keeps
-    them capped at 255, one byte each.  A cycle's way back from w to r runs
-    through kernel vertices above r, so it is at least this unrestricted
-    distance, and a cap only lowers it: the test never drops an extension
-    that can still close a counted cycle.  Every kernel vertex of a counted
-    cycle is within max_len // 2 of r along the cycle, so distances past
-    that radius may stay infinite.  The pruning is exact: the counts and
-    vertices are those of an unpruned search over all simple cycles.
+    dist is the chain-length distance in the whole kernel, from one
+    C-level dijkstra call per block of roots, stopped at max_len // 2; a
+    block holds as many roots as fit their float64 rows in _DIST_CELLS
+    cells.  A cycle's way back from w to r runs through kernel vertices
+    above r, so it is at least this unrestricted distance: the test never
+    drops an extension that can still close a counted cycle.  Every kernel
+    vertex of a counted cycle is within max_len // 2 of r along the cycle,
+    so distances past that radius may stay infinite.  The pruning is
+    exact: the counts and vertices are those of an unpruned search over
+    all simple cycles.
 
     ``budget`` caps the path extensions kept, taken in one fixed order
     (blocks of roots ascending, then depth first, arcs in kernel order);
@@ -505,13 +491,13 @@ def _cycle_scan(
     """
     if max_len < 3:
         return {}, True, set()
-    kern = _contract_core(edges, alive, max_len)
+    kern = _contract_core(h.edge_array(), h.core_numbers() >= 2, max_len)
     counts = np.bincount(kern.lone_length, minlength=max_len + 1)
     size = kern.vertices.size
     outdeg = np.diff(kern.indptr)
     src = np.repeat(np.arange(size), outdeg)
     roots = np.flatnonzero(np.bincount(src[kern.dst > src], minlength=size) >= 2)
-    marks = (np.zeros(size, dtype=bool), np.zeros(kern.chain_run.size, dtype=bool)) if collect else None
+    kernel_on, chain_on = np.zeros(size, dtype=bool), np.zeros(kern.chain_run.size, dtype=bool)
     left = max(budget, 0)
     keys = src * size + kern.dst   # ascending: the arcs are sorted by (source, far end)
     if roots.size:
@@ -519,27 +505,20 @@ def _cycle_scan(
         pairs = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         nearest = _csr(size, src[pairs], kern.dst[pairs], np.minimum.reduceat(kern.length, pairs).astype(float))
     per_block = max(1, _DIST_CELLS // max(size, 1))
-    per_call = max(1, per_block // 8)   # float64 rows take 8 times the bytes
     for lo in range(0, roots.size, per_block):
         block = roots[lo:lo + per_block]
-        # distances capped at 255 (a cap only lowers them) in one byte each
-        dist = np.empty((block.size, size), dtype=np.uint8)
-        for at in range(0, block.size, per_call):
-            part = dijkstra(nearest, indices=block[at:at + per_call], limit=max_len // 2)
-            dist[at:at + per_call] = np.minimum(part, 255, out=part)
-        left = _scan_roots(kern, keys, block, dist.ravel(), max_len, left, counts, marks)
+        dist = dijkstra(nearest, indices=block, limit=max_len // 2)
+        left = _scan_roots(kern, keys, block, dist.ravel(), max_len, left, counts, kernel_on, chain_on, collect_len)
         if left < 0:
             break
-    verts: set[int] = set()
-    if collect:
-        kernel_on, chain_on = marks
-        run_on = np.zeros(kern.runs.max(initial=-1) + 1, dtype=bool)
-        run_on[kern.chain_run[chain_on & (kern.chain_run >= 0)]] = True
-        run_on[kern.lone_run] = True
-        on_runs = np.flatnonzero(kern.runs >= 0)
-        verts.update(on_runs[run_on[kern.runs[on_runs]]].tolist())
-        verts.update(kern.vertices[kernel_on].tolist())
-        verts.update(kern.lone_vertex[kern.lone_vertex >= 0].tolist())
+    run_on = np.zeros(kern.runs.max(initial=-1) + 1, dtype=bool)
+    run_on[kern.chain_run[chain_on & (kern.chain_run >= 0)]] = True
+    lone = kern.lone_length <= collect_len
+    run_on[kern.lone_run[lone]] = True
+    on_runs = np.flatnonzero(kern.runs >= 0)
+    verts = set(on_runs[run_on[kern.runs[on_runs]]].tolist())
+    verts.update(kern.vertices[kernel_on].tolist())
+    verts.update(kern.lone_vertex[lone & (kern.lone_vertex >= 0)].tolist())
     return {k: int(counts[k]) for k in range(3, max_len + 1)}, left >= 0, verts
 
 
@@ -551,14 +530,17 @@ def _scan_roots(
     max_len: int,
     left: int,
     counts: np.ndarray,
-    marks: tuple[np.ndarray, np.ndarray] | None,
+    kernel_on: np.ndarray,
+    chain_on: np.ndarray,
+    collect_len: int,
 ) -> int:
     """Count into counts the cycles of length <= max_len rooted at the
-    kernel vertices in block, as _cycle_scan describes, and mark in marks
-    (kernel vertices, chains) those they use.  keys[i] is source * size +
-    far end of arc i, dist the capped distance from each root of the block
-    to each kernel vertex, row by row.  Takes at most left extensions;
-    returns how many are left, or -1 when they ran out first."""
+    kernel vertices in block, as simple_cycle_counts describes, and mark
+    in kernel_on and chain_on the kernel vertices and chains of those of
+    length <= collect_len.  keys[i] is source * size + far end of arc i,
+    dist the distance from each root of the block to each kernel vertex,
+    row by row.  Takes at most left extensions; returns how many are
+    left, or -1 when they ran out first."""
     size = kern.vertices.size
     outdeg = np.diff(kern.indptr)
     slot = np.zeros(size, dtype=np.int64)
@@ -607,11 +589,12 @@ def _scan_roots(
         query = w * size + root
         first = np.searchsorted(keys, query)
         hit, back = _segments(first, np.searchsorted(keys, query, side="right") - first)
-        ok = (kern.chain[back] > lead[hit]) & (length[hit] + kern.length[back] <= max_len)
-        hit, back = hit[ok], back[ok]
-        counts += np.bincount(length[hit] + kern.length[back], minlength=max_len + 1)
-        if marks is not None and hit.size and not (marks[0].all() and marks[1].all()):
-            kernel_on, chain_on = marks
+        total = length[hit] + kern.length[back]
+        ok = (kern.chain[back] > lead[hit]) & (total <= max_len)
+        counts += np.bincount(total[ok], minlength=max_len + 1)
+        mark = np.flatnonzero(ok & (total <= collect_len))
+        hit, back = hit[mark], back[mark]
+        if hit.size and not (kernel_on.all() and chain_on.all()):
             kernel_on[w[hit]] = True
             chain_on[chain[hit]] = True
             chain_on[kern.chain[back]] = True
@@ -671,13 +654,12 @@ def check_admissible(
     else:
         results["max_degree"] = ConditionResult("pass")
 
-    # (iv) looks near the cycles of length <= t, (v) counts up to cycle_len_cap
+    # one scan: (iv) looks near the cycles of length <= t, (v) counts up to cycle_len_cap
     t = consts.tiny_component_cap
-    _, near_done, near = simple_cycle_counts(h, t, cycle_budget, collect_vertices=True)
+    counts, completed, near = simple_cycle_counts(h, max(t, consts.cycle_len_cap), cycle_budget, collect_len=t)
     results["local_unicyclicity"] = _check_tiny_components(
-        h.adjacency(), h.core_numbers(), t, near if near_done else None, set_budget
+        h.adjacency(), h.core_numbers(), t, near if completed else None, set_budget
     )
-    counts, completed = simple_cycle_counts(h, consts.cycle_len_cap, cycle_budget)
     results["cycle_counts"] = _check_cycle_counts(counts, completed, consts, cycle_budget)
     return AdmissibilityReport(conditions=results)
 
@@ -782,7 +764,7 @@ class GoodSetResult:
 def _short_cycle_vertices(h: Graph, c_big: int) -> set[int]:
     if c_big < 3:
         return set()
-    _, completed, verts = simple_cycle_counts(h, c_big, collect_vertices=True)
+    _, completed, verts = simple_cycle_counts(h, c_big, collect_len=c_big)
     if not completed:
         raise BudgetExceeded("cycle enumeration for good sets ran out of budget")
     return verts

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -39,6 +40,7 @@ from .harness import (
     run_threshold_sweep,
     sweep_grid,
     sweep_reference_curve,
+    z_score,
 )
 from .inference import (
     EstimatorConfig,
@@ -255,12 +257,15 @@ def _cmd_tv(args) -> int:
     params = ModelParams(n=args.n, p=args.p, s=args.s)
     est, se = tv_mc(params, args.replicates, args.seed)
     payload = {"mc_estimate": est, "mc_stderr": se}
+    z = 0.0
     if params.n <= 4:
         exact = tv_exact(params)
+        z = z_score(est, exact, se)
         payload["exact"] = exact
-        payload["z_score"] = (est - exact) / se if se > 0 else 0.0
+        payload["z_score"] = z if math.isfinite(z) else None   # JSON has no infinity
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    if "z_score" in payload and abs(payload["z_score"]) > 4.0:
+    if abs(z) > 4.0:
+        print(f"FAIL: |z| = {abs(z):.2f} exceeds 4", file=sys.stderr)
         return EXIT_STAT_FAIL
     return EXIT_OK
 

@@ -225,10 +225,16 @@ class Graph:
         n, m = int(rows[0][0]), int(rows[0][1])
         if len(rows) - 1 != m:
             raise ValueError(f"header promises {m} edges, found {len(rows) - 1}")
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
         for r in rows[1:]:
             if len(r) != 2:
                 raise ValueError(f"malformed edge row {' '.join(r)!r}; expected 'u v'")
-        return cls(n, [(int(r[0]), int(r[1])) for r in rows[1:]])
+        try:
+            ends = np.array([(int(r[0]), int(r[1])) for r in rows[1:]], dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            raise ValueError("edge endpoint out of range") from None
+        return cls.from_arrays(n, ends[:, 0], ends[:, 1])   # refuses a repeated edge
 
 
 class Bijection:

@@ -54,6 +54,7 @@ __all__ = [
     "ExperimentConfig",
     "CsvReport",
     "parallel_map",
+    "z_score",
     "run_moment_verification",
     "run_rho_curve",
     "run_threshold_sweep",
@@ -207,6 +208,15 @@ def parallel_map(fn, items, threads: int) -> list:
 # -- moment verification ----------------------------------------------------------
 
 
+def z_score(mean: float, exact: float, se: float) -> float:
+    """(mean - exact) / se.  A zero stderr gives 0 only when the mean is
+    exact and an infinite z otherwise, so a sample too small or too
+    degenerate to vary cannot pass a |z| test while it misses."""
+    if se > 0:
+        return (mean - exact) / se
+    return 0.0 if mean == exact else math.copysign(math.inf, mean - exact)
+
+
 def run_moment_verification(config: ExperimentConfig, threads: int | None = None) -> tuple[str, float]:
     """Closed-form orbit moments against Monte Carlo, one row per
     (class, k, theta); returns (csv, worst |z|)."""
@@ -236,8 +246,7 @@ def run_moment_verification(config: ExperimentConfig, threads: int | None = None
         xs = np.exp(theta * counts)
         mean = float(xs.mean())
         se = float(xs.std(ddof=1) / math.sqrt(size))
-        z = (mean - closed) / se if se > 0 else 0.0
-        return cls, k, theta, closed, mean, se, z
+        return cls, k, theta, closed, mean, se, z_score(mean, closed, se)
 
     results = parallel_map(one, list(enumerate(rows)), config.threads)
     report = CsvReport(

@@ -400,7 +400,7 @@ def test_budget_cut_cycle_witness_revalidates():
     assert res.status == "fail"
     k, count, cap = res.witness["length"], res.witness["count"], res.witness["cap"]
     assert count > cap == consts.cycle_count_cap(k)
-    full, done = simple_cycle_counts(g, k)
+    full, done, _ = simple_cycle_counts(g, k)
     assert done and full[k] >= count
     assert report.revalidate(g, consts)
 
@@ -422,7 +422,7 @@ def test_report_json_schema():
 
 def test_simple_cycle_counts_triangle_with_chord():
     g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)])
-    counts, done = simple_cycle_counts(g, 4)
+    counts, done, _ = simple_cycle_counts(g, 4)
     assert done
     assert counts[3] == 2 and counts[4] == 1
 
@@ -435,7 +435,7 @@ def test_simple_cycle_counts_match_networkx():
         p = min(float(rng.uniform(0.05, 0.35)), 3.0 / n)   # keeps cycle counts small
         max_len = int(rng.integers(3, 13))
         g = sample_er(n, p, rng)
-        counts, done, verts = simple_cycle_counts(g, max_len, collect_vertices=True)
+        counts, done, verts = simple_cycle_counts(g, max_len, collect_len=max_len)
         assert done
         ref = nx.Graph()
         ref.add_nodes_from(range(n))
@@ -546,7 +546,7 @@ KERNEL_CASES = {
 
 
 def _assert_matches_reference(g, max_len):
-    got = simple_cycle_counts(g, max_len, collect_vertices=True)
+    got = simple_cycle_counts(g, max_len, collect_len=max_len)
     assert got == _reference_cycle_counts(g, max_len, collect_vertices=True), max_len
     assert got[1]
     return got
@@ -575,8 +575,8 @@ def test_simple_cycle_counts_kernel_cases():
         _assert_matches_reference(union, max_len)
     # the 6-ring and the tail lie on no counted cycle at max_len 5
     rings = _disjoint_union(*KERNEL_CASES["rings of length max_len and max_len + 1"][0])
-    assert simple_cycle_counts(rings, 5, collect_vertices=True)[2] == set(range(5))
-    assert simple_cycle_counts(rings, 6, collect_vertices=True)[2] == set(range(11))
+    assert simple_cycle_counts(rings, 5, collect_len=5)[2] == set(range(5))
+    assert simple_cycle_counts(rings, 6, collect_len=6)[2] == set(range(11))
 
 
 def test_cycle_budget_cut_gives_lower_bounds():
@@ -586,7 +586,7 @@ def test_cycle_budget_cut_gives_lower_bounds():
         n = int(rng.integers(6, 25))
         g = sample_er(n, min(1.0, float(rng.uniform(1.5, 5.0)) / n), rng)
         max_len = int(rng.integers(3, 10))
-        full = simple_cycle_counts(g, max_len, collect_vertices=True)
+        full = simple_cycle_counts(g, max_len, collect_len=max_len)
         assert full[1]
         # the least budget that completes; completion is monotone in the budget
         lo, hi = 0, 1
@@ -598,7 +598,7 @@ def test_cycle_budget_cut_gives_lower_bounds():
         budgets = {0, hi - 1, hi, hi + 1} | {int(b) for b in rng.integers(0, hi + 1, size=4)}
         previous = None
         for budget in sorted(b for b in budgets if b >= 0):
-            counts, done, verts = simple_cycle_counts(g, max_len, budget=budget, collect_vertices=True)
+            counts, done, verts = simple_cycle_counts(g, max_len, budget=budget, collect_len=max_len)
             assert done == (budget >= hi)
             if done:
                 assert (counts, verts) == (full[0], full[2])
@@ -612,7 +612,7 @@ def test_cycle_budget_cut_gives_lower_bounds():
     assert cut > 20
     # cycles that are one chain are counted before the search, whatever the budget
     ring = Graph(*_chain_graph(1, [(0, 0, 5)]))
-    assert simple_cycle_counts(ring, 5, budget=0) == ({3: 0, 4: 0, 5: 1}, True)
+    assert simple_cycle_counts(ring, 5, budget=0) == ({3: 0, 4: 0, 5: 1}, True, set())
 
 
 def _kernel_dfs_counts(h, max_len):
@@ -722,7 +722,7 @@ def _kernel_dfs_counts(h, max_len):
 def test_simple_cycle_counts_match_kernel_dfs_on_workload_graphs():
     # the 24 draws of G(2000, 2/2000) that the admissibility benchmark checks
     for g in (sample_er(2000, 2.0 / 2000, stream(906, rep)) for rep in range(24)):
-        got = simple_cycle_counts(g, 12, collect_vertices=True)
+        got = simple_cycle_counts(g, 12, collect_len=12)
         assert got == _kernel_dfs_counts(g, 12)
         # past 64 kernel vertices the path filter needs its exact check
         assert adm._contract_core(g.edge_array(), g.core_numbers() >= 2, 12).vertices.size > 64
@@ -739,7 +739,38 @@ def test_simple_cycle_counts_do_not_depend_on_block_sizes(monkeypatch):
         monkeypatch.setattr(adm, "_DIST_CELLS", dist_cells)
         for g, expected in zip(graphs, want):
             for max_len, counts in zip((5, 8), expected):
-                assert simple_cycle_counts(g, max_len, collect_vertices=True) == counts
+                assert simple_cycle_counts(g, max_len, collect_len=max_len) == counts
+
+
+def test_longer_scan_collects_what_a_scan_at_collect_len_does():
+    rng = stream(72, 0)
+    graphs = [sample_er(int(n), min(1.0, float(rng.uniform(1.0, 3.0)) / n), rng) for n in rng.integers(10, 80, size=30)]
+    graphs += [_disjoint_union(*parts) for parts, _ in KERNEL_CASES.values()]
+    graphs += [sample_er(2000, 2.0 / 2000, stream(906, rep)) for rep in range(24)]
+    for g in graphs:
+        for t in range(3, 7):
+            counts_t, done_t, verts_t = simple_cycle_counts(g, t, collect_len=t)
+            assert done_t
+            for max_len in (t, 8, 12):
+                counts, done, verts = simple_cycle_counts(g, max_len, collect_len=t)
+                assert done and verts == verts_t, (t, max_len)
+                assert {k: counts[k] for k in counts_t} == counts_t, (t, max_len)
+
+
+def test_check_admissible_runs_one_cycle_scan(monkeypatch):
+    lengths = []
+    scan = adm.simple_cycle_counts
+
+    def spy(h, max_len, *args, **kwargs):
+        lengths.append(max_len)
+        return scan(h, max_len, *args, **kwargs)
+
+    monkeypatch.setattr(adm, "simple_cycle_counts", spy)
+    g = sample_er(2000, 2.0 / 2000, stream(906, 0))
+    for consts in (default_constants(0.5, 1.4, 2000), lenient_constants(2000, tiny_component_cap=7, cycle_len_cap=5)):
+        lengths.clear()
+        check_admissible(g, consts)
+        assert lengths == [max(consts.tiny_component_cap, consts.cycle_len_cap)]
 
 
 def _subset_cycle_counts(h, max_len):
@@ -781,7 +812,7 @@ def _dense_scan():
     g.core_numbers()
     tracemalloc.start()
     try:
-        got = simple_cycle_counts(g, 12, collect_vertices=True)
+        got = simple_cycle_counts(g, 12, collect_len=12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -824,7 +855,7 @@ def test_cycle_scan_memory_sparse():
     g.core_numbers()
     tracemalloc.start()
     try:
-        counts, completed = simple_cycle_counts(g, 12)
+        counts, completed, _ = simple_cycle_counts(g, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

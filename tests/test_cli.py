@@ -1,10 +1,13 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrmatch.cli import main
 
@@ -151,6 +154,74 @@ def test_tv_cli(capsys):
     res = json.loads(capsys.readouterr().out)
     assert "exact" in res and "mc_estimate" in res
     assert abs(res["z_score"]) <= 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments-check", "--p", "0.1", "--s", "0.5", "--replicates", "2"],
+        ["tv", "--n", "3", "--p", "0.05", "--s", "0.5", "--replicates", "2"],
+    ],
+    ids=["moments-check", "tv"],
+)
+def test_zero_stderr_off_the_exact_value_fails(capsys, argv):
+    # two replicates that come out equal have stderr 0, yet miss the exact value
+    assert RUN(argv) == 2
+    out, err = capsys.readouterr()
+    assert "FAIL" in err
+    if argv[0] == "tv":
+        res = json.loads(out)
+        assert res["mc_stderr"] == 0 and res["mc_estimate"] != res["exact"] and res["z_score"] is None
+    else:
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        missed = [r for r in rows if float(r[5]) == 0 and float(r[3]) != float(r[4])]
+        assert missed and all(abs(float(r[6])) == math.inf for r in missed)
+
+
+# a seed the CLI takes and an edge-list file it reads: exit 0 when valid,
+# else 3, and never a traceback
+_EDGE_LISTS = st.integers(2, 50).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]), max_size=12),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), -1), st.integers(2**64, 2**70)),
+    graph=_EDGE_LISTS,
+)
+def test_seeds_and_edge_lists_honour_the_exit_codes(tmp_path_factory, seed, graph):
+    out = tmp_path_factory.mktemp("io")
+    code = RUN(["sample", "--n", "5", "--p", "0.5", "--s", "0.8", "--seed", str(seed), "--out", str(out / "b.json")])
+    assert code == (0 if 0 <= seed < 2**64 else 3), seed
+    n, edges = graph
+    path = out / "g.txt"
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    distinct = len({(min(e), max(e)) for e in edges}) == len(edges)
+    assert RUN(["density", "--graph", str(path), "--out", str(out / "d.json")]) == (0 if distinct else 3), edges
+
+
+def test_seed_aliases_are_refused(tmp_path, capsys):
+    base = ["sample", "--n", "5", "--p", "0.5", "--s", "0.8", "--out", str(tmp_path / "b.json")]
+    assert RUN([*base, "--seed", str(2**64 - 1)]) == 0
+    for alias in (2**64, -1):
+        assert RUN([*base, "--seed", str(alias)]) == 3
+        assert "outside [0, 2**64)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("3 2\n0 1\n1 0\n", "duplicate edge"), (f"3 1\n0 {2**64}\n", "edge endpoint out of range")],
+    ids=["repeated edge", "endpoint past int64"],
+)
+def test_malformed_edge_list_is_refused(tmp_path, capsys, text, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert RUN(["density", "--graph", str(path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_admissibility_cli(tmp_path, capsys):
