@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_flow
 
 from .graphs import Graph, sample_er
 from .rng import stream
@@ -220,6 +220,12 @@ def densest_subgraph_exact(g: Graph) -> DensityResult:
     maximizers of f_gamma' over subsets of A are exactly its maximizers
     over all of G, with the same least one and the same union.
 
+    Graphs whose components each have at most one cycle skip the flows:
+    their maximizer has a closed form (_at_most_one_cycle), which a graph
+    with m <= n edges is checked for by one connected-components pass.  A
+    long path, which no core restriction shrinks, would otherwise take
+    minutes of flows.
+
     Edgeless graphs report density 0 on the singleton {0}.  Distinct
     attainable densities differ by at least 1/(n(n-1)), and every Newton
     step strictly improves the attained value, so the loop is finite.
@@ -228,6 +234,51 @@ def densest_subgraph_exact(g: Graph) -> DensityResult:
         raise ValueError("graph must have at least one vertex")
     if g.edge_count == 0:
         return DensityResult(best_subset=(0,), density=Fraction(0), witness_edges=0)
+    if g.edge_count <= g.n:   # else some component has more edges than vertices
+        res = _at_most_one_cycle(g)
+        if res is not None:
+            return res
+    return _newton(g)
+
+
+def _at_most_one_cycle(g: Graph) -> DensityResult | None:
+    """The maximal densest subgraph in closed form when no component of g
+    (with at least one edge) has more edges than vertices, else None.
+
+    Then every component is a tree (m_c = v_c - 1) or unicyclic
+    (m_c = v_c), and so is every component of an induced subgraph.  If some
+    component is unicyclic, rho* = 1: a subset attains it only if each of
+    its components is unicyclic, so it lies in the union of the unicyclic
+    components, which attains it too.  Otherwise g is a forest, a subset
+    of size k in one tree has at most k - 1 edges, and
+    rho* = (V - 1)/V for the largest tree size V, attained exactly by
+    unions of whole trees of size V."""
+    n, edges = g.n, g.edge_array()
+    ncomp, label = connected_components(
+        csr_matrix((np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])), shape=(n, n)),
+        directed=False,
+    )
+    verts = np.bincount(label, minlength=ncomp)
+    arcs = np.bincount(label[edges[:, 0]], minlength=ncomp)
+    if (arcs > verts).any():
+        return None
+    chosen = arcs == verts
+    if chosen.any():
+        density = Fraction(1)
+    else:
+        chosen = verts == verts.max()
+        density = Fraction(int(verts.max()) - 1, int(verts.max()))
+    ids = _vertex_ids(n)
+    return DensityResult(
+        best_subset=tuple(map(ids.__getitem__, np.flatnonzero(chosen[label]).tolist())),
+        density=density,
+        witness_edges=int(arcs[chosen].sum()),
+    )
+
+
+def _newton(g: Graph) -> DensityResult:
+    """The Newton/flow route of densest_subgraph_exact, for any graph with
+    at least one edge."""
     core, edges, edge_core = _edge_cores(g)
     val = _best_core_density(core, edge_core)
     within = None

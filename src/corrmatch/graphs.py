@@ -12,6 +12,7 @@ carries the semantic distinction between V and the matched side.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -34,6 +35,9 @@ __all__ = [
 ]
 
 
+_N_MAX = math.isqrt(2**63)   # the largest n with every pair key u*n + v below 2**63
+
+
 def _pack(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return us.astype(np.int64) * n + vs.astype(np.int64)
 
@@ -41,15 +45,19 @@ def _pack(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 class Graph:
     """Simple undirected graph on n labeled vertices, in O(n + m) memory.
 
-    Edges are canonical unordered pairs (u, v) with u < v.  They are stored
-    once as a sorted packed index array (vector membership tests) and twice
-    in compressed sparse rows as numpy arrays, `_columns` and `_degrees`,
-    for the vectorised core peel.  The scalar queries read one Python view,
-    `adjacency()`, built on first use.  A build costs one sort of the 2m
-    directed keys u*n + v.  Instances are immutable.
+    Edges are canonical unordered pairs (u, v) with u < v, stored as a
+    sorted array of packed keys u*n + v (vector membership tests), so n is
+    at most isqrt(2**63), the largest count whose keys fit in an int64.
+    Every other view is built on first use: the compressed sparse rows
+    `csr()` (one sort of the 2m directed keys), which the degrees, the
+    core peel and the min-degree peel read, and the Python view
+    `adjacency()`, which the scalar queries read.  A graph read only
+    through its keys, such as the two sides of a correlated pair that
+    `intersection_graph` compares, never sorts its rows.  Instances are
+    immutable.
     """
 
-    __slots__ = ("n", "_packed", "_columns", "_degrees", "_core", "_adj")
+    __slots__ = ("n", "_packed", "_offsets", "_columns", "_degrees", "_core", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -60,6 +68,8 @@ class Graph:
         self._init_from_canonical(n, arr[:, 0], arr[:, 1])
 
     def _init_from_canonical(self, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
+        if n > _N_MAX:
+            raise ValueError(f"vertex count {n} exceeds {_N_MAX}, the most whose pair keys fit in an int64")
         if lo.size:
             if lo.min() < 0 or hi.max() >= n:
                 raise ValueError("edge endpoint out of range")
@@ -69,11 +79,8 @@ class Graph:
         self._packed = np.sort(_pack(n, lo, hi))
         if np.any(self._packed[1:] == self._packed[:-1]):
             raise ValueError("duplicate edge")
-        keys = np.sort(np.concatenate([self._packed, _pack(n, hi, lo)]))
-        self._degrees = np.bincount(keys // n, minlength=n)
-        self._columns = keys % n
-        for arr in (self._packed, self._degrees, self._columns):
-            arr.flags.writeable = False
+        self._packed.flags.writeable = False
+        self._offsets = self._columns = self._degrees = None
         self._core = None
         self._adj = None
 
@@ -129,6 +136,8 @@ class Graph:
 
     @property
     def degrees(self) -> np.ndarray:
+        """Every vertex's degree, as a read-only array."""
+        self.csr()
         return self._degrees
 
     def neighbors(self, u: int) -> list[int]:
@@ -136,15 +145,32 @@ class Graph:
         self._check(u)
         return list(self.adjacency()[u])
 
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Compressed sparse rows (offsets, columns): vertex v's neighbours,
+        ascending, are columns[offsets[v]:offsets[v + 1]].  The graph is
+        immutable, so the rows are built on the first call, by one sort of
+        the 2m directed keys, and later calls return the same read-only
+        arrays."""
+        if self._columns is None:
+            n = self.n
+            lo, hi = np.divmod(self._packed, n)
+            keys = np.sort(np.concatenate([self._packed, _pack(n, hi, lo)]))
+            self._degrees = np.bincount(keys // n, minlength=n)
+            self._offsets = np.concatenate([[0], np.cumsum(self._degrees)])
+            self._columns = keys % n
+            for arr in (self._degrees, self._offsets, self._columns):
+                arr.flags.writeable = False
+        return self._offsets, self._columns
+
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Every vertex's neighbours, as ascending tuples indexed by vertex.
         The graph is immutable, so the rows are built on the first call and
         later calls return the same tuple."""
         if self._adj is None:
-            columns = self._columns.tolist()
-            ends = np.cumsum(self._degrees).tolist()
+            offsets, columns = self.csr()
+            columns, offsets = columns.tolist(), offsets.tolist()
             self._adj = tuple(
-                tuple(columns[start:end]) for start, end in zip([0] + ends, ends)
+                tuple(columns[start:end]) for start, end in zip(offsets, offsets[1:])
             )
         return self._adj
 
@@ -165,9 +191,9 @@ class Graph:
         if self._core is not None:
             return self._core
         n = self.n
+        starts, columns = self.csr()
         degree, core = self._degrees.copy(), np.zeros(n, dtype=np.int64)
         alive = np.ones(n, dtype=bool)
-        starts = np.cumsum(self._degrees) - self._degrees
         left = n
         while left:
             k = int(degree[alive].min())
@@ -179,7 +205,7 @@ class Graph:
                 lens = self._degrees[batch]
                 ends = np.cumsum(lens)
                 arcs = np.arange(ends[-1]) + np.repeat(starts[batch] - ends + lens, lens)
-                hit = self._columns[arcs]
+                hit = columns[arcs]
                 hit, drops = np.unique(hit[alive[hit]], return_counts=True)
                 degree[hit] -= drops
                 batch = hit[degree[hit] <= k]

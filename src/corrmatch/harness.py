@@ -289,7 +289,11 @@ def run_rho_curve(config: ExperimentConfig, threads: int | None = None) -> tuple
 # -- threshold sweep ----------------------------------------------------------------
 
 
+# A sweep at seed s draws its pairs from stream(s, i), its reference curve
+# from stream(s + _SWEEP_CURVE_OFFSET, k) and item i's estimator from
+# stream(s + _SWEEP_ESTIMATOR_OFFSET + i, .), so no two of them share a stream.
 _SWEEP_CURVE_OFFSET = 10_000_000
+_SWEEP_ESTIMATOR_OFFSET = 20_000_000
 
 
 def sweep_reference_curve(config: ExperimentConfig) -> RhoCurve:
@@ -364,7 +368,7 @@ def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) ->
             c_lambda_hat=c_hat,
             eta=eta,
             budget=int(config.estimator.get("budget", 20000)),
-            seed=config.seed + j * reps + r,
+            seed=config.seed + _SWEEP_ESTIMATOR_OFFSET + j * reps + r,
         )
         out = []
         t0 = time.perf_counter()

@@ -436,8 +436,8 @@ def reasonable_candidate_check(
     (i) the global max density stays at most rho_hat + eta;
     (ii) some subset of size >= ceil(c_lambda_hat n) reaches density
     rho_hat - eta.  For (ii) the global maximizer is tried first, then
-    min-degree peeling of the whole graph; a returned certificate is
-    sound, a miss is possible.
+    min-degree peeling of the whole graph down to the size floor; a
+    returned certificate is sound, a miss is possible.
     """
     h = intersection_graph(g, g_bar, pi)
     dens = densest_subgraph_exact(h)
@@ -470,11 +470,16 @@ def _peel_best_subset(
     """Min-degree peeling; best prefix of size >= size_min with density >=
     target, or None.  Prefix densities are compared exactly, by integer
     cross-multiplication against target as a fraction; among prefixes of
-    equal density the largest is kept."""
+    equal density the largest is kept.
+
+    Only prefixes of at least size_min vertices count, so the peel stops
+    once max(1, size_min) vertices are left: it removes at most
+    n - size_min of them, reading each removed vertex's row of `h.csr()`.
+    The kept prefix's edge count is recounted from the edge array."""
     import heapq
 
     n = h.n
-    adj = h.adjacency()
+    starts, columns = (rows.tolist() for rows in h.csr())
     deg = h.degrees.tolist()
     alive = [True] * n
     edges_left = h.edge_count
@@ -486,33 +491,29 @@ def _peel_best_subset(
     size = n
     if size >= size_min and edges_left * den >= num * size:
         best = (0, edges_left, size)
-    while size > 1:
+    while size > max(1, size_min):
         while True:
             d, v = heapq.heappop(heap)
             if alive[v] and d == deg[v]:
                 break
         alive[v] = False
         removal_order.append(v)
-        for w in adj[v]:
+        for w in columns[starts[v]:starts[v + 1]]:
             if alive[w]:
                 deg[w] -= 1
                 edges_left -= 1
                 heapq.heappush(heap, (deg[w], w))
         size -= 1
-        if (
-            size >= size_min
-            and edges_left * den >= num * size
-            and (best is None or edges_left * best[2] > best[1] * size)
-        ):
+        if edges_left * den >= num * size and (best is None or edges_left * best[2] > best[1] * size):
             best = (len(removal_order), edges_left, size)
     if best is None:
         return None
-    removed = set(removal_order[: best[0]])
-    subset = tuple(v for v in range(n) if v not in removed)
-    density = Fraction(best[1], best[2])
-    if Fraction(h.edges_within(subset), len(subset)) != density:
+    keep = np.ones(n, dtype=bool)
+    keep[removal_order[: best[0]]] = False
+    edges = h.edge_array()
+    if int(np.count_nonzero(keep[edges[:, 0]] & keep[edges[:, 1]])) != best[1]:
         raise AssertionError("peeling lost track of the prefix edge count")
-    return subset, density
+    return tuple(np.flatnonzero(keep).tolist()), Fraction(best[1], best[2])
 
 
 def reasonable_candidate_search(

@@ -214,8 +214,12 @@ def test_seed_aliases_are_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, message",
-    [("3 2\n0 1\n1 0\n", "duplicate edge"), (f"3 1\n0 {2**64}\n", "edge endpoint out of range")],
-    ids=["repeated edge", "endpoint past int64"],
+    [
+        ("3 2\n0 1\n1 0\n", "duplicate edge"),
+        (f"3 1\n0 {2**64}\n", "edge endpoint out of range"),
+        ("10000000000 0\n", "vertex count 10000000000 exceeds"),
+    ],
+    ids=["repeated edge", "endpoint past int64", "pair keys past int64"],
 )
 def test_malformed_edge_list_is_refused(tmp_path, capsys, text, message):
     path = tmp_path / "g.txt"

@@ -141,6 +141,118 @@ def test_exact_returns_the_maximal_densest_subgraph():
         assert res.witness_edges == g.edges_within(union)
 
 
+def _few_cycles(rng, kind):
+    """A random graph on at most 14 vertices whose components each have at
+    most one cycle, under a random labelling, and its number of unicyclic
+    components.  Kind 0 is a forest whose two largest trees tie, kind 1 has
+    two or three unicyclic components, kind 2 mixes trees, unicyclic
+    components and isolated vertices."""
+    if kind == 0:
+        big = int(rng.integers(2, 6))
+        sizes = [big, big] + [int(v) for v in rng.integers(1, big, size=int(rng.integers(0, 3)))]
+    elif kind == 1:
+        sizes = [int(v) for v in rng.integers(3, 5, size=int(rng.integers(2, 4)))]
+        sizes += [int(v) for v in rng.integers(1, 4, size=int(rng.integers(0, 2)))]
+    else:
+        sizes = [int(v) for v in rng.integers(1, 7, size=int(rng.integers(1, 5)))]
+    while sum(sizes) > 14:
+        sizes.pop()
+    n = sum(sizes)
+    label = rng.permutation(n)
+    edges, start, unicyclic = [], 0, 0
+    for i, k in enumerate(sizes):
+        part = [(int(rng.integers(0, v)), v) for v in range(1, k)]   # a random tree
+        if k >= 3 and ((kind == 1 and i < 2) or (kind == 2 and rng.random() < 0.4)):
+            extra = sorted({(u, v) for u in range(k) for v in range(u + 1, k)} - set(part))
+            part.append(extra[int(rng.integers(0, len(extra)))])
+            unicyclic += 1
+        edges.extend((int(label[u + start]), int(label[v + start])) for u, v in part)
+        start += k
+    return Graph(n, edges), unicyclic
+
+
+def test_at_most_one_cycle_per_component_needs_no_flow(monkeypatch):
+    rng = stream(19, 0)
+    seen = {"tie": 0, "several unicyclic": 0, "isolated": 0, "forest": 0}
+    for trial in range(90):
+        kind = trial % 3
+        g, unicyclic = _few_cycles(rng, kind)
+        if g.edge_count == 0:
+            continue
+        calls = _count_flows(monkeypatch)
+        res = densest_subgraph_exact(g)
+        assert not calls, trial
+        assert res == density_module._newton(g)
+        union, rho = _maximal_densest_bruteforce(g)
+        assert (res.best_subset, res.density) == (union, rho)
+        assert res.density == densest_subgraph_bruteforce(g).density
+        assert res.witness_edges == g.edges_within(res.best_subset)
+        seen["tie"] += kind == 0 and unicyclic == 0
+        seen["several unicyclic"] += unicyclic >= 2
+        seen["isolated"] += bool((g.degrees == 0).any())
+        seen["forest"] += unicyclic == 0
+    assert min(seen.values()) >= 15, seen
+
+
+def test_a_complex_component_takes_the_flow_route(monkeypatch):
+    # a theta graph (8 edges on 7 vertices) beside a long path: m <= n, but
+    # one component has two cycles
+    g = _disjoint((7, [*_cycle(6)[1], (0, 6), (6, 3)]), (12, [(i, i + 1) for i in range(11)]))
+    assert g.edge_count <= g.n
+    calls = _count_flows(monkeypatch)
+    res = densest_subgraph_exact(g)
+    assert calls and (res.best_subset, res.density) == (tuple(range(7)), Fraction(8, 7))
+
+
+def test_paths_need_no_flow(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a flow on a path")
+
+    monkeypatch.setattr(density_module, "_cut_side", refuse)
+    for n in (2_000, 100_000):
+        path = Graph.from_arrays(n, np.arange(n - 1), np.arange(1, n))
+        res = densest_subgraph_exact(path)
+        assert res.density == Fraction(n - 1, n) and res.witness_edges == n - 1
+        assert res.best_subset == tuple(range(n))
+
+
+def _complex_components(g):
+    """The number of components of g with more edges than vertices, by
+    union-find over the edge list."""
+    parent = list(range(g.n))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        parent[root(u)] = root(v)
+    verts, edges = {}, {}
+    for v in range(g.n):
+        verts[root(v)] = verts.get(root(v), 0) + 1
+    for u, _ in g.edges:
+        edges[root(u)] = edges.get(root(u), 0) + 1
+    return sum(edges[r] > verts[r] for r in edges)
+
+
+def test_lambda_one_draws_skip_the_flows_they_can(monkeypatch):
+    # the lambda = 1 draws of a rho curve at n = 3000: most have no
+    # component with two cycles
+    skipped = 0
+    for k in range(10):
+        g = sample_er(3000, 1 / 3000, stream(505, k))
+        flows = _count_flows(monkeypatch)
+        want = density_module._newton(g)
+        assert flows
+        flows.clear()
+        assert densest_subgraph_exact(g) == want
+        assert (not flows) == (_complex_components(g) == 0), k
+        skipped += not flows
+    assert skipped >= 7, skipped
+
+
 def _count_flows(monkeypatch, alter=lambda call, result: result):
     """Route density.maximum_flow through a counter; alter(call, result)
     may replace the result of each call."""

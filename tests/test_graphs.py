@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -54,6 +55,30 @@ def test_from_text_rejects_bad_count():
         Graph.from_text("3 2\n0 1\n")
 
 
+def test_vertex_counts_past_the_int64_keys_are_refused():
+    top = math.isqrt(2**63)   # keys u*n + v reach n^2 - 1
+    assert top**2 <= 2**63 < (top + 1) ** 2
+    # the rows are never built here, so no n-sized array is allocated
+    g = Graph.from_arrays(top, np.array([top - 2]), np.array([top - 1]))
+    assert g.edges == ((top - 2, top - 1),)
+    key = (top - 2) * top + top - 1
+    assert g.contains_packed(np.array([key, top**2 - 1])).tolist() == [True, False]
+    for n in (top + 1, 10**10):
+        with pytest.raises(ValueError, match=f"vertex count {n} exceeds {top}"):
+            Graph(n)
+    with pytest.raises(ValueError, match="vertex count"):
+        Graph.from_text("10000000000 0\n")
+
+
+def test_rows_are_built_on_first_use():
+    smpl = sample_correlated(ModelParams(n=300, p=0.02, s=0.8), 3)
+    h = intersection_graph(smpl.g, smpl.g_bar, smpl.pi_star)
+    # intersection_graph compares the sorted pair keys only
+    assert smpl.g._columns is None and smpl.g_bar._columns is None and h._columns is None
+    assert h.degrees.sum() == 2 * h.edge_count and h._columns is not None
+    assert smpl.g._columns is None
+
+
 def _csr_corpus():
     """(n, edge list) cases; each edge appears in a random orientation."""
     rng = stream(31, 0)
@@ -89,6 +114,10 @@ def test_csr_queries_match_set_reference(n, edges):
     assert g.degrees.tolist() == [len(ref[v]) for v in range(n)]
     assert g.degrees.tolist() == np.bincount(np.asarray(edges, dtype=np.int64).ravel(), minlength=n).tolist()
     assert [g.degree(v) for v in range(n)] == g.degrees.tolist()
+    # the compressed rows behind those views, built once and read-only
+    offsets, columns = g.csr()
+    assert g.csr()[1] is columns and not offsets.flags.writeable and not columns.flags.writeable
+    assert [columns[offsets[v]:offsets[v + 1]].tolist() for v in range(n)] == [sorted(ref[v]) for v in range(n)]
     rng = stream(33, n)
     for _ in range(20):
         sub = set(rng.choice(n, int(rng.integers(0, n + 1)), replace=False).tolist()) if n else set()

@@ -198,6 +198,34 @@ def test_sweep_determinism_modulo_wall_time():
     assert set(rates) == {2.0, 4.0}
 
 
+def test_sweep_draws_each_stream_once(monkeypatch):
+    import sys
+
+    import corrmatch.rng
+
+    drawn, real = [], corrmatch.rng.stream
+
+    def spy(seed, index=0):
+        drawn.append((seed, index))
+        return real(seed, index)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("corrmatch") and getattr(module, "stream", None) is real:
+            monkeypatch.setattr(module, "stream", spy)
+    cfg = small_config(
+        "threshold-sweep",
+        n=60,
+        alpha=0.5,
+        replicates=2,
+        lambda_grid=(2.0, 3.0),
+        seed=11,
+        estimator={"curve_n": 60, "curve_replicates": 2, "run_map": True, "budget": 500},
+    )
+    text = run_threshold_sweep(cfg, threads=1)
+    assert {row.split(",")[3] for row in text.splitlines()[1:]} == {"pi_star", "map"}
+    assert len(drawn) == len(set(drawn)) > 4, sorted(drawn)
+
+
 def test_threads_argument_reaches_the_reference_curve(monkeypatch):
     import corrmatch.harness as harness
 

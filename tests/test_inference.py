@@ -421,6 +421,31 @@ def test_peel_matches_the_reference_peel():
     assert found >= 200 and tied >= 20, (found, tied)
 
 
+def test_peel_stops_at_the_size_floor(monkeypatch):
+    popped, real = [], heapq.heappop
+
+    def spy(heap):
+        item = real(heap)
+        popped.append(item[1])
+        return item
+
+    monkeypatch.setattr(heapq, "heappop", spy)
+    rng = stream(18, 0)
+    stopped_early = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        g = sample_er(n, min(1.0, float(rng.uniform(0.5, 6.0)) / n), rng)
+        size_min = int(rng.integers(2, n + 1))
+        for target in (0.0, 0.5, float(rng.uniform(0.0, 2.0))):
+            want = _reference_peel(g, size_min, target)
+            popped.clear()
+            assert _peel_best_subset(g, size_min, target) == want
+            # a vertex's first pop removes it, so these are the removed ones
+            assert len(set(popped)) <= n - size_min, (n, size_min)
+            stopped_early += len(set(popped)) < n - 1
+    assert stopped_early >= 150, stopped_early
+
+
 def test_peel_compares_the_whole_graph_exactly():
     # density 1/10 falls short of the float 0.1, which exceeds 1/10
     assert Fraction(1, 10) < 0.1
