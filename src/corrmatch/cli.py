@@ -32,6 +32,7 @@ from .harness import (
     PLACEMENT_GRID,
     ConfigError,
     ExperimentConfig,
+    _is_int,
     acceptance_rates,
     posterior_dump_csv,
     run_moment_verification,
@@ -126,10 +127,6 @@ def _read_bundle(path: str) -> tuple[ModelParams, Bijection, Graph, Graph]:
             f"g has {g.n} vertices and g_bar {g_bar.n}"
         )
     return params, pi, g, g_bar
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)   # JSON true is no 1
 
 
 def _read_graph(args, from_bundle) -> Graph:

@@ -46,13 +46,13 @@ class Graph:
     """Simple undirected graph on n labeled vertices, in O(n + m) memory.
 
     Edges are canonical unordered pairs (u, v) with u < v, stored as a
-    sorted array of packed keys u*n + v (vector membership tests), so n is
-    at most isqrt(2**63), the largest count whose keys fit in an int64.
-    Every other view is built on first use: the compressed sparse rows
-    `csr()` (one sort of the 2m directed keys), which the degrees, the
-    core peel and the min-degree peel read, and the Python view
-    `adjacency()`, which the scalar queries read.  A graph read only
-    through its keys, such as the two sides of a correlated pair that
+    sorted array of private keys u*n + v, which the vector query
+    `has_edges` searches, so n is at most isqrt(2**63), the largest count
+    whose keys fit in an int64.  Every other view is built on first use:
+    the compressed sparse rows `csr()` (one sort of the 2m directed keys),
+    which the degrees, the core peel and the min-degree peel read, and the
+    Python view `adjacency()`, which the scalar queries read.  A graph read
+    only through its keys, such as the two sides of a correlated pair that
     `intersection_graph` compares, never sorts its rows.  Instances are
     immutable.
     """
@@ -122,13 +122,19 @@ class Graph:
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
 
-    def contains_packed(self, packed: np.ndarray) -> np.ndarray:
-        """Vector membership test for packed canonical pair indices."""
-        idx = np.searchsorted(self._packed, packed)
-        idx = np.minimum(idx, max(self._packed.size - 1, 0))
+    def has_edges(self, us, vs) -> np.ndarray:
+        """Vector has_edge over endpoint arrays of one shape: a bool array of
+        that shape, True where (us[i], vs[i]) is an edge, in either order,
+        and False where the two endpoints are equal.  Raises ValueError for
+        an endpoint outside [0, n)."""
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        try:   # the keys u*n + v, range-checked in the same pass
+            keys = np.ravel_multi_index((lo, hi), (self.n, self.n))
+        except ValueError:
+            raise ValueError("vertex out of range") from None
         if self._packed.size == 0:
-            return np.zeros(packed.shape, dtype=bool)
-        return self._packed[idx] == packed
+            return np.zeros(np.shape(keys), dtype=bool)
+        return self._packed.take(self._packed.searchsorted(keys), mode="clip") == keys
 
     def degree(self, u: int) -> int:
         self._check(u)
@@ -307,12 +313,6 @@ class Bijection:
         a, b = int(self.forward[u]), int(self.forward[v])
         return (a, b) if a < b else (b, a)
 
-    def map_packed(self, n: int, packed: np.ndarray) -> np.ndarray:
-        """Map packed canonical pairs through the bijection, re-canonicalized."""
-        us = self.forward[packed // n]
-        vs = self.forward[packed % n]
-        return _pack(n, np.minimum(us, vs), np.maximum(us, vs))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Bijection) and self.n == other.n and bool(np.all(self.forward == other.forward))
 
@@ -467,13 +467,9 @@ def intersection_graph(g: Graph, g_bar: Graph, pi: Bijection) -> Graph:
     """Graph on V keeping (u,v) iff (u,v) is in g and (pi u, pi v) is in g_bar."""
     if g.n != g_bar.n or g.n != pi.n:
         raise ValueError("size mismatch")
-    if g.edge_count == 0:
-        return Graph(g.n)
-    packed = g._packed
-    mapped = pi.map_packed(g.n, packed)
-    keep = g_bar.contains_packed(mapped)
-    us, vs = packed[keep] // g.n, packed[keep] % g.n
-    return Graph.from_arrays(g.n, us, vs)
+    us, vs = g.edge_array().T
+    keep = g_bar.has_edges(pi.forward[us], pi.forward[vs])
+    return Graph.from_arrays(g.n, us[keep], vs[keep])
 
 
 def overlap(pi1: Bijection, pi2: Bijection) -> int:

@@ -29,6 +29,7 @@ import json
 import math
 import multiprocessing
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -70,15 +71,31 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+_THETA_MAX = math.log(sys.float_info.max)   # the largest theta whose e^theta is a float
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)   # JSON true is no 1
+
+
+def _is_finite(value) -> bool:
+    """A finite float, or an int (not a bool) inside the float range."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_int(value) and abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment run.  Round-trips losslessly through JSON; unknown
     keys, at the top level and inside ``estimator``, are rejected rather
     than ignored, and so are values of the wrong type: ``n``, ``seed``,
-    ``replicates`` and ``threads`` must be integers (not bools), the grids
-    JSON arrays, and in ``estimator`` ``run_map`` must be a bool,
-    ``curve_n``, ``curve_replicates`` and ``budget`` integers >= 1, ``eta``
-    and ``c_lambda_hat`` finite numbers."""
+    ``replicates`` and ``threads`` must be integers (not bools), ``p``,
+    ``s`` and ``alpha`` finite numbers (not bools) or null, the grids JSON
+    arrays of finite numbers (``theta_grid`` entries with e^theta a float,
+    ``k_grid`` entries integers >= 1), and in ``estimator`` ``run_map``
+    must be a bool, ``curve_n``, ``curve_replicates`` and ``budget``
+    integers >= 1, ``eta`` and ``c_lambda_hat`` finite numbers."""
 
     kind: str
     n: int = 100
@@ -109,8 +126,20 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         for key in ("n", "seed", "replicates", "threads"):
             value = getattr(self, key)
-            if not isinstance(value, int) or isinstance(value, bool):   # JSON true is no 1
+            if not _is_int(value):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
+        for key in ("p", "s", "alpha"):
+            value = getattr(self, key)
+            if value is not None and not _is_finite(value):
+                raise ConfigError(f"{key} must be a finite number or null, got {value!r}")
+        for key, ok, what in (
+            ("lambda_grid", _is_finite, "finite numbers"),
+            ("theta_grid", lambda t: _is_finite(t) and t <= _THETA_MAX, "finite numbers with e^theta a float"),
+            ("k_grid", lambda k: _is_int(k) and k >= 1, "integers >= 1"),
+        ):
+            bad = [v for v in getattr(self, key) if not ok(v)]
+            if bad:
+                raise ConfigError(f"{key} entries must be {what}, got {bad[0]!r}")
         if self.replicates < 1:
             raise ConfigError("replicate count must be at least 1")
         if self.n < 2:
@@ -123,13 +152,11 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown estimator keys: {sorted(unknown)}")
         for key, value in self.estimator.items():
-            # bool is an int subclass, so JSON true must not pass as 1
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if key == "run_map" and not isinstance(value, bool):
                 raise ConfigError(f"estimator run_map must be true or false, got {value!r}")
-            if key in ("eta", "c_lambda_hat") and not (number and (isinstance(value, int) or math.isfinite(value))):
+            if key in ("eta", "c_lambda_hat") and not _is_finite(value):
                 raise ConfigError(f"estimator {key} must be a finite number, got {value!r}")
-            if key in ("curve_n", "curve_replicates", "budget") and not (number and isinstance(value, int) and value >= 1):
+            if key in ("curve_n", "curve_replicates", "budget") and not (_is_int(value) and value >= 1):
                 raise ConfigError(f"estimator {key} must be an integer >= 1, got {value!r}")
 
     def to_json(self) -> str:
@@ -290,8 +317,9 @@ def run_rho_curve(config: ExperimentConfig, threads: int | None = None) -> tuple
 
 
 # A sweep at seed s draws its pairs from stream(s, i), its reference curve
-# from stream(s + _SWEEP_CURVE_OFFSET, k) and item i's estimator from
-# stream(s + _SWEEP_ESTIMATOR_OFFSET + i, .), so no two of them share a stream.
+# from stream(s + _SWEEP_CURVE_OFFSET, k) and item i's estimator seed from
+# one draw of stream(s + _SWEEP_ESTIMATOR_OFFSET, i), so no two of them
+# share a stream, and neither do the estimators of runs at adjacent seeds.
 _SWEEP_CURVE_OFFSET = 10_000_000
 _SWEEP_ESTIMATOR_OFFSET = 20_000_000
 
@@ -368,7 +396,7 @@ def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) ->
             c_lambda_hat=c_hat,
             eta=eta,
             budget=int(config.estimator.get("budget", 20000)),
-            seed=config.seed + _SWEEP_ESTIMATOR_OFFSET + j * reps + r,
+            seed=int(stream(config.seed + _SWEEP_ESTIMATOR_OFFSET, j * reps + r).integers(1 << 63)),
         )
         out = []
         t0 = time.perf_counter()

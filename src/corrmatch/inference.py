@@ -123,11 +123,6 @@ def edge_ll(x: int, y: int, p: float, s: float) -> float:
     return (1.0 - 2.0 * ps + p * s * s) / (1.0 - ps) ** 2
 
 
-def _all_pairs_packed(n: int) -> np.ndarray:
-    us, vs = np.triu_indices(n, k=1)
-    return us.astype(np.int64) * n + vs.astype(np.int64)
-
-
 def log_likelihood_ratio(pi: Bijection, g: Graph, g_bar: Graph, consts: LikelihoodConstants) -> float:
     """log( n! * Q[pi, G, Gbar] / P[G, Gbar] ) + log n!, i.e. the log of
     prod_e ell(G_e, Gbar_{Pi(e)}).
@@ -140,16 +135,16 @@ def log_likelihood_ratio(pi: Bijection, g: Graph, g_bar: Graph, consts: Likeliho
     n = g.n
     if g_bar.n != n or pi.n != n:
         raise ValueError("size mismatch")
-    packed = _all_pairs_packed(n)
-    x = g.contains_packed(packed).astype(np.int64)
-    y = g_bar.contains_packed(pi.map_packed(n, packed)).astype(np.int64)
+    us, vs = np.triu_indices(n, k=1)
+    x = g.has_edges(us, vs).astype(np.int64)
+    y = g_bar.has_edges(pi.forward[us], pi.forward[vs]).astype(np.int64)
     table = np.log(consts.ll_table())
     product_form = float(table[x, y].sum())
     n11 = int((x & y).sum())
     closed_form = (
         n11 * consts.log_p
         + (g.edge_count + g_bar.edge_count) * consts.log_q
-        + packed.size * consts.log_r
+        + us.size * consts.log_r
     )
     if abs(product_form - closed_form) > 1e-9 * max(1.0, abs(closed_form)):
         raise AssertionError(
@@ -162,12 +157,12 @@ def joint_log_prob_given_pi(g: Graph, g_bar: Graph, pi: Bijection, params: Model
     """log Q[G, Gbar | pi* = pi]: product over pairs of the joint pair pmf."""
     n = g.n
     q11, q10, q00 = _pair_pmf(params.p, params.s)
-    packed = _all_pairs_packed(n)
-    x = g.contains_packed(packed)
-    y = g_bar.contains_packed(pi.map_packed(n, packed))
+    us, vs = np.triu_indices(n, k=1)
+    x = g.has_edges(us, vs)
+    y = g_bar.has_edges(pi.forward[us], pi.forward[vs])
     n11 = int((x & y).sum())
     n_mismatch = int((x ^ y).sum())
-    n00 = packed.size - n11 - n_mismatch
+    n00 = us.size - n11 - n_mismatch
     out = 0.0
     for count, value in ((n11, q11), (n_mismatch, q10), (n00, q00)):
         if count:
@@ -212,13 +207,8 @@ class PosteriorTable:
 
 def _intersection_counts(g: Graph, g_bar: Graph, perms: np.ndarray) -> np.ndarray:
     """|edges of H_pi| for a batch of permutations (rows)."""
-    edges = g.edge_array()
-    if edges.size == 0:
-        return np.zeros(len(perms), dtype=np.int64)
-    us = perms[:, edges[:, 0]].astype(np.int64)
-    vs = perms[:, edges[:, 1]].astype(np.int64)
-    packed = np.minimum(us, vs) * g.n + np.maximum(us, vs)
-    return g_bar.contains_packed(packed.ravel()).reshape(packed.shape).sum(axis=1)
+    us, vs = g.edge_array().T
+    return g_bar.has_edges(perms[:, us], perms[:, vs]).sum(axis=1)
 
 
 def exact_posterior(g: Graph, g_bar: Graph, params: ModelParams) -> PosteriorTable:
@@ -551,16 +541,12 @@ def reasonable_candidate_search(
 def _pair_perm_maps(n: int) -> np.ndarray:
     """One row per permutation of range(n), in lexicographic order: entry k
     is the index of the image of the k-th vertex pair (pairs u < v in
-    lexicographic order)."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    pair_index = {e: i for i, e in enumerate(pairs)}
-    return np.array(
-        [
-            [pair_index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
-            for perm in permutations(range(n))
-        ],
-        dtype=np.int64,
-    )
+    lexicographic order, as np.triu_indices lists them)."""
+    us, vs = np.triu_indices(n, k=1)
+    pair_index = np.zeros((n, n), dtype=np.int64)
+    pair_index[us, vs] = pair_index[vs, us] = np.arange(us.size)
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    return pair_index[perms[:, us], perms[:, vs]]
 
 
 def _pair_pmf(p: float, s: float) -> tuple[float, float, float]:
@@ -605,11 +591,11 @@ def tv_mc(params: ModelParams, replicates: int, seed: int) -> tuple[float, float
     consts = LikelihoodConstants.from_params(params.p, params.s)
     table = consts.ll_table()
     vals = np.empty(replicates)
-    packed_all = _all_pairs_packed(n)
+    us, vs = np.triu_indices(n, k=1)
     for r in range(replicates):
         g, g_bar = sample_independent(params, seed, r)
-        x = g.contains_packed(packed_all).astype(int)
-        y = g_bar.contains_packed(packed_all).astype(int)
+        x = g.has_edges(us, vs).astype(int)
+        y = g_bar.has_edges(us, vs).astype(int)
         ell = table[x[None, :], y[perm_maps]]
         l_mix = float(ell.prod(axis=1).mean())
         vals[r] = max(0.0, 1.0 - l_mix)

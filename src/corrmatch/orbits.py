@@ -186,17 +186,9 @@ def restricted_orbits(pi_star: Bijection, pi: Bijection, a: set[int] | None = No
         in_a = np.zeros(n, dtype=bool)
         in_a[a_sorted] = True
     phi = phi_of(pi_star, pi)
-    fwd, inv = phi.forward, phi.inverse
+    phi_back = phi.invert()
     cid, pos, clen, cycles = _cycle_index(phi)
     cycle_inside = np.array([all(in_a[v] for v in cyc) for cyc in cycles], dtype=bool)
-
-    def step(u: int, v: int) -> tuple[int, int]:
-        x, y = int(fwd[u]), int(fwd[v])
-        return (x, y) if x < y else (y, x)
-
-    def step_back(u: int, v: int) -> tuple[int, int]:
-        x, y = int(inv[u]), int(inv[v])
-        return (x, y) if x < y else (y, x)
 
     pairs = [(u, v) for i, u in enumerate(a_sorted) for v in a_sorted[i + 1:]]
     visited: set[tuple[int, int]] = set()
@@ -208,10 +200,10 @@ def restricted_orbits(pi_star: Bijection, pi: Bijection, a: set[int] | None = No
         is_cycle = bool(cycle_inside[cid[u]] and cycle_inside[cid[v]])
         if is_cycle:
             chain = [e0]
-            e = step(*e0)
+            e = phi.map_edge(*e0)
             while e != e0:
                 chain.append(e)
-                e = step(*e)
+                e = phi.map_edge(*e)
             start = chain.index(min(chain))
             chain = chain[start:] + chain[:start]
             special = (
@@ -222,15 +214,15 @@ def restricted_orbits(pi_star: Bijection, pi: Bijection, a: set[int] | None = No
             orbits.append(EdgeOrbit(edges=tuple(chain), kind="cycle", special=bool(special)))
         else:
             e = e0
-            back = step_back(*e)
+            back = phi_back.map_edge(*e)
             while in_a[back[0]] and in_a[back[1]]:
                 e = back
-                back = step_back(*e)
+                back = phi_back.map_edge(*e)
             chain = [e]
-            nxt = step(*e)
+            nxt = phi.map_edge(*e)
             while in_a[nxt[0]] and in_a[nxt[1]]:
                 chain.append(nxt)
-                nxt = step(*nxt)
+                nxt = phi.map_edge(*nxt)
             orbits.append(EdgeOrbit(edges=tuple(chain), kind="chain", special=False))
         visited.update(orbits[-1].edges)
     orbits.sort(key=lambda o: o.edges[0])

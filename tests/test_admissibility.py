@@ -835,8 +835,8 @@ def test_simple_cycle_counts_dense_graph_at_length_12():
 
 
 # tracemalloc peaks measured on a 2-core x86-64 VM (Python 3.11, numpy 2.4,
-# scipy 1.17): 9.0 MB on G(16, 0.5) at max_len 12 and 2.7 MB on
-# G(2e4, 2/2e4).  The bounds leave room for allocator and library
+# scipy 1.17), in MiB like the bounds: 9.0 on G(16, 0.5) at max_len 12 and
+# 3.2 on G(2e4, 2/2e4).  The bounds leave room for allocator and library
 # differences.  A level of paths held whole (millions of paths on the dense
 # graph) or a root-by-kernel distance table (19.9 MB even at one byte a
 # cell for the sparse graph's 4 461 kernel vertices) breaks them.

@@ -43,6 +43,12 @@ def test_config_round_trip_lossless():
         estimator={"eta": 0.2},
     )
     assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+    # edge values that are well typed: null p, s = 1, a negative theta and
+    # the largest theta whose e^theta is a float
+    cfg = ExperimentConfig(
+        kind="moment-verification", p=None, s=1, alpha=1.0, theta_grid=(-5.0, 0, 709.78), k_grid=(1, 6)
+    )
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_config_rejects_unknown_keys_and_bad_values():
@@ -106,6 +112,21 @@ def test_config_rejects_mistyped_estimator_values(key, bad, good):
         ("n", 100.0),
         ("seed", "3"),
         ("seed", None),
+        ("p", "0.3"),
+        ("p", [0.3]),
+        ("s", True),
+        ("s", math.nan),
+        ("alpha", "x"),
+        ("alpha", math.inf),
+        pytest.param("alpha", 10**400, id="alpha-int past float"),
+        ("lambda_grid", [True]),
+        ("lambda_grid", [2.0, math.inf]),
+        ("theta_grid", ["x"]),
+        ("theta_grid", [1e6]),
+        ("theta_grid", [-math.inf]),
+        ("k_grid", [1.5]),
+        ("k_grid", [0]),
+        ("k_grid", [True]),
     ],
 )
 def test_config_rejects_mistyped_top_level_values(field, value):
@@ -198,7 +219,9 @@ def test_sweep_determinism_modulo_wall_time():
     assert set(rates) == {2.0, 4.0}
 
 
-def test_sweep_draws_each_stream_once(monkeypatch):
+@pytest.fixture
+def drawn_streams(monkeypatch):
+    """The (seed, index) key of every stream a corrmatch module opens."""
     import sys
 
     import corrmatch.rng
@@ -212,18 +235,34 @@ def test_sweep_draws_each_stream_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("corrmatch") and getattr(module, "stream", None) is real:
             monkeypatch.setattr(module, "stream", spy)
+    return drawn
+
+
+def _map_sweep(seed):
     cfg = small_config(
         "threshold-sweep",
         n=60,
         alpha=0.5,
         replicates=2,
         lambda_grid=(2.0, 3.0),
-        seed=11,
+        seed=seed,
         estimator={"curve_n": 60, "curve_replicates": 2, "run_map": True, "budget": 500},
     )
-    text = run_threshold_sweep(cfg, threads=1)
+    return run_threshold_sweep(cfg, threads=1)
+
+
+def test_sweep_draws_each_stream_once(drawn_streams):
+    text = _map_sweep(11)
     assert {row.split(",")[3] for row in text.splitlines()[1:]} == {"pi_star", "map"}
-    assert len(drawn) == len(set(drawn)) > 4, sorted(drawn)
+    assert len(drawn_streams) == len(set(drawn_streams)) > 4, sorted(drawn_streams)
+
+
+def test_sweeps_at_adjacent_seeds_share_no_stream(drawn_streams):
+    # item i's hill climb once used stream(seed + offset + i, 0), which item
+    # i - 1 of the run at seed + 1 used as well
+    _map_sweep(11)
+    _map_sweep(12)
+    assert len(drawn_streams) == len(set(drawn_streams)), sorted(drawn_streams)
 
 
 def test_threads_argument_reaches_the_reference_curve(monkeypatch):
