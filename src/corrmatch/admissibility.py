@@ -153,7 +153,7 @@ def default_constants(alpha: float, rho_hat: float, n: int) -> AdmissibilityCons
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    if rho_hat < 1.0:
+    if not rho_hat >= 1.0:
         raise ValueError("rho_hat must be at least 1")
     if n < 4:
         raise ValueError("n too small for the caps")

@@ -26,6 +26,7 @@ __all__ = [
     "Bijection",
     "ModelParams",
     "CorrelatedSample",
+    "pair_pmf",
     "sample_correlated",
     "sample_independent",
     "sample_er",
@@ -432,6 +433,17 @@ def sample_er(n: int, q: float, rng: np.random.Generator) -> Graph:
     idx = _sample_distinct(rng, total, m)
     us, vs = _decode_pairs(n, idx)
     return Graph.from_arrays(n, us, vs)
+
+
+def pair_pmf(p: float, s: float) -> np.ndarray:
+    """Joint law of a matched pair as a 2x2 array: entry [x][y] is
+    P(G_e = x, Gbar at the pi*-image of e = y).  Each copy keeps the shared
+    parent edge with probability s, so q11 = p s^2, q10 = q01 = ps(1 - s)
+    and q00 = 1 - 2ps + ps^2."""
+    check_p_s(p, s)
+    ps = p * s
+    q10 = ps * (1.0 - s)
+    return np.array([[1.0 - 2.0 * ps + p * s * s, q10], [q10, p * s * s]])
 
 
 def sample_correlated(params: ModelParams, seed: int, replicate: int = 0) -> CorrelatedSample:

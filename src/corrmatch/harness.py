@@ -244,9 +244,11 @@ def z_score(mean: float, exact: float, se: float) -> float:
     return 0.0 if mean == exact else math.copysign(math.inf, mean - exact)
 
 
-def run_moment_verification(config: ExperimentConfig, threads: int | None = None) -> tuple[str, float]:
+def run_moment_verification(config: ExperimentConfig, threads: int | None = None) -> tuple[str, list[str]]:
     """Closed-form orbit moments against Monte Carlo, one row per
-    (class, k, theta); returns (csv, worst |z|)."""
+    (class, k, theta); returns (csv, failures).  Each failure names its
+    row: one with |z| > 4, or with a closed form, mean, stderr or z that
+    is not finite (past the float range nothing is verified)."""
     if threads is not None:
         config = replace(config, threads=threads)
     if config.p is None or config.s is None:
@@ -270,21 +272,25 @@ def run_moment_verification(config: ExperimentConfig, threads: int | None = None
         else:
             closed = chain_moment(k, theta, config.p, config.s)
             counts = sample_chain_orbit_edges(k, config.p, config.s, rng, size)
-        xs = np.exp(theta * counts)
-        mean = float(xs.mean())
-        se = float(xs.std(ddof=1) / math.sqrt(size))
+        with np.errstate(over="ignore", invalid="ignore"):   # inf or nan fails the row below
+            xs = np.exp(theta * counts)
+            mean = float(xs.mean())
+            se = float(xs.std(ddof=1) / math.sqrt(size))
         return cls, k, theta, closed, mean, se, z_score(mean, closed, se)
 
     results = parallel_map(one, list(enumerate(rows)), config.threads)
-    report = CsvReport(
-        ("class", "k", "theta", "closed_form", "mc_mean", "mc_se", "z_score"),
-        (str, int, float, float, float, float, float),
-    )
-    worst = 0.0
+    columns = ("class", "k", "theta", "closed_form", "mc_mean", "mc_se", "z_score")
+    report = CsvReport(columns, (str, int, float, float, float, float, float))
+    failures = []
     for row in results:
         report.add_row(*row)
-        worst = max(worst, abs(row[-1]))
-    return report.text(), worst
+        cls, k, theta, *values = row
+        if not all(math.isfinite(v) for v in values):
+            shown = " ".join(f"{name}={v:.10g}" for name, v in zip(columns[3:], values))
+            failures.append(f"{cls} k={k} theta={theta:g}: not finite ({shown})")
+        elif abs(values[-1]) > 4.0:
+            failures.append(f"{cls} k={k} theta={theta:g}: |z| = {abs(values[-1]):.4g} exceeds 4")
+    return report.text(), failures
 
 
 # -- rho curve ----------------------------------------------------------------------

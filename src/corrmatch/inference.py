@@ -2,7 +2,8 @@
 
 Relative to the independent-pair null, the likelihood of a triple
 (pi, G, Gbar) factors over vertex pairs through the three-case edge ratio
-ell, and collapses to P^{|edges of H_pi|} Q^{|E|+|Ebar|} R^{C(n,2)} / n!
+ell(x, y), the pair law graphs.pair_pmf over its Bern(ps) marginals, and
+collapses to P^{|edges of H_pi|} Q^{|E|+|Ebar|} R^{C(n,2)} / n!
 with
 
     P = (1-2ps+ps^2) / (p(1-s)^2),
@@ -32,6 +33,7 @@ from .graphs import (
     ModelParams,
     check_p_s,
     intersection_graph,
+    pair_pmf,
     sample_independent,
 )
 from .rng import stream
@@ -154,9 +156,9 @@ def log_likelihood_ratio(pi: Bijection, g: Graph, g_bar: Graph, consts: Likeliho
 
 
 def joint_log_prob_given_pi(g: Graph, g_bar: Graph, pi: Bijection, params: ModelParams) -> float:
-    """log Q[G, Gbar | pi* = pi]: product over pairs of the joint pair pmf."""
+    """log Q[G, Gbar | pi* = pi]: product over pairs of graphs.pair_pmf."""
     n = g.n
-    q11, q10, q00 = _pair_pmf(params.p, params.s)
+    pmf = pair_pmf(params.p, params.s)
     us, vs = np.triu_indices(n, k=1)
     x = g.has_edges(us, vs)
     y = g_bar.has_edges(pi.forward[us], pi.forward[vs])
@@ -164,7 +166,7 @@ def joint_log_prob_given_pi(g: Graph, g_bar: Graph, pi: Bijection, params: Model
     n_mismatch = int((x ^ y).sum())
     n00 = us.size - n11 - n_mismatch
     out = 0.0
-    for count, value in ((n11, q11), (n_mismatch, q10), (n00, q00)):
+    for count, value in ((n11, pmf[1, 1]), (n_mismatch, pmf[1, 0]), (n00, pmf[0, 0])):
         if count:
             if value <= 0.0:
                 return -math.inf
@@ -222,11 +224,8 @@ def exact_posterior(g: Graph, g_bar: Graph, params: ModelParams) -> PosteriorTab
         raise ValueError("size mismatch")
     perms = np.array(list(permutations(range(n))), dtype=np.int8)
     n11 = _intersection_counts(g, g_bar, perms)
-    p, s = params.p, params.s
-    ps = p * s
-    l11 = math.log(1.0 / p)
-    l10 = math.log((1.0 - s) / (1.0 - ps)) if s < 1.0 else -math.inf
-    l00 = math.log((1.0 - 2.0 * ps + p * s * s) / (1.0 - ps) ** 2)
+    with np.errstate(divide="ignore"):   # ell(1, 0) = 0 at s = 1
+        (l00, l10), (_, l11) = np.log(LikelihoodConstants.from_params(params.p, params.s).ll_table())
     m_sum = g.edge_count + g_bar.edge_count
     total = n * (n - 1) // 2
     n10 = m_sum - 2 * n11
@@ -287,6 +286,8 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.rho_hat) and math.isfinite(self.eta)):
+            raise ValueError("rho_hat and eta must be finite")
         if self.eta <= 0.0:
             raise ValueError("eta must be positive")
         if not (0.0 < self.c_lambda_hat <= 1.0):
@@ -549,11 +550,6 @@ def _pair_perm_maps(n: int) -> np.ndarray:
     return pair_index[perms[:, us], perms[:, vs]]
 
 
-def _pair_pmf(p: float, s: float) -> tuple[float, float, float]:
-    ps = p * s
-    return p * s * s, ps * (1.0 - s), 1.0 - 2.0 * ps + p * s * s
-
-
 def tv_exact(params: ModelParams) -> float:
     """Exact TV(null, correlated) by enumerating every graph pair (n <= 4)."""
     n = params.n
@@ -561,7 +557,6 @@ def tv_exact(params: ModelParams) -> float:
         raise ValueError("exact TV limited to n <= 4")
     perm_maps = _pair_perm_maps(n)
     n_pairs = perm_maps.shape[1]
-    q11, q10, q00 = _pair_pmf(params.p, params.s)
     q = params.p * params.s
     n_graphs = 1 << n_pairs
     bits = ((np.arange(n_graphs)[:, None] >> np.arange(n_pairs)[None, :]) & 1).astype(bool)
@@ -571,7 +566,7 @@ def tv_exact(params: ModelParams) -> float:
     p_null = np.exp(log_pg[:, None] + log_pg[None, :])
     # correlated: average over pi* of the per-pair joint pmf
     q_corr = np.zeros((n_graphs, n_graphs))
-    lookup = np.array([[q00, q10], [q10, q11]])
+    lookup = pair_pmf(params.p, params.s)
     for mapped in perm_maps:
         contrib = lookup[bits[:, None, :].astype(int), bits[None, :, mapped].astype(int)]
         q_corr += contrib.prod(axis=2)

@@ -9,19 +9,20 @@ three boundary-conditioned moments a_m, b_m, c_m (boundary (0,0), (1,1),
 A k-cycle orbit has moment exactly mu1^k + mu2^k; a k-chain orbit has
 moment (1-ps)^2 a_k + p^2 s^2 b_k + 2 ps (1-ps) c_k, equivalently
 c1 mu1^k + c2 mu2^k with coefficients pinned by the k = 1, 2 values.
-Every closed form here is paired with an independent computation route and
-the two are asserted to agree.
+Every closed form here is paired with an independent computation route, and
+every moment read, log_cycle_moment and log_chain_moment, asserts in log
+space that the two agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, exp, floor, lgamma, log, log1p
+from math import ceil, exp, floor, inf, isfinite, lgamma, log, log1p
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import ModelParams, check_p_s
+from .graphs import ModelParams, check_p_s, pair_pmf
 from .orbits import OrbitDecomposition
 
 __all__ = [
@@ -59,56 +60,49 @@ class InfeasiblePolytopeError(ValueError):
 def char_roots(theta: float, p: float, s: float) -> tuple[float, float]:
     """Roots (mu1, mu2) of the characteristic polynomial, mu1 >= mu2.
 
-    The discriminant is non-negative for valid parameters; computed with
-    the stable quadratic formula so mu2 keeps full precision when small.
+    The discriminant is non-negative for valid parameters; it is taken
+    relative to b^2, as 1 - 4 (c/b)/b, so it stays finite at any theta.
+    mu2 = c / mu1 (Vieta) keeps full precision when small.
     """
     check_p_s(p, s)
     nu = exp(theta) - 1.0
     b = 1.0 + p * s * s * nu
     c = (p * s * s - p * p * s * s) * nu
-    disc = b * b - 4.0 * c
+    disc = 1.0 - 4.0 * (c / b) / b
     if disc < 0:
-        if disc < -1e-12 * max(1.0, b * b):
+        if disc < -1e-12:
             raise AssertionError(f"negative discriminant {disc} for valid parameters")
         disc = 0.0
-    root = disc**0.5
-    mu1 = (b + root) / 2.0
-    mu2 = c / mu1 if mu1 != 0.0 else (b - root) / 2.0
-    return mu1, mu2
+    mu1 = 0.5 * b + 0.5 * b * disc**0.5
+    return mu1, c / mu1
 
 
-def chain_recurrence(m: int, theta: float, p: float, s: float) -> tuple[float, float, float]:
-    """Boundary-conditioned moments (a_m, b_m, c_m), seeds a1=1, b1=e^theta, c1=1.
+def chain_recurrence(m: int, theta: float, p: float, s: float) -> tuple[float, float, float, float]:
+    """Boundary-conditioned moments (a_m, b_m, c_m), seeds a1=1, b1=e^theta,
+    c1=1, returned as (a, b, c, logscale): the moments are the triple times
+    exp(logscale), and the triple's largest entry stays at most 1e100 so
+    no theta * m overflows.
 
-    Each step appends one internal correlated pair.  The two available
-    update rules for c (extending either end) are applied and checked
-    against each other.  Internally scaled to avoid overflow for large
-    theta * m; values beyond float range come back as inf.
+    Each step appends one internal correlated pair, weighted by
+    graphs.pair_pmf.  The two available update rules for c (extending
+    either end) are applied and checked against each other.
     """
-    a, b, c, logscale = _chain_triple_scaled(m, theta, p, s)
-    with np.errstate(over="ignore"):
-        f = float(np.exp(logscale))
-    return a * f, b * f, c * f
-
-
-def _chain_triple_scaled(m: int, theta: float, p: float, s: float) -> tuple[float, float, float, float]:
-    """(a_m, b_m, c_m) / exp(logscale), max of the triple kept near 1."""
     check_p_s(p, s)
     if m < 1:
         raise ValueError("m must be at least 1")
     et = exp(theta)
     ps = p * s
+    (q00, q10), _ = pair_pmf(p, s).tolist()
     a, b, c = 1.0, et, 1.0
     logscale = 0.0
     if b > 1e100:
         logscale = theta
         a, b, c = exp(-theta), 1.0, exp(-theta)
-    q00 = 1.0 - 2.0 * ps + ps * s  # both subsampled copies absent given the pair value
     for _ in range(m - 1):
         a_next = ps * c + (1.0 - ps) * a
-        b_next = ps * et * (s * b + (1.0 - s) * c) + (ps * (1.0 - s) * b + q00 * c)
+        b_next = ps * et * (s * b + (1.0 - s) * c) + (q10 * b + q00 * c)
         c_next = ps * b + (1.0 - ps) * c
-        c_alt = ps * et * (s * c + (1.0 - s) * a) + (ps * (1.0 - s) * c + q00 * a)
+        c_alt = ps * et * (s * c + (1.0 - s) * a) + (q10 * c + q00 * a)
         if abs(c_next - c_alt) > 1e-9 * max(1.0, abs(c_next)):
             raise ConsistencyError(
                 f"chain recurrence c-updates disagree: {c_next} vs {c_alt}"
@@ -121,35 +115,33 @@ def _chain_triple_scaled(m: int, theta: float, p: float, s: float) -> tuple[floa
     return a, b, c, logscale
 
 
+def _check_routes(what: str, k: int, closed: float, combo: float) -> None:
+    """Raise ConsistencyError unless the two logs agree to _REL_TOL,
+    relative to their magnitude."""
+    if not abs(closed - combo) <= _REL_TOL * max(1.0, abs(closed)):
+        raise ConsistencyError(f"{what} moment routes disagree at k={k}: log {closed} vs {combo}")
+
+
 def log_cycle_moment(k: int, theta: float, p: float, s: float) -> float:
-    """log(mu1^k + mu2^k), stable for large k * theta."""
+    """log of the k-cycle moment, log(mu1^k + mu2^k), stable for large
+    k * theta.  Checked against the boundary combination
+    q00 a_k + q11 b_k + 2 q10 c_k with q = graphs.pair_pmf; the two logs
+    must agree to 1e-9."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    mu1, mu2 = char_roots(theta, p, s)
-    if mu1 <= 0.0:
-        raise AssertionError("mu1 must be positive for valid parameters")
-    return k * log(mu1) + log1p((mu2 / mu1) ** k)
+    mu1, mu2 = char_roots(theta, p, s)   # mu1 >= b/2 >= 1/2
+    closed = k * log(mu1) + log1p((mu2 / mu1) ** k)
+    a, b, c, logscale = chain_recurrence(k, theta, p, s)
+    (q00, q10), (_, q11) = pair_pmf(p, s).tolist()
+    _check_routes("cycle", k, closed, log(q00 * a + q11 * b + 2.0 * q10 * c) + logscale)
+    return closed
 
 
 def cycle_moment(k: int, theta: float, p: float, s: float) -> float:
-    """Exponential moment of the edge count of a k-cycle orbit.
-
-    Computed both as mu1^k + mu2^k and as the boundary-combination
-    (1-2ps+ps^2) a_k + p s^2 b_k + 2 ps (1-s) c_k; the routes must agree
-    to relative 1e-9.  Returns the closed form.
-    """
-    check_p_s(p, s)
-    log_closed = log_cycle_moment(k, theta, p, s)
-    a, b, c, logscale = _chain_triple_scaled(k, theta, p, s)
-    ps = p * s
-    combo = (1.0 - 2.0 * ps + ps * s) * a + ps * s * b + 2.0 * ps * (1.0 - s) * c
-    log_combo = log(combo) + logscale
-    if abs(log_combo - log_closed) > _REL_TOL:
-        raise ConsistencyError(
-            f"cycle moment routes disagree at k={k}: log {log_closed} vs {log_combo}"
-        )
+    """Exponential moment of the edge count of a k-cycle orbit, mu1^k + mu2^k
+    (inf past the float range); see log_cycle_moment."""
     with np.errstate(over="ignore"):
-        return float(np.exp(log_closed))
+        return float(np.exp(log_cycle_moment(k, theta, p, s)))
 
 
 @dataclass(frozen=True)
@@ -160,8 +152,6 @@ class MomentCoefficients:
     A1, A2 are the exact 1- and 2-chain moments.
     """
 
-    theta: float
-    nu: float
     mu1: float
     mu2: float
     c1: float
@@ -177,36 +167,33 @@ class MomentCoefficients:
             raise ValueError("coincident roots; chain coefficients undefined")
         c1 = (a2 - mu2 * a1) / (mu1 * (mu1 - mu2))
         c2 = (mu1 * a1 - a2) / (mu2 * (mu1 - mu2)) if mu2 != 0.0 else 0.0
-        return cls(theta=theta, nu=nu, mu1=mu1, mu2=mu2, c1=c1, c2=c2)
+        return cls(mu1=mu1, mu2=mu2, c1=c1, c2=c2)
 
 
 def log_chain_moment(k: int, theta: float, p: float, s: float) -> float:
-    """log of the k-chain moment via the boundary combination."""
+    """log of the k-chain moment via the boundary combination
+    (1-ps)^2 a_k + p^2 s^2 b_k + 2 ps(1-ps) c_k.  Checked against
+    c1 mu1^k + c2 mu2^k from the pinned coefficients, taken in log space as
+    k log mu1 + log(c1 + c2 (mu2/mu1)^k); the two logs must agree to 1e-9.
+    Past theta of about 355 the coefficients overflow and the check is
+    skipped."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    check_p_s(p, s)
-    a, b, c, logscale = _chain_triple_scaled(k, theta, p, s)
+    a, b, c, logscale = chain_recurrence(k, theta, p, s)
     ps = p * s
-    combo = (1.0 - ps) ** 2 * a + ps * ps * b + 2.0 * ps * (1.0 - ps) * c
-    return log(combo) + logscale
+    combo = log((1.0 - ps) ** 2 * a + ps * ps * b + 2.0 * ps * (1.0 - ps) * c) + logscale
+    coef = MomentCoefficients.from_params(theta, p, s)
+    if isfinite(coef.c1) and isfinite(coef.c2):
+        inner = coef.c1 + coef.c2 * (coef.mu2 / coef.mu1) ** k
+        _check_routes("chain", k, k * log(coef.mu1) + (log(inner) if inner > 0.0 else -inf), combo)
+    return combo
 
 
 def chain_moment(k: int, theta: float, p: float, s: float) -> float:
-    """Exponential moment of the edge count of a k-chain orbit.
-
-    The boundary combination (1-ps)^2 a_k + p^2 s^2 b_k + 2 ps(1-ps) c_k is
-    cross-checked against c1 mu1^k + c2 mu2^k from the pinned coefficients.
-    """
-    log_combo = log_chain_moment(k, theta, p, s)
-    coef = MomentCoefficients.from_params(theta, p, s)
-    closed = coef.c1 * coef.mu1**k + coef.c2 * coef.mu2**k
-    if np.isfinite(closed) and closed > 0.0:
-        if abs(log(closed) - log_combo) > 1e-7:
-            raise ConsistencyError(
-                f"chain moment routes disagree at k={k}: log {log_combo} vs {log(closed)}"
-            )
+    """Exponential moment of the edge count of a k-chain orbit (inf past
+    the float range); see log_chain_moment."""
     with np.errstate(over="ignore"):
-        return float(np.exp(log_combo))
+        return float(np.exp(log_chain_moment(k, theta, p, s)))
 
 
 # -- tail bounds ------------------------------------------------------------

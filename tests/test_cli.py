@@ -203,9 +203,10 @@ def test_moments_check_exit_codes(tmp_path, capsys):
 def test_moments_check_exits_2_on_statistical_failure(monkeypatch, capsys):
     import corrmatch.cli as cli
 
-    monkeypatch.setattr(cli, "run_moment_verification", lambda cfg, threads=None: ("stub\n", 5.3))
+    failure = "cycle k=1 theta=0.5: |z| = 5.3 exceeds 4"
+    monkeypatch.setattr(cli, "run_moment_verification", lambda cfg, threads=None: ("stub\n", [failure]))
     assert RUN(["moments-check"]) == 2
-    capsys.readouterr()
+    assert f"FAIL: {failure}" in capsys.readouterr().err
 
 
 def test_rho_curve_cli(tmp_path, capsys):
@@ -286,6 +287,87 @@ def test_seeds_and_edge_lists_honour_the_exit_codes(tmp_path_factory, seed, grap
     path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
     distinct = len({(min(e), max(e)) for e in edges}) == len(edges)
     assert RUN(["density", "--graph", str(path), "--out", str(out / "d.json")]) == (0 if distinct else 3), edges
+
+
+# One flag of one subcommand is mutated per example; every other flag keeps
+# the small valid value below (n <= 8, 20 replicates, budget 200).
+_FLAG_BASE = {
+    "sample": {"--n": "8", "--p": "0.5", "--s": "0.8", "--seed": "1"},
+    "tv": {"--n": "4", "--p": "0.5", "--s": "0.8", "--replicates": "20", "--seed": "1"},
+    "estimate": {"--rho-hat": "1.5", "--c-lambda-hat": "0.3", "--eta": "0.15", "--budget": "200", "--seed": "0"},
+    "admissibility": {"--alpha": "0.5", "--rho-hat": "1.4"},
+    "orbits": {"--pi": "random", "--subset": "0,1,2", "--seed": "1"},
+    "density": {},
+}
+_INT_VALUES = ["0", "-1", str(2**64)]
+_FLAG_VALUES = {
+    "--p": ["nan", "inf", "-inf", "-1", "-0.5", "0", "1"],
+    # --n and --replicates size arrays: 2**64 of them would ask for a huge allocation
+    "--n": ["0", "-1"],
+    "--replicates": ["0", "-1"],
+    "--budget": _INT_VALUES,
+    "--seed": _INT_VALUES,
+    "--subset": ["", ",", "0,x", "0,,1", "1.5", "-1", "8", str(2**64)],
+    "--graph": ["", "x\n", "3\n", "3 1\n0 0\n", "3 1\n0 5\n", "-1 0\n", "3 2\n0 1\n", "3 1\n0 1\n1 2\n",
+                "3 1\n0 1.5\n", "nan 0\n", f"{2**64} 0\n", "3 1\n-1 2\n"],
+}
+for _flag in ("--s", "--rho-hat", "--c-lambda-hat", "--eta", "--alpha"):
+    _FLAG_VALUES[_flag] = _FLAG_VALUES["--p"]
+_FLAG_CASES = [
+    (command, flag)
+    for command, flags in _FLAG_BASE.items()
+    for flag in [*flags, *(["--graph"] if command in ("density", "admissibility") else [])]
+    if flag in _FLAG_VALUES
+]
+
+
+@pytest.fixture(scope="module")
+def small_bundle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bundle") / "b.json"
+    assert RUN(["sample", "--n", "8", "--p", "0.5", "--s", "0.8", "--seed", "3", "--out", str(path)]) == 0
+    return str(path)
+
+
+@settings(max_examples=250)
+@given(case=st.sampled_from(_FLAG_CASES), data=st.data())
+def test_mutated_flags_honour_the_exit_codes(tmp_path_factory, small_bundle, case, data):
+    command, flag = case
+    value = data.draw(st.sampled_from(_FLAG_VALUES[flag]), label="value")
+    flags = dict(_FLAG_BASE[command])
+    if command not in ("sample", "tv") and flag != "--graph":
+        flags["--bundle"] = small_bundle
+    folder = tmp_path_factory.mktemp("flags")
+    if flag == "--graph":
+        (folder / "g.txt").write_text(value)
+        value = str(folder / "g.txt")
+    flags[flag] = value
+    argv = [command, *(f"{key}={v}" for key, v in flags.items()), "--out", str(folder / "out")]
+    try:
+        code = RUN(argv)
+    except SystemExit as exc:   # argparse refuses the value
+        code = exc.code
+    assert code in (0, 2, 3), argv
+
+
+@pytest.mark.parametrize("flag", ["--rho-hat", "--eta"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_estimator_flags_exit_3(small_bundle, capsys, flag, value):
+    assert RUN(["estimate", "--bundle", small_bundle, f"{flag}={value}"]) == 3
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_moments_check_past_the_float_range_fails_naming_the_row(tmp_path, capsys):
+    # at theta = 300 the k >= 3 moments pass the float range: those rows
+    # cannot be verified and fail; the k = 1 rows stay finite and pass
+    path = tmp_path / "cfg.json"
+    config = {"kind": "moment-verification", "p": 0.3, "s": 0.6, "replicates": 2000, "seed": 1, "theta_grid": [300]}
+    path.write_text(json.dumps(config))
+    assert RUN(["moments-check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "FAIL: cycle k=3 theta=300: not finite" in err and "FAIL: chain k=6 theta=300: not finite" in err
+    path.write_text(json.dumps({**config, "k_grid": [1]}))
+    assert RUN(["moments-check", "--config", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().err
 
 
 def test_seed_aliases_are_refused(tmp_path, capsys):

@@ -13,6 +13,7 @@ from corrmatch.graphs import (
     ModelParams,
     intersection_graph,
     overlap,
+    pair_pmf,
     relabel,
     sample_correlated,
     sample_er,
@@ -65,6 +66,14 @@ def test_edge_ll_three_cases():
     assert edge_ll(1, 1, p, s) == pytest.approx(1 / p)
     assert edge_ll(1, 0, p, s) == edge_ll(0, 1, p, s)
     assert edge_ll(0, 0, 0.5, 0.5) == pytest.approx(10 / 9)
+
+
+def test_pair_law_matches_enumeration():
+    for p, s in ((0.3, 0.7), (0.05, 0.5), (0.9, 1.0)):
+        pmf = pair_pmf(p, s)
+        assert pmf.shape == (2, 2) and pmf.sum() == pytest.approx(1.0, rel=1e-15)
+        for x, y in product((0, 1), repeat=2):
+            assert pmf[x, y] == pytest.approx(pair_pmf_oracle(x, y, p, s), rel=1e-12)
 
 
 def test_edge_ll_is_pair_pmf_over_marginals():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from corrmatch.moments import (
+    ConsistencyError,
     MomentCoefficients,
     chain_moment,
     chain_recurrence,
@@ -12,6 +13,8 @@ from corrmatch.moments import (
     combinatorial_minimum,
     combinatorial_minimum_oracle,
     cycle_moment,
+    log_chain_moment,
+    log_cycle_moment,
     markov_tail_bound,
     permutation_count_bound,
     sample_chain_orbit_edges,
@@ -81,17 +84,22 @@ def chain_moment_bruteforce(k, theta, p, s):
 # -- recurrences and roots ----------------------------------------------------
 
 
+def unscaled_chain_recurrence(m, theta, p, s):
+    a, b, c, logscale = chain_recurrence(m, theta, p, s)
+    return a * exp(logscale), b * exp(logscale), c * exp(logscale)
+
+
 def test_theta_zero_degenerates_to_one():
     for p, s in PARAM_GRID:
         for m in (1, 2, 5, 9):
-            assert chain_recurrence(m, 0.0, p, s) == pytest.approx((1.0, 1.0, 1.0))
+            assert unscaled_chain_recurrence(m, 0.0, p, s) == pytest.approx((1.0, 1.0, 1.0))
             assert cycle_moment(m, 0.0, p, s) == pytest.approx(1.0)
             assert chain_moment(m, 0.0, p, s) == pytest.approx(1.0)
     assert char_roots(0.0, 0.3, 0.6) == pytest.approx((1.0, 0.0))
 
 
 def test_recurrence_seeds():
-    a1, b1, c1 = chain_recurrence(1, 0.7, 0.3, 0.6)
+    a1, b1, c1 = unscaled_chain_recurrence(1, 0.7, 0.3, 0.6)
     assert (a1, b1, c1) == pytest.approx((1.0, exp(0.7), 1.0))
 
 
@@ -99,7 +107,7 @@ def test_recurrence_matches_bruteforce_enumeration():
     for m in (2, 3, 4):
         for p, s in [(0.3, 0.6), (0.25, 0.8)]:
             for theta in (0.5, 1.0):
-                got = chain_recurrence(m, theta, p, s)
+                got = unscaled_chain_recurrence(m, theta, p, s)
                 want = chain_triple_bruteforce(m, theta, p, s)
                 assert got == pytest.approx(want, rel=1e-12)
 
@@ -175,9 +183,45 @@ def test_moments_against_monte_carlo_smoke():
 
 
 def test_overflow_guard_returns_inf_not_exception():
-    a, b, c = chain_recurrence(400, 30.0, 0.3, 0.6)
-    assert np.isinf(b) or b > 1e300
+    a, b, c, logscale = chain_recurrence(400, 30.0, 0.3, 0.6)
+    assert log(b) + logscale > log(1e300)
     assert cycle_moment(400, 30.0, 0.3, 0.6) > 0
+    # up to theta = 709 (e^theta still a float) every read is finite in log
+    # space and finite or inf as a moment, with both routes checked
+    for theta in (121.0, 300.0, 358.0, 709.0):
+        for k in (1, 6, 50, 400):
+            for log_moment, moment in ((log_cycle_moment, cycle_moment), (log_chain_moment, chain_moment)):
+                log_value = log_moment(k, theta, 0.3, 0.6)
+                assert np.isfinite(log_value) and log_value > 0
+                value = moment(k, theta, 0.3, 0.6)
+                if log_value < log(np.finfo(float).max):
+                    assert value == pytest.approx(exp(log_value), rel=1e-12)
+                else:
+                    assert value == np.inf
+
+
+def test_every_moment_read_checks_its_second_route(monkeypatch):
+    # a recurrence that is off by 1 % in b must not reach a tail bound
+    from corrmatch import moments
+    from corrmatch.graphs import ModelParams
+
+    real = moments.chain_recurrence
+
+    def skewed(m, theta, p, s):
+        a, b, c, logscale = real(m, theta, p, s)
+        return a, 1.01 * b, c, logscale
+
+    monkeypatch.setattr(moments, "chain_recurrence", skewed)
+    for log_moment in (log_cycle_moment, log_chain_moment):
+        with pytest.raises(ConsistencyError):
+            log_moment(3, 1.0, 0.3, 0.6)
+    params = ModelParams(n=60, p=0.35, s=0.6)
+    special_cycles = {2: (3, 0, 0), 4: (1, 0, 0)}
+    chains = {1: (0, 0, 4), 3: (0, 0, 1)}
+    with pytest.raises(ConsistencyError, match="cycle"):
+        markov_tail_bound("special", 2.0, special_cycles, params, 0.5, n_cutoff=2)
+    with pytest.raises(ConsistencyError, match="chain"):
+        markov_tail_bound("long", 2.0, chains, params, 0.5, n_cutoff=2)
 
 
 # -- tail bounds ----------------------------------------------------------------
