@@ -254,7 +254,7 @@ class AdmissibilityReport:
                 if not 0 < len(sub) <= consts.tiny_component_cap:
                     return False
                 vset = set(sub)
-                if len(_bfs(h.adjacency(), sub[:1], within=vset)) != len(vset):
+                if len(_bfs(h.csr(), sub[:1], within=vset)) != len(vset):
                     return False   # not connected
                 if not h.edges_within(sub) > len(sub):
                     return False
@@ -270,9 +270,11 @@ class AdmissibilityReport:
 # -- enumeration machinery ----------------------------------------------------
 
 
-def _bfs(adj: tuple[tuple[int, ...], ...], sources, depth: int | None = None, within=None) -> dict[int, int]:
-    """Hop distances from sources, up to depth (unbounded when None), along
-    paths whose vertices past the sources all lie in within (any when None)."""
+def _bfs(csr: tuple[np.ndarray, np.ndarray], sources, depth: int | None = None, within=None) -> dict[int, int]:
+    """Hop distances from sources in the graph whose `Graph.csr()` is csr,
+    up to depth (unbounded when None), along paths whose vertices past the
+    sources all lie in within (any when None)."""
+    offsets, columns = csr
     dist = {s: 0 for s in sources}
     frontier = list(dist)
     d = 0
@@ -280,7 +282,7 @@ def _bfs(adj: tuple[tuple[int, ...], ...], sources, depth: int | None = None, wi
         d += 1
         nxt = []
         for u in frontier:
-            for w in adj[u]:
+            for w in columns[offsets[u]:offsets[u + 1]].tolist():
                 if w not in dist and (within is None or w in within):
                     dist[w] = d
                     nxt.append(w)
@@ -288,10 +290,10 @@ def _bfs(adj: tuple[tuple[int, ...], ...], sources, depth: int | None = None, wi
     return dist
 
 
-def _connected_sets(adj: tuple[tuple[int, ...], ...], alive: list[bool], max_size: int, budget: list[int]):
+def _connected_sets(csr: tuple[np.ndarray, np.ndarray], alive: list[bool], max_size: int, budget: list[int]):
     """Yield (set, edge count) for every connected vertex set of size <=
-    max_size within the alive mask, each set exactly once (ESU-style growth
-    from each root).
+    max_size within the alive mask of the graph whose `Graph.csr()` is csr,
+    each set exactly once (ESU-style growth from each root).
 
     cover[w] counts the current members adjacent to w.  ESU bans from the
     extension every alive vertex above the root that already neighbours the
@@ -299,7 +301,8 @@ def _connected_sets(adj: tuple[tuple[int, ...], ...], alive: list[bool], max_siz
     included), so a neighbour of a new member is fresh exactly when it is
     alive, above the root and uncovered.  A joining vertex u adds cover[u]
     edges to the set."""
-    cover = [0] * len(adj)
+    offsets, columns = csr
+    cover = [0] * len(alive)
 
     def grow(root: int, sub: list[int], ext: list[int], edges: int):
         for i, u in enumerate(ext):
@@ -310,15 +313,16 @@ def _connected_sets(adj: tuple[tuple[int, ...], ...], alive: list[bool], max_siz
             grown = edges + cover[u]
             yield tuple(sub), grown
             if len(sub) < max_size:
-                fresh = [w for w in adj[u] if alive[w] and w > root and not cover[w]]
-                for w in adj[u]:
+                row = columns[offsets[u]:offsets[u + 1]].tolist()
+                fresh = [w for w in row if alive[w] and w > root and not cover[w]]
+                for w in row:
                     cover[w] += 1
                 yield from grow(root, sub, ext[i + 1:] + fresh, grown)
-                for w in adj[u]:
+                for w in row:
                     cover[w] -= 1
             sub.pop()
 
-    for root in range(len(adj)):
+    for root in range(len(alive)):
         if alive[root]:
             yield from grow(root, [], [root], 0)
 
@@ -658,7 +662,7 @@ def check_admissible(
     t = consts.tiny_component_cap
     counts, completed, near = simple_cycle_counts(h, max(t, consts.cycle_len_cap), cycle_budget, collect_len=t)
     results["local_unicyclicity"] = _check_tiny_components(
-        h.adjacency(), h.core_numbers(), t, near if completed else None, set_budget
+        h.csr(), h.core_numbers(), t, near if completed else None, set_budget
     )
     results["cycle_counts"] = _check_cycle_counts(counts, completed, consts, cycle_budget)
     return AdmissibilityReport(conditions=results)
@@ -674,7 +678,7 @@ def _check_small_sets(h, consts, dens, set_budget) -> ConditionResult:
     if len(shrunk) <= consts.small_set_cap:
         return ConditionResult("fail", {"subset": shrunk, "edges": h.edges_within(shrunk)})
     alive = (h.core_numbers() >= math.floor(consts.zeta) + 1).tolist()
-    return _first_dense_set(h.adjacency(), alive, consts.small_set_cap, consts.zeta, set_budget)
+    return _first_dense_set(h.csr(), alive, consts.small_set_cap, consts.zeta, set_budget)
 
 
 def _shrink_violator(h: Graph, subset: list[int], ratio: float) -> list[int]:
@@ -699,16 +703,16 @@ def _shrink_violator(h: Graph, subset: list[int], ratio: float) -> list[int]:
 
 
 def _first_dense_set(
-    adj: tuple[tuple[int, ...], ...], alive: list[bool], cap: int, ratio: float, set_budget: int
+    csr: tuple[np.ndarray, np.ndarray], alive: list[bool], cap: int, ratio: float, set_budget: int
 ) -> ConditionResult:
-    """Fail on the first connected set of at most cap alive vertices with
-    more than ratio * size edges; undecided when set_budget sets were
+    """Fail on the first connected set of at most cap alive vertices of csr
+    with more than ratio * size edges; undecided when set_budget sets were
     enumerated without one, pass otherwise.  Every inclusion-minimal such
     set has minimum degree above ratio inside it, so an alive mask that
     holds the (floor(ratio) + 1)-core loses none."""
     budget = [set_budget]
     try:
-        for sub, edges in _connected_sets(adj, alive, cap, budget):
+        for sub, edges in _connected_sets(csr, alive, cap, budget):
             if edges > ratio * len(sub):
                 return ConditionResult("fail", {"subset": list(sub), "edges": edges})
     except BudgetExceeded:
@@ -717,23 +721,23 @@ def _first_dense_set(
 
 
 def _check_tiny_components(
-    adj: tuple[tuple[int, ...], ...],
+    csr: tuple[np.ndarray, np.ndarray],
     core: np.ndarray,
     t: int,
     near: set[int] | None,
     set_budget: int,
 ) -> ConditionResult:
-    """Condition (iv): no connected set of at most t vertices has more
-    edges than vertices.  near holds every vertex on a cycle of length
+    """Condition (iv): no connected set of at most t vertices of csr, with
+    core numbers core, has more edges than vertices.  near holds every vertex on a cycle of length
     <= t, or is None when the cycle scan that collects them ran out of
     budget.  With it, the enumeration runs over the 2-core vertices within
     max(0, t - 6) hops of near; without it, over the whole 2-core.  The
     module docstring says why the smaller region loses no
     inclusion-minimal violator."""
     if near is None:
-        return _first_dense_set(adj, (core >= 2).tolist(), t, 1, set_budget)
-    region = _bfs(adj, near, max(0, t - 6), within=set(np.flatnonzero(core >= 2).tolist()))
-    return _first_dense_set(adj, [v in region for v in range(len(adj))], t, 1, set_budget)
+        return _first_dense_set(csr, (core >= 2).tolist(), t, 1, set_budget)
+    region = _bfs(csr, near, max(0, t - 6), within=set(np.flatnonzero(core >= 2).tolist()))
+    return _first_dense_set(csr, [v in region for v in range(core.size)], t, 1, set_budget)
 
 
 def _check_cycle_counts(counts, completed, consts, cycle_budget) -> ConditionResult:
@@ -773,15 +777,14 @@ def _short_cycle_vertices(h: Graph, c_big: int) -> set[int]:
 def is_good_set(h: Graph, a: set[int], c_big: int) -> GoodSetResult:
     """True iff members of a are pairwise farther than 2C+2 apart and
     farther than C from every cycle of length <= C."""
-    adj = h.adjacency()
     a_sorted = sorted(int(v) for v in a)
-    near_cycles = _bfs(adj, _short_cycle_vertices(h, c_big), c_big)
+    near_cycles = _bfs(h.csr(), _short_cycle_vertices(h, c_big), c_big)
     for v in a_sorted:
         if v in near_cycles:
             return GoodSetResult(False, {"vertex": v, "reason": "within C of a short cycle"})
     taken: set[int] = set()
     for v in a_sorted:
-        hit = taken.intersection(_bfs(adj, [v], 2 * c_big + 2))
+        hit = taken.intersection(_bfs(h.csr(), [v], 2 * c_big + 2))
         if hit:
             return GoodSetResult(False, {"pair": [min(hit), v], "reason": "closer than 2C+2"})
         taken.add(v)
@@ -793,8 +796,7 @@ def find_good_set(h: Graph, b: set[int], k_target: int, c_big: int) -> tuple[int
     candidates in ascending id whose (2C+2)-ball avoids the current set.
     Returns the first k_target vertices found, or the maximal set if the
     greedy runs out (a shortfall, not an error)."""
-    adj = h.adjacency()
-    blocked = _bfs(adj, _short_cycle_vertices(h, c_big), c_big)
+    blocked = _bfs(h.csr(), _short_cycle_vertices(h, c_big), c_big)
     chosen: list[int] = []
     covered: set[int] = set()
     for v in sorted(int(u) for u in b):
@@ -803,5 +805,5 @@ def find_good_set(h: Graph, b: set[int], k_target: int, c_big: int) -> tuple[int
         chosen.append(v)
         if len(chosen) == k_target:
             break
-        covered.update(_bfs(adj, [v], 2 * c_big + 2))
+        covered.update(_bfs(h.csr(), [v], 2 * c_big + 2))
     return tuple(chosen)

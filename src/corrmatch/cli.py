@@ -298,6 +298,13 @@ def _cmd_threshold_sweep(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """The type of every --seed: a stream key, in [0, 2**64)."""
+    if not 0 <= int(text) < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed {text} outside [0, 2**64)")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error, but here 2 means a failed
     statistical check: a malformed command line is a config error."""
@@ -317,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(fn=fn)
         if config:
             sp.add_argument("--config", type=str, default=None, help="experiment config JSON")
-            sp.add_argument("--seed", type=int, default=None)
+            sp.add_argument("--seed", type=_seed, default=None)
             sp.add_argument(
                 "--threads", type=int, default=None,
                 help="worker processes, at most the CPU count (default: the config's threads, else 1)",
             )
         elif seeded:
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--seed", type=_seed, default=0)
         sp.add_argument("--out", type=str, default=None)
         return sp
 

@@ -13,7 +13,6 @@ carries the semantic distinction between V and the matched side.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -49,16 +48,15 @@ class Graph:
     Edges are canonical unordered pairs (u, v) with u < v, stored as a
     sorted array of private keys u*n + v, which the vector query
     `has_edges` searches, so n is at most isqrt(2**63), the largest count
-    whose keys fit in an int64.  Every other view is built on first use:
-    the compressed sparse rows `csr()` (one sort of the 2m directed keys),
-    which the degrees, the core peel and the min-degree peel read, and the
-    Python view `adjacency()`, which the scalar queries read.  A graph read
-    only through its keys, such as the two sides of a correlated pair that
-    `intersection_graph` compares, never sorts its rows.  Instances are
-    immutable.
+    whose keys fit in an int64.  The one neighbour layout, the compressed
+    sparse rows `csr()` (one sort of the 2m directed keys), is built on
+    first use; the degrees, the peels, `neighbors` and every walk over
+    the graph read it.  A graph read only through its keys, such as the
+    two sides of a correlated pair that `intersection_graph` compares,
+    never sorts its rows.  Instances are immutable.
     """
 
-    __slots__ = ("n", "_packed", "_offsets", "_columns", "_degrees", "_core", "_adj")
+    __slots__ = ("n", "_packed", "_offsets", "_columns", "_degrees", "_core")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -83,7 +81,6 @@ class Graph:
         self._packed.flags.writeable = False
         self._offsets = self._columns = self._degrees = None
         self._core = None
-        self._adj = None
 
     @classmethod
     def from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
@@ -117,21 +114,16 @@ class Graph:
             raise ValueError("vertex out of range")
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check(u)
-        self._check(v)
-        row = self.adjacency()[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
+        return bool(self.has_edges(u, v))
 
     def has_edges(self, us, vs) -> np.ndarray:
         """Vector has_edge over endpoint arrays of one shape: a bool array of
         that shape, True where (us[i], vs[i]) is an edge, in either order,
         and False where the two endpoints are equal.  Raises ValueError for
         an endpoint outside [0, n)."""
-        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
         try:   # the keys u*n + v, range-checked in the same pass
-            keys = np.ravel_multi_index((lo, hi), (self.n, self.n))
-        except ValueError:
+            keys = np.ravel_multi_index((np.minimum(us, vs), np.maximum(us, vs)), (self.n, self.n))
+        except (ValueError, OverflowError):
             raise ValueError("vertex out of range") from None
         if self._packed.size == 0:
             return np.zeros(np.shape(keys), dtype=bool)
@@ -139,7 +131,7 @@ class Graph:
 
     def degree(self, u: int) -> int:
         self._check(u)
-        return len(self.adjacency()[u])
+        return int(self.degrees[u])
 
     @property
     def degrees(self) -> np.ndarray:
@@ -150,7 +142,8 @@ class Graph:
     def neighbors(self, u: int) -> list[int]:
         """u's neighbours in ascending order, as a fresh list."""
         self._check(u)
-        return list(self.adjacency()[u])
+        offsets, columns = self.csr()
+        return columns[offsets[u]:offsets[u + 1]].tolist()
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Compressed sparse rows (offsets, columns): vertex v's neighbours,
@@ -168,18 +161,6 @@ class Graph:
             for arr in (self._degrees, self._offsets, self._columns):
                 arr.flags.writeable = False
         return self._offsets, self._columns
-
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Every vertex's neighbours, as ascending tuples indexed by vertex.
-        The graph is immutable, so the rows are built on the first call and
-        later calls return the same tuple."""
-        if self._adj is None:
-            offsets, columns = self.csr()
-            columns, offsets = columns.tolist(), offsets.tolist()
-            self._adj = tuple(
-                tuple(columns[start:end]) for start, end in zip(offsets, offsets[1:])
-            )
-        return self._adj
 
     def core_numbers(self) -> np.ndarray:
         """Each vertex's core number: the largest k such that the k-core,
@@ -222,11 +203,12 @@ class Graph:
 
     def edges_within(self, vertices: Iterable[int]) -> int:
         """Number of edges with both endpoints in the given vertex set."""
-        vset = set(vertices)
-        if vset and (min(vset) < 0 or max(vset) >= self.n):
+        members = list(vertices)
+        if members and (min(members) < 0 or max(members) >= self.n):
             raise ValueError("vertex out of range")
-        adj, inside = self.adjacency(), vset.__contains__
-        return sum(sum(map(inside, adj[v])) for v in vset) // 2
+        inside = np.zeros(self.n, dtype=bool)
+        inside[members] = True
+        return int(np.count_nonzero(inside[self.edge_array()].all(axis=1)))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -276,7 +258,10 @@ class Bijection:
     __slots__ = ("n", "forward", "inverse")
 
     def __init__(self, forward: Sequence[int] | np.ndarray):
-        fwd = np.asarray(forward, dtype=np.int64).copy()
+        try:
+            fwd = np.array(forward, dtype=np.int64)
+        except OverflowError:   # an image past int64
+            raise ValueError("image out of range") from None
         n = fwd.size
         inv = np.full(n, -1, dtype=np.int64)
         if n and (fwd.min() < 0 or fwd.max() >= n):

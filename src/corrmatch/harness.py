@@ -90,12 +90,13 @@ class ExperimentConfig:
     """One experiment run.  Round-trips losslessly through JSON; unknown
     keys, at the top level and inside ``estimator``, are rejected rather
     than ignored, and so are values of the wrong type: ``n``, ``seed``,
-    ``replicates`` and ``threads`` must be integers (not bools), ``p``,
-    ``s`` and ``alpha`` finite numbers (not bools) or null, the grids JSON
-    arrays of finite numbers (``theta_grid`` entries with e^theta a float,
-    ``k_grid`` entries integers >= 1), and in ``estimator`` ``run_map``
-    must be a bool, ``curve_n``, ``curve_replicates`` and ``budget``
-    integers >= 1, ``eta`` and ``c_lambda_hat`` finite numbers."""
+    ``replicates`` and ``threads`` must be integers (not bools), ``seed``
+    in [0, 2**64), ``p``, ``s`` and ``alpha`` finite numbers (not bools) or
+    null, the grids JSON arrays of finite numbers (``theta_grid`` entries
+    with e^theta a float, ``k_grid`` entries integers >= 1), and in
+    ``estimator`` ``run_map`` must be a bool, ``curve_n``,
+    ``curve_replicates`` and ``budget`` integers >= 1, ``eta`` and
+    ``c_lambda_hat`` finite numbers."""
 
     kind: str
     n: int = 100
@@ -140,6 +141,8 @@ class ExperimentConfig:
             bad = [v for v in getattr(self, key) if not ok(v)]
             if bad:
                 raise ConfigError(f"{key} entries must be {what}, got {bad[0]!r}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError(f"seed {self.seed} outside [0, 2**64)")
         if self.replicates < 1:
             raise ConfigError("replicate count must be at least 1")
         if self.n < 2:
@@ -324,8 +327,8 @@ def run_rho_curve(config: ExperimentConfig, threads: int | None = None) -> tuple
 
 # A sweep at seed s draws its pairs from stream(s, i), its reference curve
 # from stream(s + _SWEEP_CURVE_OFFSET, k) and item i's estimator seed from
-# one draw of stream(s + _SWEEP_ESTIMATOR_OFFSET, i), so no two of them
-# share a stream, and neither do the estimators of runs at adjacent seeds.
+# one draw of stream(s + _SWEEP_ESTIMATOR_OFFSET, i), sums mod 2**64: no two
+# of them share a stream, nor do the estimators of runs at adjacent seeds.
 _SWEEP_CURVE_OFFSET = 10_000_000
 _SWEEP_ESTIMATOR_OFFSET = 20_000_000
 
@@ -337,7 +340,7 @@ def sweep_reference_curve(config: ExperimentConfig) -> RhoCurve:
         config,
         kind="rho-curve",
         n=int(config.estimator.get("curve_n", min(config.n, 1000))),
-        seed=config.seed + _SWEEP_CURVE_OFFSET,
+        seed=(config.seed + _SWEEP_CURVE_OFFSET) % (1 << 64),
         replicates=int(config.estimator.get("curve_replicates", 6)),
     )
     return run_rho_curve(ref)[1]
@@ -402,7 +405,7 @@ def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) ->
             c_lambda_hat=c_hat,
             eta=eta,
             budget=int(config.estimator.get("budget", 20000)),
-            seed=int(stream(config.seed + _SWEEP_ESTIMATOR_OFFSET, j * reps + r).integers(1 << 63)),
+            seed=int(stream((config.seed + _SWEEP_ESTIMATOR_OFFSET) % (1 << 64), j * reps + r).integers(1 << 63)),
         )
         out = []
         t0 = time.perf_counter()

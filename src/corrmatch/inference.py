@@ -367,17 +367,18 @@ def _transposition_sweeps(g: Graph, g_bar: Graph, rng: np.random.Generator, budg
     Each restart sweeps the pairs i < j of a uniform permutation, taking
     every gaining swap, until a sweep gains nothing; restarts go on until
     `budget` swaps have been evaluated.  Yields (fwd, count, cut_short)
-    after every sweep, fwd being the live array; cut_short says the budget
-    ran out mid-sweep.
+    after every sweep, fwd being the live list of images; cut_short says
+    the budget ran out mid-sweep.
     """
     n = g.n
     if n < 2:   # the identity is the only matching
-        yield np.arange(n), 0, False
+        yield list(range(n)), 0, False
         return
+    rows = tuple((offsets.tolist(), columns.tolist()) for offsets, columns in (g.csr(), g_bar.csr()))
     moves_left = budget
     while moves_left > 0:
-        fwd = rng.permutation(n).astype(np.int64)
-        count = int(_intersection_counts(g, g_bar, fwd[None, :])[0])
+        fwd = rng.permutation(n).tolist()
+        count = int(_intersection_counts(g, g_bar, np.array([fwd]))[0])
         improved = True
         while improved and moves_left > 0:
             improved = False
@@ -386,7 +387,7 @@ def _transposition_sweeps(g: Graph, g_bar: Graph, rng: np.random.Generator, budg
                     yield fwd, count, True
                     return
                 moves_left -= 1
-                delta = _swap_delta(g, g_bar, fwd, i, j)
+                delta = _swap_delta(*rows, fwd, i, j)
                 if delta > 0:
                     fwd[i], fwd[j] = fwd[j], fwd[i]
                     count += delta
@@ -394,15 +395,18 @@ def _transposition_sweeps(g: Graph, g_bar: Graph, rng: np.random.Generator, budg
             yield fwd, count, False
 
 
-def _swap_delta(g: Graph, g_bar: Graph, fwd: np.ndarray, i: int, j: int) -> int:
+def _swap_delta(g_rows, g_bar_rows, fwd: list[int], i: int, j: int) -> int:
+    """The change in the intersection-edge count from swapping fwd[i] and
+    fwd[j], read off the two graphs' `Graph.csr()` as lists: each neighbour
+    of i but j trades g_bar's row of fwd[i] for that of fwd[j], and back."""
+    (starts, columns), (bar_starts, bar_columns) = g_rows, g_bar_rows
+    fi, fj = fwd[i], fwd[j]
+    row_i = bar_columns[bar_starts[fi]:bar_starts[fi + 1]]
+    row_j = bar_columns[bar_starts[fj]:bar_starts[fj + 1]]
     delta = 0
-    fi, fj = int(fwd[i]), int(fwd[j])
-    for a, old_img, new_img in ((i, fi, fj), (j, fj, fi)):
-        for u in g.neighbors(a):
-            if u == i or u == j:
-                continue
-            fu = int(fwd[u])
-            delta += int(g_bar.has_edge(new_img, fu)) - int(g_bar.has_edge(old_img, fu))
+    for a, old_row, new_row in ((i, row_i, row_j), (j, row_j, row_i)):
+        moved = [fwd[u] for u in columns[starts[a]:starts[a + 1]] if u != i and u != j]
+        delta += sum(map(new_row.__contains__, moved)) - sum(map(old_row.__contains__, moved))
     return delta
 
 

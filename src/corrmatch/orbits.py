@@ -253,16 +253,14 @@ def orbit_edge_stats(
     if n_cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     dec = restricted_orbits(sample.pi_star, pi, a)
-    g, g_bar = sample.g, sample.g_bar
     e_special = 0
     e_k = [0] * n_cutoff
     e_long = 0
-    for orbit in dec.orbits:
-        hits = sum(
-            1
-            for (u, v) in orbit.edges
-            if g.has_edge(u, v) and g_bar.has_edge(*pi.map_edge(u, v))
-        )
+    owner = np.repeat(np.arange(len(dec.orbits)), [orbit.length for orbit in dec.orbits])
+    us, vs = np.array([e for orbit in dec.orbits for e in orbit.edges], dtype=np.int64).reshape(-1, 2).T
+    kept = sample.g.has_edges(us, vs) & sample.g_bar.has_edges(pi.forward[us], pi.forward[vs])
+    per_orbit = np.bincount(owner[kept], minlength=len(dec.orbits)).tolist()
+    for orbit, hits in zip(dec.orbits, per_orbit):
         if hits == 0:
             continue
         if orbit.special:

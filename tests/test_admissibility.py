@@ -457,7 +457,7 @@ def _reference_cycle_counts(h, max_len, collect_vertices=False):
     least vertex r, is found by a DFS over simple paths through vertices
     > r, pruned by the BFS distance back to r, and counted once by
     closing only at a neighbour of r above the path's first vertex."""
-    adj = h.adjacency()
+    adj = [tuple(h.neighbors(v)) for v in range(h.n)]
     alive = (h.core_numbers() >= 2).tolist()
     counts = {k: 0 for k in range(3, max_len + 1)}
     on_cycles = set()
@@ -468,7 +468,7 @@ def _reference_cycle_counts(h, max_len, collect_vertices=False):
         above.discard(root)
         room = {
             v: max_len - max(dist, 2)
-            for v, dist in _bfs(adj, [root], max_len // 2, above).items()
+            for v, dist in _bfs(h.csr(), [root], max_len // 2, above).items()
             if v != root
         }
         closers = {w for w in adj[root] if w in room}
@@ -622,7 +622,7 @@ def _kernel_dfs_counts(h, max_len):
     vertex, then a depth-first search per root over kernel vertices above
     it, pruned by Dial's bucketed distances back to the root through such
     vertices.  Returns (counts, True, vertices on counted cycles)."""
-    adj = h.adjacency()
+    adj = [tuple(h.neighbors(v)) for v in range(h.n)]
     alive = (h.core_numbers() >= 2).tolist()
     nbrs = [[w for w in adj[v] if alive[w]] if alive[v] else [] for v in range(h.n)]
     kernel = [len(nb) >= 3 for nb in nbrs]
@@ -881,11 +881,11 @@ def test_connected_sets_match_bruteforce():
     for _ in range(30):
         n = int(rng.integers(2, 13))
         g = sample_er(n, float(rng.uniform(0.1, 0.6)), rng)
-        adj = g.adjacency()
+        adj = [tuple(g.neighbors(v)) for v in range(n)]
         max_size = int(rng.integers(1, n + 1))
         for alive in ((g.core_numbers() >= 2).tolist(), [True] * n):
             got = Counter()
-            for sub, edges in _connected_sets(adj, alive, max_size, [10**6]):
+            for sub, edges in _connected_sets(g.csr(), alive, max_size, [10**6]):
                 got[frozenset(sub)] += 1
                 assert edges == g.edges_within(sub)
             assert set(got.values()) <= {1}

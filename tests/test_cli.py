@@ -280,7 +280,10 @@ _EDGE_LISTS = st.integers(2, 50).flatmap(
 )
 def test_seeds_and_edge_lists_honour_the_exit_codes(tmp_path_factory, seed, graph):
     out = tmp_path_factory.mktemp("io")
-    code = RUN(["sample", "--n", "5", "--p", "0.5", "--s", "0.8", "--seed", str(seed), "--out", str(out / "b.json")])
+    try:
+        code = RUN(["sample", "--n", "5", "--p", "0.5", "--s", "0.8", "--seed", str(seed), "--out", str(out / "b.json")])
+    except SystemExit as exc:   # argparse refuses the seed
+        code = exc.code
     assert code == (0 if 0 <= seed < 2**64 else 3), seed
     n, edges = graph
     path = out / "g.txt"
@@ -370,12 +373,110 @@ def test_moments_check_past_the_float_range_fails_naming_the_row(tmp_path, capsy
     assert "FAIL" not in capsys.readouterr().err
 
 
-def test_seed_aliases_are_refused(tmp_path, capsys):
+def test_seed_aliases_are_refused(tmp_path, small_bundle, capsys):
     base = ["sample", "--n", "5", "--p", "0.5", "--s", "0.8", "--out", str(tmp_path / "b.json")]
     assert RUN([*base, "--seed", str(2**64 - 1)]) == 0
-    for alias in (2**64, -1):
-        assert RUN([*base, "--seed", str(alias)]) == 3
-        assert "outside [0, 2**64)" in capsys.readouterr().err
+    # every --seed is refused where it is parsed, even where no stream is drawn
+    # (orbits --pi star, estimate on a bundle small enough for the exhaustive scan)
+    seeded = [base, ["orbits", "--bundle", small_bundle], ["estimate", "--bundle", small_bundle], ["tv"]]
+    for argv in [*seeded, *([command] for command in _VALID_CONFIGS)]:
+        for alias in (2**64, -1):
+            code, err = usage_exit([*argv, "--seed", str(alias)], capsys)
+            assert code == 3 and f"seed {alias} outside [0, 2**64)" in err, (argv, alias)
+    # and so is a config file's seed
+    path = tmp_path / "cfg.json"
+    for command, (config, _) in _VALID_CONFIGS.items():
+        for alias in (2**64, -1):
+            path.write_text(json.dumps({**config, "seed": alias}))
+            assert RUN([command, "--config", str(path)]) == 3, (command, alias)
+            assert f"seed {alias} outside [0, 2**64)" in capsys.readouterr().err
+
+
+# One field of an n = 7 bundle is mutated per example; n = 7 keeps the
+# posterior's exhaustive scan in reach.  Values: wrong JSON types, NaN,
+# infinities, huge and negative integers, and some valid alternatives.
+_HUGE = [2**63, 2**64, 2**70, -(2**70)]
+_BUNDLE_VALUES = {
+    "version": ["x", None, True, 1.0, 2, 0, math.nan, *_HUGE],
+    "n": ["x", None, [7], True, 7.0, 6, 8, 0, 1, -1, math.nan, math.inf, *_HUGE],
+    "p": ["x", None, True, math.nan, math.inf, -math.inf, -1, 0, 1, 0.3, *_HUGE],
+    "s": ["x", None, True, math.nan, math.inf, 0, 1, 1.5, 0.5, *_HUGE],
+    "pi_star entry": ["x", None, True, [0], 1.5, math.nan, -1, 7, 0, 6, *_HUGE],
+    "pi_star length": ["drop", "append 7", "append 0", "empty"],
+    "header": ["", "x", "7", "7 x", "x 3", "7 1 2", "nan 3", "-1 3", "8 {m}", "6 {m}", "7 {m1}",
+               f"{2**70} {{m}}", f"7 {2**70}", "100000 {m}", "3037000500 {m}"],
+    "row": ["", "x", "1", "1 2 3", "0 0", "0 7", "-1 2", "x y", "0 1.5", f"0 {2**70}", "0 6", "5 6", "copy"],
+}
+_BUNDLE_SITES = [
+    *((key, key) for key in ("version", "n", "p", "s")),
+    ("pi_star", "pi_star entry"),
+    ("pi_star", "pi_star length"),
+    *((key, part) for key in ("g", "g_bar") for part in ("header", "row")),
+]
+# each driven subcommand with the check that its output is well formed
+_BUNDLE_COMMANDS = {
+    "estimate": lambda text: sorted(json.loads(text)["pi_hat"]) == list(range(7)),
+    "posterior": lambda text: text.startswith("permutation,log_posterior,overlap_with_truth\n"),
+    "orbits": lambda text: text.startswith("length,kind,special,count\n"),
+    "admissibility": lambda text: set(json.loads(text)) == {
+        "density_cap", "small_set_density", "max_degree", "local_unicyclicity", "cycle_counts"
+    },
+    "density": lambda text: set(json.loads(text)) == {
+        "density", "density_numerator", "density_denominator", "subset", "edges"
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def bundle_7(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bundle7") / "b.json"
+    assert RUN(["sample", "--n", "7", "--p", "0.6", "--s", "0.8", "--seed", "5", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _mutate_bundle(bundle, key, part, value, index):
+    """bundle with value put at one site; index picks a pi_star entry or
+    an edge row."""
+    if part == "pi_star length":
+        perm = bundle["pi_star"]
+        value = {"drop": perm[:-1], "append 7": [*perm, 7], "append 0": [*perm, 0], "empty": []}[value]
+    elif part == "pi_star entry":
+        value = [*bundle["pi_star"][:index], value, *bundle["pi_star"][index + 1:]]
+    elif part in ("header", "row"):
+        lines = bundle[key].splitlines()
+        m = len(lines) - 1
+        if part == "header":
+            lines[0] = value.format(m=m, m1=m + 1)
+        else:
+            k = 1 + index % m
+            lines[k] = lines[1 + (k % m)] if value == "copy" else value
+        value = "\n".join(lines) + "\n"
+    return {**bundle, key: value}
+
+
+@settings(max_examples=150)
+@given(site=st.sampled_from(_BUNDLE_SITES), data=st.data())
+def test_mutated_bundles_honour_the_exit_codes(tmp_path_factory, bundle_7, site, data):
+    key, part = site
+    value = data.draw(st.sampled_from(_BUNDLE_VALUES[part]), label="value")
+    index = data.draw(st.integers(0, 6), label="index")
+    folder = tmp_path_factory.mktemp("mutated")
+    path = folder / "b.json"
+    path.write_text(json.dumps(_mutate_bundle(bundle_7, key, part, value, index)))
+    for command, well_formed in _BUNDLE_COMMANDS.items():
+        out = folder / f"{command}.out"
+        code = RUN([command, "--bundle", str(path), "--out", str(out)])
+        assert code in (0, 2, 3), (command, site, value)
+        if code == 0:
+            assert well_formed(out.read_text()), (command, site, value)
+
+
+@pytest.mark.parametrize("command", list(_BUNDLE_COMMANDS))
+def test_pi_star_image_past_int64_exits_3(tmp_path, bundle_7, capsys, command):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({**bundle_7, "pi_star": [2**70, *bundle_7["pi_star"][1:]]}))
+    assert RUN([command, "--bundle", str(path)]) == 3
+    assert "image out of range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,8 @@ import pytest
 from corrmatch.density import rho_curve_from_draws, rho_draw
 from corrmatch.graphs import ModelParams, sample_correlated
 from corrmatch.harness import (
+    _SWEEP_CURVE_OFFSET,
+    _SWEEP_ESTIMATOR_OFFSET,
     ConfigError,
     CsvReport,
     ExperimentConfig,
@@ -255,6 +257,17 @@ def test_sweep_draws_each_stream_once(drawn_streams):
     text = _map_sweep(11)
     assert {row.split(",")[3] for row in text.splitlines()[1:]} == {"pi_star", "map"}
     assert len(drawn_streams) == len(set(drawn_streams)) > 4, sorted(drawn_streams)
+
+
+def test_sweep_at_the_top_seed_wraps_its_derived_seeds(drawn_streams):
+    # seed + offset passes 2**64 here: the reference curve and the estimator
+    # seeds wrap around the key space instead of leaving it
+    top = 2**64 - 1
+    text = _map_sweep(top)
+    assert {row.split(",")[3] for row in text.splitlines()[1:]} == {"pi_star", "map"}
+    assert len(drawn_streams) == len(set(drawn_streams)) > 4, sorted(drawn_streams)
+    seeds = {seed for seed, _ in drawn_streams}
+    assert {top, _SWEEP_CURVE_OFFSET - 1, _SWEEP_ESTIMATOR_OFFSET - 1} <= seeds, sorted(seeds)
 
 
 def test_sweeps_at_adjacent_seeds_share_no_stream(drawn_streams):

@@ -31,7 +31,9 @@ from corrmatch.inference import (
     posterior_w,
     reasonable_candidate_check,
     _hill_climb,
+    _intersection_counts,
     _peel_best_subset,
+    _swap_delta,
     reasonable_candidate_search,
     truncated_mass_f,
     truncated_mass_g,
@@ -315,6 +317,24 @@ def test_map_hill_climb_pinned_outputs(seed, budget):
     est = map_estimator(smpl.g, smpl.g_bar, params, cfg)
     got = ([int(v) for v in est.pi.forward], est.intersection_edges, est.budget_exhausted)
     assert got == MAP_HILL_CLIMB_PINS[(seed, budget)]
+
+
+def test_swap_delta_is_the_change_in_the_intersection_count():
+    rng = stream(73, 0)
+    adjacent = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 13))
+        g = sample_er(n, float(rng.uniform(0.1, 0.9)), rng)
+        g_bar = sample_er(n, float(rng.uniform(0.1, 0.9)), rng)
+        fwd = rng.permutation(n).astype(np.int64)
+        i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+        adjacent += g.has_edge(i, j)
+        swapped = fwd.copy()
+        swapped[[i, j]] = fwd[[j, i]]
+        before, after = _intersection_counts(g, g_bar, np.stack([fwd, swapped])).tolist()
+        rows = [(offsets.tolist(), columns.tolist()) for offsets, columns in (g.csr(), g_bar.csr())]
+        assert _swap_delta(*rows, fwd.tolist(), i, j) == after - before, (n, g.edges, g_bar.edges, fwd.tolist(), i, j)
+    assert 100 < adjacent < 300, adjacent
 
 
 def test_candidate_check_empty_intersection_fails_dense_side():
