@@ -362,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("estimate", _cmd_estimate, "MAP matching + candidate acceptance", seeded=True)
     sp.add_argument("--bundle", type=str, required=True)
     sp.add_argument("--rho-hat", dest="rho_hat", type=float, default=1.5)
-    sp.add_argument("--c-lambda-hat", dest="c_lambda_hat", type=float, default=0.3)
-    sp.add_argument("--eta", type=float, default=0.15)
-    sp.add_argument("--budget", type=int, default=50_000)
+    sp.add_argument("--c-lambda-hat", dest="c_lambda_hat", type=float, default=EstimatorConfig.c_lambda_hat)
+    sp.add_argument("--eta", type=float, default=EstimatorConfig.eta)
+    sp.add_argument("--budget", type=int, default=EstimatorConfig.budget)
 
     sp = add("posterior", _cmd_posterior, "exact posterior dump for a small bundle")
     sp.add_argument("--bundle", type=str, required=True)

@@ -122,6 +122,7 @@ class Graph:
         and False where the two endpoints are equal.  Raises ValueError for
         an endpoint outside [0, n)."""
         try:   # the keys u*n + v, range-checked in the same pass
+            us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
             keys = np.ravel_multi_index((np.minimum(us, vs), np.maximum(us, vs)), (self.n, self.n))
         except (ValueError, OverflowError):
             raise ValueError("vertex out of range") from None

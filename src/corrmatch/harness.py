@@ -94,9 +94,10 @@ class ExperimentConfig:
     in [0, 2**64), ``p``, ``s`` and ``alpha`` finite numbers (not bools) or
     null, the grids JSON arrays of finite numbers (``theta_grid`` entries
     with e^theta a float, ``k_grid`` entries integers >= 1), and in
-    ``estimator`` ``run_map`` must be a bool, ``curve_n``,
-    ``curve_replicates`` and ``budget`` integers >= 1, ``eta`` and
-    ``c_lambda_hat`` finite numbers."""
+    ``estimator`` ``run_map`` must be a bool, ``curve_n`` and
+    ``curve_replicates`` integers >= 1, ``budget`` an integer and ``eta``
+    and ``c_lambda_hat`` finite numbers, the last three within the ranges
+    that EstimatorConfig.check_range states."""
 
     kind: str
     n: int = 100
@@ -159,8 +160,15 @@ class ExperimentConfig:
                 raise ConfigError(f"estimator run_map must be true or false, got {value!r}")
             if key in ("eta", "c_lambda_hat") and not _is_finite(value):
                 raise ConfigError(f"estimator {key} must be a finite number, got {value!r}")
-            if key in ("curve_n", "curve_replicates", "budget") and not (_is_int(value) and value >= 1):
+            if key == "budget" and not _is_int(value):
+                raise ConfigError(f"estimator budget must be an integer, got {value!r}")
+            if key in ("curve_n", "curve_replicates") and not (_is_int(value) and value >= 1):
                 raise ConfigError(f"estimator {key} must be an integer >= 1, got {value!r}")
+            if key in ("eta", "c_lambda_hat", "budget"):
+                try:
+                    EstimatorConfig.check_range(key, value)
+                except ValueError as exc:
+                    raise ConfigError(f"estimator {exc}") from None
 
     def to_json(self) -> str:
         payload = asdict(self)
@@ -331,6 +339,10 @@ def run_rho_curve(config: ExperimentConfig, threads: int | None = None) -> tuple
 # of them share a stream, nor do the estimators of runs at adjacent seeds.
 _SWEEP_CURVE_OFFSET = 10_000_000
 _SWEEP_ESTIMATOR_OFFSET = 20_000_000
+# The hill-climb budget of the sweep's MAP runs (read only with run_map)
+# unless the config sets one: below EstimatorConfig's, since the sweep
+# runs one climb per (lambda, replicate).
+_SWEEP_MAP_BUDGET = 20_000
 
 
 def sweep_reference_curve(config: ExperimentConfig) -> RhoCurve:
@@ -374,7 +386,8 @@ def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) ->
     isotonic reference curve; the size floor c_lambda_hat is fixed across
     the grid (default: the 5th-percentile maximizer-size fraction at the
     top grid point), which is what makes the readout sensitive below the
-    threshold where maximizers are small.
+    threshold where maximizers are small.  eta defaults to
+    EstimatorConfig's, and the MAP runs' budget to _SWEEP_MAP_BUDGET.
     """
     if threads is not None:
         config = replace(config, threads=threads)
@@ -386,9 +399,9 @@ def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) ->
     grid = sorted(config.lambda_grid)
     curve = sweep_reference_curve(config)
     iso = curve.isotonic()
-    eta = float(config.estimator.get("eta", 0.15))
+    eta = float(config.estimator.get("eta", EstimatorConfig.eta))
     c_hat = float(config.estimator.get("c_lambda_hat", curve.size_q05[-1]))
-    c_hat = min(max(c_hat, 1.0 / n), 1.0)
+    budget = config.estimator.get("budget", _SWEEP_MAP_BUDGET)
     reps = config.replicates
     run_map = config.estimator.get("run_map", False)
 
@@ -404,7 +417,7 @@ def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) ->
             rho_hat=float(np.interp(lam, curve.lambda_grid, iso)),
             c_lambda_hat=c_hat,
             eta=eta,
-            budget=int(config.estimator.get("budget", 20000)),
+            budget=budget,
             seed=int(stream((config.seed + _SWEEP_ESTIMATOR_OFFSET) % (1 << 64), j * reps + r).integers(1 << 63)),
         )
         out = []

@@ -272,31 +272,38 @@ def posterior_w(table: PosteriorTable, delta: float) -> float:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Knobs for the estimators.
+    """Settings of the estimators and the reasonable-candidate test, and
+    the one place that states their defaults and ranges.
 
-    rho_hat and c_lambda_hat come from the density module; eta is the
-    density margin.  In the supercritical regime eta should satisfy
-    0 < eta < (rho_hat - 1/alpha)/4 (see check_supercritical).
+    rho_hat is the density level, from the density module; c_lambda_hat
+    the size floor as a fraction of n, in (0, 1]; eta the density margin,
+    finite and > 0; budget the hill climb's move budget, >= 1.  In the
+    supercritical regime the proof takes 0 < eta < (rho_hat - 1/alpha)/4.
     """
 
     rho_hat: float
-    c_lambda_hat: float
-    eta: float = 0.1
+    c_lambda_hat: float = 0.3
+    eta: float = 0.15
     budget: int = 50_000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rho_hat) and math.isfinite(self.eta)):
-            raise ValueError("rho_hat and eta must be finite")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
-        if not (0.0 < self.c_lambda_hat <= 1.0):
-            raise ValueError("c_lambda_hat must lie in (0, 1]")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
+        if not math.isfinite(self.rho_hat):
+            raise ValueError("rho_hat must be finite")
+        for name in ("c_lambda_hat", "eta", "budget"):
+            self.check_range(name, getattr(self, name))
 
-    def check_supercritical(self, alpha: float) -> bool:
-        return 0.0 < self.eta < (self.rho_hat - 1.0 / alpha) / 4.0
+    @staticmethod
+    def check_range(name: str, value: float) -> None:
+        """Raise ValueError unless value lies in the range of the setting
+        `name` (c_lambda_hat, eta or budget)."""
+        in_range, what = {
+            "c_lambda_hat": (0.0 < value <= 1.0, "lie in (0, 1]"),
+            "eta": (0.0 < value < math.inf, "be finite and positive"),
+            "budget": (value >= 1, "be at least 1"),
+        }[name]
+        if not in_range:
+            raise ValueError(f"{name} must {what}, got {value!r}")
 
 
 @dataclass(frozen=True)

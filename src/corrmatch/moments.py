@@ -83,36 +83,51 @@ def chain_recurrence(m: int, theta: float, p: float, s: float) -> tuple[float, f
     exp(logscale), and the triple's largest entry stays at most 1e100 so
     no theta * m overflows.
 
-    Each step appends one internal correlated pair, weighted by
-    graphs.pair_pmf.  The two available update rules for c (extending
-    either end) are applied and checked against each other.
+    Appending one internal correlated pair, weighted by graphs.pair_pmf,
+    maps the triple by a 3x3 transfer matrix M, so the m-th triple is
+    M^(m-1) applied to the seeds.  The power is taken by repeated squaring
+    of e^-max(theta, 0) M, O(log m) products, each divided by its largest
+    entry with the divisor kept in log.  c has a second update rule
+    (extending the other end of the chain); the two rules must agree on
+    every triple, and it suffices that they agree on the seeds and their
+    first two images, since by Cayley-Hamilton M^j for j >= 3 is a
+    combination of I, M and M^2.
     """
     check_p_s(p, s)
     if m < 1:
         raise ValueError("m must be at least 1")
-    et = exp(theta)
+    w, u = exp(-max(theta, 0.0)), exp(min(theta, 0.0))   # e^theta w = u, and one of them is 1
     ps = p * s
     (q00, q10), _ = pair_pmf(p, s).tolist()
-    a, b, c = 1.0, et, 1.0
-    logscale = 0.0
-    if b > 1e100:
-        logscale = theta
-        a, b, c = exp(-theta), 1.0, exp(-theta)
-    for _ in range(m - 1):
-        a_next = ps * c + (1.0 - ps) * a
-        b_next = ps * et * (s * b + (1.0 - s) * c) + (q10 * b + q00 * c)
-        c_next = ps * b + (1.0 - ps) * c
-        c_alt = ps * et * (s * c + (1.0 - s) * a) + (q10 * c + q00 * a)
-        if abs(c_next - c_alt) > 1e-9 * max(1.0, abs(c_next)):
-            raise ConsistencyError(
-                f"chain recurrence c-updates disagree: {c_next} vs {c_alt}"
-            )
-        a, b, c = a_next, b_next, c_next
-        peak = max(a, b, c)
-        if peak > 1e100:
-            a, b, c = a / peak, b / peak, c / peak
-            logscale += log(peak)
-    return a, b, c, logscale
+    near, far = q10 * w + ps * s * u, q00 * w + ps * (1.0 - s) * u
+    step = np.array([
+        [(1.0 - ps) * w, 0.0, ps * w],
+        [0.0, near, far],
+        [0.0, ps * w, (1.0 - ps) * w],
+    ])
+    c_alt = np.array([far, 0.0, near])
+    seeds = np.array([w, u, w])   # (a1, b1, c1) e^-max(theta, 0)
+    image = seeds
+    for _ in range(3):
+        c_next, c_other = float(step[2] @ image), float(c_alt @ image)
+        if abs(c_next - c_other) > 1e-9 * max(c_next, c_other):
+            raise ConsistencyError(f"chain recurrence c-updates disagree: {c_next} vs {c_other}")
+        image = step @ image
+    power, power_log = np.eye(3), 0.0
+    base, base_log = step, 0.0
+    k = m - 1
+    while k:
+        if k & 1:
+            power = power @ base
+            peak = power.max()
+            power, power_log = power / peak, power_log + base_log + log(peak)
+        k >>= 1
+        if k:
+            base = base @ base
+            peak = base.max()
+            base, base_log = base / peak, 2.0 * base_log + log(peak)
+    a, b, c = (power @ seeds).tolist()
+    return a, b, c, power_log + m * max(theta, 0.0)
 
 
 def _check_routes(what: str, k: int, closed: float, combo: float) -> None:

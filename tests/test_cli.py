@@ -154,6 +154,24 @@ def test_mistyped_config_value_exits_3_on_every_config_subcommand(tmp_path, caps
     assert "config error" in err and field in err
 
 
+@pytest.mark.parametrize("key, value", [("eta", 0), ("eta", -1.0), ("c_lambda_hat", 0), ("c_lambda_hat", -1), ("c_lambda_hat", 5)])
+def test_out_of_range_sweep_setting_exits_3_before_any_solve(tmp_path, capsys, monkeypatch, key, value):
+    import corrmatch.density as density
+    import corrmatch.inference as inference
+
+    solves = []
+    for module in (density, inference):
+        monkeypatch.setattr(module, "densest_subgraph_exact", lambda h: solves.append(h))
+    config = json.loads(json.dumps(_VALID_CONFIGS["threshold-sweep"][0]))
+    config["estimator"][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert RUN(["threshold-sweep", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert solves == []
+
+
 def _fields(config):
     """Every place one mutation can go: each key, each grid's first entry
     and each estimator key."""

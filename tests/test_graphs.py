@@ -189,10 +189,11 @@ def test_core_numbers_match_the_k_core_closed_forms(c, k):
         lambda g: g.has_edges(np.array([0, 1]), np.array([3, -1])),
         lambda g: g.has_edges(np.array([[0], [5]]), np.array([[1], [2]])),
         lambda g: Graph(5).has_edges(np.array([0]), np.array([5])),
+        lambda g: g.has_edges([2**70], [1]),
     ],
     ids=[
         "has_edge_neg", "has_edge_n", "neighbors", "degree", "edges_within_neg", "edges_within_n",
-        "has_edges_neg", "has_edges_n", "has_edges_edgeless",
+        "has_edges_neg", "has_edges_n", "has_edges_edgeless", "has_edges_past_int64",
     ],
 )
 def test_vertex_out_of_range_raises(query):

@@ -86,8 +86,8 @@ def test_config_rejects_unread_keys():
         ("curve_n", [0, -3, 2.0, "100", True, None], [1, 500]),
         ("curve_replicates", [0, 1.5, False], [1, 6]),
         ("budget", [0, 20000.0, "20000", True], [1, 20000]),
-        ("eta", [math.nan, math.inf, -math.inf, "0.15", True, None], [0, 0.15, -1.0]),
-        ("c_lambda_hat", [math.nan, math.inf, "0.5", False, [0.5]], [1, 0.5]),
+        ("eta", [math.nan, math.inf, -math.inf, "0.15", True, None, 0, -1.0], [0.15, 2]),
+        ("c_lambda_hat", [math.nan, math.inf, "0.5", False, [0.5], 0, -1, 5], [1, 0.5]),
     ],
 )
 def test_config_rejects_mistyped_estimator_values(key, bad, good):

@@ -249,7 +249,7 @@ def asymmetric_graph():
 def test_map_exhaustive_recovers_identity_alignment():
     g = asymmetric_graph()
     params = ModelParams(n=6, p=0.3, s=0.9)
-    cfg = EstimatorConfig(rho_hat=1.0, c_lambda_hat=0.5)
+    cfg = EstimatorConfig(rho_hat=1.0, c_lambda_hat=0.5, eta=0.1)
     est = map_estimator(g, g, params, cfg)
     assert est.exhaustive
     assert est.pi == Bijection.identity(6)
@@ -258,7 +258,7 @@ def test_map_exhaustive_recovers_identity_alignment():
 
 def test_map_exhaustive_attains_maximum_vs_plain_enumeration():
     params = ModelParams(n=5, p=0.4, s=0.7)
-    cfg = EstimatorConfig(rho_hat=1.0, c_lambda_hat=0.5)
+    cfg = EstimatorConfig(rho_hat=1.0, c_lambda_hat=0.5, eta=0.1)
     for seed in range(10):
         g, g_bar, _ = random_instance(5, 0.5, seed + 400)
         est = map_estimator(g, g_bar, params, cfg)
@@ -276,7 +276,7 @@ def test_map_exhaustive_attains_maximum_vs_plain_enumeration():
 
 def test_map_empty_graph_breaks_ties_to_identity():
     params = ModelParams(n=5, p=0.3, s=0.5)
-    cfg = EstimatorConfig(rho_hat=1.0, c_lambda_hat=0.5)
+    cfg = EstimatorConfig(rho_hat=1.0, c_lambda_hat=0.5, eta=0.1)
     est = map_estimator(Graph(5), Graph(5), params, cfg)
     assert est.pi == Bijection.identity(5)
 
@@ -287,7 +287,7 @@ def test_map_hill_climb_agrees_with_exhaustive_usually():
     trials = 30
     for t in range(trials):
         smpl = sample_correlated(params, seed=700, replicate=t)
-        cfg = EstimatorConfig(rho_hat=1.0, c_lambda_hat=0.5, budget=6000, seed=t)
+        cfg = EstimatorConfig(rho_hat=1.0, c_lambda_hat=0.5, eta=0.1, budget=6000, seed=t)
         ex = map_estimator(smpl.g, smpl.g_bar, params, cfg)   # exhaustive at n = 8
         hc = _hill_climb(smpl.g, smpl.g_bar, cfg)
         assert ex.exhaustive and not hc.exhaustive
@@ -313,7 +313,7 @@ MAP_HILL_CLIMB_PINS = {
 def test_map_hill_climb_pinned_outputs(seed, budget):
     params = ModelParams(n=12, p=0.4, s=0.8)
     smpl = sample_correlated(params, seed=710, replicate=seed)
-    cfg = EstimatorConfig(rho_hat=1.0, c_lambda_hat=0.5, budget=budget, seed=seed)
+    cfg = EstimatorConfig(rho_hat=1.0, c_lambda_hat=0.5, eta=0.1, budget=budget, seed=seed)
     est = map_estimator(smpl.g, smpl.g_bar, params, cfg)
     got = ([int(v) for v in est.pi.forward], est.intersection_edges, est.budget_exhausted)
     assert got == MAP_HILL_CLIMB_PINS[(seed, budget)]
@@ -493,7 +493,7 @@ def test_candidate_check_compares_the_maximizer_exactly():
 
 
 def test_candidate_search_empty_graphs_returns_none():
-    cfg = EstimatorConfig(rho_hat=1.2, c_lambda_hat=0.3)
+    cfg = EstimatorConfig(rho_hat=1.2, c_lambda_hat=0.3, eta=0.1)
     assert reasonable_candidate_search(Graph(5), Graph(5), ModelParams(n=5, p=0.3, s=0.5), cfg) is None
 
 

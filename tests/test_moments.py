@@ -112,6 +112,31 @@ def test_recurrence_matches_bruteforce_enumeration():
                 assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_recurrence_refuses_c_updates_that_disagree(monkeypatch):
+    # a pair law whose first marginal is not Bern(ps) breaks the second c-row
+    from corrmatch import moments
+
+    real = moments.pair_pmf
+
+    def skewed(p, s):
+        q = real(p, s).copy()
+        q[0, 0] += 0.01
+        q[1, 1] -= 0.01
+        return q
+
+    monkeypatch.setattr(moments, "pair_pmf", skewed)
+    for m in (1, 2, 1000):
+        with pytest.raises(ConsistencyError, match="c-updates disagree"):
+            chain_recurrence(m, 0.7, 0.3, 0.6)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.2, 30.0])
+def test_million_step_orbits_pass_both_route_checks(theta):
+    for p, s in PARAM_GRID:
+        for log_moment in (log_cycle_moment, log_chain_moment):
+            assert 0.0 < log_moment(10**6, theta, p, s) < np.inf   # raises ConsistencyError on disagreement
+
+
 def test_char_roots_vieta_and_independent_solver():
     for p, s in PARAM_GRID:
         for theta in (0.5, 1.0, 2.0):
