@@ -15,12 +15,12 @@ fail condition (iii) constantly, which would defeat the event's purpose of
 holding with probability near one.
 
 Conditions (i) and (ii) first ask the flow solver one question: with
-x = min(xi, zeta) and gamma = (floor(x n) - 1) / n, is any vertex set
-denser than gamma?  One max-flow on the ceil(gamma)-core answers it
-(density.density_exceeds).  "No" proves rho* <= gamma <= x - 1/n, so both
-conditions pass, and the 1/n margin keeps their float comparisons on the
-same side.  On "yes", or when gamma <= 0, the exact maximizer decides (i),
-and (ii) fails on it or on its greedy shrink when either is small enough.
+x = min(xi, zeta) and gamma = density.level_below(x, n) = floor(x n) / n, is
+any vertex set denser than gamma?  One max-flow on the ceil(gamma)-core
+answers it (density.density_exceeds).  "No" proves float(rho*) <= x, so
+both conditions pass (level_below gives the argument).  On "yes",
+or when gamma <= 0, the exact maximizer decides (i), and (ii) fails on it
+or on its greedy shrink when either is small enough.
 
 Otherwise conditions (ii) and (iv) are decided by exhaustive enumeration of
 connected candidate sets inside the relevant core (any inclusion-minimal
@@ -64,14 +64,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .density import densest_subgraph_exact, density_exceeds
+from .density import densest_subgraph_exact, density_exceeds, level_below
 from .graphs import Graph
 
 __all__ = [
@@ -634,10 +633,8 @@ def check_admissible(
         raise ValueError("graph must have at least one vertex")
     results: dict[str, ConditionResult] = {}
 
-    # (i) and (ii): rho* <= (floor(x n) - 1) / n <= x - 1/n passes both,
-    # with room for their float comparisons
-    x = min(consts.xi, consts.zeta)
-    gamma = Fraction(math.floor(x * h.n) - 1, h.n)
+    # (i) and (ii): a "no" at level_below(min(xi, zeta), n) passes both
+    gamma = level_below(min(consts.xi, consts.zeta), h.n)
     if gamma > 0 and not density_exceeds(h, gamma):
         results["density_cap"] = results["small_set_density"] = ConditionResult("pass")
     else:

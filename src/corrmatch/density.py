@@ -55,6 +55,7 @@ __all__ = [
     "LambdaStarEstimate",
     "densest_subgraph_exact",
     "density_exceeds",
+    "level_below",
     "densest_subgraph_bruteforce",
     "rho_draw",
     "rho_curve_from_draws",
@@ -178,6 +179,22 @@ def _core_cut(core, edges, edge_core, gamma: Fraction, within=None):
     verts = np.flatnonzero(keep)
     local = np.cumsum(keep) - 1
     return (verts, *_cut_side(verts.size, local[edges[kept]], gamma))
+
+
+def level_below(x: float, n: int) -> Fraction:
+    """floor(x n)/n, the largest multiple of 1/n at most x (taken exactly,
+    on the float's rational value): the level at which one density_exceeds
+    flow settles "float(rho*) <= x" for an n-vertex graph, n >= 1.
+
+    A "no" at this level gamma proves rho* <= gamma <= x, and rounding to
+    float is monotone and x is a float, so float(rho*) <= x.  A "yes"
+    decides nothing: rho* may still lie in (gamma, x], where the exact
+    solve must tell.  Callers skip the flow when gamma <= 0.  The
+    denominator n keeps the flow's capacities small (x itself has a
+    denominator up to 2**1074).  An x above n is taken as n, which changes
+    no answer (every density is below n/2) and keeps gamma's integers
+    small."""
+    return Fraction(math.floor(Fraction(min(x, n)) * n), n)
 
 
 def density_exceeds(g: Graph, gamma: Fraction) -> bool:

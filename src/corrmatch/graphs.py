@@ -13,6 +13,7 @@ carries the semantic distinction between V and the matched side.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,6 +43,25 @@ def _pack(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return us.astype(np.int64) * n + vs.astype(np.int64)
 
 
+def _int_ids(values, out_of_range: str) -> np.ndarray:
+    """values as an int64 array, with no copy when they already are one.
+    A float, bool or other non-integer entry raises ValueError instead of
+    being truncated; an integer past int64 raises ValueError(out_of_range).
+    Unsigned entries past int64 wrap to negatives, which every caller's
+    range check refuses."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "O":   # Python ints past int64, or mixed objects
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in arr.flat):
+            raise ValueError("vertex ids must be integers")
+        try:
+            return arr.astype(np.int64)
+        except OverflowError:
+            raise ValueError(out_of_range) from None
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 class Graph:
     """Simple undirected graph on n labeled vertices, in O(n + m) memory.
 
@@ -61,10 +81,13 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        arr = np.asarray(sorted({(min(u, v), max(u, v)) for u, v in edges}), dtype=np.int64)
+        arr = _int_ids(list(edges), "edge endpoint out of range")
         if arr.size == 0:
             arr = arr.reshape(0, 2)
-        self._init_from_canonical(n, arr[:, 0], arr[:, 1])
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError("edges must be vertex pairs")
+        pairs = np.unique(np.sort(arr, axis=1), axis=0)   # canonical, repeats merged
+        self._init_from_canonical(n, pairs[:, 0], pairs[:, 1])
 
     def _init_from_canonical(self, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
         if n > _N_MAX:
@@ -85,8 +108,8 @@ class Graph:
     @classmethod
     def from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
         """Build from endpoint arrays; pairs are canonicalized, must be distinct."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
+        us = _int_ids(us, "edge endpoint out of range")
+        vs = _int_ids(vs, "edge endpoint out of range")
         lo = np.minimum(us, vs)
         hi = np.maximum(us, vs)
         g = cls.__new__(cls)
@@ -120,11 +143,11 @@ class Graph:
         """Vector has_edge over endpoint arrays of one shape: a bool array of
         that shape, True where (us[i], vs[i]) is an edge, in either order,
         and False where the two endpoints are equal.  Raises ValueError for
-        an endpoint outside [0, n)."""
+        an endpoint outside [0, n) or one that is not an integer."""
+        us, vs = _int_ids(us, "vertex out of range"), _int_ids(vs, "vertex out of range")
         try:   # the keys u*n + v, range-checked in the same pass
-            us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
             keys = np.ravel_multi_index((np.minimum(us, vs), np.maximum(us, vs)), (self.n, self.n))
-        except (ValueError, OverflowError):
+        except ValueError:
             raise ValueError("vertex out of range") from None
         if self._packed.size == 0:
             return np.zeros(np.shape(keys), dtype=bool)

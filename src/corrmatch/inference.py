@@ -26,7 +26,7 @@ from itertools import combinations, islice, permutations
 import numpy as np
 
 from .admissibility import AdmissibilityConstants, check_admissible, is_good_set
-from .density import densest_subgraph_exact
+from .density import densest_subgraph_exact, density_exceeds, level_below
 from .graphs import (
     Bijection,
     Graph,
@@ -425,7 +425,6 @@ class CandidateCheck:
     accepted: bool
     density_cap_ok: bool
     dense_subset_ok: bool
-    max_density: Fraction
     certificate: tuple[int, ...] | None
     certificate_density: Fraction | None
 
@@ -433,34 +432,42 @@ class CandidateCheck:
 def reasonable_candidate_check(
     pi: Bijection, g: Graph, g_bar: Graph, config: EstimatorConfig
 ) -> CandidateCheck:
-    """Both conditions of the candidate test on H_pi.
+    """Both conditions of the candidate test on H_pi, decided without
+    solving for rho*(H_pi) when a peel and one flow suffice.
 
-    (i) the global max density stays at most rho_hat + eta;
     (ii) some subset of size >= ceil(c_lambda_hat n) reaches density
-    rho_hat - eta.  For (ii) the global maximizer is tried first, then
-    min-degree peeling of the whole graph down to the size floor; a
-    returned certificate is sound, a miss is possible.
+    rho_hat - eta: min-degree peeling of the whole graph down to the size
+    floor is tried first.  (i) the global max density stays at most
+    rho_hat + eta: one density_exceeds flow at
+    gamma = level_below(rho_hat + eta, n) answering "no" proves it.  The
+    exact maximizer is solved at most once, only when the peel misses, the
+    flow answers "exceeds" or gamma <= 0; it then decides (i) by the float
+    comparison float(rho*) <= rho_hat + eta and is tried for (ii).  The
+    certificate is the peel's prefix when the peel qualifies, else the
+    maximizer when it qualifies; a returned certificate is sound, a miss
+    is possible.  rho* itself is not reported, since most checks never
+    compute it; densest_subgraph_exact(h) gives it.
     """
     h = intersection_graph(g, g_bar, pi)
-    dens = densest_subgraph_exact(h)
-    cap_ok = float(dens.density) <= config.rho_hat + config.eta
+    cap = config.rho_hat + config.eta
     size_min = max(1, math.ceil(config.c_lambda_hat * h.n))
     target = config.rho_hat - config.eta
-    certificate = None
-    cert_density = None
-    if len(dens.best_subset) >= size_min and dens.density >= target:
-        certificate = dens.best_subset
-        cert_density = dens.density
+    found = _peel_best_subset(h, size_min, target)
+    dens = None
+    if found is None:
+        dens = densest_subgraph_exact(h)
+        if len(dens.best_subset) >= size_min and dens.density >= target:
+            found = dens.best_subset, dens.density
     else:
-        peel = _peel_best_subset(h, size_min, target)
-        if peel is not None:
-            certificate, cert_density = peel
-    dense_ok = certificate is not None
+        gamma = level_below(cap, h.n)
+        if gamma <= 0 or density_exceeds(h, gamma):
+            dens = densest_subgraph_exact(h)
+    cap_ok = dens is None or float(dens.density) <= cap
+    certificate, cert_density = found or (None, None)
     return CandidateCheck(
-        accepted=cap_ok and dense_ok,
+        accepted=cap_ok and found is not None,
         density_cap_ok=cap_ok,
-        dense_subset_ok=dense_ok,
-        max_density=dens.density,
+        dense_subset_ok=found is not None,
         certificate=certificate,
         certificate_density=cert_density,
     )

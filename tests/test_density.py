@@ -14,6 +14,7 @@ from corrmatch.density import (
     densest_subgraph_exact,
     density_exceeds,
     isotonic_fit,
+    level_below,
     rho_inverse,
 )
 from corrmatch.graphs import Bijection, Graph, relabel, sample_er
@@ -448,6 +449,23 @@ def test_density_exceeds_matches_the_exact_maximum(monkeypatch):
     assert branches == {(0, True), (0, False), (1, True), (1, False)}
     with pytest.raises(ValueError):
         density_exceeds(g, Fraction(0))
+
+
+def test_level_below_is_the_exact_grid_floor():
+    # 0.7 * 10 rounds up to 7.0 in floats, but the float 0.7 lies below 7/10
+    assert 0.7 * 10 == 7.0 and Fraction(0.7) < Fraction(7, 10)
+    assert level_below(0.7, 10) == Fraction(3, 5)
+    assert level_below(1.5, 4) == Fraction(3, 2)
+    assert level_below(1e300, 5) == 5
+    assert level_below(-0.3, 10) < 0 and level_below(0.05, 10) == 0
+    rng = stream(13, 0)
+    for _ in range(500):
+        n = int(rng.integers(1, 10**6))
+        x = float(rng.uniform(-1.0, 8.0))
+        gamma = level_below(x, n)
+        assert gamma.denominator <= n and gamma <= Fraction(x) < gamma + Fraction(1, n), (x, n)
+        # a density at most gamma rounds to a float at most x
+        assert float(gamma) <= x
 
 
 def test_solver_invariant_under_relabeling():

@@ -41,6 +41,10 @@ def test_rejects_self_loops_and_bad_range():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 5)])
+    with pytest.raises(ValueError, match="edge endpoint out of range"):
+        Graph(3, [(0, 2**70)])
+    with pytest.raises(ValueError, match="vertex pairs"):
+        Graph(3, [(0, 1, 2)])
 
 
 def test_text_round_trip():
@@ -200,6 +204,31 @@ def test_vertex_out_of_range_raises(query):
     g = Graph(5, [(3, 4), (0, 1)])
     with pytest.raises(ValueError, match="vertex out of range"):
         query(g)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph(4, [(0.5, 1.2)]),
+        lambda: Graph.from_arrays(3, [0.5], [1.9]),
+        lambda: Graph(4, [(0, 1)]).has_edges([1.7], [0.2]),
+    ],
+    ids=["init", "from_arrays", "has_edges"],
+)
+def test_float_endpoints_are_refused_not_truncated(build):
+    # each would name the edge (0, 1) if the floats were truncated
+    with pytest.raises(ValueError, match="must be integers"):
+        build()
+
+
+def test_integer_endpoint_arrays_of_any_width_are_accepted():
+    us, vs = np.array([0, 2], dtype=np.int32), np.array([1, 3], dtype=np.uint8)
+    g = Graph.from_arrays(4, us, vs)
+    assert g.edges == ((0, 1), (2, 3))
+    assert g.has_edges(vs.astype(np.uint64), us).tolist() == [True, True]
+    assert Graph(4, [(np.int16(3), 2)]).edges == ((2, 3),)
+    assert Graph(4, []).edge_count == Graph.from_arrays(4, [], []).edge_count == 0
+    assert g.has_edges([], []).shape == (0,)
 
 
 # -- bijections --

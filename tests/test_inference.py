@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from corrmatch.admissibility import default_constants
+from corrmatch.density import densest_subgraph_exact, level_below
 from corrmatch.graphs import (
     Bijection,
     Graph,
@@ -487,9 +488,102 @@ def test_candidate_check_compares_the_maximizer_exactly():
     path = Graph(5, [(i, i + 1) for i in range(4)])
     cfg = EstimatorConfig(rho_hat=0.9, c_lambda_hat=0.2, eta=0.1)
     assert Fraction(4, 5) < cfg.rho_hat - cfg.eta
+    assert densest_subgraph_exact(path).density == Fraction(4, 5)
     res = reasonable_candidate_check(Bijection.identity(5), path, path, cfg)
-    assert res.max_density == Fraction(4, 5) and res.density_cap_ok
+    assert res.density_cap_ok
     assert not res.dense_subset_ok and res.certificate is None and not res.accepted
+
+
+def _reference_candidate_check(h, config):
+    """The candidate test as a solve-first route: rho*(h) exactly, then the
+    maximizer for (ii), then the reference peel.  Returns
+    (accepted, density_cap_ok, dense_subset_ok)."""
+    dens = densest_subgraph_exact(h)
+    cap_ok = float(dens.density) <= config.rho_hat + config.eta
+    size_min = max(1, math.ceil(config.c_lambda_hat * h.n))
+    target = config.rho_hat - config.eta
+    dense_ok = (len(dens.best_subset) >= size_min and dens.density >= target) or (
+        _reference_peel(h, size_min, target) is not None
+    )
+    return cap_ok and dense_ok, cap_ok, dense_ok
+
+
+def test_candidate_check_matches_the_solve_first_route():
+    # five settings per draw: near the cap (rho* within 1/n of rho_hat +
+    # eta), gamma <= 0, an edgeless H, a target just below rho* (where the
+    # peel can miss and the maximizer qualify), and a loose typical one
+    rng = stream(23, 0)
+    seen = dict.fromkeys(("near_cap", "gamma_nonpositive", "edgeless", "peel_misses_maximizer_hits"), 0)
+    cap_outcomes = set()
+    for t in range(250):
+        n = int(rng.integers(20, 401))
+        lam = float(rng.uniform(1.5, 6.0))
+        smpl = sample_correlated(ModelParams(n=n, p=lam / (n * 0.64), s=0.8), seed=23, replicate=t)
+        mode = t % 5
+        g_bar = Graph(n) if mode == 2 else smpl.g_bar
+        h = intersection_graph(smpl.g, g_bar, smpl.pi_star)
+        rho = float(densest_subgraph_exact(h).density)
+        eta = float(rng.uniform(0.02, 0.3))
+        c_hat = float(rng.uniform(0.02, 1.0))
+        if mode == 0:
+            rho_hat = rho - eta + float(rng.uniform(-1.0, 1.0)) / n
+        elif mode == 1:
+            eta = float(rng.uniform(0.1, 0.9)) / n
+            rho_hat = float(rng.uniform(-1.0, 1.0)) / n
+        elif mode == 3:
+            rho_hat = rho + eta - 1e-9
+            c_hat = float(rng.uniform(0.02, 0.5))
+        else:
+            rho_hat = rho + float(rng.uniform(-0.3, 0.3))
+        cfg = EstimatorConfig(rho_hat=rho_hat, c_lambda_hat=c_hat, eta=eta)
+        res = reasonable_candidate_check(smpl.pi_star, smpl.g, g_bar, cfg)
+        want = _reference_candidate_check(h, cfg)
+        assert (res.accepted, res.density_cap_ok, res.dense_subset_ok) == want, (t, n, lam, cfg)
+        size_min = max(1, math.ceil(c_hat * n))
+        if res.certificate is not None:
+            size = len(res.certificate)
+            assert size >= size_min and size == len(set(res.certificate))
+            assert res.certificate_density == Fraction(h.edges_within(res.certificate), size)
+            assert res.certificate_density >= cfg.rho_hat - cfg.eta
+        else:
+            assert res.certificate_density is None
+        seen["near_cap"] += abs(rho - (rho_hat + eta)) <= 1 / n
+        seen["gamma_nonpositive"] += math.floor((rho_hat + eta) * n) <= 1
+        seen["edgeless"] += h.edge_count == 0
+        seen["peel_misses_maximizer_hits"] += (
+            res.dense_subset_ok and _peel_best_subset(h, size_min, cfg.rho_hat - cfg.eta) is None
+        )
+        if mode == 0:
+            cap_outcomes.add(res.density_cap_ok)
+    assert min(seen.values()) >= 20, seen
+    assert cap_outcomes == {True, False}
+
+
+def test_candidate_check_solves_only_when_the_flow_cannot_decide(monkeypatch):
+    import corrmatch.inference as inference
+
+    params = ModelParams(n=1000, p=4 / (1000 * 0.64), s=0.8)
+    smpl = sample_correlated(params, seed=1002, replicate=0)
+    h = intersection_graph(smpl.g, smpl.g_bar, smpl.pi_star)
+    rho = float(densest_subgraph_exact(h).density)
+    calls = []
+
+    def counted(graph):
+        calls.append(graph.n)
+        return densest_subgraph_exact(graph)
+
+    monkeypatch.setattr(inference, "densest_subgraph_exact", counted)
+    # a sweep-like setting: rho_hat near rho*, margin 0.15, size floor 1/2
+    typical = EstimatorConfig(rho_hat=rho + 0.05, c_lambda_hat=0.5, eta=0.15)
+    assert reasonable_candidate_check(smpl.pi_star, smpl.g, smpl.g_bar, typical).accepted
+    assert calls == []
+    # rho* just under rho_hat + eta: the flow at gamma < rho* answers
+    # "exceeds", and one solve decides the cap
+    near = EstimatorConfig(rho_hat=rho - 0.15 + 1e-9, c_lambda_hat=0.5, eta=0.15)
+    assert level_below(near.rho_hat + near.eta, h.n) < densest_subgraph_exact(h).density <= near.rho_hat + near.eta
+    calls.clear()
+    res = reasonable_candidate_check(smpl.pi_star, smpl.g, smpl.g_bar, near)
+    assert res.density_cap_ok and calls == [1000]
 
 
 def test_candidate_search_empty_graphs_returns_none():
