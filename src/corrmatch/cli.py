@@ -12,7 +12,9 @@ config subcommands take --config (JSON experiment config) and --threads
 field, 1 without a config).  The output bytes do not depend on it.
 A --config file replaces the subcommand's own experiment flags (--n,
 --lambdas, --replicates, --p, --s, --alpha); --seed and --threads are
-applied on top of it.
+applied on top of it.  A config file may set only the fields its kind
+reads (ExperimentConfig.READS); any other field must be absent or at its
+default.
 
 Exit codes: 0 success, 2 statistical-check failure, 3 config or usage error.
 """
@@ -168,9 +170,7 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_moments_check(args) -> int:
-    cfg = _load_config(
-        args, "moment-verification", p=args.p, s=args.s, replicates=args.replicates, n=2
-    )
+    cfg = _load_config(args, "moment-verification", p=args.p, s=args.s, replicates=args.replicates)
     csv, failures = run_moment_verification(cfg)
     _emit(csv, args.out)
     for failure in failures:

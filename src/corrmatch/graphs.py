@@ -277,15 +277,13 @@ class Graph:
 
 
 class Bijection:
-    """A matching between two n-vertex index sets, with its inverse."""
+    """A matching between two n-vertex index sets, with its inverse.  The
+    images must be integers: a float raises ValueError, not truncated."""
 
     __slots__ = ("n", "forward", "inverse")
 
     def __init__(self, forward: Sequence[int] | np.ndarray):
-        try:
-            fwd = np.array(forward, dtype=np.int64)
-        except OverflowError:   # an image past int64
-            raise ValueError("image out of range") from None
+        fwd = np.array(_int_ids(forward, "image out of range"))   # a copy: the caller's array stays writeable
         n = fwd.size
         inv = np.full(n, -1, dtype=np.int64)
         if n and (fwd.min() < 0 or fwd.max() >= n):

@@ -33,7 +33,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -97,7 +97,16 @@ class ExperimentConfig:
     ``estimator`` ``run_map`` must be a bool, ``curve_n`` and
     ``curve_replicates`` integers >= 1, ``budget`` an integer and ``eta``
     and ``c_lambda_hat`` finite numbers, the last three within the ranges
-    that EstimatorConfig.check_range states."""
+    that EstimatorConfig.check_range states.
+
+    Each kind reads only the fields that READS lists for it:
+    moment-verification seed, replicates, p, s, theta_grid, k_grid and
+    threads; rho-curve n, seed, replicates, lambda_grid and threads;
+    threshold-sweep n, seed, replicates, alpha, lambda_grid, threads and
+    estimator; posterior-study n, seed, replicates, p, s and threads.  Any
+    other field must be absent or at its default, so every to_json() output
+    still loads, and ``estimator.budget`` needs ``"run_map": true``, since
+    only the MAP runs read it."""
 
     kind: str
     n: int = 100
@@ -113,18 +122,18 @@ class ExperimentConfig:
     estimator: dict = field(default_factory=dict)
     version: int = CONFIG_VERSION
 
-    KINDS = (
-        "moment-verification",
-        "rho-curve",
-        "threshold-sweep",
-        "posterior-study",
-    )
+    READS = {
+        "moment-verification": ("seed", "replicates", "p", "s", "theta_grid", "k_grid", "threads"),
+        "rho-curve": ("n", "seed", "replicates", "lambda_grid", "threads"),
+        "threshold-sweep": ("n", "seed", "replicates", "alpha", "lambda_grid", "threads", "estimator"),
+        "posterior-study": ("n", "seed", "replicates", "p", "s", "threads"),
+    }
     ESTIMATOR_KEYS = ("curve_n", "curve_replicates", "eta", "c_lambda_hat", "budget", "run_map")
 
     def __post_init__(self) -> None:
         if self.version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {self.version}")
-        if self.kind not in self.KINDS:
+        if self.kind not in self.READS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         for key in ("n", "seed", "replicates", "threads"):
             value = getattr(self, key)
@@ -169,6 +178,12 @@ class ExperimentConfig:
                     EstimatorConfig.check_range(key, value)
                 except ValueError as exc:
                     raise ConfigError(f"estimator {exc}") from None
+        for f in fields(self):
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            if f.name not in ("kind", "version", *self.READS[self.kind]) and getattr(self, f.name) != default:
+                raise ConfigError(f"{self.kind} does not read {f.name}; leave it out or at its default")
+        if "budget" in self.estimator and self.estimator.get("run_map") is not True:
+            raise ConfigError("estimator budget is read only by the MAP runs; set run_map to true or leave it out")
 
     def to_json(self) -> str:
         payload = asdict(self)
@@ -264,9 +279,11 @@ def run_moment_verification(config: ExperimentConfig, threads: int | None = None
         config = replace(config, threads=threads)
     if config.p is None or config.s is None:
         raise ConfigError("moment verification needs p and s")
+    if config.replicates < 2:
+        raise ConfigError("moment verification needs replicates >= 2 for a stderr")
     k_grid = config.k_grid or (1, 2, 3, 4, 6)
     theta_grid = config.theta_grid or (0.5, 1.2)
-    size = max(config.replicates, 2)
+    size = config.replicates
     rows = [
         (cls, k, theta)
         for cls in ("cycle", "chain")
@@ -347,13 +364,17 @@ _SWEEP_MAP_BUDGET = 20_000
 
 def sweep_reference_curve(config: ExperimentConfig) -> RhoCurve:
     """Small internal rho curve over the sweep grid, used for the per-lambda
-    density levels and the size floor."""
-    ref = replace(
-        config,
+    density levels and the size floor.  It takes the sweep's lambda_grid and
+    threads; its n is estimator curve_n (default min(n, 1000)), its
+    replicates estimator curve_replicates (default 6) and its seed the
+    sweep's plus _SWEEP_CURVE_OFFSET."""
+    ref = ExperimentConfig(
         kind="rho-curve",
-        n=int(config.estimator.get("curve_n", min(config.n, 1000))),
+        n=config.estimator.get("curve_n", min(config.n, 1000)),
         seed=(config.seed + _SWEEP_CURVE_OFFSET) % (1 << 64),
-        replicates=int(config.estimator.get("curve_replicates", 6)),
+        replicates=config.estimator.get("curve_replicates", 6),
+        lambda_grid=config.lambda_grid,
+        threads=config.threads,
     )
     return run_rho_curve(ref)[1]
 

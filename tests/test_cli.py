@@ -123,7 +123,7 @@ _VALID_CONFIGS = {
         {"kind": "threshold-sweep", "seed": 1, "threads": 1, "version": 1,
          "n": 30, "alpha": 0.5, "replicates": 2, "lambda_grid": [1.5, 2.5],
          "estimator": {"curve_n": 30, "curve_replicates": 2, "eta": 0.15, "c_lambda_hat": 0.3,
-                       "budget": 200, "run_map": False}},
+                       "budget": 200, "run_map": True}},
         "lambda,n,seed,estimator,overlap_fraction,accepted,wall_time_s",
     ),
     "posterior-study": (
@@ -170,6 +170,78 @@ def test_out_of_range_sweep_setting_exits_3_before_any_solve(tmp_path, capsys, m
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert solves == []
+
+
+def test_valid_configs_round_trip():
+    from corrmatch.harness import ExperimentConfig
+
+    for config, _ in _VALID_CONFIGS.values():
+        cfg = ExperimentConfig.from_json(json.dumps(config))
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+
+# well-typed values, other than the default, of fields that each config
+# subcommand's kind does not read
+_UNREAD = [
+    ("moments-check", "n", 5000),
+    ("moments-check", "alpha", 0.5),
+    ("moments-check", "lambda_grid", [2.0]),
+    ("rho-curve", "alpha", 0.5),
+    ("rho-curve", "p", 0.001),
+    ("rho-curve", "theta_grid", [0.5]),
+    ("rho-curve", "estimator", {"run_map": True}),
+    ("threshold-sweep", "p", 0.001),
+    ("threshold-sweep", "s", 0.2),
+    ("threshold-sweep", "k_grid", [2]),
+    ("posterior-study", "alpha", 0.5),
+    ("posterior-study", "lambda_grid", [2.0]),
+    ("posterior-study", "estimator", {"eta": 0.2}),
+]
+
+
+@pytest.mark.parametrize("command, field, value", _UNREAD)
+def test_unread_config_field_exits_3_before_any_draw(tmp_path, capsys, monkeypatch, command, field, value):
+    import corrmatch.density as density
+    import corrmatch.harness as harness
+    import corrmatch.inference as inference
+
+    calls = []
+    monkeypatch.setattr(harness, "parallel_map", lambda fn, items, threads: calls.append("map"))
+    for module in (density, inference):
+        monkeypatch.setattr(module, "densest_subgraph_exact", lambda h: calls.append("solve"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_VALID_CONFIGS[command][0], field: value}))
+    assert RUN([command, "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"does not read {field};" in err
+    assert calls == []
+
+
+def test_sweep_budget_without_run_map_exits_3_before_any_solve(tmp_path, capsys, monkeypatch):
+    import corrmatch.density as density
+    import corrmatch.inference as inference
+
+    solves = []
+    for module in (density, inference):
+        monkeypatch.setattr(module, "densest_subgraph_exact", lambda h: solves.append(h))
+    config = json.loads(json.dumps(_VALID_CONFIGS["threshold-sweep"][0]))
+    config["estimator"]["run_map"] = False
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert RUN(["threshold-sweep", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "budget" in err
+    assert solves == []
+
+
+def test_moments_check_with_one_replicate_exits_3(tmp_path, capsys):
+    assert RUN(["moments-check", "--replicates", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and "replicates" in err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_VALID_CONFIGS["moments-check"][0], "replicates": 1}))
+    assert RUN(["moments-check", "--config", str(path)]) == 3
+    assert "replicates" in capsys.readouterr().err
 
 
 def _fields(config):

@@ -241,6 +241,21 @@ def test_bijection_inverse_composition():
         Bijection([0, 0, 1])
 
 
+def test_bijection_refuses_float_images_and_keeps_integer_inputs():
+    for images in ([0.5, 1.2], [1.9, 0.2], np.array([1.0, 0.0])):
+        with pytest.raises(ValueError, match="integers"):
+            Bijection(images)
+    for dtype in (np.int8, np.int32, np.uint8, np.uint64):
+        assert Bijection(np.array([2, 0, 1], dtype=dtype)) == Bijection([2, 0, 1])
+    mine = np.array([1, 0], dtype=np.int64)
+    pi = Bijection(mine)
+    assert mine.flags.writeable and not pi.forward.flags.writeable
+    mine[0] = 0
+    assert pi.forward.tolist() == [1, 0]
+    with pytest.raises(ValueError, match="image out of range"):
+        Bijection([2**70, 0])
+
+
 def test_overlap_examples():
     pi = Bijection([3, 1, 4, 0, 2])
     assert overlap(pi, pi) == 5

@@ -23,6 +23,7 @@ from corrmatch.harness import (
     run_posterior_study,
     run_rho_curve,
     run_threshold_sweep,
+    sweep_reference_curve,
 )
 from corrmatch import report
 from corrmatch.inference import exact_posterior
@@ -37,7 +38,7 @@ def small_config(kind, **kw):
 
 def test_config_round_trip_lossless():
     cfg = ExperimentConfig(
-        kind="rho-curve",
+        kind="threshold-sweep",
         n=50,
         seed=9,
         replicates=3,
@@ -48,7 +49,7 @@ def test_config_round_trip_lossless():
     # edge values that are well typed: null p, s = 1, a negative theta and
     # the largest theta whose e^theta is a float
     cfg = ExperimentConfig(
-        kind="moment-verification", p=None, s=1, alpha=1.0, theta_grid=(-5.0, 0, 709.78), k_grid=(1, 6)
+        kind="moment-verification", p=None, s=1, theta_grid=(-5.0, 0, 709.78), k_grid=(1, 6)
     )
     assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
@@ -79,6 +80,67 @@ def test_config_rejects_unread_keys():
     assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
 
+# the fields each kind reads, and a well-typed value other than its default
+# for every field a config can set
+_READS = {
+    "moment-verification": {"seed", "replicates", "p", "s", "theta_grid", "k_grid", "threads"},
+    "rho-curve": {"n", "seed", "replicates", "lambda_grid", "threads"},
+    "threshold-sweep": {"n", "seed", "replicates", "alpha", "lambda_grid", "threads", "estimator"},
+    "posterior-study": {"n", "seed", "replicates", "p", "s", "threads"},
+}
+_SET = {
+    "n": 50, "seed": 7, "replicates": 3, "p": 0.3, "s": 0.6, "alpha": 0.5, "lambda_grid": (2.0,),
+    "theta_grid": (0.5,), "k_grid": (2,), "threads": 2, "estimator": {"eta": 0.2},
+}
+
+
+@pytest.mark.parametrize("kind, field", [(kind, field) for kind in _READS for field in _SET if field not in _READS[kind]])
+def test_config_refuses_a_field_its_kind_does_not_read(kind, field):
+    value = _SET[field]
+    with pytest.raises(ConfigError, match=f"does not read {field};"):
+        ExperimentConfig(kind=kind, **{field: value})
+    payload = {"kind": kind, field: list(value) if isinstance(value, tuple) else value}
+    with pytest.raises(ConfigError, match=f"does not read {field};"):
+        ExperimentConfig.from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("kind", list(_READS))
+def test_config_accepts_its_kinds_fields_and_every_default(kind):
+    cfg = ExperimentConfig(kind=kind, **{field: _SET[field] for field in _READS[kind]})
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+    # a field at its default may be written out, as to_json() does
+    full = json.loads(ExperimentConfig(kind=kind).to_json())
+    assert set(full) == {"kind", "version", *_SET}
+    assert ExperimentConfig.from_json(json.dumps(full)) == ExperimentConfig(kind=kind)
+
+
+def test_config_refuses_a_budget_without_run_map():
+    for estimator in ({"budget": 200}, {"budget": 200, "run_map": False}):
+        with pytest.raises(ConfigError, match="budget"):
+            ExperimentConfig(kind="threshold-sweep", estimator=estimator)
+        with pytest.raises(ConfigError, match="budget"):
+            ExperimentConfig.from_json(json.dumps({"kind": "threshold-sweep", "estimator": estimator}))
+    cfg = ExperimentConfig(kind="threshold-sweep", estimator={"budget": 200, "run_map": True})
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+
+def test_sweep_reference_curve_reads_only_the_rho_curve_fields():
+    sweep = small_config(
+        "threshold-sweep",
+        n=60,
+        alpha=0.4,
+        replicates=5,
+        lambda_grid=(3.0, 1.5),
+        seed=8,
+        threads=2,
+        estimator={"curve_n": 40, "curve_replicates": 2, "run_map": True, "budget": 100},
+    )
+    ref = small_config(
+        "rho-curve", n=40, replicates=2, lambda_grid=(3.0, 1.5), seed=8 + _SWEEP_CURVE_OFFSET, threads=2
+    )
+    assert sweep_reference_curve(sweep) == run_rho_curve(ref)[1]
+
+
 @pytest.mark.parametrize(
     "key, bad, good",
     [
@@ -95,7 +157,8 @@ def test_config_rejects_mistyped_estimator_values(key, bad, good):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig(kind="threshold-sweep", estimator={key: value})
     for value in good:
-        cfg = ExperimentConfig(kind="threshold-sweep", estimator={key: value})
+        estimator = {key: value, "run_map": True} if key == "budget" else {key: value}
+        cfg = ExperimentConfig(kind="threshold-sweep", estimator=estimator)
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
     # NaN and Infinity parse as floats from JSON text, and are rejected there too
     if key in ("eta", "c_lambda_hat"):
@@ -182,7 +245,7 @@ def test_run_rho_curve_matches_sequential_reference():
 
 def test_moment_verification_byte_identical_across_threads():
     cfg = small_config(
-        "moment-verification", p=0.3, s=0.6, replicates=5000, k_grid=(1, 2), theta_grid=(0.5,), seed=3, n=2
+        "moment-verification", p=0.3, s=0.6, replicates=5000, k_grid=(1, 2), theta_grid=(0.5,), seed=3
     )
     csv1, failures1 = run_moment_verification(cfg, threads=1)
     csv8, failures8 = run_moment_verification(cfg, threads=8)
@@ -191,7 +254,7 @@ def test_moment_verification_byte_identical_across_threads():
 
 def test_moment_verification_z_scores_reasonable():
     cfg = small_config(
-        "moment-verification", p=0.25, s=0.8, replicates=100_000, k_grid=(1, 3), theta_grid=(1.2,), seed=4, n=2
+        "moment-verification", p=0.25, s=0.8, replicates=100_000, k_grid=(1, 3), theta_grid=(1.2,), seed=4
     )
     csv, failures = run_moment_verification(cfg)
     lines = csv.strip().splitlines()
