@@ -90,7 +90,8 @@ __all__ = [
 ZETA_GRID = tuple(1.0 + 0.5**j for j in range(1, 8))   # 1.5, 1.25, ..., ~1.0078
 
 _ROW_BLOCK = 32768      # arcs joined per step of the cycle scan
-_DIST_CELLS = 1 << 17   # root-to-kernel distances (float64 each) per block of roots
+_DIST_CELLS = 1 << 17   # (root, kernel vertex) cells per block of roots: a float64
+                        # distance and two int32 closing-arc entries each
 
 
 class ConstantsInfeasibleError(ValueError):
@@ -473,18 +474,26 @@ def simple_cycle_counts(
     It is extended further only if d + L <= max_len - 2, since going on
     takes two chains or more.  Paths grow depth first, at most _ROW_BLOCK
     joined arcs a step, so memory stays O(n + m) plus about max_len
-    blocks of paths and one block of at most _DIST_CELLS distances.
+    blocks of paths and one block of at most _DIST_CELLS cells.
 
     dist is the chain-length distance in the whole kernel, from one
     C-level dijkstra call per block of roots, stopped at max_len // 2; a
-    block holds as many roots as fit their float64 rows in _DIST_CELLS
-    cells.  A cycle's way back from w to r runs through kernel vertices
-    above r, so it is at least this unrestricted distance: the test never
-    drops an extension that can still close a counted cycle.  Every kernel
-    vertex of a counted cycle is within max_len // 2 of r along the cycle,
-    so distances past that radius may stay infinite.  The pruning is
-    exact: the counts and vertices are those of an unpruned search over
-    all simple cycles.
+    block holds as many roots as fit their rows of kernel vertices in
+    _DIST_CELLS cells.  A cycle's way back from w to r runs through kernel
+    vertices above r, so it is at least this unrestricted distance: the
+    test never drops an extension that can still close a counted cycle.
+    Every kernel vertex of a counted cycle is within max_len // 2 of r
+    along the cycle, so distances past that radius may stay infinite.  The
+    pruning is exact: the counts and vertices are those of an unpruned
+    search over all simple cycles.
+
+    The chains back from w to r come from the same (root, w) cells of two
+    int32 tables, back_first and back_count, which name the run of r's own
+    arcs to w: the reverse of an arc w -> r is an arc r -> w of the same
+    chain id and length, and r's arcs are sorted by (far end, chain id),
+    so the run lists the closing chains in the order w's arcs to r would,
+    without a search.  The tables are allocated once per call, and after
+    each block only the cells it filled are cleared.
 
     ``budget`` caps the path extensions kept, taken in one fixed order
     (blocks of roots ascending, then depth first, arcs in kernel order);
@@ -502,16 +511,29 @@ def simple_cycle_counts(
     roots = np.flatnonzero(np.bincount(src[kern.dst > src], minlength=size) >= 2)
     kernel_on, chain_on = np.zeros(size, dtype=bool), np.zeros(kern.chain_run.size, dtype=bool)
     left = max(budget, 0)
-    keys = src * size + kern.dst   # ascending: the arcs are sorted by (source, far end)
+    per_block = max(1, _DIST_CELLS // max(size, 1))
     if roots.size:
         # the shortest chain between each pair of adjacent kernel vertices
+        keys = src * size + kern.dst   # ascending: the arcs are sorted by (source, far end)
         pairs = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         nearest = _csr(size, src[pairs], kern.dst[pairs], np.minimum.reduceat(kern.length, pairs).astype(float))
-    per_block = max(1, _DIST_CELLS // max(size, 1))
+        cells = min(per_block, roots.size) * size
+        back_first, back_count = np.zeros(cells, dtype=np.int32), np.zeros(cells, dtype=np.int32)
     for lo in range(0, roots.size, per_block):
         block = roots[lo:lo + per_block]
         dist = dijkstra(nearest, indices=block, limit=max_len // 2)
-        left = _scan_roots(kern, keys, block, dist.ravel(), max_len, left, counts, kernel_on, chain_on, collect_len)
+        # the arcs out of each root, by the cell (slot, far end) they fill;
+        # a root's row is sorted by far end, so each cell's arcs are one run
+        slot, arc = _segments(kern.indptr[block], outdeg[block])
+        cell = slot * size + kern.dst[arc]
+        first = np.flatnonzero(np.diff(cell, prepend=-1))
+        filled = cell[first]
+        back_first[filled] = arc[first]
+        back_count[filled] = np.diff(first, append=cell.size)
+        left = _scan_roots(
+            kern, block, dist.ravel(), back_first, back_count, max_len, left, counts, kernel_on, chain_on, collect_len
+        )
+        back_count[filled] = 0   # back_first is read only where back_count > 0
         if left < 0:
             break
     run_on = np.zeros(kern.runs.max(initial=-1) + 1, dtype=bool)
@@ -527,9 +549,10 @@ def simple_cycle_counts(
 
 def _scan_roots(
     kern: _Kernel,
-    keys: np.ndarray,
     block: np.ndarray,
     dist: np.ndarray,
+    back_first: np.ndarray,
+    back_count: np.ndarray,
     max_len: int,
     left: int,
     counts: np.ndarray,
@@ -540,10 +563,11 @@ def _scan_roots(
     """Count into counts the cycles of length <= max_len rooted at the
     kernel vertices in block, as simple_cycle_counts describes, and mark
     in kernel_on and chain_on the kernel vertices and chains of those of
-    length <= collect_len.  keys[i] is source * size + far end of arc i,
-    dist the distance from each root of the block to each kernel vertex,
-    row by row.  Takes at most left extensions; returns how many are
-    left, or -1 when they ran out first."""
+    length <= collect_len.  Cell s * size + w of dist, back_first and
+    back_count holds, for the root block[s], its distance to the kernel
+    vertex w, its first arc to w and its number of arcs to w.  Takes at
+    most left extensions; returns how many are left, or -1 when they ran
+    out first."""
     size = kern.vertices.size
     outdeg = np.diff(kern.indptr)
     slot = np.zeros(size, dtype=np.int64)
@@ -557,16 +581,16 @@ def _scan_roots(
         paths.next = stop = start + max(1, int(np.searchsorted(fan, _ROW_BLOCK, side="right")))
         if stop >= paths.end.size:
             stack.pop()
-        # the arcs out of each path's end to kernel vertices above its root:
-        # a suffix of the end's arcs, which are sorted by far end
-        ends, root = paths.end[start:stop], paths.root[start:stop]
-        above = np.searchsorted(keys, ends * size + root + 1)
-        row, arc = _segments(above, kern.indptr[ends + 1] - above)
+        # every arc out of each path's end, kept if its far end w is above
+        # the root and not too far from it
+        ends = paths.end[start:stop]
+        row, arc = _segments(kern.indptr[ends], outdeg[ends])
         row += start
         w, root = kern.dst[arc], paths.root[row]
         length = paths.length[row] + kern.length[arc]
-        keep = np.flatnonzero(length + dist[slot[root] * size + w] <= max_len)
-        row, arc, w, root, length = row[keep], arc[keep], w[keep], root[keep], length[keep]
+        cell = slot[root] * size + w
+        keep = np.flatnonzero((w > root) & (length + dist[cell] <= max_len))
+        row, arc, w, cell, length = row[keep], arc[keep], w[keep], cell[keep], length[keep]
         bit = np.left_shift(np.uint64(1), (w & 63).astype(np.uint64))
         clash = (paths.seen[row] & bit) != 0
         if size > 64 and clash.any():   # the filter is exact up to 64 kernel vertices
@@ -583,15 +607,13 @@ def _scan_roots(
             left = -1
         else:
             left -= keep.size
-        row, arc, w, root, length, bit = row[keep], arc[keep], w[keep], root[keep], length[keep], bit[keep]
+        row, arc, w, cell, length, bit = row[keep], arc[keep], w[keep], cell[keep], length[keep], bit[keep]
         chain = kern.chain[arc]
         lead = paths.lead[row]
         lead = np.where(lead < 0, chain, lead)
         # close through each chain between w and the root whose id is above
-        # the first chain's
-        query = w * size + root
-        first = np.searchsorted(keys, query)
-        hit, back = _segments(first, np.searchsorted(keys, query, side="right") - first)
+        # the first chain's: the root's arcs to w, by chain id
+        hit, back = _segments(back_first[cell], back_count[cell])
         total = length[hit] + kern.length[back]
         ok = (kern.chain[back] > lead[hit]) & (total <= max_len)
         counts += np.bincount(total[ok], minlength=max_len + 1)

@@ -92,7 +92,8 @@ class ExperimentConfig:
     than ignored, and so are values of the wrong type: ``n``, ``seed``,
     ``replicates`` and ``threads`` must be integers (not bools), ``seed``
     in [0, 2**64), ``p``, ``s`` and ``alpha`` finite numbers (not bools) or
-    null, the grids JSON arrays of finite numbers (``theta_grid`` entries
+    null, the grids JSON arrays (kept as tuples, whatever sequence the
+    constructor is given) of finite numbers (``theta_grid`` entries
     with e^theta a float, ``k_grid`` entries integers >= 1), and in
     ``estimator`` ``run_map`` must be a bool, ``curve_n`` and
     ``curve_replicates`` integers >= 1, ``budget`` an integer and ``eta``
@@ -135,6 +136,8 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported config version {self.version}")
         if self.kind not in self.READS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        for key in ("lambda_grid", "theta_grid", "k_grid"):   # a list grid equals its JSON round trip
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         for key in ("n", "seed", "replicates", "threads"):
             value = getattr(self, key)
             if not _is_int(value):
@@ -204,10 +207,8 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("lambda_grid", "theta_grid", "k_grid"):
-            if key in payload:
-                if not isinstance(payload[key], list):
-                    raise ConfigError(f"{key} must be a JSON array, got {payload[key]!r}")
-                payload[key] = tuple(payload[key])
+            if key in payload and not isinstance(payload[key], list):
+                raise ConfigError(f"{key} must be a JSON array, got {payload[key]!r}")
         try:
             return cls(**payload)
         except TypeError as exc:

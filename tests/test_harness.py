@@ -114,6 +114,16 @@ def test_config_accepts_its_kinds_fields_and_every_default(kind):
     assert ExperimentConfig.from_json(json.dumps(full)) == ExperimentConfig(kind=kind)
 
 
+def test_config_takes_a_list_grid_as_its_tuple():
+    cfg = ExperimentConfig(kind="rho-curve", lambda_grid=[2.0])
+    assert cfg.lambda_grid == (2.0,)
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+    # an empty list sets nothing, so a kind that does not read the grid takes it
+    cfg = ExperimentConfig(kind="moment-verification", p=0.1, s=0.5, lambda_grid=[])
+    assert cfg == ExperimentConfig(kind="moment-verification", p=0.1, s=0.5)
+    assert ExperimentConfig(kind="moment-verification", theta_grid=[0.5], k_grid=[2]).k_grid == (2,)
+
+
 def test_config_refuses_a_budget_without_run_map():
     for estimator in ({"budget": 200}, {"budget": 200, "run_map": False}):
         with pytest.raises(ConfigError, match="budget"):
