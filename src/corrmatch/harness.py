@@ -40,6 +40,7 @@ import numpy as np
 from .density import RhoCurve, rho_curve_from_draws, rho_draw, rho_inverse
 from .graphs import Bijection, ModelParams, overlap, sample_correlated
 from .inference import (
+    ENUMERATION_N_MAX,
     EstimatorConfig,
     PosteriorTable,
     exact_posterior,
@@ -490,8 +491,8 @@ def run_posterior_study(config: ExperimentConfig, threads: int | None = None) ->
         config = replace(config, threads=threads)
     if config.p is None or config.s is None:
         raise ConfigError("posterior study needs p and s")
-    if config.n > 7:
-        raise ConfigError("posterior study is exact-enumeration only (n <= 7)")
+    if config.n > ENUMERATION_N_MAX:
+        raise ConfigError(f"posterior study is exact-enumeration only (n <= {ENUMERATION_N_MAX})")
     params = ModelParams(n=config.n, p=config.p, s=config.s)
     uniform = 1.0 / math.factorial(config.n)
 
@@ -518,10 +519,9 @@ def posterior_dump_csv(table: PosteriorTable, truth: Bijection) -> str:
         ("permutation", "log_posterior", "overlap_with_truth"),
         (str, float, int),
     )
-    log_norm = float(np.log(np.exp(table.log_weights - table.log_weights.max()).sum()))
-    for row, logw in zip(table.perms, table.log_weights):
-        perm_str = " ".join(str(int(v)) for v in row)
-        log_post = float(logw - table.log_weights.max() - log_norm)
-        ov = int((row == truth.forward.astype(row.dtype)).sum())
-        report.add_row(perm_str, log_post, ov)
+    shifted = table.log_weights - table.log_weights.max()
+    log_post = shifted - float(np.log(np.exp(shifted).sum()))
+    overlaps = (table.perms == truth.forward).sum(axis=1)
+    for row, lp, ov in zip(table.perms, log_post, overlaps):
+        report.add_row(" ".join(str(int(v)) for v in row), float(lp), int(ov))
     return report.text()

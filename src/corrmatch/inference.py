@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -60,9 +60,12 @@ __all__ = [
     "truncated_mass_g",
 ]
 
-_POSTERIOR_N_MAX = 7
-_EXHAUSTIVE_N_MAX = 9       # the MAP search enumerates all n! matchings up to here
-_POSTERIOR_W_CHUNK = 512    # reference matchings per block in posterior_w
+# Caps on n for the table of all n! matchings (_matchings).  A row of counts
+# per matching, paid once per call (exact posterior, MAP, candidate search):
+ENUMERATION_N_MAX = 9
+# far more per matching: (n!)^2 pairs in posterior_w, n! products per tv_mc
+# replicate, a check_admissible per matching in the truncated masses:
+COSTLY_ENUMERATION_N_MAX = 7
 
 
 @dataclass(frozen=True)
@@ -207,23 +210,42 @@ class PosteriorTable:
         return float(self.probs[idx[0]])
 
 
+def _matchings(n: int, n_max: int) -> np.ndarray:
+    """Every matching of range(n) as an int8 row, in lexicographic order;
+    ValueError above the caller's cap n_max.  The rows that start with i are
+    i followed by the rows for n - 1 with each entry >= i raised by one."""
+    if n > n_max:
+        raise ValueError(f"enumeration of the n! matchings limited here to n <= {n_max}")
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for m in range(1, n + 1):
+        heads = np.arange(m, dtype=np.int8)[:, None, None]
+        tails = perms + (perms >= heads)
+        perms = np.concatenate((np.broadcast_to(heads, (m, len(perms), 1)), tails), axis=2).reshape(-1, m)
+    return perms
+
+
 def _intersection_counts(g: Graph, g_bar: Graph, perms: np.ndarray) -> np.ndarray:
     """|edges of H_pi| for a batch of permutations (rows)."""
     us, vs = g.edge_array().T
     return g_bar.has_edges(perms[:, us], perms[:, vs]).sum(axis=1)
 
 
+def _counted_blocks(g: Graph, g_bar: Graph, perms: np.ndarray):
+    """The rows of perms 8! at a time with their intersection counts: small
+    int64 temporaries, and a caller that stops early counts no further."""
+    for block in np.split(perms, range(40320, len(perms), 40320)):
+        yield block, _intersection_counts(g, g_bar, block)
+
+
 def exact_posterior(g: Graph, g_bar: Graph, params: ModelParams) -> PosteriorTable:
     """Posterior of the hidden matching given (G, Gbar), by enumerating all
-    n! matchings (n <= 7).  Weights depend on pi only through the
-    intersection-edge count."""
+    n! matchings (n <= ENUMERATION_N_MAX).  Weights depend on pi only
+    through the intersection-edge count."""
     n = g.n
-    if n > _POSTERIOR_N_MAX:
-        raise ValueError(f"exact posterior limited to n <= {_POSTERIOR_N_MAX}")
     if g_bar.n != n or params.n != n:
         raise ValueError("size mismatch")
-    perms = np.array(list(permutations(range(n))), dtype=np.int8)
-    n11 = _intersection_counts(g, g_bar, perms)
+    perms = _matchings(n, ENUMERATION_N_MAX)
+    n11 = np.concatenate([block_counts for _, block_counts in _counted_blocks(g, g_bar, perms)])
     with np.errstate(divide="ignore"):   # ell(1, 0) = 0 at s = 1
         (l00, l10), (_, l11) = np.log(LikelihoodConstants.from_params(params.p, params.s).ll_table())
     m_sum = g.edge_count + g_bar.edge_count
@@ -253,14 +275,15 @@ def posterior_overlap_mass(table: PosteriorTable, pi_tilde: Bijection, delta: fl
 
 def posterior_w(table: PosteriorTable, delta: float) -> float:
     """max over reference matchings of the delta-overlap posterior mass
-    (exhaustive over all n! references)."""
+    (exhaustive over all n! references, so n <= COSTLY_ENUMERATION_N_MAX)."""
     if not (0.0 <= delta <= 1.0):
         raise ValueError("delta must lie in [0, 1]")
+    if table.n > COSTLY_ENUMERATION_N_MAX:
+        raise ValueError(f"posterior_w limited to n <= {COSTLY_ENUMERATION_N_MAX}")
     threshold = math.ceil(delta * table.n)
     best = 0.0
     perms = table.perms
-    for start in range(0, len(perms), _POSTERIOR_W_CHUNK):
-        block = perms[start:start + _POSTERIOR_W_CHUNK]
+    for block in np.split(perms, range(512, len(perms), 512)):   # 512 references at a time
         agree = (perms[None, :, :] == block[:, None, :]).sum(axis=2)
         masses = np.where(agree >= threshold, table.probs[None, :], 0.0).sum(axis=1)
         best = max(best, float(masses.max()))
@@ -323,33 +346,23 @@ def _assert_p_above_one(params: ModelParams) -> None:
 def map_estimator(g: Graph, g_bar: Graph, params: ModelParams, config: EstimatorConfig) -> MapEstimate:
     """Posterior-mode matching: argmax of the intersection-edge count.
 
-    Exhaustive (lexicographic argmax) up to n = 9 (_EXHAUSTIVE_N_MAX);
-    above, transposition hill climbing with restarts under the move
-    budget.  An empty g makes every matching optimal and the identity wins
-    the lexicographic tie-break.
+    Exhaustive (lexicographic argmax) up to n = ENUMERATION_N_MAX; above,
+    transposition hill climbing with restarts under the move budget.  An
+    empty g makes every matching optimal and the identity wins the
+    lexicographic tie-break.
     """
     _assert_p_above_one(params)
-    if g.n > _EXHAUSTIVE_N_MAX:
+    if g.n > ENUMERATION_N_MAX:
         return _hill_climb(g, g_bar, config)
-    best_count, best_perm = -1, None
-    for block, counts in _counted_permutations(g, g_bar):
-        idx = int(counts.argmax())   # first maximum = lexicographically least
-        if counts[idx] > best_count:
-            best_count, best_perm = int(counts[idx]), block[idx]
+    perms = _matchings(g.n, ENUMERATION_N_MAX)
+    counts = np.concatenate([block_counts for _, block_counts in _counted_blocks(g, g_bar, perms)])
+    best = int(counts.argmax())   # first maximum = lexicographically least
     return MapEstimate(
-        pi=Bijection(best_perm),
-        intersection_edges=best_count,
+        pi=Bijection(perms[best]),
+        intersection_edges=int(counts[best]),
         exhaustive=True,
         budget_exhausted=False,
     )
-
-
-def _counted_permutations(g: Graph, g_bar: Graph):
-    """Every matching in lexicographic order, in blocks of up to 8! rows,
-    each block with its intersection-edge counts."""
-    perms = permutations(range(g.n))
-    for block in iter(lambda: list(islice(perms, 40320)), []):
-        yield block, _intersection_counts(g, g_bar, np.array(block, dtype=np.int16))
 
 
 def _hill_climb(g: Graph, g_bar: Graph, config: EstimatorConfig) -> MapEstimate:
@@ -530,18 +543,17 @@ def reasonable_candidate_search(
 ) -> tuple[Bijection, CandidateCheck] | None:
     """Some accepted candidate matching, or None.
 
-    The candidates are every matching in lexicographic order for n <= 9,
-    otherwise the state after each hill-climb sweep; the acceptance test
-    runs on those passing a cheap pre-filter (a qualifying subset needs at
-    least target * size_min intersection edges).  Absence is a legitimate
-    outcome.
+    The candidates are every matching in lexicographic order for
+    n <= ENUMERATION_N_MAX, otherwise the state after each hill-climb
+    sweep; the acceptance test runs on those passing a cheap pre-filter (a
+    qualifying subset needs at least target * size_min intersection
+    edges).  Absence is a legitimate outcome.
     """
     size_min = max(1, math.ceil(config.c_lambda_hat * g.n))
     min_edges = (config.rho_hat - config.eta) * size_min
-    if g.n <= _EXHAUSTIVE_N_MAX:
-        candidates = (
-            pair for block, counts in _counted_permutations(g, g_bar) for pair in zip(block, counts)
-        )
+    if g.n <= ENUMERATION_N_MAX:
+        blocks = _counted_blocks(g, g_bar, _matchings(g.n, ENUMERATION_N_MAX))
+        candidates = (pair for block, counts in blocks for pair in zip(block, counts))
     else:
         sweeps = _transposition_sweeps(g, g_bar, stream(config.seed, 1), config.budget)
         candidates = ((fwd, count) for fwd, count, _ in sweeps)
@@ -564,7 +576,7 @@ def _pair_perm_maps(n: int) -> np.ndarray:
     us, vs = np.triu_indices(n, k=1)
     pair_index = np.zeros((n, n), dtype=np.int64)
     pair_index[us, vs] = pair_index[vs, us] = np.arange(us.size)
-    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    perms = _matchings(n, COSTLY_ENUMERATION_N_MAX)
     return pair_index[perms[:, us], perms[:, vs]]
 
 
@@ -593,11 +605,9 @@ def tv_exact(params: ModelParams) -> float:
 
 
 def tv_mc(params: ModelParams, replicates: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo TV estimate E_null[(1 - L)_+] with the exact mixture
-    likelihood ratio L (n <= 7), plus its standard error."""
+    """Monte Carlo TV estimate E_null[(1 - L)_+] and its standard error,
+    with the exact mixture likelihood ratio L (n <= COSTLY_ENUMERATION_N_MAX)."""
     n = params.n
-    if n > _POSTERIOR_N_MAX:
-        raise ValueError(f"mixture likelihood enumeration limited to n <= {_POSTERIOR_N_MAX}")
     if replicates < 2:
         raise ValueError("need at least two replicates")
     perm_maps = _pair_perm_maps(n)
@@ -629,40 +639,15 @@ def truncated_mass_f(
     """Sum over extensions pi of sigma of P^{|H_pi edges|} Q^{|E|+|Ebar|}
     R^{C(n,2)}, truncated to admissible H_pi in which a is a good set.
 
-    Verification-scale only (n <= 7): the sum enumerates the (n-|A|)!
-    extensions outright.
+    Verification-scale only (n <= COSTLY_ENUMERATION_N_MAX): the sum runs
+    over the (n-|A|)! extensions outright, in lexicographic order.
     """
-    n = g.n
-    if n > _POSTERIOR_N_MAX:
-        raise ValueError(f"truncated mass limited to n <= {_POSTERIOR_N_MAX}")
     a_sorted = sorted(int(v) for v in a)
-    if set(sigma.keys()) != set(a_sorted):
-        raise ValueError("sigma must be defined exactly on a")
-    if len(set(sigma.values())) != len(a_sorted):
-        raise ValueError("sigma must be injective")
-    lik = LikelihoodConstants.from_params(params.p, params.s)
-    rest = [v for v in range(n) if v not in set(a_sorted)]
-    targets = [w for w in range(n) if w not in set(sigma.values())]
-    total = n * (n - 1) // 2
-    base = (g.edge_count + g_bar.edge_count) * lik.log_q + total * lik.log_r
-    out = 0.0
-    for image in permutations(targets):
-        fwd = np.empty(n, dtype=np.int64)
-        for v in a_sorted:
-            fwd[v] = sigma[v]
-        for v, w in zip(rest, image):
-            fwd[v] = w
-        pi = Bijection(fwd)
-        h = intersection_graph(g, g_bar, pi)
-        report = check_admissible(h, consts)
-        if report.undecided:
-            raise RuntimeError("admissibility undecided inside truncated mass")
-        if not report.admissible:
-            continue
-        if not is_good_set(h, set(a_sorted), consts.c_big):
-            continue
-        out += math.exp(h.edge_count * lik.log_p + base)
-    return out
+    if set(sigma) != set(a_sorted) or len(set(sigma.values()) & set(range(g.n))) != len(a_sorted):
+        raise ValueError("sigma must map a one-to-one into range(n)")
+    perms = _matchings(g.n, COSTLY_ENUMERATION_N_MAX)
+    extensions = perms[(perms[:, a_sorted] == [sigma[v] for v in a_sorted]).all(axis=1)]
+    return float(_truncated_mass_per_image(g, g_bar, a_sorted, extensions, params, consts)[0])
 
 
 def truncated_mass_g(
@@ -674,10 +659,25 @@ def truncated_mass_g(
 ) -> float:
     """max over embeddings sigma of A into the matched side of the
     truncated mass f."""
-    n = g.n
-    a_sorted = sorted(int(v) for v in a)
-    best = 0.0
-    for image in permutations(range(n), len(a_sorted)):
-        sigma = dict(zip(a_sorted, image))
-        best = max(best, truncated_mass_f(g, g_bar, a, sigma, params, consts))
-    return best
+    perms = _matchings(g.n, COSTLY_ENUMERATION_N_MAX)
+    return float(_truncated_mass_per_image(g, g_bar, sorted(a), perms, params, consts).max())
+
+
+def _truncated_mass_per_image(
+    g: Graph, g_bar: Graph, a: list[int], perms: np.ndarray, params: ModelParams, consts: AdmissibilityConstants
+) -> np.ndarray:
+    """The truncated mass of each image of the vertices a among the rows of
+    perms, images in lexicographic order; each image's terms are summed one
+    by one in row order, as a sum over its extensions alone would be."""
+    lik = LikelihoodConstants.from_params(params.p, params.s)
+    base = (g.edge_count + g_bar.edge_count) * lik.log_q + math.comb(g.n, 2) * lik.log_r
+    terms = np.zeros(len(perms))
+    for k, row in enumerate(perms):
+        h = intersection_graph(g, g_bar, Bijection(row))
+        report = check_admissible(h, consts)
+        if report.undecided:
+            raise RuntimeError("admissibility undecided inside truncated mass")
+        if report.admissible and is_good_set(h, set(a), consts.c_big):
+            terms[k] = math.exp(h.edge_count * lik.log_p + base)
+    _, image = np.unique(perms[:, a], axis=0, return_inverse=True)
+    return np.bincount(image.ravel(), weights=terms)

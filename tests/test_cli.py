@@ -331,6 +331,33 @@ def test_tv_cli(capsys):
     assert abs(res["z_score"]) <= 4
 
 
+def test_posterior_study_at_the_enumeration_cap_is_worker_independent(tmp_path, monkeypatch):
+    import corrmatch.harness as harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    argv = ["posterior-study", "--n", "9", "--p", "0.4", "--s", "0.8", "--replicates", "2", "--seed", "5"]
+    outputs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"study_{threads}.csv"
+        assert RUN(argv + ["--threads", threads, "--out", str(path)]) == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["posterior-study", "--n", "10", "--replicates", "2"],
+        ["tv", "--n", "8", "--replicates", "2"],
+    ],
+    ids=["posterior-study", "tv"],
+)
+def test_past_the_enumeration_caps_exits_3(capsys, argv):
+    assert RUN(argv) == 3
+    assert "n <= " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -485,7 +485,7 @@ def test_posterior_study_byte_identical_across_workers():
 
 def test_posterior_study_rejects_large_n():
     with pytest.raises(ConfigError):
-        run_posterior_study(small_config("posterior-study", n=8, p=0.4, s=0.8))
+        run_posterior_study(small_config("posterior-study", n=10, p=0.4, s=0.8))
 
 
 def test_posterior_dump_schema():

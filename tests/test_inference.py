@@ -1,5 +1,7 @@
 import heapq
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -20,6 +22,8 @@ from corrmatch.graphs import (
     sample_er,
 )
 from corrmatch.inference import (
+    COSTLY_ENUMERATION_N_MAX,
+    ENUMERATION_N_MAX,
     EstimatorConfig,
     LikelihoodConstants,
     edge_ll,
@@ -33,6 +37,7 @@ from corrmatch.inference import (
     reasonable_candidate_check,
     _hill_climb,
     _intersection_counts,
+    _matchings,
     _peel_best_subset,
     _swap_delta,
     reasonable_candidate_search,
@@ -130,6 +135,34 @@ def test_joint_plus_null_equals_ratio():
 
 
 # -- exact posterior --
+
+
+def test_matchings_are_the_itertools_permutations_in_order():
+    for n in range(9):
+        want = np.array(list(permutations(range(n))), dtype=np.int8)
+        got = _matchings(n, ENUMERATION_N_MAX)
+        assert got.dtype == np.int8 and got.shape == want.shape and (got == want).all(), n
+    with pytest.raises(ValueError):
+        _matchings(ENUMERATION_N_MAX + 1, ENUMERATION_N_MAX)
+
+
+def test_exact_posterior_at_n9_within_memory_and_time():
+    # measured 28.7 MiB traced peak and 0.3 s on a 2-vCPU machine: the 9!
+    # rows are int8, and the intersection counts run 8! rows at a time
+    params = ModelParams(n=9, p=0.5, s=0.8)
+    smpl = sample_correlated(params, 3, 0)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        table = exact_posterior(smpl.g, smpl.g_bar, params)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.perms.shape == (math.factorial(9), 9)
+    assert table.probability_of(smpl.pi_star) > 0.0
+    assert peak < 60 * 2**20, peak
+    assert elapsed < 5.0, elapsed
 
 
 def test_posterior_uniform_for_empty_and_symmetric():
@@ -230,6 +263,23 @@ def test_posterior_w_dominates_atoms_and_is_a_probability():
     assert w == pytest.approx(float(table.probs.max()))
     w_half = posterior_w(table, delta=0.5)
     assert float(table.probs.max()) <= w_half <= 1.0
+
+
+def test_costly_enumerations_refuse_n8():
+    # n = 8 is inside the exact posterior's cap but not the costly routines'
+    n = COSTLY_ENUMERATION_N_MAX + 1
+    params = ModelParams(n=n, p=0.4, s=0.8)
+    g, g_bar, _ = random_instance(n, 0.5, 9)
+    table = exact_posterior(g, g_bar, params)
+    with pytest.raises(ValueError, match="posterior_w"):
+        posterior_w(table, delta=0.5)
+    with pytest.raises(ValueError):
+        tv_mc(params, replicates=2, seed=0)
+    consts = make_lenient_consts(n)
+    with pytest.raises(ValueError):
+        truncated_mass_f(g, g_bar, set(), {}, params, consts)
+    with pytest.raises(ValueError):
+        truncated_mass_g(g, g_bar, set(), params, consts)
 
 
 # -- estimators --
@@ -718,15 +768,20 @@ def test_truncated_mass_zero_when_admissibility_impossible():
 
 
 def test_truncated_mass_g_dominates_f():
+    # g is the max of f over the embeddings sigma, exactly: both sum each
+    # sigma's extensions one by one in lexicographic order
     n = 5
     g, g_bar, _ = random_instance(n, 0.4, 5)
     params = ModelParams(n=n, p=0.4, s=0.7)
     consts = make_lenient_consts(n)
-    a = {0, 1}
-    best = truncated_mass_g(g, g_bar, a, params, consts)
-    for image in permutations(range(n), 2):
-        sigma = dict(zip(sorted(a), image))
-        assert truncated_mass_f(g, g_bar, a, sigma, params, consts) <= best + 1e-15
+    for a in ((), (0,), (0, 1)):
+        best = truncated_mass_g(g, g_bar, set(a), params, consts)
+        masses = [
+            truncated_mass_f(g, g_bar, set(a), dict(zip(a, image)), params, consts)
+            for image in permutations(range(n), len(a))
+        ]
+        assert best == max(masses) and best > 0.0, a
+        assert len(set(masses)) > 1 or not a, a
 
 
 def test_truncated_mass_good_set_indicator_bites():
