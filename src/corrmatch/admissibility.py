@@ -14,13 +14,12 @@ at desk scale the natural-log caps sit so low that typical sparse graphs
 fail condition (iii) constantly, which would defeat the event's purpose of
 holding with probability near one.
 
-Conditions (i) and (ii) first ask the flow solver one question: with
-x = min(xi, zeta) and gamma = density.level_below(x, n) = floor(x n) / n, is
-any vertex set denser than gamma?  One max-flow on the ceil(gamma)-core
-answers it (density.density_exceeds).  "No" proves float(rho*) <= x, so
-both conditions pass (level_below gives the argument).  On "yes",
-or when gamma <= 0, the exact maximizer decides (i), and (ii) fails on it
-or on its greedy shrink when either is small enough.
+Conditions (i) and (ii) first ask one question: is rho* <= min(xi, zeta)?
+One density.density_exceeds call at density.level_below(min(xi, zeta), n)
+answers it exactly, with at most one max-flow; "no" passes both.  On
+"yes" the exact maximizer decides (i), and (ii) fails on it or on its
+greedy shrink when either is small enough.  Densities are compared with
+xi and zeta exactly, as the density module says.
 
 Otherwise conditions (ii) and (iv) are decided by exhaustive enumeration of
 connected candidate sets inside the relevant core (any inclusion-minimal
@@ -64,6 +63,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +88,7 @@ __all__ = [
 ]
 
 ZETA_GRID = tuple(1.0 + 0.5**j for j in range(1, 8))   # 1.5, 1.25, ..., ~1.0078
+CYCLE_BUDGET = 20_000_000   # path extensions a cycle scan may keep
 
 _ROW_BLOCK = 32768      # arcs joined per step of the cycle scan
 _DIST_CELLS = 1 << 17   # (root, kernel vertex) cells per block of roots: a float64
@@ -236,15 +237,12 @@ class AdmissibilityReport:
             if res.status != "fail":
                 continue
             w = res.witness
-            if name == "density_cap":
-                sub = w["subset"]
-                if not h.edges_within(sub) > consts.xi * len(sub):
+            if name in ("density_cap", "small_set_density"):
+                sub, small = w["subset"], name == "small_set_density"
+                num, den = Fraction(consts.zeta if small else consts.xi).as_integer_ratio()
+                if not h.edges_within(sub) * den > num * len(sub):
                     return False
-            elif name == "small_set_density":
-                sub = w["subset"]
-                if len(sub) > consts.small_set_cap:
-                    return False
-                if not h.edges_within(sub) > consts.zeta * len(sub):
+                if small and len(sub) > consts.small_set_cap:
                     return False
             elif name == "max_degree":
                 if not h.degree(w["vertex"]) >= consts.degree_cap:
@@ -446,7 +444,7 @@ class _Paths:
 
 
 def simple_cycle_counts(
-    h: Graph, max_len: int, budget: int = 20_000_000, collect_len: int = 0
+    h: Graph, max_len: int, budget: int = CYCLE_BUDGET, collect_len: int = 0
 ) -> tuple[dict[int, int], bool, set[int]]:
     """(counts, completed, vertices) of the simple cycles of h of lengths
     3..max_len: counts per length, whether the search finished within
@@ -647,7 +645,7 @@ def check_admissible(
     h: Graph,
     consts: AdmissibilityConstants,
     set_budget: int = 2_000_000,
-    cycle_budget: int = 20_000_000,
+    cycle_budget: int = CYCLE_BUDGET,
 ) -> AdmissibilityReport:
     """Evaluate the five conditions on h; see the module docstring."""
     consts.validate()
@@ -655,14 +653,12 @@ def check_admissible(
         raise ValueError("graph must have at least one vertex")
     results: dict[str, ConditionResult] = {}
 
-    # (i) and (ii): a "no" at level_below(min(xi, zeta), n) passes both
-    gamma = level_below(min(consts.xi, consts.zeta), h.n)
-    if gamma > 0 and not density_exceeds(h, gamma):
+    # (i) and (ii): both pass exactly when rho* <= min(xi, zeta)
+    if not density_exceeds(h, level_below(min(consts.xi, consts.zeta), h.n)):
         results["density_cap"] = results["small_set_density"] = ConditionResult("pass")
     else:
         dens = densest_subgraph_exact(h)
-        size = len(dens.best_subset)
-        if dens.witness_edges > consts.xi * size:
+        if dens.density > consts.xi:
             results["density_cap"] = ConditionResult(
                 "fail", {"subset": list(dens.best_subset), "edges": dens.witness_edges}
             )
@@ -688,7 +684,7 @@ def check_admissible(
 
 
 def _check_small_sets(h, consts, dens, set_budget) -> ConditionResult:
-    if float(dens.density) <= consts.zeta:
+    if dens.density <= consts.zeta:
         return ConditionResult("pass")   # no subset of any size violates zeta
     subset = list(dens.best_subset)
     if len(subset) <= consts.small_set_cap:
@@ -705,13 +701,14 @@ def _shrink_violator(h: Graph, subset: list[int], ratio: float) -> list[int]:
     remove the first member, in (global degree, id) order, whose removal
     keeps the ratio exceeded, and start over.  In-set degrees make a trial
     O(1)."""
+    num, den = Fraction(ratio).as_integer_ratio()
     current = set(subset)
     din = {v: sum(w in current for w in h.neighbors(v)) for v in current}
     edges = sum(din.values()) // 2
     order = sorted(current, key=lambda u: (h.degree(u), u))
     while True:
         size = len(current) - 1
-        v = next((v for v in order if v in current and edges - din[v] > ratio * size), None)
+        v = next((v for v in order if v in current and (edges - din[v]) * den > num * size), None)
         if v is None:
             return sorted(current)
         current.remove(v)
@@ -729,10 +726,11 @@ def _first_dense_set(
     enumerated without one, pass otherwise.  Every inclusion-minimal such
     set has minimum degree above ratio inside it, so an alive mask that
     holds the (floor(ratio) + 1)-core loses none."""
+    num, den = Fraction(ratio).as_integer_ratio()
     budget = [set_budget]
     try:
         for sub, edges in _connected_sets(csr, alive, cap, budget):
-            if edges > ratio * len(sub):
+            if edges * den > num * len(sub):
                 return ConditionResult("fail", {"subset": list(sub), "edges": edges})
     except BudgetExceeded:
         return ConditionResult("undecided", {"stage": "connected_sets", "budget": set_budget})

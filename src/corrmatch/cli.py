@@ -32,6 +32,7 @@ from .density import densest_subgraph_exact, rho_inverse
 from .graphs import Bijection, Graph, ModelParams, intersection_graph, overlap, sample_correlated
 from .harness import (
     PLACEMENT_GRID,
+    Z_GATE,
     ConfigError,
     ExperimentConfig,
     _is_int,
@@ -46,6 +47,7 @@ from .harness import (
     z_score,
 )
 from .inference import (
+    TV_EXACT_N_MAX,
     EstimatorConfig,
     exact_posterior,
     map_estimator,
@@ -254,14 +256,14 @@ def _cmd_tv(args) -> int:
     est, se = tv_mc(params, args.replicates, args.seed)
     payload = {"mc_estimate": est, "mc_stderr": se}
     z = 0.0
-    if params.n <= 4:
+    if params.n <= TV_EXACT_N_MAX:
         exact = tv_exact(params)
         z = z_score(est, exact, se)
         payload["exact"] = exact
         payload["z_score"] = z if math.isfinite(z) else None   # JSON has no infinity
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    if abs(z) > 4.0:
-        print(f"FAIL: |z| = {abs(z):.2f} exceeds 4", file=sys.stderr)
+    if abs(z) > Z_GATE:
+        print(f"FAIL: |z| = {abs(z):.2f} exceeds {Z_GATE:g}", file=sys.stderr)
         return EXIT_STAT_FAIL
     return EXIT_OK
 
@@ -344,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pi", choices=("star", "identity", "random"), default="star")
     sp.add_argument("--subset", type=str, default=None, help="comma-separated vertex set")
 
-    sp = add("moments-check", _cmd_moments_check, "moment check CSV; exit 2 if |z| > 4 or not finite", config=True)
+    gate = f"moment check CSV; exit 2 if |z| > {Z_GATE:g} or not finite"
+    sp = add("moments-check", _cmd_moments_check, gate, config=True)
     sp.add_argument("--p", type=float, default=0.3)
     sp.add_argument("--s", type=float, default=0.6)
     sp.add_argument("--replicates", type=int, default=200_000)
@@ -375,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, default=0.8)
     sp.add_argument("--replicates", type=int, default=50)
 
-    sp = add("tv", _cmd_tv, "total variation: Monte Carlo, exact at n <= 4", seeded=True)
+    sp = add("tv", _cmd_tv, f"total variation: Monte Carlo, exact at n <= {TV_EXACT_N_MAX}", seeded=True)
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--p", type=float, default=0.5)
     sp.add_argument("--s", type=float, default=0.8)

@@ -24,8 +24,10 @@ Newton step after the first runs inside the last witness.  The flow at
 gamma = rho* ends the loop; its maximal source side is the union of all
 densest subsets (the maximal densest subgraph, unique because densest
 sets are closed under union), and that is the reported maximizer.  When
-only "rho* <= gamma?" is asked, density_exceeds answers with the one flow
-at gamma on the ceil(gamma)-core.
+only "rho* <= gamma?" is asked, density_exceeds answers with at most one
+flow, at gamma on the ceil(gamma)-core.  A float level x is taken at its
+exact value (17 edges on 10 vertices exceed xi = (1.4 + 2)/2, whose float
+lies below 17/10), and "rho* <= x?" is one such call at level_below(x, n).
 
 rho(lambda), the large-n limit of the maximum density of G(n, lambda/n),
 has no usable closed form; it is estimated by Monte Carlo over exact
@@ -182,28 +184,31 @@ def _core_cut(core, edges, edge_core, gamma: Fraction, within=None):
 
 
 def level_below(x: float, n: int) -> Fraction:
-    """floor(x n)/n, the largest multiple of 1/n at most x (taken exactly,
-    on the float's rational value): the level at which one density_exceeds
-    flow settles "float(rho*) <= x" for an n-vertex graph, n >= 1.
-
-    A "no" at this level gamma proves rho* <= gamma <= x, and rounding to
-    float is monotone and x is a float, so float(rho*) <= x.  A "yes"
-    decides nothing: rho* may still lie in (gamma, x], where the exact
-    solve must tell.  Callers skip the flow when gamma <= 0.  The
-    denominator n keeps the flow's capacities small (x itself has a
-    denominator up to 2**1074).  An x above n is taken as n, which changes
-    no answer (every density is below n/2) and keeps gamma's integers
-    small."""
-    return Fraction(math.floor(Fraction(min(x, n)) * n), n)
+    """The largest fraction with denominator <= n at most x (at x's exact
+    value), n >= 1: every density of an n-vertex graph is one, so a
+    density_exceeds call here decides "rho* <= x" both ways.  Clamping x
+    to [-1, n] changes no answer and keeps the integers small.  The
+    nearest such fraction c/d is the level if it is at most x; otherwise
+    its lower neighbour of order n is, (b c - 1)/d over the largest
+    b <= n with b c = 1 (mod d)."""
+    x = min(max(Fraction(x), Fraction(-1)), Fraction(n))
+    near = x.limit_denominator(n)
+    if near <= x:
+        return near
+    c, d = near.numerator, near.denominator
+    b = pow(c, -1, d)
+    b += (n - b) // d * d
+    return Fraction((b * c - 1) // d, b)
 
 
 def density_exceeds(g: Graph, gamma: Fraction) -> bool:
-    """Whether some vertex set U of g has more than gamma * |U| edges, for
-    gamma > 0.  A k-core denser than gamma answers yes, an empty
+    """Whether some nonempty vertex set U of g has more than gamma * |U|
+    edges.  Below 0 any vertex is such a set and at 0 any edge, so neither
+    takes a flow.  Above 0 a k-core denser than gamma answers yes, an empty
     ceil(gamma)-core answers no, and otherwise one max-flow on that core
     decides.  No proves rho* <= gamma without solving for rho*."""
     if gamma <= 0:
-        raise ValueError("gamma must be positive")
+        return g.n > 0 if gamma < 0 else g.edge_count > 0
     core, edges, edge_core = _edge_cores(g)
     if _best_core_density(core, edge_core) > gamma:
         return True
@@ -433,19 +438,14 @@ def rho_curve_from_draws(
 
 def isotonic_fit(values: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators fit: the closest non-decreasing sequence."""
-    vals = [float(v) for v in values]
-    weights = [1.0] * len(vals)
-    blocks: list[tuple[float, float]] = []
-    for v, w in zip(vals, weights):
-        blocks.append((v, w))
+    blocks: list[tuple[float, int]] = []   # (mean, count) per pooled block
+    for v in values:
+        blocks.append((float(v), 1))
         while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
             v2, w2 = blocks.pop()
             v1, w1 = blocks.pop()
             blocks.append(((v1 * w1 + v2 * w2) / (w1 + w2), w1 + w2))
-    out = []
-    for v, w in blocks:
-        out.extend([v] * int(round(w)))
-    return np.asarray(out)
+    return np.repeat([v for v, _ in blocks], [w for _, w in blocks])
 
 
 _STDERR_BAND = 2.0   # half-width of rho_inverse's interval, in stderrs
@@ -462,18 +462,14 @@ class LambdaStarEstimate:
 
 
 def _invert_monotone(grid: np.ndarray, values: np.ndarray, target: float) -> float:
-    """Leftmost lambda where the piecewise-linear interpolant reaches target,
-    located by bisection."""
-    lo, hi = float(grid[0]), float(grid[-1])
-    if target <= values[0]:
-        return lo
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if np.interp(mid, grid, values) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2.0
+    """Leftmost lambda where the piecewise-linear interpolant of the
+    non-decreasing values reaches target, for target <= values[-1]: on the
+    segment that ends at the first knot at or above target."""
+    k = int(np.searchsorted(values, target, side="left"))
+    if k == 0:
+        return float(grid[0])
+    x0, x1, y0, y1 = grid[k - 1], grid[k], values[k - 1], values[k]
+    return float(x0 + (target - y0) / (y1 - y0) * (x1 - x0))
 
 
 def rho_inverse(target: float, curve: RhoCurve) -> LambdaStarEstimate:

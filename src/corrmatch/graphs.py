@@ -86,8 +86,7 @@ class Graph:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be vertex pairs")
-        pairs = np.unique(np.sort(arr, axis=1), axis=0)   # canonical, repeats merged
-        self._init_from_canonical(n, pairs[:, 0], pairs[:, 1])
+        self._init_from_canonical(n, arr.min(axis=1), arr.max(axis=1))
 
     def _init_from_canonical(self, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
         if n > _N_MAX:
@@ -110,10 +109,8 @@ class Graph:
         """Build from endpoint arrays; pairs are canonicalized, must be distinct."""
         us = _int_ids(us, "edge endpoint out of range")
         vs = _int_ids(vs, "edge endpoint out of range")
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
         g = cls.__new__(cls)
-        g._init_from_canonical(n, lo, hi)
+        g._init_from_canonical(n, np.minimum(us, vs), np.maximum(us, vs))
         return g
 
     # -- basic queries ----------------------------------------------------

@@ -263,6 +263,9 @@ def parallel_map(fn, items, threads: int) -> list:
 # -- moment verification ----------------------------------------------------------
 
 
+Z_GATE = 4.0   # a Monte Carlo check fails when |z| exceeds this
+
+
 def z_score(mean: float, exact: float, se: float) -> float:
     """(mean - exact) / se.  A zero stderr gives 0 only when the mean is
     exact and an infinite z otherwise, so a sample too small or too
@@ -275,7 +278,7 @@ def z_score(mean: float, exact: float, se: float) -> float:
 def run_moment_verification(config: ExperimentConfig, threads: int | None = None) -> tuple[str, list[str]]:
     """Closed-form orbit moments against Monte Carlo, one row per
     (class, k, theta); returns (csv, failures).  Each failure names its
-    row: one with |z| > 4, or with a closed form, mean, stderr or z that
+    row: one with |z| > Z_GATE, or with a closed form, mean, stderr or z that
     is not finite (past the float range nothing is verified)."""
     if threads is not None:
         config = replace(config, threads=threads)
@@ -318,8 +321,8 @@ def run_moment_verification(config: ExperimentConfig, threads: int | None = None
         if not all(math.isfinite(v) for v in values):
             shown = " ".join(f"{name}={v:.10g}" for name, v in zip(columns[3:], values))
             failures.append(f"{cls} k={k} theta={theta:g}: not finite ({shown})")
-        elif abs(values[-1]) > 4.0:
-            failures.append(f"{cls} k={k} theta={theta:g}: |z| = {abs(values[-1]):.4g} exceeds 4")
+        elif abs(values[-1]) > Z_GATE:
+            failures.append(f"{cls} k={k} theta={theta:g}: |z| = {abs(values[-1]):.4g} exceeds {Z_GATE:g}")
     return report.text(), failures
 
 
@@ -335,6 +338,9 @@ def run_rho_curve(config: ExperimentConfig, threads: int | None = None) -> tuple
     if not config.lambda_grid:
         raise ConfigError("rho curve needs a lambda grid")
     grid = tuple(sorted(float(v) for v in config.lambda_grid))
+    for lam in grid:
+        if not 0.0 <= lam <= config.n:
+            raise ConfigError(f"lambda {lam} outside [0, n={config.n}]: lambda/n is an edge probability")
     draw = functools.partial(rho_draw, grid, config.n, config.replicates, config.seed)
     draws = parallel_map(draw, range(len(grid) * config.replicates), config.threads)
     curve = rho_curve_from_draws(grid, config.n, config.replicates, draws)
@@ -420,6 +426,10 @@ def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) ->
     n = config.n
     p = n ** (-alpha)
     grid = sorted(config.lambda_grid)
+    s_of = [math.sqrt(lam / (n * p)) if lam > 0 else 0.0 for lam in grid]
+    for lam, s in zip(grid, s_of):
+        if not 0.0 < s <= 1.0:
+            raise ConfigError(f"lambda {lam} needs s {'> 1' if s > 1 else '<= 0'} at n={n}, alpha={alpha}")
     curve = sweep_reference_curve(config)
     iso = curve.isotonic()
     eta = float(config.estimator.get("eta", EstimatorConfig.eta))
@@ -431,10 +441,7 @@ def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) ->
     def one(task):
         j, r = task
         lam = grid[j]
-        s = math.sqrt(lam / (n * p))
-        if s > 1.0:
-            raise ConfigError(f"lambda {lam} needs s > 1 at n={n}, alpha={alpha}")
-        params = ModelParams(n=n, p=p, s=s)
+        params = ModelParams(n=n, p=p, s=s_of[j])
         smpl = sample_correlated(params, config.seed, j * reps + r)
         cfg = EstimatorConfig(
             rho_hat=float(np.interp(lam, curve.lambda_grid, iso)),

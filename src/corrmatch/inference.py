@@ -66,6 +66,8 @@ ENUMERATION_N_MAX = 9
 # far more per matching: (n!)^2 pairs in posterior_w, n! products per tv_mc
 # replicate, a check_admissible per matching in the truncated masses:
 COSTLY_ENUMERATION_N_MAX = 7
+# tv_exact's table holds every pair of graphs, 2^C(n,2) x 2^C(n,2) cells:
+TV_EXACT_N_MAX = 4
 
 
 @dataclass(frozen=True)
@@ -451,31 +453,28 @@ def reasonable_candidate_check(
     (ii) some subset of size >= ceil(c_lambda_hat n) reaches density
     rho_hat - eta: min-degree peeling of the whole graph down to the size
     floor is tried first.  (i) the global max density stays at most
-    rho_hat + eta: one density_exceeds flow at
-    gamma = level_below(rho_hat + eta, n) answering "no" proves it.  The
-    exact maximizer is solved at most once, only when the peel misses, the
-    flow answers "exceeds" or gamma <= 0; it then decides (i) by the float
-    comparison float(rho*) <= rho_hat + eta and is tried for (ii).  The
-    certificate is the peel's prefix when the peel qualifies, else the
-    maximizer when it qualifies; a returned certificate is sound, a miss
-    is possible.  rho* itself is not reported, since most checks never
-    compute it; densest_subgraph_exact(h) gives it.
+    rho_hat + eta: when the peel qualifies, one density_exceeds call at
+    level_below(rho_hat + eta, n) decides it exactly, with at most one
+    flow.  The exact maximizer is solved only when the peel misses; it
+    then decides (i) and is tried for (ii).  Levels are compared exactly,
+    as the density module says.  The certificate is the peel's prefix when
+    the peel qualifies, else the maximizer when it qualifies; a returned
+    certificate is sound, a miss is possible.  rho* itself is not
+    reported, since most checks never compute it; densest_subgraph_exact(h)
+    gives it.
     """
     h = intersection_graph(g, g_bar, pi)
     cap = config.rho_hat + config.eta
     size_min = max(1, math.ceil(config.c_lambda_hat * h.n))
     target = config.rho_hat - config.eta
     found = _peel_best_subset(h, size_min, target)
-    dens = None
     if found is None:
         dens = densest_subgraph_exact(h)
+        cap_ok = dens.density <= cap
         if len(dens.best_subset) >= size_min and dens.density >= target:
             found = dens.best_subset, dens.density
     else:
-        gamma = level_below(cap, h.n)
-        if gamma <= 0 or density_exceeds(h, gamma):
-            dens = densest_subgraph_exact(h)
-    cap_ok = dens is None or float(dens.density) <= cap
+        cap_ok = not density_exceeds(h, level_below(cap, h.n))
     certificate, cert_density = found or (None, None)
     return CandidateCheck(
         accepted=cap_ok and found is not None,
@@ -581,10 +580,10 @@ def _pair_perm_maps(n: int) -> np.ndarray:
 
 
 def tv_exact(params: ModelParams) -> float:
-    """Exact TV(null, correlated) by enumerating every graph pair (n <= 4)."""
+    """Exact TV(null, correlated) by enumerating every graph pair."""
     n = params.n
-    if n > 4:
-        raise ValueError("exact TV limited to n <= 4")
+    if n > TV_EXACT_N_MAX:
+        raise ValueError(f"exact TV limited to n <= {TV_EXACT_N_MAX}")
     perm_maps = _pair_perm_maps(n)
     n_pairs = perm_maps.shape[1]
     q = params.p * params.s

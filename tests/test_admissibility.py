@@ -1,8 +1,10 @@
 import functools
 import json
+import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,9 +125,25 @@ def test_density_condition_agrees_with_bruteforce_small_n():
         g = sample_er(12, 0.25, rng)
         report = check_admissible(g, consts_base)
         dens = densest_subgraph_bruteforce(g)
-        assert (report.conditions["density_cap"].status == "pass") == (
-            float(dens.density) <= consts_base.xi
-        )
+        assert (report.conditions["density_cap"].status == "pass") == (dens.density <= consts_base.xi)
+
+
+def test_density_caps_compare_exactly_at_a_knife_edge():
+    # K_{2,10} has rho* = 20/12 = 5/3, just above the float below 5/3: both
+    # caps fail, and the witnesses revalidate
+    g = Graph(12, [(a, b) for a in range(2) for b in range(2, 12)])
+    assert densest_subgraph_exact(g).density == Fraction(5, 3)
+    below = math.nextafter(5 / 3, 0)
+    consts = lenient_constants(12, xi=below, zeta=below, small_set_cap=12)
+    report = check_admissible(g, consts)
+    assert report.conditions["density_cap"].status == "fail"
+    assert report.conditions["small_set_density"].status == "fail"
+    assert report.revalidate(g, consts)
+    looser = replace(consts, zeta=1.75)
+    report = check_admissible(g, looser)
+    assert report.conditions["density_cap"].status == "fail"
+    assert report.conditions["small_set_density"].status == "pass"
+    assert report.revalidate(g, looser)
 
 
 def _has_small_violator(g, cap, zeta):
@@ -346,16 +364,11 @@ def test_density_decision_matches_the_full_path(monkeypatch):
         full = check_admissible(g, consts).conditions
         for name in ("density_cap", "small_set_density"):
             assert fast[name] == full[name], (name, g.edges, xi, zeta)
-        x = min(xi, zeta)
         rho = densest_subgraph_exact(g).density
-        if not decisions:
-            stages["gamma <= 0"] += 1
-        elif not decisions[0]:
-            stages["one flow passes"] += 1
-        else:
-            stages["rho* in (gamma, x]" if rho <= x else "rho* > x"] += 1
+        assert decisions == [rho > min(xi, zeta)]
+        stages["rho* > x" if decisions[0] else "one flow passes"] += 1
         stages["xi < zeta" if xi < zeta else "xi > zeta"] += 1
-    want = {"gamma <= 0", "one flow passes", "rho* in (gamma, x]", "rho* > x", "xi < zeta", "xi > zeta"}
+    want = {"one flow passes", "rho* > x", "xi < zeta", "xi > zeta"}
     assert set(stages) == want, stages
 
 

@@ -716,6 +716,27 @@ def test_worker_errors_exit_3_with_two_workers(argv, message, monkeypatch, capsy
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rho-curve", "--n", "5", "--lambdas=-1,2"], "lambda -1.0 outside [0, n=5]"),
+        (["threshold-sweep", "--n", "60", "--lambdas", "0,2"], "lambda 0.0 needs s <= 0"),
+        (["threshold-sweep", "--n", "60", "--lambdas", "2,10"], "lambda 10.0 needs s > 1"),
+    ],
+)
+def test_out_of_range_lambdas_exit_3_before_any_draw(argv, message, monkeypatch, capsys):
+    import corrmatch.density as density
+    import corrmatch.harness as harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw ran before the grid was checked")
+
+    for module, name in ((density, "sample_er"), (harness, "sample_correlated"), (harness, "sweep_reference_curve")):
+        monkeypatch.setattr(module, name, refuse)
+    assert RUN(argv) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_thread_count_reaches_parallel_map(tmp_path, monkeypatch, capsys):
     import corrmatch.harness as harness
 

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -438,34 +439,57 @@ def test_density_exceeds_matches_the_exact_maximum(monkeypatch):
         if rho > 0:
             gammas.add(rho - Fraction(1, n * n))
         for gamma in gammas:
-            if gamma <= 0:
-                continue
             calls.clear()
             assert density_exceeds(g, gamma) == (rho > gamma), (n, gamma)
             assert len(calls) <= 1
-            branches.add((len(calls), rho > gamma))
+            if gamma > 0:
+                branches.add((len(calls), rho > gamma))
+        # at the level of a float x, the one call decides rho* <= x
+        fl = float(rho)
+        for x in (fl, math.nextafter(fl, 0), math.nextafter(fl, math.inf), float(rng.uniform(-1.0, 4.0))):
+            calls.clear()
+            assert density_exceeds(g, level_below(x, n)) == (rho > x), (n, x)
+            assert len(calls) <= 1
     # a k-core denser than gamma (no flow), an empty ceil(gamma)-core (no
     # flow), and both answers of the flow
     assert branches == {(0, True), (0, False), (1, True), (1, False)}
-    with pytest.raises(ValueError):
-        density_exceeds(g, Fraction(0))
+    # no flow at or below 0: any vertex beats a negative level, any edge 0
+    calls.clear()
+    for g, gamma, want in [
+        (Graph(1), Fraction(-1, 3), True),
+        (Graph(3), Fraction(0), False),
+        (Graph(3, [(0, 2)]), Fraction(0), True),
+    ]:
+        assert density_exceeds(g, gamma) == want
+    assert calls == []
+
+
+def _level_bruteforce(x, n):
+    """max over q <= n of floor(x q)/q, x taken exactly and clamped to [-1, n]."""
+    x = min(max(Fraction(x), Fraction(-1)), Fraction(n))
+    return max(Fraction(math.floor(x * q), q) for q in range(1, n + 1))
 
 
 def test_level_below_is_the_exact_grid_floor():
     # 0.7 * 10 rounds up to 7.0 in floats, but the float 0.7 lies below 7/10
     assert 0.7 * 10 == 7.0 and Fraction(0.7) < Fraction(7, 10)
-    assert level_below(0.7, 10) == Fraction(3, 5)
+    # and the largest density of a 10-vertex graph below it is 2/3, not 3/5
+    assert level_below(0.7, 10) == Fraction(2, 3)
     assert level_below(1.5, 4) == Fraction(3, 2)
-    assert level_below(1e300, 5) == 5
-    assert level_below(-0.3, 10) < 0 and level_below(0.05, 10) == 0
+    assert level_below(1e300, 5) == 5 and level_below(-1e300, 5) == -1
+    assert level_below(-0.3, 10) == Fraction(-3, 10) and level_below(0.05, 10) == 0
     rng = stream(13, 0)
-    for _ in range(500):
-        n = int(rng.integers(1, 10**6))
-        x = float(rng.uniform(-1.0, 8.0))
-        gamma = level_below(x, n)
-        assert gamma.denominator <= n and gamma <= Fraction(x) < gamma + Fraction(1, n), (x, n)
-        # a density at most gamma rounds to a float at most x
-        assert float(gamma) <= x
+    for i in range(3000):
+        n = int(rng.integers(1, 91))
+        q = int(rng.integers(1, 120))
+        x = [
+            int(rng.integers(-4 * 64, 64 * 96)) / 64,                         # dyadic
+            round(float(rng.uniform(-1.0, 8.0)), int(rng.integers(0, 4))),   # decimal
+            math.nextafter(int(rng.integers(-q, 4 * q)) / q, (-math.inf, math.inf)[i % 2]),
+            float(rng.uniform(-3.0, 0.0)),                                   # negative
+            float(rng.uniform(n, 3 * n)),                                    # above n
+        ][i % 5]
+        assert level_below(x, n) == _level_bruteforce(x, n), (x, n)
 
 
 def test_solver_invariant_under_relabeling():
@@ -507,6 +531,34 @@ def test_isotonic_fit_pools_violators():
     assert list(fit) == [1.0, 2.5, 2.5, 5.0]
     increasing = isotonic_fit(np.array([1.0, 2.0, 3.0]))
     assert list(increasing) == [1.0, 2.0, 3.0]
+
+
+def _invert_by_bisection(grid, values, target):
+    """Leftmost lambda where the interpolant of values reaches target, by 200
+    bisection steps: the oracle for the closed-form inversion."""
+    lo, hi = float(grid[0]), float(grid[-1])
+    if target <= values[0]:
+        return lo
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if np.interp(mid, grid, values) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2.0
+
+
+def test_curve_inversion_matches_bisection():
+    rng = stream(14, 0)
+    for i in range(2000):
+        k = int(rng.integers(1, 10))
+        grid = np.cumsum(rng.uniform(0.1, 2.0, k))
+        raw = rng.normal(size=k).cumsum() if i % 2 else np.round(rng.uniform(0.0, 3.0, k), 1)
+        iso = isotonic_fit(raw)
+        target = float(rng.choice(iso)) if i % 3 == 0 else float(rng.uniform(iso[0] - 0.5, iso[-1]))
+        # bisection resolves lambda only as finely as np.interp rounds the values
+        want = _invert_by_bisection(grid, iso, target)
+        assert density_module._invert_monotone(grid, iso, target) == pytest.approx(want, abs=1e-9), (grid, iso, target)
 
 
 def test_rho_inverse_at_knot_and_refusal():

@@ -45,6 +45,9 @@ def test_rejects_self_loops_and_bad_range():
         Graph(3, [(0, 2**70)])
     with pytest.raises(ValueError, match="vertex pairs"):
         Graph(3, [(0, 1, 2)])
+    for repeated in ([(0, 1), (1, 0)], [(1, 2), (1, 2)]):
+        with pytest.raises(ValueError, match="duplicate edge"):
+            Graph(3, repeated)
 
 
 def test_text_round_trip():

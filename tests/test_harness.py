@@ -448,17 +448,30 @@ def test_worker_errors_keep_their_type(monkeypatch):
     import corrmatch.harness as harness
 
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    # lambda 10 needs s > 1 at n = 60, alpha = 1/2: the sweep's replicate raises
+    real_sample, real_draw = harness.sample_correlated, harness.rho_draw
+
+    def sample(params, seed, replicate):
+        if replicate >= 2:   # the second grid point's replicates
+            raise ConfigError("replicate refused")
+        return real_sample(params, seed, replicate)
+
+    def draw(grid, n, replicates, seed, k):
+        if k >= replicates:
+            raise ValueError("replicate refused")
+        return real_draw(grid, n, replicates, seed, k)
+
     sweep = small_config(
-        "threshold-sweep", n=60, alpha=0.5, replicates=2, lambda_grid=(2.0, 10.0), seed=3,
+        "threshold-sweep", n=60, alpha=0.5, replicates=2, lambda_grid=(2.0, 3.0), seed=3,
         estimator={"curve_n": 60, "curve_replicates": 2},
     )
-    # lambda 8 at n = 5 asks sample_er for q > 1
-    curve = small_config("rho-curve", n=5, replicates=2, lambda_grid=(2.0, 8.0), seed=3)
+    curve = small_config("rho-curve", n=5, replicates=2, lambda_grid=(2.0, 3.0), seed=3)
+    monkeypatch.setattr(harness, "sample_correlated", sample)
     for threads in (1, 2):
-        with pytest.raises(ConfigError, match="needs s > 1"):
+        with pytest.raises(ConfigError, match="replicate refused"):
             run_threshold_sweep(sweep, threads=threads)
-        with pytest.raises(ValueError, match="edge probability") as info:
+    monkeypatch.setattr(harness, "rho_draw", draw)
+    for threads in (1, 2):
+        with pytest.raises(ValueError, match="replicate refused") as info:
             run_rho_curve(curve, threads=threads)
         assert type(info.value) is ValueError
 

@@ -549,7 +549,7 @@ def _reference_candidate_check(h, config):
     maximizer for (ii), then the reference peel.  Returns
     (accepted, density_cap_ok, dense_subset_ok)."""
     dens = densest_subgraph_exact(h)
-    cap_ok = float(dens.density) <= config.rho_hat + config.eta
+    cap_ok = dens.density <= config.rho_hat + config.eta
     size_min = max(1, math.ceil(config.c_lambda_hat * h.n))
     target = config.rho_hat - config.eta
     dense_ok = (len(dens.best_subset) >= size_min and dens.density >= target) or (
@@ -627,13 +627,13 @@ def test_candidate_check_solves_only_when_the_flow_cannot_decide(monkeypatch):
     typical = EstimatorConfig(rho_hat=rho + 0.05, c_lambda_hat=0.5, eta=0.15)
     assert reasonable_candidate_check(smpl.pi_star, smpl.g, smpl.g_bar, typical).accepted
     assert calls == []
-    # rho* just under rho_hat + eta: the flow at gamma < rho* answers
-    # "exceeds", and one solve decides the cap
+    # rho* just under rho_hat + eta: the level is rho* itself, and the one
+    # flow there decides the cap with no solve
     near = EstimatorConfig(rho_hat=rho - 0.15 + 1e-9, c_lambda_hat=0.5, eta=0.15)
-    assert level_below(near.rho_hat + near.eta, h.n) < densest_subgraph_exact(h).density <= near.rho_hat + near.eta
+    assert level_below(near.rho_hat + near.eta, h.n) == densest_subgraph_exact(h).density
     calls.clear()
     res = reasonable_candidate_check(smpl.pi_star, smpl.g, smpl.g_bar, near)
-    assert res.density_cap_ok and calls == [1000]
+    assert res.density_cap_ok and calls == []
 
 
 def test_candidate_search_empty_graphs_returns_none():
