@@ -6,8 +6,12 @@ is relabeled through a hidden uniform bijection pi*.  Marginally each copy
 is G(n, ps); edge pairs (G_e, Gbar at the pi*-image of e) are correlated
 through the shared parent indicator.
 
-Vertices of both sides are represented by indices [0, n); a Bijection
-carries the semantic distinction between V and the matched side.
+Vertices of both sides are indices [0, n); a Bijection carries the
+distinction between V and the matched side.  Every entry point reads its
+inputs by two rules: a vertex count n is an integer in [0, isqrt(2**63)]
+(`_count`), and vertex ids are integer arrays of one shape, with entries in
+[0, n) (`_ids`), 1-D for the graph builders and Bijection.  Anything else
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -47,8 +51,7 @@ def _int_ids(values, out_of_range: str) -> np.ndarray:
     """values as an int64 array, with no copy when they already are one.
     A float, bool or other non-integer entry raises ValueError instead of
     being truncated; an integer past int64 raises ValueError(out_of_range).
-    Unsigned entries past int64 wrap to negatives, which every caller's
-    range check refuses."""
+    Unsigned entries past int64 wrap to negatives, which `_ids` refuses."""
     arr = np.asarray(values)
     if arr.dtype.kind == "O":   # Python ints past int64, or mixed objects
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in arr.flat):
@@ -62,56 +65,70 @@ def _int_ids(values, out_of_range: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _count(n) -> int:
+    """n as an int if it is an integer in [0, _N_MAX] (no bool), else ValueError."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n > _N_MAX:
+        raise ValueError(f"vertex count {n} exceeds {_N_MAX}, the most whose pair keys fit in an int64")
+    return int(n)
+
+
+def _ids(n: int, out_of_range: str, *arrays, ndim: int | None = None) -> list[np.ndarray]:
+    """The arrays through `_int_ids`, all of one shape (of ndim axes if given),
+    else ValueError; an entry outside [0, n) raises ValueError(out_of_range)."""
+    ids = [_int_ids(a, out_of_range) for a in arrays]
+    shapes = [a.shape for a in ids]
+    if shapes.count(shapes[0]) != len(shapes) or ndim not in (None, len(shapes[0])):
+        raise ValueError(f"vertex ids must share one {'' if ndim is None else f'{ndim}-D '}shape, got {shapes}")
+    for a in ids:
+        if a.size and (a.min() < 0 or a.max() >= n):
+            raise ValueError(out_of_range)
+    return ids
+
+
 class Graph:
     """Simple undirected graph on n labeled vertices, in O(n + m) memory.
 
     Edges are canonical unordered pairs (u, v) with u < v, stored as a
-    sorted array of private keys u*n + v, which the vector query
-    `has_edges` searches, so n is at most isqrt(2**63), the largest count
-    whose keys fit in an int64.  The one neighbour layout, the compressed
-    sparse rows `csr()` (one sort of the 2m directed keys), is built on
-    first use; the degrees, the peels, `neighbors` and every walk over
-    the graph read it.  A graph read only through its keys, such as the
-    two sides of a correlated pair that `intersection_graph` compares,
+    sorted array of private keys u*n + v (hence n <= _N_MAX), which the
+    vector query `has_edges` searches.  The one neighbour layout, the
+    compressed sparse rows `csr()` (one sort of the 2m directed keys), is
+    built on first use; the degrees, the peels, `neighbors` and every walk
+    over the graph read it.  A graph read only through its keys, such as
+    the two sides of a correlated pair that `intersection_graph` compares,
     never sorts its rows.  Instances are immutable.
     """
 
     __slots__ = ("n", "_packed", "_offsets", "_columns", "_degrees", "_core")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        arr = _int_ids(list(edges), "edge endpoint out of range")
-        if arr.size == 0:
-            arr = arr.reshape(0, 2)
+        arr = _int_ids(list(edges) or np.empty((0, 2), dtype=np.int64), "edge endpoint out of range")
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be vertex pairs")
-        self._init_from_canonical(n, arr.min(axis=1), arr.max(axis=1))
+        self._build(n, arr[:, 0], arr[:, 1])
 
-    def _init_from_canonical(self, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
-        if n > _N_MAX:
-            raise ValueError(f"vertex count {n} exceeds {_N_MAX}, the most whose pair keys fit in an int64")
-        if lo.size:
-            if lo.min() < 0 or hi.max() >= n:
-                raise ValueError("edge endpoint out of range")
-            if (lo == hi).any():
-                raise ValueError("self-loops are not allowed")
-        self.n = n
+    @classmethod
+    def from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
+        """Build from 1-D endpoint arrays of one length; pairs must be distinct."""
+        g = cls.__new__(cls)
+        g._build(n, us, vs)
+        return g
+
+    def _build(self, n: int, us, vs) -> None:
+        """Check n and the endpoints, then keep the sorted canonical pair keys."""
+        self.n = n = _count(n)
+        us, vs = _ids(n, "edge endpoint out of range", us, vs, ndim=1)
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        if (lo == hi).any():
+            raise ValueError("self-loops are not allowed")
         self._packed = np.sort(_pack(n, lo, hi))
         if np.any(self._packed[1:] == self._packed[:-1]):
             raise ValueError("duplicate edge")
         self._packed.flags.writeable = False
-        self._offsets = self._columns = self._degrees = None
-        self._core = None
-
-    @classmethod
-    def from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
-        """Build from endpoint arrays; pairs are canonicalized, must be distinct."""
-        us = _int_ids(us, "edge endpoint out of range")
-        vs = _int_ids(vs, "edge endpoint out of range")
-        g = cls.__new__(cls)
-        g._init_from_canonical(n, np.minimum(us, vs), np.maximum(us, vs))
-        return g
+        self._offsets = self._columns = self._degrees = self._core = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -129,29 +146,21 @@ class Graph:
             return np.empty((0, 2), dtype=np.int64)
         return np.column_stack([self._packed // self.n, self._packed % self.n])
 
-    def _check(self, u) -> None:
-        if not 0 <= u < self.n:
-            raise ValueError("vertex out of range")
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.has_edges(u, v))
 
     def has_edges(self, us, vs) -> np.ndarray:
         """Vector has_edge over endpoint arrays of one shape: a bool array of
         that shape, True where (us[i], vs[i]) is an edge, in either order,
-        and False where the two endpoints are equal.  Raises ValueError for
-        an endpoint outside [0, n) or one that is not an integer."""
-        us, vs = _int_ids(us, "vertex out of range"), _int_ids(vs, "vertex out of range")
-        try:   # the keys u*n + v, range-checked in the same pass
-            keys = np.ravel_multi_index((np.minimum(us, vs), np.maximum(us, vs)), (self.n, self.n))
-        except ValueError:
-            raise ValueError("vertex out of range") from None
+        and False where the two endpoints are equal."""
+        us, vs = _ids(self.n, "vertex out of range", us, vs)
+        keys = _pack(self.n, np.minimum(us, vs), np.maximum(us, vs))
         if self._packed.size == 0:
             return np.zeros(np.shape(keys), dtype=bool)
         return self._packed.take(self._packed.searchsorted(keys), mode="clip") == keys
 
     def degree(self, u: int) -> int:
-        self._check(u)
+        (u,) = _ids(self.n, "vertex out of range", u, ndim=0)
         return int(self.degrees[u])
 
     @property
@@ -162,7 +171,7 @@ class Graph:
 
     def neighbors(self, u: int) -> list[int]:
         """u's neighbours in ascending order, as a fresh list."""
-        self._check(u)
+        (u,) = _ids(self.n, "vertex out of range", u, ndim=0)
         offsets, columns = self.csr()
         return columns[offsets[u]:offsets[u + 1]].tolist()
 
@@ -224,9 +233,7 @@ class Graph:
 
     def edges_within(self, vertices: Iterable[int]) -> int:
         """Number of edges with both endpoints in the given vertex set."""
-        members = list(vertices)
-        if members and (min(members) < 0 or max(members) >= self.n):
-            raise ValueError("vertex out of range")
+        (members,) = _ids(self.n, "vertex out of range", list(vertices), ndim=1)
         inside = np.zeros(self.n, dtype=bool)
         inside[members] = True
         return int(np.count_nonzero(inside[self.edge_array()].all(axis=1)))
@@ -261,30 +268,22 @@ class Graph:
         n, m = int(rows[0][0]), int(rows[0][1])
         if len(rows) - 1 != m:
             raise ValueError(f"header promises {m} edges, found {len(rows) - 1}")
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
         for r in rows[1:]:
             if len(r) != 2:
                 raise ValueError(f"malformed edge row {' '.join(r)!r}; expected 'u v'")
-        try:
-            ends = np.array([(int(r[0]), int(r[1])) for r in rows[1:]], dtype=np.int64).reshape(-1, 2)
-        except OverflowError:
-            raise ValueError("edge endpoint out of range") from None
-        return cls.from_arrays(n, ends[:, 0], ends[:, 1])   # refuses a repeated edge
+        ends = [[int(r[i]) for r in rows[1:]] for i in (0, 1)]
+        return cls.from_arrays(n, *ends)   # refuses a repeated edge
 
 
 class Bijection:
-    """A matching between two n-vertex index sets, with its inverse.  The
-    images must be integers: a float raises ValueError, not truncated."""
+    """A matching between two n-vertex index sets, with its inverse."""
 
     __slots__ = ("n", "forward", "inverse")
 
     def __init__(self, forward: Sequence[int] | np.ndarray):
-        fwd = np.array(_int_ids(forward, "image out of range"))   # a copy: the caller's array stays writeable
-        n = fwd.size
+        (fwd,) = _ids(np.size(forward), "image out of range", forward, ndim=1)
+        fwd, n = fwd.copy(), fwd.size   # a copy: the caller's array stays writeable
         inv = np.full(n, -1, dtype=np.int64)
-        if n and (fwd.min() < 0 or fwd.max() >= n):
-            raise ValueError("image out of range")
         inv[fwd] = np.arange(n, dtype=np.int64)
         if (inv < 0).any():
             raise ValueError("not a permutation")
@@ -296,11 +295,11 @@ class Bijection:
 
     @classmethod
     def identity(cls, n: int) -> "Bijection":
-        return cls(np.arange(n, dtype=np.int64))
+        return cls(np.arange(_count(n), dtype=np.int64))
 
     @classmethod
     def uniform(cls, n: int, rng: np.random.Generator) -> "Bijection":
-        return cls(rng.permutation(n))
+        return cls(rng.permutation(_count(n)))
 
     def __call__(self, v: int) -> int:
         return int(self.forward[v])
@@ -351,7 +350,7 @@ class ModelParams:
     s: float
 
     def __post_init__(self) -> None:
-        if self.n < 2:
+        if _count(self.n) < 2:
             raise ValueError("n must be at least 2")
         check_p_s(self.p, self.s)
 
@@ -430,6 +429,7 @@ def _sample_distinct(rng: np.random.Generator, universe: int, m: int) -> np.ndar
 
 def sample_er(n: int, q: float, rng: np.random.Generator) -> Graph:
     """One G(n, q) draw: binomial edge count, then a uniform edge set."""
+    n = _count(n)
     if not (0.0 <= q <= 1.0):
         raise ValueError("edge probability must lie in [0, 1]")
     total = _pair_count(n)

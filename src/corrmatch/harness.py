@@ -521,7 +521,9 @@ def run_posterior_study(config: ExperimentConfig, threads: int | None = None) ->
 
 def posterior_dump_csv(table: PosteriorTable, truth: Bijection) -> str:
     """One row per matching: one-line notation, log posterior weight,
-    overlap with the truth."""
+    overlap with the truth.  Each image is one digit (n <= 9), so the
+    notations are read off one (n!, 2n - 1) byte buffer of digits and
+    spaces."""
     report = CsvReport(
         ("permutation", "log_posterior", "overlap_with_truth"),
         (str, float, int),
@@ -529,6 +531,10 @@ def posterior_dump_csv(table: PosteriorTable, truth: Bijection) -> str:
     shifted = table.log_weights - table.log_weights.max()
     log_post = shifted - float(np.log(np.exp(shifted).sum()))
     overlaps = (table.perms == truth.forward).sum(axis=1)
-    for row, lp, ov in zip(table.perms, log_post, overlaps):
-        report.add_row(" ".join(str(int(v)) for v in row), float(lp), int(ov))
+    width = 2 * table.n - 1
+    notation = np.full((len(table.perms), width), ord(" "), dtype=np.uint8)
+    notation[:, ::2] = table.perms + ord("0")
+    notations = notation.view(f"S{width}").ravel().astype(str).tolist()
+    for row in zip(notations, log_post.tolist(), overlaps.tolist()):
+        report.add_row(*row)
     return report.text()

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -184,28 +185,37 @@ def test_core_numbers_match_the_k_core_closed_forms(c, k):
         assert abs(np.mean(measured) - theory) < 5 * se, (np.mean(measured), theory, se)
 
 
+VERTEX, IMAGE = "vertex out of range", "image out of range"
+
+
 @pytest.mark.parametrize(
-    "query",
+    "query, message",
     [
-        lambda g: g.has_edge(-1, 3),
-        lambda g: g.has_edge(3, 5),
-        lambda g: g.neighbors(-1),
-        lambda g: g.degree(5),
-        lambda g: g.edges_within([-1]),
-        lambda g: g.edges_within([0, 5]),
-        lambda g: g.has_edges(np.array([0, 1]), np.array([3, -1])),
-        lambda g: g.has_edges(np.array([[0], [5]]), np.array([[1], [2]])),
-        lambda g: Graph(5).has_edges(np.array([0]), np.array([5])),
-        lambda g: g.has_edges([2**70], [1]),
+        (lambda g: g.has_edge(-1, 3), VERTEX),
+        (lambda g: g.has_edge(3, 5), VERTEX),
+        (lambda g: g.neighbors(-1), VERTEX),
+        (lambda g: g.neighbors(5), VERTEX),
+        (lambda g: g.degree(5), VERTEX),
+        (lambda g: g.degree(-1), VERTEX),
+        (lambda g: g.degree(2**70), VERTEX),
+        (lambda g: g.edges_within([-1]), VERTEX),
+        (lambda g: g.edges_within([0, 5]), VERTEX),
+        (lambda g: g.has_edges(np.array([0, 1]), np.array([3, -1])), VERTEX),
+        (lambda g: g.has_edges(np.array([[0], [5]]), np.array([[1], [2]])), VERTEX),
+        (lambda g: Graph(5).has_edges(np.array([0]), np.array([5])), VERTEX),
+        (lambda g: g.has_edges([2**70], [1]), VERTEX),
+        (lambda g: Bijection([0, 5, 1, 2, 3]), IMAGE),
+        (lambda g: Bijection([1, -1]), IMAGE),
     ],
     ids=[
-        "has_edge_neg", "has_edge_n", "neighbors", "degree", "edges_within_neg", "edges_within_n",
-        "has_edges_neg", "has_edges_n", "has_edges_edgeless", "has_edges_past_int64",
+        "has_edge_neg", "has_edge_n", "neighbors", "neighbors_n", "degree", "degree_neg",
+        "degree_past_int64", "edges_within_neg", "edges_within_n", "has_edges_neg", "has_edges_n",
+        "has_edges_edgeless", "has_edges_past_int64", "bijection_n", "bijection_neg",
     ],
 )
-def test_vertex_out_of_range_raises(query):
+def test_vertex_out_of_range_raises(query, message):
     g = Graph(5, [(3, 4), (0, 1)])
-    with pytest.raises(ValueError, match="vertex out of range"):
+    with pytest.raises(ValueError, match=message):
         query(g)
 
 
@@ -215,11 +225,21 @@ def test_vertex_out_of_range_raises(query):
         lambda: Graph(4, [(0.5, 1.2)]),
         lambda: Graph.from_arrays(3, [0.5], [1.9]),
         lambda: Graph(4, [(0, 1)]).has_edges([1.7], [0.2]),
+        lambda: Graph(4, [(0, 1)]).degree(1.5),
+        lambda: Graph(4, [(0, 1)]).neighbors(0.5),
+        lambda: Graph(4, [(0, 1)]).neighbors(True),
+        lambda: Graph(4, [(0, 1)]).edges_within([0.5, 1.2]),
+        lambda: Graph(4, [(0, 1)]).edges_within([True, False]),
+        lambda: Bijection([1.9, 0.2]),
     ],
-    ids=["init", "from_arrays", "has_edges"],
+    ids=[
+        "init", "from_arrays", "has_edges", "degree", "neighbors", "neighbors_bool",
+        "edges_within", "edges_within_bools", "bijection",
+    ],
 )
 def test_float_endpoints_are_refused_not_truncated(build):
-    # each would name the edge (0, 1) if the floats were truncated
+    # each would read the vertices 0 and 1 of the edge (0, 1) if the floats
+    # (or bools) were truncated to integers
     with pytest.raises(ValueError, match="must be integers"):
         build()
 
@@ -232,6 +252,52 @@ def test_integer_endpoint_arrays_of_any_width_are_accepted():
     assert Graph(4, [(np.int16(3), 2)]).edges == ((2, 3),)
     assert Graph(4, []).edge_count == Graph.from_arrays(4, [], []).edge_count == 0
     assert g.has_edges([], []).shape == (0,)
+    assert Graph.from_arrays(np.int32(4), us, vs) == Graph(np.uint8(4), [(1, 0), (3, 2)]) == g
+    assert g.has_edge(np.int64(1), np.uint8(0)) and not g.has_edge(np.asarray(1), np.asarray(2))
+    block = g.has_edges(np.array([[0, 2, 0], [1, 3, 3]]), np.array([[1, 3, 2], [0, 2, 1]]))
+    assert block.tolist() == [[True, True, False], [True, True, False]]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph.from_arrays(3, [0], [1, 2]),
+        lambda: Graph.from_arrays(3, [0, 1], [2]),
+        lambda: Graph.from_arrays(4, [[0], [1]], [[2], [3]]),
+        lambda: Graph.from_arrays(4, 0, 1),
+        lambda: Graph(4, [(0, 1)]).has_edges([0, 1], [1]),
+        lambda: Graph(4, [(0, 1)]).has_edges([0, 1], [1, 2, 3]),
+        lambda: Graph(4, [(0, 1)]).degree([0, 1]),
+        lambda: Graph(4, [(0, 1)]).edges_within([[0, 1]]),
+        lambda: ModelParams(n=2.5, p=0.5, s=0.5),
+        lambda: Bijection([[0, 1], [1, 0]]),
+    ]
+    + [
+        build
+        for n in (-1, 2.5, True)
+        for build in (partial(Graph, n), partial(Graph.from_arrays, n, [], []), partial(sample_er, n, 0.5, stream(0, 0)))
+    ],
+    ids=[
+        "from_arrays_broadcast", "from_arrays_broadcast_vs", "from_arrays_2d", "from_arrays_scalar",
+        "has_edges_broadcast", "has_edges_mismatch", "degree_array", "edges_within_2d",
+        "params_float_n", "bijection_2d",
+    ]
+    + [f"{b}_n{n}" for n in ("neg", "float", "bool") for b in ("init", "from_arrays", "sample_er")],
+)
+def test_malformed_shapes_and_counts_raise(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_and_array_builders_agree(seed):
+    rng = stream(seed, 0)
+    n = int(rng.integers(2, 40))
+    g = sample_er(n, 0.3, rng)
+    us, vs = g.edge_array().T
+    flip, order = rng.random(us.size) < 0.5, rng.permutation(us.size)
+    us, vs = np.where(flip, vs, us)[order], np.where(flip, us, vs)[order]
+    assert Graph(n, zip(us.tolist(), vs.tolist())) == Graph.from_arrays(n, us, vs) == g
 
 
 # -- bijections --

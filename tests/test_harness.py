@@ -516,6 +516,21 @@ def test_posterior_dump_schema():
     assert any(int(r.split(",")[2]) == 4 for r in lines[1:])
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_posterior_dump_matches_a_per_row_rendering(n):
+    params = ModelParams(n=n, p=0.5, s=0.8)
+    smpl = sample_correlated(params, seed=3)
+    table = exact_posterior(smpl.g, smpl.g_bar, params)
+    shifted = table.log_weights - table.log_weights.max()
+    log_post = shifted - float(np.log(np.exp(shifted).sum()))
+    rows = [
+        f"{' '.join(str(int(v)) for v in perm)},{float(lp):.10g},{int((perm == smpl.pi_star.forward).sum())}"
+        for perm, lp in zip(table.perms, log_post)
+    ]
+    expected = "permutation,log_posterior,overlap_with_truth\n" + "".join(r + "\n" for r in rows)
+    assert posterior_dump_csv(table, smpl.pi_star) == expected
+
+
 def test_sweep_requires_grid_and_valid_alpha():
     with pytest.raises(ConfigError):
         run_threshold_sweep(small_config("threshold-sweep", n=100))
