@@ -71,7 +71,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .density import densest_subgraph_exact, density_exceeds, level_below
-from .graphs import Graph
+from .graphs import Graph, vertex_set
 
 __all__ = [
     "AdmissibilityConstants",
@@ -794,7 +794,7 @@ def _short_cycle_vertices(h: Graph, c_big: int) -> set[int]:
 def is_good_set(h: Graph, a: set[int], c_big: int) -> GoodSetResult:
     """True iff members of a are pairwise farther than 2C+2 apart and
     farther than C from every cycle of length <= C."""
-    a_sorted = sorted(int(v) for v in a)
+    a_sorted = vertex_set(h.n, a).tolist()
     near_cycles = _bfs(h.csr(), _short_cycle_vertices(h, c_big), c_big)
     for v in a_sorted:
         if v in near_cycles:
@@ -816,7 +816,7 @@ def find_good_set(h: Graph, b: set[int], k_target: int, c_big: int) -> tuple[int
     blocked = _bfs(h.csr(), _short_cycle_vertices(h, c_big), c_big)
     chosen: list[int] = []
     covered: set[int] = set()
-    for v in sorted(int(u) for u in b):
+    for v in vertex_set(h.n, b).tolist():
         if v in blocked or v in covered:
             continue
         chosen.append(v)

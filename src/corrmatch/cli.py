@@ -36,6 +36,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     _is_int,
+    _sweep_alpha,
     acceptance_rates,
     posterior_dump_csv,
     run_moment_verification,
@@ -288,8 +289,9 @@ def _cmd_threshold_sweep(args) -> int:
     )
     placed = not cfg.lambda_grid
     if placed:
+        alpha = _sweep_alpha(cfg.alpha)   # refused before the reference curve is run
         curve = sweep_reference_curve(replace(cfg, lambda_grid=PLACEMENT_GRID))
-        lam_star, grid = sweep_grid(curve, cfg.alpha)
+        lam_star, grid = sweep_grid(curve, alpha)
         cfg = replace(cfg, lambda_grid=grid)
         print(f"lambda_hat* = {lam_star:.3f}; sweep grid = {grid}", file=sys.stderr)
     sweep = run_threshold_sweep(cfg)

@@ -11,7 +11,8 @@ distinction between V and the matched side.  Every entry point reads its
 inputs by two rules: a vertex count n is an integer in [0, isqrt(2**63)]
 (`_count`), and vertex ids are integer arrays of one shape, with entries in
 [0, n) (`_ids`), 1-D for the graph builders and Bijection.  Anything else
-raises ValueError.
+raises ValueError.  Package-wide, the parts of a pair share one n through
+`check_sizes`, and vertex sets are read through `vertex_set`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ __all__ = [
     "Bijection",
     "ModelParams",
     "CorrelatedSample",
+    "check_sizes",
+    "vertex_set",
     "pair_pmf",
     "sample_correlated",
     "sample_independent",
@@ -301,19 +304,16 @@ class Bijection:
     def uniform(cls, n: int, rng: np.random.Generator) -> "Bijection":
         return cls(rng.permutation(_count(n)))
 
-    def __call__(self, v: int) -> int:
-        return int(self.forward[v])
-
     def invert(self) -> "Bijection":
         return Bijection(self.inverse)
 
     def compose(self, other: "Bijection") -> "Bijection":
         """self after other: v -> self(other(v))."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
+        check_sizes(self, other)
         return Bijection(self.forward[other.forward])
 
     def map_edge(self, u: int, v: int) -> tuple[int, int]:
+        u, v = _ids(self.n, "vertex out of range", u, v, ndim=0)
         a, b = int(self.forward[u]), int(self.forward[v])
         return (a, b) if a < b else (b, a)
 
@@ -324,7 +324,7 @@ class Bijection:
         return hash(self.forward.tobytes())
 
     def __repr__(self) -> str:
-        return f"Bijection({list(self.forward)})"
+        return f"Bijection({self.forward.tolist()})"
 
 
 def check_p_s(p: float, s: float) -> None:
@@ -334,6 +334,21 @@ def check_p_s(p: float, s: float) -> None:
         raise ValueError("p must lie in (0, 1)")
     if not (0.0 < s <= 1.0):
         raise ValueError("s must lie in (0, 1]")
+
+
+def check_sizes(*parts) -> int:
+    """The one vertex count n of the graphs, matchings, params and posterior
+    tables given (anything with an `n`); ValueError when they disagree."""
+    sizes = [part.n for part in parts]
+    if sizes.count(sizes[0]) != len(sizes):
+        raise ValueError(f"size mismatch: vertex counts {sizes}")
+    return sizes[0]
+
+
+def vertex_set(n: int, vertices: Iterable[int]) -> np.ndarray:
+    """The distinct ids among vertices, ascending, as an int64 array; an id
+    that is not an integer in [0, n) raises ValueError, as in `_ids`."""
+    return np.unique(_ids(n, "vertex out of range", list(vertices), ndim=1)[0])
 
 
 @dataclass(frozen=True)
@@ -373,9 +388,7 @@ class CorrelatedSample:
     g_bar: Graph
 
     def __post_init__(self) -> None:
-        n = self.params.n
-        if self.g.n != n or self.g_bar.n != n or self.pi_star.n != n:
-            raise ValueError("component sizes disagree with params.n")
+        check_sizes(self.params, self.g, self.g_bar, self.pi_star)
 
 
 # -- sampling -------------------------------------------------------------
@@ -481,23 +494,20 @@ def sample_independent(params: ModelParams, seed: int, replicate: int = 0) -> tu
 
 def intersection_graph(g: Graph, g_bar: Graph, pi: Bijection) -> Graph:
     """Graph on V keeping (u,v) iff (u,v) is in g and (pi u, pi v) is in g_bar."""
-    if g.n != g_bar.n or g.n != pi.n:
-        raise ValueError("size mismatch")
+    n = check_sizes(g, g_bar, pi)
     us, vs = g.edge_array().T
     keep = g_bar.has_edges(pi.forward[us], pi.forward[vs])
-    return Graph.from_arrays(g.n, us[keep], vs[keep])
+    return Graph.from_arrays(n, us[keep], vs[keep])
 
 
 def overlap(pi1: Bijection, pi2: Bijection) -> int:
     """Number of vertices on which the two matchings agree."""
-    if pi1.n != pi2.n:
-        raise ValueError("size mismatch")
+    check_sizes(pi1, pi2)
     return int(np.count_nonzero(pi1.forward == pi2.forward))
 
 
 def relabel(g: Graph, pi: Bijection) -> Graph:
     """Image of g under pi; edge count is preserved."""
-    if g.n != pi.n:
-        raise ValueError("size mismatch")
+    n = check_sizes(g, pi)
     arr = g.edge_array()
-    return Graph.from_arrays(g.n, pi.forward[arr[:, 0]], pi.forward[arr[:, 1]])
+    return Graph.from_arrays(n, pi.forward[arr[:, 0]], pi.forward[arr[:, 1]])

@@ -1,9 +1,10 @@
 """Experiment orchestration: configs, deterministic replication, CSV reports.
 
 Every experiment is a pure function of (config, master seed): replicate i
-of grid point j always draws from the stream (seed, j * replicates + i),
-aggregation happens in index order, and parallelism is replicate-level
-only, so the worker count cannot change any output byte.  The one
+of grid point j draws from the stream (seed, j * replicates + i), except in
+the moment verification, where all replicates of row j come from one
+stream (seed, j).  Aggregation happens in index order, and parallelism is
+per item only, so the worker count cannot change any output byte.  The one
 exception is the sweep's wall-time column, which is measurement, not
 simulation; the determinism contract covers every other column.
 
@@ -38,7 +39,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .density import RhoCurve, rho_curve_from_draws, rho_draw, rho_inverse
-from .graphs import Bijection, ModelParams, overlap, sample_correlated
+from .graphs import Bijection, ModelParams, check_sizes, overlap, sample_correlated
 from .inference import (
     ENUMERATION_N_MAX,
     EstimatorConfig,
@@ -528,10 +529,10 @@ def posterior_dump_csv(table: PosteriorTable, truth: Bijection) -> str:
         ("permutation", "log_posterior", "overlap_with_truth"),
         (str, float, int),
     )
+    width = 2 * check_sizes(table, truth) - 1
     shifted = table.log_weights - table.log_weights.max()
     log_post = shifted - float(np.log(np.exp(shifted).sum()))
     overlaps = (table.perms == truth.forward).sum(axis=1)
-    width = 2 * table.n - 1
     notation = np.full((len(table.perms), width), ord(" "), dtype=np.uint8)
     notation[:, ::2] = table.perms + ord("0")
     notations = notation.view(f"S{width}").ravel().astype(str).tolist()

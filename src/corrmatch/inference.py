@@ -32,9 +32,11 @@ from .graphs import (
     Graph,
     ModelParams,
     check_p_s,
+    check_sizes,
     intersection_graph,
     pair_pmf,
     sample_independent,
+    vertex_set,
 )
 from .rng import stream
 
@@ -139,10 +141,7 @@ def log_likelihood_ratio(pi: Bijection, g: Graph, g_bar: Graph, consts: Likeliho
     """
     if consts.s >= 1.0:
         raise ValueError("the P/Q/R closed form requires s < 1")
-    n = g.n
-    if g_bar.n != n or pi.n != n:
-        raise ValueError("size mismatch")
-    us, vs = np.triu_indices(n, k=1)
+    us, vs = np.triu_indices(check_sizes(g, g_bar, pi), k=1)
     x = g.has_edges(us, vs).astype(np.int64)
     y = g_bar.has_edges(pi.forward[us], pi.forward[vs]).astype(np.int64)
     table = np.log(consts.ll_table())
@@ -162,9 +161,8 @@ def log_likelihood_ratio(pi: Bijection, g: Graph, g_bar: Graph, consts: Likeliho
 
 def joint_log_prob_given_pi(g: Graph, g_bar: Graph, pi: Bijection, params: ModelParams) -> float:
     """log Q[G, Gbar | pi* = pi]: product over pairs of graphs.pair_pmf."""
-    n = g.n
     pmf = pair_pmf(params.p, params.s)
-    us, vs = np.triu_indices(n, k=1)
+    us, vs = np.triu_indices(check_sizes(g, g_bar, pi, params), k=1)
     x = g.has_edges(us, vs)
     y = g_bar.has_edges(pi.forward[us], pi.forward[vs])
     n11 = int((x & y).sum())
@@ -182,7 +180,7 @@ def joint_log_prob_given_pi(g: Graph, g_bar: Graph, pi: Bijection, params: Model
 def null_log_prob(g: Graph, g_bar: Graph, params: ModelParams) -> float:
     """log P[G, Gbar] under the independent-pair null."""
     q = params.p * params.s
-    total = g.n * (g.n - 1) // 2
+    total = math.comb(check_sizes(g, g_bar, params), 2)
     m = g.edge_count + g_bar.edge_count
     return m * math.log(q) + (2 * total - m) * math.log(1.0 - q)
 
@@ -208,6 +206,7 @@ class PosteriorTable:
         return [(Bijection(row), float(p)) for row, p in zip(self.perms, self.probs)]
 
     def probability_of(self, pi: Bijection) -> float:
+        check_sizes(self, pi)
         idx = np.flatnonzero((self.perms == pi.forward).all(axis=1))
         return float(self.probs[idx[0]])
 
@@ -243,9 +242,7 @@ def exact_posterior(g: Graph, g_bar: Graph, params: ModelParams) -> PosteriorTab
     """Posterior of the hidden matching given (G, Gbar), by enumerating all
     n! matchings (n <= ENUMERATION_N_MAX).  Weights depend on pi only
     through the intersection-edge count."""
-    n = g.n
-    if g_bar.n != n or params.n != n:
-        raise ValueError("size mismatch")
+    n = check_sizes(g, g_bar, params)
     perms = _matchings(n, ENUMERATION_N_MAX)
     n11 = np.concatenate([block_counts for _, block_counts in _counted_blocks(g, g_bar, perms)])
     with np.errstate(divide="ignore"):   # ell(1, 0) = 0 at s = 1
@@ -270,7 +267,7 @@ def posterior_overlap_mass(table: PosteriorTable, pi_tilde: Bijection, delta: fl
     vertices."""
     if not (0.0 <= delta <= 1.0):
         raise ValueError("delta must lie in [0, 1]")
-    threshold = math.ceil(delta * table.n)
+    threshold = math.ceil(delta * check_sizes(table, pi_tilde))
     agree = (table.perms == pi_tilde.forward.astype(np.int8)).sum(axis=1)
     return float(table.probs[agree >= threshold].sum())
 
@@ -354,7 +351,7 @@ def map_estimator(g: Graph, g_bar: Graph, params: ModelParams, config: Estimator
     lexicographic tie-break.
     """
     _assert_p_above_one(params)
-    if g.n > ENUMERATION_N_MAX:
+    if check_sizes(g, g_bar, params) > ENUMERATION_N_MAX:
         return _hill_climb(g, g_bar, config)
     perms = _matchings(g.n, ENUMERATION_N_MAX)
     counts = np.concatenate([block_counts for _, block_counts in _counted_blocks(g, g_bar, perms)])
@@ -548,7 +545,7 @@ def reasonable_candidate_search(
     qualifying subset needs at least target * size_min intersection
     edges).  Absence is a legitimate outcome.
     """
-    size_min = max(1, math.ceil(config.c_lambda_hat * g.n))
+    size_min = max(1, math.ceil(config.c_lambda_hat * check_sizes(g, g_bar, params)))
     min_edges = (config.rho_hat - config.eta) * size_min
     if g.n <= ENUMERATION_N_MAX:
         blocks = _counted_blocks(g, g_bar, _matchings(g.n, ENUMERATION_N_MAX))
@@ -641,7 +638,7 @@ def truncated_mass_f(
     Verification-scale only (n <= COSTLY_ENUMERATION_N_MAX): the sum runs
     over the (n-|A|)! extensions outright, in lexicographic order.
     """
-    a_sorted = sorted(int(v) for v in a)
+    a_sorted = vertex_set(check_sizes(g, g_bar, params), a).tolist()
     if set(sigma) != set(a_sorted) or len(set(sigma.values()) & set(range(g.n))) != len(a_sorted):
         raise ValueError("sigma must map a one-to-one into range(n)")
     perms = _matchings(g.n, COSTLY_ENUMERATION_N_MAX)
@@ -658,8 +655,8 @@ def truncated_mass_g(
 ) -> float:
     """max over embeddings sigma of A into the matched side of the
     truncated mass f."""
-    perms = _matchings(g.n, COSTLY_ENUMERATION_N_MAX)
-    return float(_truncated_mass_per_image(g, g_bar, sorted(a), perms, params, consts).max())
+    perms = _matchings(check_sizes(g, g_bar, params), COSTLY_ENUMERATION_N_MAX)
+    return float(_truncated_mass_per_image(g, g_bar, vertex_set(g.n, a).tolist(), perms, params, consts).max())
 
 
 def _truncated_mass_per_image(

@@ -18,7 +18,7 @@ from math import floor
 
 import numpy as np
 
-from .graphs import Bijection, CorrelatedSample
+from .graphs import Bijection, CorrelatedSample, check_sizes, vertex_set
 from .report import CsvReport
 
 __all__ = [
@@ -113,8 +113,7 @@ class OrbitEdgeStats:
 
 def phi_of(pi_star: Bijection, pi: Bijection) -> Bijection:
     """The permutation pi^{-1} o pi* on V."""
-    if pi_star.n != pi.n:
-        raise ValueError("size mismatch")
+    check_sizes(pi_star, pi)
     return Bijection(pi.inverse[pi_star.forward])
 
 
@@ -175,18 +174,17 @@ def restricted_orbits(pi_star: Bijection, pi: Bijection, a: set[int] | None = No
     predecessor and successor pairs leave A.  Chains are listed from their
     Phi-minimal edge; cycles from their least canonical edge.
     """
-    n = pi_star.n
-    if a is None:
-        a_sorted = list(range(n))
-        in_a = np.ones(n, dtype=bool)
-    else:
-        a_sorted = sorted(int(v) for v in a)
-        if a_sorted and (a_sorted[0] < 0 or a_sorted[-1] >= n):
-            raise ValueError("vertex set outside range")
-        in_a = np.zeros(n, dtype=bool)
-        in_a[a_sorted] = True
     phi = phi_of(pi_star, pi)
-    phi_back = phi.invert()
+    n = phi.n
+    a_sorted = list(range(n)) if a is None else vertex_set(n, a).tolist()
+    in_a = np.zeros(n, dtype=bool)
+    in_a[a_sorted] = True
+    fwd, back = phi.forward.tolist(), phi.inverse.tolist()
+
+    def image(perm: list[int], e: tuple[int, int]) -> tuple[int, int]:
+        x, y = perm[e[0]], perm[e[1]]
+        return (x, y) if x < y else (y, x)
+
     cid, pos, clen, cycles = _cycle_index(phi)
     cycle_inside = np.array([all(in_a[v] for v in cyc) for cyc in cycles], dtype=bool)
 
@@ -200,10 +198,10 @@ def restricted_orbits(pi_star: Bijection, pi: Bijection, a: set[int] | None = No
         is_cycle = bool(cycle_inside[cid[u]] and cycle_inside[cid[v]])
         if is_cycle:
             chain = [e0]
-            e = phi.map_edge(*e0)
+            e = image(fwd, e0)
             while e != e0:
                 chain.append(e)
-                e = phi.map_edge(*e)
+                e = image(fwd, e)
             start = chain.index(min(chain))
             chain = chain[start:] + chain[:start]
             special = (
@@ -214,15 +212,15 @@ def restricted_orbits(pi_star: Bijection, pi: Bijection, a: set[int] | None = No
             orbits.append(EdgeOrbit(edges=tuple(chain), kind="cycle", special=bool(special)))
         else:
             e = e0
-            back = phi_back.map_edge(*e)
-            while in_a[back[0]] and in_a[back[1]]:
-                e = back
-                back = phi_back.map_edge(*e)
+            prev = image(back, e)
+            while in_a[prev[0]] and in_a[prev[1]]:
+                e = prev
+                prev = image(back, e)
             chain = [e]
-            nxt = phi.map_edge(*e)
+            nxt = image(fwd, e)
             while in_a[nxt[0]] and in_a[nxt[1]]:
                 chain.append(nxt)
-                nxt = phi.map_edge(*nxt)
+                nxt = image(fwd, nxt)
             orbits.append(EdgeOrbit(edges=tuple(chain), kind="chain", special=False))
         visited.update(orbits[-1].edges)
     orbits.sort(key=lambda o: o.edges[0])

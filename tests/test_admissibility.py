@@ -146,6 +146,39 @@ def test_density_caps_compare_exactly_at_a_knife_edge():
     assert report.revalidate(g, looser)
 
 
+# K4 on 0..3, the path 3-4-5-6 and the isolated vertex 7; at delta1 = 0.1
+# the cap on triangles is ceil(8^0.3) = 2, and K4 holds 4
+FORGE_GRAPH = Graph(8, [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(3, 4), (4, 5), (5, 6)])
+FORGE_CONSTS = lenient_constants(
+    8, xi=1.0, zeta=1.25, small_set_cap=4, degree_cap=3, tiny_component_cap=5, delta1=0.1
+)
+
+
+@pytest.mark.parametrize(
+    "name, genuine, forged",
+    [
+        ("density_cap", {"subset": [0, 1, 2, 3]}, {"subset": [4, 5, 6]}),   # 2/3 <= xi
+        ("small_set_density", {"subset": [0, 1, 2, 3]}, {"subset": [0, 1, 2, 3, 4]}),   # 7/5 > zeta, 5 > cap
+        ("max_degree", {"vertex": 3}, {"vertex": 5}),
+        ("local_unicyclicity", {"subset": [0, 1, 2, 3]}, {"subset": []}),
+        ("local_unicyclicity", {"subset": [0, 1, 2, 3]}, {"subset": [0, 1, 2, 3, 4, 5]}),   # 6 > cap
+        ("local_unicyclicity", {"subset": [0, 1, 2, 3]}, {"subset": [0, 1, 2, 3, 7]}),   # disconnected
+        ("local_unicyclicity", {"subset": [0, 1, 2, 3]}, {"subset": [0, 1, 2]}),   # 3 edges, not > 3
+        ("cycle_counts", {"length": 3, "count": 4}, {"length": 3, "count": 2}),   # at the cap
+        ("cycle_counts", {"length": 3, "count": 3}, {"length": 3, "count": 5}),   # above the true count
+    ],
+    ids=[
+        "sparse_subset", "small_set_too_large", "low_degree", "tiny_empty", "tiny_too_large",
+        "tiny_disconnected", "tiny_not_over_full", "cycles_at_cap", "cycles_above_truth",
+    ],
+)
+def test_revalidate_rejects_a_forged_witness(name, genuine, forged):
+    assert FORGE_CONSTS.cycle_count_cap(3) == 2
+    report = lambda witness: AdmissibilityReport({name: ConditionResult("fail", witness)})
+    assert report(genuine).revalidate(FORGE_GRAPH, FORGE_CONSTS)
+    assert not report(forged).revalidate(FORGE_GRAPH, FORGE_CONSTS)
+
+
 def _has_small_violator(g, cap, zeta):
     """Brute force over all vertex subsets: does some U with |U| <= cap
     have more than zeta * |U| edges?"""

@@ -310,6 +310,35 @@ def test_rho_curve_cli(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_rho_curve_invert_at_reports_inside_and_refuses_outside(capsys):
+    from corrmatch.harness import ExperimentConfig, run_rho_curve
+
+    argv = ["rho-curve", "--lambdas", "1,6", "--n", "80", "--replicates", "3", "--seed", "4"]
+    _, curve = run_rho_curve(ExperimentConfig(kind="rho-curve", n=80, replicates=3, lambda_grid=(1.0, 6.0), seed=4))
+    iso = curve.isotonic().tolist()
+    assert iso[0] < iso[-1]
+    target = (iso[0] + iso[-1]) / 2
+    assert RUN(argv + ["--invert-at", repr(target)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"lambda* at rho = {target}: ")
+    lam, lo, hi = (float(v) for v in err.split(": ")[1].replace("[", "").replace("]", "").replace(",", "").split())
+    assert lo <= lam <= hi and 1.0 <= lam <= 6.0
+    assert RUN(argv + ["--invert-at", repr(iso[-1] + 1.0)]) == 3
+    assert "refusing to extrapolate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["0", "1", "1.5"])
+def test_placed_sweep_refuses_a_bad_alpha_before_its_reference_curve(capsys, monkeypatch, alpha):
+    import corrmatch.cli as cli
+
+    def curve(config):
+        raise AssertionError("the reference curve ran")
+
+    monkeypatch.setattr(cli, "sweep_reference_curve", curve)
+    assert RUN(["threshold-sweep", "--n", "300", "--alpha", alpha, "--replicates", "1"]) == 3
+    assert "sweep alpha must lie in (0, 1)" in capsys.readouterr().err
+
+
 def test_estimate_and_posterior_cli(tmp_path, capsys):
     bundle = tmp_path / "b.json"
     RUN(["sample", "--n", "6", "--p", "0.5", "--s", "0.9", "--seed", "5", "--out", str(bundle)])

@@ -206,11 +206,14 @@ VERTEX, IMAGE = "vertex out of range", "image out of range"
         (lambda g: g.has_edges([2**70], [1]), VERTEX),
         (lambda g: Bijection([0, 5, 1, 2, 3]), IMAGE),
         (lambda g: Bijection([1, -1]), IMAGE),
+        (lambda g: Bijection([2, 0, 1]).map_edge(-1, 0), VERTEX),
+        (lambda g: Bijection([2, 0, 1]).map_edge(0, 3), VERTEX),
     ],
     ids=[
         "has_edge_neg", "has_edge_n", "neighbors", "neighbors_n", "degree", "degree_neg",
         "degree_past_int64", "edges_within_neg", "edges_within_n", "has_edges_neg", "has_edges_n",
         "has_edges_edgeless", "has_edges_past_int64", "bijection_n", "bijection_neg",
+        "map_edge_neg", "map_edge_n",
     ],
 )
 def test_vertex_out_of_range_raises(query, message):
@@ -231,10 +234,11 @@ def test_vertex_out_of_range_raises(query, message):
         lambda: Graph(4, [(0, 1)]).edges_within([0.5, 1.2]),
         lambda: Graph(4, [(0, 1)]).edges_within([True, False]),
         lambda: Bijection([1.9, 0.2]),
+        lambda: Bijection([1, 0]).map_edge(0.5, 1),
     ],
     ids=[
         "init", "from_arrays", "has_edges", "degree", "neighbors", "neighbors_bool",
-        "edges_within", "edges_within_bools", "bijection",
+        "edges_within", "edges_within_bools", "bijection", "map_edge",
     ],
 )
 def test_float_endpoints_are_refused_not_truncated(build):
@@ -271,6 +275,7 @@ def test_integer_endpoint_arrays_of_any_width_are_accepted():
         lambda: Graph(4, [(0, 1)]).edges_within([[0, 1]]),
         lambda: ModelParams(n=2.5, p=0.5, s=0.5),
         lambda: Bijection([[0, 1], [1, 0]]),
+        lambda: Bijection([1, 0]).map_edge([0, 1], 1),
     ]
     + [
         build
@@ -280,7 +285,7 @@ def test_integer_endpoint_arrays_of_any_width_are_accepted():
     ids=[
         "from_arrays_broadcast", "from_arrays_broadcast_vs", "from_arrays_2d", "from_arrays_scalar",
         "has_edges_broadcast", "has_edges_mismatch", "degree_array", "edges_within_2d",
-        "params_float_n", "bijection_2d",
+        "params_float_n", "bijection_2d", "map_edge_array",
     ]
     + [f"{b}_n{n}" for n in ("neg", "float", "bool") for b in ("init", "from_arrays", "sample_er")],
 )
@@ -306,6 +311,7 @@ def test_pair_and_array_builders_agree(seed):
 def test_bijection_inverse_composition():
     pi = Bijection([2, 0, 1])
     assert pi.invert().compose(pi) == Bijection.identity(3)
+    assert repr(pi) == "Bijection([2, 0, 1])" and pi.map_edge(np.int64(2), 0) == (1, 2)
     with pytest.raises(ValueError):
         Bijection([0, 0, 1])
 

@@ -2,16 +2,18 @@ import heapq
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 import pytest
 
-from corrmatch.admissibility import default_constants
+from corrmatch.admissibility import default_constants, find_good_set, is_good_set
 from corrmatch.density import densest_subgraph_exact, level_below
 from corrmatch.graphs import (
     Bijection,
+    CorrelatedSample,
     Graph,
     ModelParams,
     intersection_graph,
@@ -46,6 +48,8 @@ from corrmatch.inference import (
     tv_exact,
     tv_mc,
 )
+from corrmatch.harness import posterior_dump_csv
+from corrmatch.orbits import phi_of, restricted_orbits
 from corrmatch.rng import stream
 
 
@@ -733,8 +737,6 @@ def test_tv_mc_matches_exact_within_4se():
 
 
 def make_lenient_consts(n):
-    from dataclasses import replace
-
     base = default_constants(0.1, 1.2, max(n, 16))
     return replace(
         base, n=n, degree_cap=10**6, small_set_cap=2, tiny_component_cap=3, cycle_len_cap=5
@@ -758,8 +760,6 @@ def test_truncated_mass_recovers_untruncated_sum_when_vacuous():
 
 
 def test_truncated_mass_zero_when_admissibility_impossible():
-    from dataclasses import replace
-
     n = 4
     g = k4 = Graph(n, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     params = ModelParams(n=n, p=0.4, s=0.7)
@@ -798,3 +798,55 @@ def test_truncated_mass_good_set_indicator_bites():
         for perm in permutations(range(n))
     )
     assert with_pair < total
+
+
+# -- one checked route for pair sizes and vertex sets --
+
+
+SIZES, VERTEX = "size mismatch: vertex counts", "vertex out of range"
+G, G_BAR, PI = random_instance(5, 0.5, 3)
+PARAMS, WIDE = ModelParams(n=5, p=0.4, s=0.7), ModelParams(n=6, p=0.4, s=0.7)
+CFG, CONSTS = EstimatorConfig(rho_hat=0.5), make_lenient_consts(5)
+SHORT = Bijection.identity(4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # a part of the pair with another vertex count
+        (lambda: PI.compose(SHORT), SIZES),
+        (lambda: CorrelatedSample(WIDE, PI, G, G_BAR), SIZES),
+        (lambda: intersection_graph(G, Graph(4), PI), SIZES),
+        (lambda: overlap(PI, SHORT), SIZES),
+        (lambda: relabel(Graph(4), PI), SIZES),
+        (lambda: phi_of(PI, SHORT), SIZES),
+        (lambda: log_likelihood_ratio(PI, G, Graph(6), LikelihoodConstants.from_params(0.4, 0.7)), SIZES),
+        (lambda: exact_posterior(G, G_BAR, WIDE), SIZES),
+        (lambda: map_estimator(G, Graph(6), PARAMS, CFG), SIZES),
+        (lambda: map_estimator(G, G_BAR, WIDE, CFG), SIZES),
+        (lambda: joint_log_prob_given_pi(G, G_BAR, PI, WIDE), SIZES),
+        (lambda: null_log_prob(G, Graph(6), PARAMS), SIZES),
+        (lambda: reasonable_candidate_search(G, G_BAR, WIDE, CFG), SIZES),
+        (lambda: exact_posterior(G, G_BAR, PARAMS).probability_of(SHORT), SIZES),
+        (lambda: posterior_overlap_mass(exact_posterior(G, G_BAR, PARAMS), SHORT, 0.5), SIZES),
+        (lambda: posterior_dump_csv(exact_posterior(G, G_BAR, PARAMS), Bijection.identity(1)), SIZES),
+        (lambda: truncated_mass_g(G, G_BAR, {0}, WIDE, CONSTS), SIZES),
+        # a vertex set with an id outside [0, n), which numpy would wrap, or not an integer
+        (lambda: restricted_orbits(PI, PI, {-1, 0}), VERTEX),
+        (lambda: is_good_set(intersection_graph(G, G_BAR, PI), {-1}, 1), VERTEX),
+        (lambda: find_good_set(intersection_graph(G, G_BAR, PI), {-1, 7}, 1, 2), VERTEX),
+        (lambda: find_good_set(intersection_graph(G, G_BAR, PI), {1.5}, 1, 2), "integers"),
+        (lambda: truncated_mass_f(G, G_BAR, {-1}, {-1: 0}, PARAMS, CONSTS), VERTEX),
+        (lambda: truncated_mass_g(G, G_BAR, {-1}, PARAMS, CONSTS), VERTEX),
+    ],
+    ids=[
+        "compose", "correlated_sample", "intersection_graph", "overlap", "relabel", "phi_of",
+        "log_likelihood_ratio", "exact_posterior", "map_estimator_graph", "map_estimator_params",
+        "joint_log_prob", "null_log_prob", "candidate_search", "probability_of", "overlap_mass",
+        "posterior_dump", "truncated_mass_params", "restricted_orbits", "is_good_set", "find_good_set",
+        "find_good_set_float", "truncated_mass_f", "truncated_mass_g",
+    ],
+)
+def test_mismatched_pairs_and_wrapped_vertices_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

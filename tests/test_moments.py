@@ -277,6 +277,18 @@ def test_tail_bound_vacuous_at_zero_and_monotone():
             prev = cur
 
 
+def test_k_cycle_tail_bound_is_the_product_over_its_non_special_k_cycles():
+    from corrmatch.graphs import ModelParams
+
+    params = ModelParams(n=60, p=0.35, s=0.6)
+    census = {2: (1, 3, 2), 3: (0, 2, 1)}   # L_2 = 3; the special 2-cycle and the rest are not read
+    theta = tail_rates(0.5, 2).alpha_k[1] * log(params.n) - log(params.lam)
+    assert theta > 0
+    for x in (0.0, 1.0, 3.0):
+        want = exp(-theta * x) * cycle_moment(2, theta, params.p, params.s) ** 3
+        assert markov_tail_bound("k_cycle", x, census, params, 0.5, n_cutoff=2, k=2) == pytest.approx(want, rel=1e-12)
+
+
 def test_tail_bound_empirical_frequency_below_bound():
     # fixed census; compare empirical tails of E_class against the bound
     from corrmatch.graphs import ModelParams

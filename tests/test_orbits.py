@@ -258,6 +258,18 @@ def test_orbit_edge_stats_special_cycle_hand_built():
     assert stats.e_special == 2
 
 
+def test_orbit_edge_stats_pools_chains_and_long_cycles_into_e_long():
+    # phi = (0 1 2 3 4) with the cutoff N = 2 at alpha = 1/2: inside the whole
+    # cycle both edges lie on non-special 5-cycles, inside {0, 1, 2} on chains
+    n = 8
+    pi_star, pi = bijection_from_cycles(n, [(0, 1, 2, 3, 4)]), IDENT(n)
+    g = Graph(n, [(0, 1), (0, 2)])
+    smpl = CorrelatedSample(params=ModelParams(n=n, p=0.5, s=0.5), pi_star=pi_star, g=g, g_bar=g)
+    for a in (set(range(5)), {0, 1, 2}):
+        stats = orbit_edge_stats(smpl, pi, a, alpha=0.5)
+        assert (stats.e_long, stats.e_special, stats.e_k) == (2, 0, (0, 0)), a
+
+
 def test_census_csv_schema():
     phi = bijection_from_cycles(6, [(0, 1, 2, 3)])
     dec = restricted_orbits(phi, IDENT(6), {0, 1, 2, 3})
