@@ -60,6 +60,7 @@ silent pass.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -699,23 +700,35 @@ def _check_small_sets(h, consts, dens, set_budget) -> ConditionResult:
 def _shrink_violator(h: Graph, subset: list[int], ratio: float) -> list[int]:
     """Greedily peel to an inclusion-minimal set with edges > ratio * size:
     remove the first member, in (global degree, id) order, whose removal
-    keeps the ratio exceeded, and start over.  In-set degrees make a trial
-    O(1)."""
+    keeps the ratio exceeded, and start over.  A removal keeps it when the
+    member's in-set degree is at most a bound set by the edge count and
+    size, so one lazy heap of order positions per in-set degree finds it."""
     num, den = Fraction(ratio).as_integer_ratio()
-    current = set(subset)
-    din = {v: sum(w in current for w in h.neighbors(v)) for v in current}
-    edges = sum(din.values()) // 2
-    order = sorted(current, key=lambda u: (h.degree(u), u))
+    starts, columns = (rows.tolist() for rows in h.csr())
+    ids = np.unique(np.asarray(subset, dtype=np.int64))
+    order = ids[np.argsort(h.degrees[ids], kind="stable")].tolist()   # by (global degree, id)
+    position = {v: i for i, v in enumerate(order)}
+    din = {v: sum(w in position for w in columns[starts[v]:starts[v + 1]]) for v in order}   # members only
+    edges, size = sum(din.values()) // 2, len(order)
+    heaps = [[] for _ in range(max(din.values(), default=0) + 1)]
+    for i, v in enumerate(order):
+        heaps[din[v]].append(i)   # ascending positions already form a heap
     while True:
-        size = len(current) - 1
-        v = next((v for v in order if v in current and (edges - din[v]) * den > num * size), None)
-        if v is None:
-            return sorted(current)
-        current.remove(v)
-        edges -= din[v]
-        for w in h.neighbors(v):
-            if w in current:
+        # (edges - din[v]) * den > num * (size - 1) holds exactly when din[v] <= bound
+        bound = (edges * den - num * (size - 1) - 1) // den
+        tops = []
+        for d, heap in enumerate(heaps[: max(bound + 1, 0)]):
+            while heap and din.get(order[heap[0]]) != d:   # removed, or its in-set degree dropped
+                heapq.heappop(heap)
+            tops.extend(heap[:1])
+        if not tops:
+            return sorted(din)
+        v = order[min(tops)]
+        edges, size = edges - din.pop(v), size - 1
+        for w in columns[starts[v]:starts[v + 1]]:
+            if w in din:
                 din[w] -= 1
+                heapq.heappush(heaps[din[w]], position[w])
 
 
 def _first_dense_set(

@@ -29,13 +29,12 @@ from dataclasses import replace
 
 from .admissibility import check_admissible, default_constants
 from .density import densest_subgraph_exact, rho_inverse
-from .graphs import Bijection, Graph, ModelParams, intersection_graph, overlap, sample_correlated
+from .graphs import Bijection, Graph, ModelParams, check_sizes, intersection_graph, overlap, sample_correlated
 from .harness import (
     PLACEMENT_GRID,
     Z_GATE,
     ConfigError,
     ExperimentConfig,
-    _is_int,
     _sweep_alpha,
     acceptance_rates,
     posterior_dump_csv,
@@ -101,8 +100,9 @@ def _sample_bundle(params: ModelParams, seed: int) -> dict:
 
 
 def _read_bundle(path: str) -> tuple[ModelParams, Bijection, Graph, Graph]:
-    """The (params, pi_star, g, g_bar) of a sample bundle, with every field
-    type-checked and every size equal to n."""
+    """The (params, pi_star, g, g_bar) of a sample bundle.  Only the JSON
+    shape is checked here; each field is read by its package route, which
+    refuses a malformed one with ValueError, and every size must be n."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -112,25 +112,10 @@ def _read_bundle(path: str) -> tuple[ModelParams, Bijection, Graph, Graph]:
     missing = [key for key in ("n", "p", "s", "pi_star", "g", "g_bar") if key not in payload]
     if missing:
         raise ConfigError(f"sample bundle lacks the key {missing[0]!r}")
-    n, p, s, pi_star = payload["n"], payload["p"], payload["s"], payload["pi_star"]
-    if not _is_int(n):
-        raise ConfigError(f"sample bundle n must be an integer, got {n!r}")
-    for key, value in (("p", p), ("s", s)):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"sample bundle {key} must be a number, got {value!r}")
-    if not (isinstance(pi_star, list) and all(map(_is_int, pi_star))):
-        raise ConfigError("sample bundle pi_star must be a list of integers")
-    for key in ("g", "g_bar"):
-        if not isinstance(payload[key], str):
-            raise ConfigError(f"sample bundle {key} must be an edge-list string")
-    params = ModelParams(n=n, p=p, s=s)
-    pi = Bijection(pi_star)
+    params = ModelParams(n=payload["n"], p=payload["p"], s=payload["s"])
+    pi = Bijection(payload["pi_star"])
     g, g_bar = Graph.from_text(payload["g"]), Graph.from_text(payload["g_bar"])
-    if not pi.n == g.n == g_bar.n == n:
-        raise ConfigError(
-            f"sample bundle sizes disagree: n = {n}, pi_star has {pi.n} entries, "
-            f"g has {g.n} vertices and g_bar {g_bar.n}"
-        )
+    check_sizes(params, pi, g, g_bar)
     return params, pi, g, g_bar
 
 

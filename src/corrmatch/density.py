@@ -25,9 +25,10 @@ gamma = rho* ends the loop; its maximal source side is the union of all
 densest subsets (the maximal densest subgraph, unique because densest
 sets are closed under union), and that is the reported maximizer.  When
 only "rho* <= gamma?" is asked, density_exceeds answers with at most one
-flow, at gamma on the ceil(gamma)-core.  A float level x is taken at its
-exact value (17 edges on 10 vertices exceed xi = (1.4 + 2)/2, whose float
-lies below 17/10), and "rho* <= x?" is one such call at level_below(x, n).
+flow, at gamma on the ceil(gamma)-core, and with none at gamma <= 1
+(see there).  A float level x is taken at its exact value (17 edges on 10
+vertices exceed xi = (1.4 + 2)/2, whose float lies below 17/10), and
+"rho* <= x?" is one such call at level_below(x, n).
 
 rho(lambda), the large-n limit of the maximum density of G(n, lambda/n),
 has no usable closed form; it is estimated by Monte Carlo over exact
@@ -203,12 +204,13 @@ def level_below(x: float, n: int) -> Fraction:
 
 def density_exceeds(g: Graph, gamma: Fraction) -> bool:
     """Whether some nonempty vertex set U of g has more than gamma * |U|
-    edges.  Below 0 any vertex is such a set and at 0 any edge, so neither
-    takes a flow.  Above 0 a k-core denser than gamma answers yes, an empty
-    ceil(gamma)-core answers no, and otherwise one max-flow on that core
-    decides.  No proves rho* <= gamma without solving for rho*."""
-    if gamma <= 0:
-        return g.n > 0 if gamma < 0 else g.edge_count > 0
+    edges.  At gamma <= 1 no flow is run: a component with more edges than
+    vertices has rho* > 1 >= gamma, and otherwise _at_most_one_cycle gives
+    rho* in closed form.  Above 1 a k-core denser than gamma answers yes,
+    an empty ceil(gamma)-core answers no, and otherwise one max-flow on
+    that core decides.  No proves rho* <= gamma without solving for rho*."""
+    if gamma <= 1:   # n = 0 answers no
+        return g.n > 0 and ((res := _at_most_one_cycle(g)) is None or res.density > gamma)
     core, edges, edge_core = _edge_cores(g)
     if _best_core_density(core, edge_core) > gamma:
         return True
@@ -256,11 +258,8 @@ def densest_subgraph_exact(g: Graph) -> DensityResult:
         raise ValueError("graph must have at least one vertex")
     if g.edge_count == 0:
         return DensityResult(best_subset=(0,), density=Fraction(0), witness_edges=0)
-    if g.edge_count <= g.n:   # else some component has more edges than vertices
-        res = _at_most_one_cycle(g)
-        if res is not None:
-            return res
-    return _newton(g)
+    res = _at_most_one_cycle(g)
+    return _newton(g) if res is None else res
 
 
 def _at_most_one_cycle(g: Graph) -> DensityResult | None:
@@ -275,6 +274,8 @@ def _at_most_one_cycle(g: Graph) -> DensityResult | None:
     of size k in one tree has at most k - 1 edges, and
     rho* = (V - 1)/V for the largest tree size V, attained exactly by
     unions of whole trees of size V."""
+    if g.edge_count > g.n:   # some component has more edges than vertices
+        return None
     n, edges = g.n, g.edge_array()
     ncomp, label = connected_components(
         csr_matrix((np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])), shape=(n, n)),

@@ -44,6 +44,7 @@ __all__ = [
 
 
 _N_MAX = math.isqrt(2**63)   # the largest n with every pair key u*n + v below 2**63
+_BOOLS = {bool, np.bool_}
 
 
 def _pack(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -53,8 +54,11 @@ def _pack(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 def _int_ids(values, out_of_range: str) -> np.ndarray:
     """values as an int64 array, with no copy when they already are one.
     A float, bool or other non-integer entry raises ValueError instead of
-    being truncated; an integer past int64 raises ValueError(out_of_range).
+    being truncated (a bool also among the ints of a sequence, which numpy
+    reads as 0 or 1); an integer past int64 raises ValueError(out_of_range).
     Unsigned entries past int64 wrap to negatives, which `_ids` refuses."""
+    if not isinstance(values, np.ndarray) and not _BOOLS.isdisjoint(map(type, np.asarray(values, dtype=object).flat)):
+        raise ValueError("vertex ids must be integers, got a bool")
     arr = np.asarray(values)
     if arr.dtype.kind == "O":   # Python ints past int64, or mixed objects
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in arr.flat):
@@ -265,6 +269,8 @@ class Graph:
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
+        if not isinstance(text, str):
+            raise ValueError(f"edge list must be a string, got {type(text).__name__}")
         rows = [line.split() for line in text.strip().splitlines() if line.strip()]
         if not rows or len(rows[0]) != 2:
             raise ValueError("malformed header; expected 'n m'")
@@ -328,8 +334,11 @@ class Bijection:
 
 
 def check_p_s(p: float, s: float) -> None:
-    """Refuse a parent edge probability p outside (0, 1) or a subsampling
-    probability s outside (0, 1]."""
+    """Refuse a p or s that is not a real number (a bool is not one), a parent
+    edge probability p outside (0, 1) or a subsampling one s outside (0, 1]."""
+    for name, value in (("p", p), ("s", s)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie in (0, 1)")
     if not (0.0 < s <= 1.0):

@@ -639,7 +639,7 @@ def truncated_mass_f(
     over the (n-|A|)! extensions outright, in lexicographic order.
     """
     a_sorted = vertex_set(check_sizes(g, g_bar, params), a).tolist()
-    if set(sigma) != set(a_sorted) or len(set(sigma.values()) & set(range(g.n))) != len(a_sorted):
+    if vertex_set(g.n, sigma).tolist() != a_sorted or vertex_set(g.n, sigma.values()).size != len(a_sorted):
         raise ValueError("sigma must map a one-to-one into range(n)")
     perms = _matchings(g.n, COSTLY_ENUMERATION_N_MAX)
     extensions = perms[(perms[:, a_sorted] == [sigma[v] for v in a_sorted]).all(axis=1)]

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import ModelParams, check_p_s, pair_pmf
+from .graphs import ModelParams, check_p_s, check_sizes, pair_pmf
 from .orbits import OrbitDecomposition
 
 __all__ = [
@@ -256,6 +256,8 @@ def markov_tail_bound(
     n, p, s = params.n, params.p, params.s
     if n < 3:
         raise ValueError("n must be at least 3")
+    if isinstance(census, OrbitDecomposition):
+        check_sizes(census, params)
     cen = census.census if isinstance(census, OrbitDecomposition) else dict(census)
     lam = params.lam
     rates = tail_rates(alpha, n_cutoff)

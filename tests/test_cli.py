@@ -79,23 +79,29 @@ def test_bundle_missing_a_key_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize(
     "change, message",
     [
-        (lambda b: [b], "JSON object"),
-        (lambda b: {**b, "n": "8"}, "n must be an integer"),
-        (lambda b: {**b, "n": True}, "n must be an integer"),
+        (lambda b: [b], "config error: sample bundle must be a JSON object"),
+        (lambda b: {**b, "n": "8"}, "vertex count must be an integer"),
+        (lambda b: {**b, "n": True}, "vertex count must be an integer"),
         (lambda b: {**b, "p": None}, "p must be a number"),
-        (lambda b: {**b, "g": 5}, "g must be an edge-list string"),
-        (lambda b: {**b, "pi_star": "01234567"}, "pi_star must be a list"),
-        (lambda b: {**b, "n": 9}, "sizes disagree"),
+        (lambda b: {**b, "p": "0.3"}, "p must be a number"),
+        (lambda b: {**b, "s": True}, "s must be a number"),
+        (lambda b: {**b, "g": 5}, "edge list must be a string"),
+        (lambda b: {**b, "pi_star": "01234567"}, "vertex ids must be integers"),
+        (lambda b: {**b, "pi_star": [True if v == 1 else v for v in b["pi_star"]]}, "vertex ids must be integers"),
+        (lambda b: {**b, "n": 9}, "size mismatch: vertex counts"),
     ],
-    ids=["list", "string n", "bool n", "null p", "int g", "string pi_star", "n off by one"],
+    ids=[
+        "list", "string n", "bool n", "null p", "string p", "bool s", "int g", "string pi_star",
+        "bool in pi_star", "n off by one",
+    ],
 )
 def test_malformed_bundle_exits_3(tmp_path, capsys, change, message):
+    # the CLI checks the JSON shape; each field is refused by its package route
     bundle = tmp_path / "bundle.json"
     assert RUN(["sample", "--n", "8", "--p", "0.5", "--s", "0.8", "--seed", "2", "--out", str(bundle)]) == 0
     bundle.write_text(json.dumps(change(json.loads(bundle.read_text()))))
     assert RUN(["density", "--bundle", str(bundle)]) == 3
-    err = capsys.readouterr().err
-    assert "config error" in err and message in err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [("lambda_grid", 5), ("threads", 1.5), ("replicates", True)])

@@ -464,6 +464,28 @@ def test_density_exceeds_matches_the_exact_maximum(monkeypatch):
     assert calls == []
 
 
+def test_density_exceeds_at_most_one_takes_no_flow(monkeypatch):
+    # at gamma <= 1 a component with more edges than vertices answers yes,
+    # and otherwise the closed form for at most one cycle per component
+    calls = _count_flows(monkeypatch)
+    rng = stream(9, 1)
+    corpus = _tie_corpus() + [_few_cycles(rng, k % 3)[0] for k in range(30)]
+    corpus += [sample_er(int(rng.integers(2, 14)), float(rng.random()) * 0.8, rng) for _ in range(60)]
+    levels = (Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+    answers = set()
+    for g in corpus:
+        rho = densest_subgraph_bruteforce(g).density
+        for gamma in levels:
+            assert density_exceeds(g, gamma) == (rho > gamma), (g, gamma)
+            answers.add((gamma, rho > gamma))
+    assert answers == {(gamma, want) for gamma in levels for want in (False, True)} - {(Fraction(-1), False)}
+    n = 100_000
+    path = Graph.from_arrays(n, np.arange(n - 1), np.arange(1, n))
+    assert density_exceeds(path, Fraction(1, 2)) and not density_exceeds(path, Fraction(1))
+    assert not density_exceeds(Graph(0), Fraction(-1))
+    assert calls == []
+
+
 def _level_bruteforce(x, n):
     """max over q <= n of floor(x q)/q, x taken exactly and clamped to [-1, n]."""
     x = min(max(Fraction(x), Fraction(-1)), Fraction(n))

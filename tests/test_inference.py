@@ -22,6 +22,7 @@ from corrmatch.graphs import (
     relabel,
     sample_correlated,
     sample_er,
+    vertex_set,
 )
 from corrmatch.inference import (
     COSTLY_ENUMERATION_N_MAX,
@@ -49,7 +50,8 @@ from corrmatch.inference import (
     tv_mc,
 )
 from corrmatch.harness import posterior_dump_csv
-from corrmatch.orbits import phi_of, restricted_orbits
+from corrmatch.moments import markov_tail_bound
+from corrmatch.orbits import edge_orbits, phi_of, restricted_orbits
 from corrmatch.rng import stream
 
 
@@ -850,3 +852,55 @@ SHORT = Bijection.identity(4)
 def test_mismatched_pairs_and_wrapped_vertices_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# -- every sample input through its checked route --
+
+
+DRAW, DRAW_CONSTS = sample_correlated(ModelParams(n=5, p=0.6, s=0.8), 3), default_constants(0.5, 1.4, 5)
+CENSUS_10 = edge_orbits(Bijection.uniform(10, stream(1, 0)), Bijection.uniform(10, stream(2, 0)))
+
+
+def _mass_f(sigma):
+    return truncated_mass_f(DRAW.g, DRAW.g_bar, {0}, sigma, DRAW.params, DRAW_CONSTS)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # a bool among integer ids, which numpy reads as 0 or 1
+        (lambda: Bijection([True, 0, 2]), "integers"),
+        (lambda: Graph.from_arrays(3, [True, 0], [2, 1]), "integers"),
+        (lambda: Graph(3, [(True, 2)]), "integers"),
+        (lambda: vertex_set(5, [True, 3]), "integers"),
+        (lambda: vertex_set(5, [np.bool_(True), 3]), "integers"),
+        # p and s must be real numbers, not bools
+        (lambda: ModelParams(n=5, p="0.5", s=0.5), "p must be a number"),
+        (lambda: ModelParams(n=5, p=0.5, s=True), "s must be a number"),
+        (lambda: LikelihoodConstants.from_params(True, 0.5), "p must be a number"),
+        # an edge list that is not text
+        (lambda: Graph.from_text(5), "edge list must be a string"),
+        # sigma's images through vertex_set
+        (lambda: _mass_f({0: 1.0}), "integers"),
+        (lambda: _mass_f({0: True}), "integers"),
+        # an orbit census of another vertex count than the params
+        (lambda: markov_tail_bound("long", 3.0, CENSUS_10, ModelParams(n=60, p=0.35, s=0.6), 0.5, 3), SIZES),
+    ],
+    ids=[
+        "bijection_bool", "from_arrays_bool", "init_bool", "vertex_set_bool", "vertex_set_numpy_bool",
+        "params_string_p", "params_bool_s", "likelihood_bool_p", "from_text_int",
+        "sigma_float_image", "sigma_bool_image", "census_size",
+    ],
+)
+def test_sample_inputs_are_refused_where_they_are_read(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_sample_inputs_the_routes_keep():
+    assert _mass_f({0: 1}) == _mass_f({np.int64(0): np.int64(1)}) == pytest.approx(37.9127489, rel=1e-6)
+    assert Bijection((np.int8(1), 0, 2)).forward.tolist() == [1, 0, 2]
+    assert ModelParams(n=5, p=np.float64(0.5), s=1).s == 1
+    assert markov_tail_bound("long", 3.0, CENSUS_10, ModelParams(n=10, p=0.35, s=0.6), 0.5, 3) == (
+        markov_tail_bound("long", 3.0, CENSUS_10.census, ModelParams(n=10, p=0.35, s=0.6), 0.5, 3)
+    )
