@@ -49,13 +49,13 @@ scan counts cycles on the contracted 2-core: every maximal chain of
 core-degree-2 vertices becomes one weighted edge between kernel vertices
 (core degree >= 3), and the cycles of more than one chain are found by
 extending kernel paths from each root in numpy, many paths per step,
-pruned by the unrestricted kernel distance back to the root, which one
-dijkstra call gives per block of roots.  That distance is a lower bound
-on the length of any way back that a counted cycle can take, so the
-pruning loses no cycle.  The scan's budget counts the path extensions it
-keeps, in one fixed order; running out yields lower-bound counts and
-"undecided" (or a failure those lower bounds already prove), never a
-silent pass.
+pruned by the unrestricted kernel distance back to the root, read as one
+bit of the reach bitsets that a multi-source Dial fills per group of
+roots.  That distance is a lower bound on the length of any way back
+that a counted cycle can take, so the pruning loses no cycle.  The
+scan's budget counts the path extensions it keeps, in one fixed order;
+running out yields lower-bound counts and "undecided" (or a failure
+those lower bounds already prove), never a silent pass.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import connected_components
 
 from .density import densest_subgraph_exact, density_exceeds, level_below
 from .graphs import Graph, vertex_set
@@ -92,8 +92,10 @@ ZETA_GRID = tuple(1.0 + 0.5**j for j in range(1, 8))   # 1.5, 1.25, ..., ~1.0078
 CYCLE_BUDGET = 20_000_000   # path extensions a cycle scan may keep
 
 _ROW_BLOCK = 32768      # arcs joined per step of the cycle scan
-_DIST_CELLS = 1 << 17   # (root, kernel vertex) cells per block of roots: a float64
-                        # distance and two int32 closing-arc entries each
+_BACK_CELLS = 1 << 17   # (root, kernel vertex) cells per block of roots: two int32
+                        # closing-arc entries each
+_REACH_WORDS = 1 << 17  # uint64 words of reach bitsets per group of roots, unless
+                        # one word per kernel vertex and level exceeds it
 
 
 class ConstantsInfeasibleError(ValueError):
@@ -444,6 +446,84 @@ class _Paths:
     next: int = 0
 
 
+class _Near(NamedTuple):
+    """The kernel arcs that the reach bitsets grow along: for each pair of
+    adjacent kernel vertices, the shortest chain between them if it is at
+    most the radius; see ``_near_arcs``."""
+
+    indptr: np.ndarray   # the arcs out of kernel index v are indptr[v]:indptr[v + 1], by length
+    far: np.ndarray      # per arc: the kernel index at its far end
+    length: np.ndarray   # per arc: its length in edges, 1..radius
+    cell: np.ndarray     # per arc: 1 + far - length * size; level d reads reach row cell + d * size
+    upto: np.ndarray     # upto[d, v]: how many arcs out of v have length <= d
+    tails: np.ndarray    # the kernel indices with an arc out
+
+
+def _near_arcs(kern: _Kernel, src: np.ndarray, radius: int) -> _Near:
+    """The near arcs of kern, whose arcs run from src, up to radius."""
+    size = kern.vertices.size
+    keys = src * size + kern.dst   # ascending: the arcs are sorted by (source, far end)
+    pairs = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    length = np.minimum.reduceat(kern.length, pairs)
+    short = length <= radius
+    tail, far, length = src[pairs[short]], kern.dst[pairs[short]], length[short]
+    by_length = np.argsort(tail * (radius + 1) + length, kind="stable")
+    far, length = far[by_length], length[by_length]
+    upto = np.bincount(length * size + tail, minlength=(radius + 1) * size).reshape(radius + 1, size).cumsum(axis=0)
+    indptr = np.concatenate([[0], np.cumsum(upto[-1])])
+    return _Near(indptr, far, length, 1 + far - length * size, upto, np.flatnonzero(upto[-1]))
+
+
+def _reach(near: _Near, group: np.ndarray, reach: np.ndarray) -> None:
+    """Fill reach, of shape (1 + (radius + 1) * size, words) for a kernel of
+    size vertices, with the reach bitsets of the roots in group: bit i % 64
+    of word i // 64 of row 1 + d * size + v is set when group[i] is within
+    chain length d of kernel index v.  Row 0 stays zero, so an arc's row at
+    level d, cell + d * size, is 0 or below when the arc is longer than d.
+
+    A multi-source Dial over the near arcs: level d is level d - 1 or'ed,
+    at each vertex v, with level d - L at the far end of each arc out of v
+    of length L <= d (the kernel's arcs come in pairs, one each way).  Only
+    a vertex with an arc of length L to a vertex whose words changed at
+    level d - L can change at level d, so while those vertices' arcs are at
+    most a quarter of all near arcs, only their rows are pulled; from the
+    first level where they are more, every row is."""
+    levels, size = near.upto.shape
+    item = np.dtype((np.void, reach.itemsize * reach.shape[1]))
+    cells = reach.view(item).ravel()
+
+    def take(rows: np.ndarray) -> np.ndarray:
+        return np.take(cells, rows, mode="clip").view(reach.dtype).reshape(rows.size, -1)
+
+    bit = np.arange(group.size)
+    reach[1:1 + size] = 0
+    reach[1 + group, bit >> 6] = np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64))
+    due = np.zeros(levels * size, dtype=bool)
+    changed, everywhere = group, False
+    for d in range(1, levels):
+        first = 1 + d * size
+        reach[first:first + size] = reach[first - size:first]
+        if not everywhere:
+            # the vertices that the last level's changes reach, by level
+            _, arc = _segments(near.indptr[changed], near.upto[levels - d, changed])
+            due[(d - 1 + near.length[arc]) * size + near.far[arc]] = True
+            pull = np.flatnonzero(due[d * size:(d + 1) * size])
+            count = near.upto[d, pull]
+            everywhere = 4 * int(count.sum()) > near.far.size
+        if everywhere:
+            pull, arcs, starts = near.tails, near.cell, near.indptr[near.tails]
+        elif pull.size:
+            _, arc = _segments(near.indptr[pull], count)
+            arcs, starts = near.cell[arc], np.cumsum(count) - count
+        else:
+            continue
+        old = take(first + pull)
+        new = old | np.bitwise_or.reduceat(take(arcs + d * size), starts)
+        cells[first + pull] = new.view(item).ravel()
+        if not everywhere:
+            changed = pull[(new != old).any(axis=1)]
+
+
 def simple_cycle_counts(
     h: Graph, max_len: int, budget: int = CYCLE_BUDGET, collect_len: int = 0
 ) -> tuple[dict[int, int], bool, set[int]]:
@@ -473,20 +553,27 @@ def simple_cycle_counts(
     It is extended further only if d + L <= max_len - 2, since going on
     takes two chains or more.  Paths grow depth first, at most _ROW_BLOCK
     joined arcs a step, so memory stays O(n + m) plus about max_len
-    blocks of paths and one block of at most _DIST_CELLS cells.
+    blocks of paths and the block's and group's arrays below.
 
-    dist is the chain-length distance in the whole kernel, from one
-    C-level dijkstra call per block of roots, stopped at max_len // 2; a
-    block holds as many roots as fit their rows of kernel vertices in
-    _DIST_CELLS cells.  A cycle's way back from w to r runs through kernel
-    vertices above r, so it is at least this unrestricted distance: the
-    test never drops an extension that can still close a counted cycle.
-    Every kernel vertex of a counted cycle is within max_len // 2 of r
-    along the cycle, so distances past that radius may stay infinite.  The
-    pruning is exact: the counts and vertices are those of an unpruned
-    search over all simple cycles.
+    dist is the chain-length distance in the whole kernel, read from the
+    reach bitsets of r's group of roots (``_reach``): the extension is kept
+    when r's bit is set in level min(max_len - d - L, max_len // 2) at w,
+    which is exactly d + L + dist(r, w) <= max_len.  A cycle's way back
+    from w to r runs through kernel vertices above r, so it is at least
+    this unrestricted distance: the test never drops an extension that can
+    still close a counted cycle.  Every kernel vertex of a counted cycle
+    is within max_len // 2 of r along the cycle, so the levels stop at
+    that radius.  The pruning is exact: the counts and vertices are those
+    of an unpruned search over all simple cycles.
 
-    The chains back from w to r come from the same (root, w) cells of two
+    A block holds as many roots as fit their rows of kernel vertices in
+    _BACK_CELLS cells, and a group as many whole blocks as fit its reach
+    bitsets, (max_len // 2 + 1) rows of W words per kernel vertex, in
+    _REACH_WORDS words with at least 64 roots, or one block.  So the
+    arrays of a group take O(kernel size) memory, however many roots
+    there are.
+
+    The chains back from w to r come from the (root, w) cells of two
     int32 tables, back_first and back_count, which name the run of r's own
     arcs to w: the reverse of an arc w -> r is an arc r -> w of the same
     chain id and length, and r's arcs are sorted by (far end, chain id),
@@ -510,17 +597,18 @@ def simple_cycle_counts(
     roots = np.flatnonzero(np.bincount(src[kern.dst > src], minlength=size) >= 2)
     kernel_on, chain_on = np.zeros(size, dtype=bool), np.zeros(kern.chain_run.size, dtype=bool)
     left = max(budget, 0)
-    per_block = max(1, _DIST_CELLS // max(size, 1))
+    radius = max_len // 2
+    per_block = max(1, _BACK_CELLS // max(size, 1))
+    per_group = per_block * max(1, 64 * max(1, _REACH_WORDS // ((radius + 1) * max(size, 1))) // per_block)
     if roots.size:
-        # the shortest chain between each pair of adjacent kernel vertices
-        keys = src * size + kern.dst   # ascending: the arcs are sorted by (source, far end)
-        pairs = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        nearest = _csr(size, src[pairs], kern.dst[pairs], np.minimum.reduceat(kern.length, pairs).astype(float))
+        near = _near_arcs(kern, src, radius)
+        reach = np.zeros((1 + (radius + 1) * size, -(-min(per_group, roots.size) // 64)), dtype=np.uint64)
         cells = min(per_block, roots.size) * size
         back_first, back_count = np.zeros(cells, dtype=np.int32), np.zeros(cells, dtype=np.int32)
     for lo in range(0, roots.size, per_block):
+        if lo % per_group == 0:   # a group is whole blocks
+            _reach(near, roots[lo:lo + per_group], reach)
         block = roots[lo:lo + per_block]
-        dist = dijkstra(nearest, indices=block, limit=max_len // 2)
         # the arcs out of each root, by the cell (slot, far end) they fill;
         # a root's row is sorted by far end, so each cell's arcs are one run
         slot, arc = _segments(kern.indptr[block], outdeg[block])
@@ -530,7 +618,8 @@ def simple_cycle_counts(
         back_first[filled] = arc[first]
         back_count[filled] = np.diff(first, append=cell.size)
         left = _scan_roots(
-            kern, block, dist.ravel(), back_first, back_count, max_len, left, counts, kernel_on, chain_on, collect_len
+            kern, block, reach, lo % per_group, back_first, back_count, max_len, left, counts, kernel_on, chain_on,
+            collect_len,
         )
         back_count[filled] = 0   # back_first is read only where back_count > 0
         if left < 0:
@@ -549,7 +638,8 @@ def simple_cycle_counts(
 def _scan_roots(
     kern: _Kernel,
     block: np.ndarray,
-    dist: np.ndarray,
+    reach: np.ndarray,
+    base: int,
     back_first: np.ndarray,
     back_count: np.ndarray,
     max_len: int,
@@ -562,15 +652,22 @@ def _scan_roots(
     """Count into counts the cycles of length <= max_len rooted at the
     kernel vertices in block, as simple_cycle_counts describes, and mark
     in kernel_on and chain_on the kernel vertices and chains of those of
-    length <= collect_len.  Cell s * size + w of dist, back_first and
-    back_count holds, for the root block[s], its distance to the kernel
-    vertex w, its first arc to w and its number of arcs to w.  Takes at
-    most left extensions; returns how many are left, or -1 when they ran
-    out first."""
+    length <= collect_len.  The root block[s] is bit base + s of the reach
+    bitsets reach (see ``_reach``), and cell s * size + w of back_first
+    and back_count holds its first arc to the kernel vertex w and its
+    number of arcs to w.  Takes at most left extensions; returns how many
+    are left, or -1 when they ran out first."""
     size = kern.vertices.size
+    words = reach.shape[1]
+    flat = reach.reshape(-1)
     outdeg = np.diff(kern.indptr)
     slot = np.zeros(size, dtype=np.int64)
     slot[block] = np.arange(block.size)
+    place = np.arange(block.size) + base
+    word, mask = place >> 6, np.left_shift(np.uint64(1), (place & 63).astype(np.uint64))
+    # per path length l, the first row of the level min(max_len - l, radius),
+    # or of level 0, which holds only the roots, once l exceeds max_len
+    level_at = 1 + np.clip(max_len - np.arange(2 * max_len), 0, max_len // 2) * size
     none = np.full(block.size, -1)
     stack = [_Paths(None, none, block, none, block, none, np.zeros_like(block), np.zeros(block.size, dtype=np.uint64))]
     while stack:
@@ -587,8 +684,10 @@ def _scan_roots(
         row += start
         w, root = kern.dst[arc], paths.root[row]
         length = paths.length[row] + kern.length[arc]
-        cell = slot[root] * size + w
-        keep = np.flatnonzero((w > root) & (length + dist[cell] <= max_len))
+        at = slot[root]
+        cell = at * size + w
+        within = flat[(level_at[length] + w) * words + word[at]] & mask[at]
+        keep = np.flatnonzero((w > root) & (within != 0))
         row, arc, w, cell, length = row[keep], arc[keep], w[keep], cell[keep], length[keep]
         bit = np.left_shift(np.uint64(1), (w & 63).astype(np.uint64))
         clash = (paths.seen[row] & bit) != 0

@@ -35,6 +35,7 @@ from .harness import (
     Z_GATE,
     ConfigError,
     ExperimentConfig,
+    _is_int,
     _sweep_alpha,
     acceptance_rates,
     posterior_dump_csv,
@@ -107,8 +108,9 @@ def _read_bundle(path: str) -> tuple[ModelParams, Bijection, Graph, Graph]:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ConfigError("sample bundle must be a JSON object")
-    if payload.get("version") != BUNDLE_VERSION:
-        raise ConfigError("unsupported sample bundle version")
+    version = payload.get("version")
+    if not _is_int(version) or version != BUNDLE_VERSION:
+        raise ConfigError(f"unsupported sample bundle version {version!r}")
     missing = [key for key in ("n", "p", "s", "pi_star", "g", "g_bar") if key not in payload]
     if missing:
         raise ConfigError(f"sample bundle lacks the key {missing[0]!r}")

@@ -91,13 +91,14 @@ def _is_finite(value) -> bool:
 class ExperimentConfig:
     """One experiment run.  Round-trips losslessly through JSON; unknown
     keys, at the top level and inside ``estimator``, are rejected rather
-    than ignored, and so are values of the wrong type: ``n``, ``seed``,
-    ``replicates`` and ``threads`` must be integers (not bools), ``seed``
-    in [0, 2**64), ``p``, ``s`` and ``alpha`` finite numbers (not bools) or
-    null, the grids JSON arrays (kept as tuples, whatever sequence the
-    constructor is given) of finite numbers (``theta_grid`` entries
-    with e^theta a float, ``k_grid`` entries integers >= 1), and in
-    ``estimator`` ``run_map`` must be a bool, ``curve_n`` and
+    than ignored, and so are values of the wrong type: ``version`` must be
+    the integer 1, ``n``, ``seed``, ``replicates`` and ``threads``
+    integers (not bools), ``seed`` in [0, 2**64), ``p``, ``s`` and
+    ``alpha`` finite numbers (not bools) or null, the grids JSON arrays
+    (kept as tuples, whatever sequence the constructor is given) of
+    finite numbers (``theta_grid`` entries with e^theta a float,
+    ``k_grid`` entries integers >= 1), and in ``estimator`` ``run_map``
+    must be a bool, ``curve_n`` and
     ``curve_replicates`` integers >= 1, ``budget`` an integer and ``eta``
     and ``c_lambda_hat`` finite numbers, the last three within the ranges
     that EstimatorConfig.check_range states.
@@ -134,8 +135,8 @@ class ExperimentConfig:
     ESTIMATOR_KEYS = ("curve_n", "curve_replicates", "eta", "c_lambda_hat", "budget", "run_map")
 
     def __post_init__(self) -> None:
-        if self.version != CONFIG_VERSION:
-            raise ConfigError(f"unsupported config version {self.version}")
+        if not _is_int(self.version) or self.version != CONFIG_VERSION:
+            raise ConfigError(f"unsupported config version {self.version!r}")
         if self.kind not in self.READS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         for key in ("lambda_grid", "theta_grid", "k_grid"):   # a list grid equals its JSON round trip

@@ -777,14 +777,16 @@ def test_simple_cycle_counts_match_kernel_dfs_on_workload_graphs():
 
 
 def test_simple_cycle_counts_do_not_depend_on_block_sizes(monkeypatch):
-    # tiny blocks: many blocks of roots, and paths split across steps
+    # tiny blocks: many blocks of roots and groups, and paths split across steps
     rng = stream(69, 0)
     graphs = [sample_er(int(n), min(1.0, 3.0 / n), rng) for n in rng.integers(30, 80, size=5)]
     graphs.append(_disjoint_union(*(part for parts, _ in KERNEL_CASES.values() for part in parts)))
+    graphs.append(sample_er(400, 3.0 / 400, rng))   # over 64 roots: several groups of roots
     want = [[_kernel_dfs_counts(g, max_len) for max_len in (5, 8)] for g in graphs]
-    for row_block, dist_cells in ((3, 5), (16, 40)):
+    for row_block, back_cells, reach_words in ((3, 5, 1), (16, 40, 1), (16, 40, 1 << 17)):
         monkeypatch.setattr(adm, "_ROW_BLOCK", row_block)
-        monkeypatch.setattr(adm, "_DIST_CELLS", dist_cells)
+        monkeypatch.setattr(adm, "_BACK_CELLS", back_cells)
+        monkeypatch.setattr(adm, "_REACH_WORDS", reach_words)
         for g, expected in zip(graphs, want):
             for max_len, counts in zip((5, 8), expected):
                 assert simple_cycle_counts(g, max_len, collect_len=max_len) == counts
@@ -936,9 +938,71 @@ def test_parallel_chains_close_through_every_arc(monkeypatch):
     for row_block, dist_cells in ((None, None), (3, 5), (16, 40)):
         if row_block is not None:
             monkeypatch.setattr(adm, "_ROW_BLOCK", row_block)
-            monkeypatch.setattr(adm, "_DIST_CELLS", dist_cells)
+            monkeypatch.setattr(adm, "_BACK_CELLS", dist_cells)
         for max_len, expected in want.items():
             assert simple_cycle_counts(union, max_len, collect_len=max_len) == expected, (row_block, max_len)
+
+
+# a root whose three chains to vertex 1 are longer than the radius at
+# max_len 8, so its ball holds itself alone
+LONE_ROOT = _chain_graph(2, [(0, 1, 5)] * 3)
+
+
+def _check_reach(g, max_len, monkeypatch):
+    """Run simple_cycle_counts(g, max_len) and check the reach bitsets of
+    each group of roots as it is filled: bit i of level d at v is set
+    exactly when scipy's dijkstra over the kernel's shortest chains,
+    stopped at max_len // 2, puts root i within d of v.  Returns (words,
+    groups, roots whose ball is themselves alone)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    kern = adm._contract_core(g.edge_array(), g.core_numbers() >= 2, max_len)
+    size, radius = kern.vertices.size, max_len // 2
+    nearest = {}
+    for u, v, length in zip(np.repeat(np.arange(size), np.diff(kern.indptr)).tolist(), kern.dst.tolist(), kern.length.tolist()):
+        nearest[u, v] = min(length, nearest.get((u, v), length))
+    arcs = np.array(list(nearest), dtype=np.int64).reshape(-1, 2)
+    matrix = csr_matrix((list(nearest.values()), (arcs[:, 0], arcs[:, 1])), shape=(size, size))
+    seen, fill = [0, 0, 0], adm._reach
+
+    def spy(near, group, reach):
+        fill(near, group, reach)
+        dist = dijkstra(matrix, indices=group, limit=radius)
+        i = np.arange(group.size)
+        levels = reach[1:].reshape(radius + 1, size, -1)
+        assert not reach[0].any()
+        for d in range(radius + 1):
+            bits = levels[d][:, i >> 6] >> (i & 63).astype(np.uint64) & np.uint64(1)
+            assert np.array_equal(bits.T == 1, dist <= d), (max_len, d)
+        seen[0] = max(seen[0], reach.shape[1])
+        seen[1] += 1
+        seen[2] += int(((dist <= radius).sum(axis=1) == 1).sum())
+
+    monkeypatch.setattr(adm, "_reach", spy)
+    simple_cycle_counts(g, max_len)
+    monkeypatch.setattr(adm, "_reach", fill)
+    return seen
+
+
+def test_reach_bitsets_match_dijkstra(monkeypatch):
+    small = [PARALLEL_CHAINS, LONE_ROOT, *(part for parts, _ in KERNEL_CASES.values() for part in parts)]
+    graphs = [(_disjoint_union(*small), range(3, 13))]
+    rng = stream(73, 0)
+    for _ in range(12):
+        n = int(rng.integers(50, 600))
+        graphs.append((sample_er(n, float(rng.uniform(2.0, 4.0)) / n, rng), [int(rng.integers(3, 13))]))
+    graphs += [(sample_er(2000, 2.0 / 2000, stream(906, rep)), [12]) for rep in range(24)]
+    graphs.append((sample_er(20_000, 2.0 / 20_000, stream(71, 0)), [12]))   # sparse: few rows pulled a level
+    most_words, most_groups, alone = 0, 0, 0
+    # the default budget, then 64 roots or one block a group
+    for reach_words in (adm._REACH_WORDS, 1):
+        monkeypatch.setattr(adm, "_REACH_WORDS", reach_words)
+        for g, lengths in graphs:
+            for max_len in lengths:
+                words, groups, lone = _check_reach(g, max_len, monkeypatch)
+                most_words, most_groups, alone = max(most_words, words), max(most_groups, groups), alone + lone
+    assert most_words > 1 and most_groups > 1 and alone > 0
 
 
 # (total count, completed, vertex count) of simple_cycle_counts(g, 12, budget,

@@ -89,10 +89,12 @@ def test_bundle_missing_a_key_exits_3(tmp_path, capsys):
         (lambda b: {**b, "pi_star": "01234567"}, "vertex ids must be integers"),
         (lambda b: {**b, "pi_star": [True if v == 1 else v for v in b["pi_star"]]}, "vertex ids must be integers"),
         (lambda b: {**b, "n": 9}, "size mismatch: vertex counts"),
+        (lambda b: {**b, "version": True}, "unsupported sample bundle version True"),
+        (lambda b: {**b, "version": 1.0}, "unsupported sample bundle version 1.0"),
     ],
     ids=[
         "list", "string n", "bool n", "null p", "string p", "bool s", "int g", "string pi_star",
-        "bool in pi_star", "n off by one",
+        "bool in pi_star", "n off by one", "bool version", "float version",
     ],
 )
 def test_malformed_bundle_exits_3(tmp_path, capsys, change, message):
@@ -104,7 +106,9 @@ def test_malformed_bundle_exits_3(tmp_path, capsys, change, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("lambda_grid", 5), ("threads", 1.5), ("replicates", True)])
+@pytest.mark.parametrize(
+    "field, value", [("lambda_grid", 5), ("threads", 1.5), ("replicates", True), ("version", True), ("version", 1.0)]
+)
 def test_mistyped_config_value_exits_3(tmp_path, capsys, field, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"kind": "rho-curve", "n": 50, "lambda_grid": [2.0], field: value}))
