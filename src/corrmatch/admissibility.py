@@ -599,6 +599,7 @@ def simple_cycle_counts(
     left = max(budget, 0)
     radius = max_len // 2
     per_block = max(1, _BACK_CELLS // max(size, 1))
+    # whole blocks, as many as fit their reach bitsets in _REACH_WORDS words, but 64 roots at least
     per_group = per_block * max(1, 64 * max(1, _REACH_WORDS // ((radius + 1) * max(size, 1))) // per_block)
     if roots.size:
         near = _near_arcs(kern, src, radius)

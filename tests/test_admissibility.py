@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 import corrmatch.admissibility as adm
 from corrmatch.admissibility import (
@@ -954,9 +956,6 @@ def _check_reach(g, max_len, monkeypatch):
     exactly when scipy's dijkstra over the kernel's shortest chains,
     stopped at max_len // 2, puts root i within d of v.  Returns (words,
     groups, roots whose ball is themselves alone)."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
     kern = adm._contract_core(g.edge_array(), g.core_numbers() >= 2, max_len)
     size, radius = kern.vertices.size, max_len // 2
     nearest = {}
