@@ -48,14 +48,16 @@ max(t, cycle_len_cap), serves both conditions: it counts the cycles for
 scan counts cycles on the contracted 2-core: every maximal chain of
 core-degree-2 vertices becomes one weighted edge between kernel vertices
 (core degree >= 3), and the cycles of more than one chain are found by
-extending kernel paths from each root in numpy, many paths per step,
-pruned by the unrestricted kernel distance back to the root, read as one
-bit of the reach bitsets that a multi-source Dial fills per group of
-roots.  That distance is a lower bound on the length of any way back
-that a counted cycle can take, so the pruning loses no cycle.  The
-scan's budget counts the path extensions it keeps, in one fixed order;
-running out yields lower-bound counts and "undecided" (or a failure
-those lower bounds already prove), never a silent pass.
+extending kernel paths from each group of roots in numpy, many paths per
+step, pruned by the unrestricted kernel distance back to the root, read
+as one bit of the reach bitsets that a multi-source Dial fills per
+group, and closed where one bit of the group's adjacency bitset says
+that an arc leads back to the root.  That distance is a lower bound on
+the length of any way back that a counted cycle can take, so the
+pruning loses no cycle.  The scan's budget counts the path extensions it
+keeps, in one fixed order; running out yields lower-bound counts and
+"undecided" (or a failure those lower bounds already prove), never a
+silent pass.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -92,8 +95,6 @@ ZETA_GRID = tuple(1.0 + 0.5**j for j in range(1, 8))   # 1.5, 1.25, ..., ~1.0078
 CYCLE_BUDGET = 20_000_000   # path extensions a cycle scan may keep
 
 _ROW_BLOCK = 32768      # arcs joined per step of the cycle scan
-_BACK_CELLS = 1 << 17   # (root, kernel vertex) cells per block of roots: two int32
-                        # closing-arc entries each
 _REACH_WORDS = 1 << 17  # uint64 words of reach bitsets per group of roots, unless
                         # one word per kernel vertex and level exceeds it
 
@@ -459,14 +460,14 @@ class _Near(NamedTuple):
     tails: np.ndarray    # the kernel indices with an arc out
 
 
-def _near_arcs(kern: _Kernel, src: np.ndarray, radius: int) -> _Near:
-    """The near arcs of kern, whose arcs run from src, up to radius."""
+def _near_arcs(kern: _Kernel, keys: np.ndarray, radius: int) -> _Near:
+    """The near arcs of kern, whose arcs have the ascending keys source *
+    size + far end, up to radius."""
     size = kern.vertices.size
-    keys = src * size + kern.dst   # ascending: the arcs are sorted by (source, far end)
     pairs = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     length = np.minimum.reduceat(kern.length, pairs)
     short = length <= radius
-    tail, far, length = src[pairs[short]], kern.dst[pairs[short]], length[short]
+    tail, far, length = keys[pairs[short]] // size, kern.dst[pairs[short]], length[short]
     by_length = np.argsort(tail * (radius + 1) + length, kind="stable")
     far, length = far[by_length], length[by_length]
     upto = np.bincount(length * size + tail, minlength=(radius + 1) * size).reshape(radius + 1, size).cumsum(axis=0)
@@ -542,8 +543,8 @@ def simple_cycle_counts(
 
     Every other cycle uses at least two chains and is counted once, rooted
     at its least kernel vertex r, by extending simple kernel paths from r
-    through kernel vertices above r.  The roots are taken in blocks and
-    all paths of a block grow together, one numpy step per block of paths
+    through kernel vertices above r.  The roots are taken in groups and
+    all paths of a group grow together, one numpy step per block of paths
     (``_Paths``): a path of length d from r to u is joined to every arc
     out of u, and the extension along a chain of length L to w is kept if
     w > r, w is not on the path and d + L + dist(r, w) <= max_len.  Each
@@ -553,36 +554,30 @@ def simple_cycle_counts(
     It is extended further only if d + L <= max_len - 2, since going on
     takes two chains or more.  Paths grow depth first, at most _ROW_BLOCK
     joined arcs a step, so memory stays O(n + m) plus about max_len
-    blocks of paths and the block's and group's arrays below.
+    blocks of paths and the group's arrays below.
 
     dist is the chain-length distance in the whole kernel, read from the
-    reach bitsets of r's group of roots (``_reach``): the extension is kept
-    when r's bit is set in level min(max_len - d - L, max_len // 2) at w,
-    which is exactly d + L + dist(r, w) <= max_len.  A cycle's way back
-    from w to r runs through kernel vertices above r, so it is at least
-    this unrestricted distance: the test never drops an extension that can
+    reach bitsets of r's group (``_reach``): the extension is kept when
+    r's bit is set in level min(max_len - d - L, max_len // 2) at w, which
+    is exactly d + L + dist(r, w) <= max_len.  A cycle's way back from w
+    to r runs through kernel vertices above r, so it is at least this
+    unrestricted distance: the test never drops an extension that can
     still close a counted cycle.  Every kernel vertex of a counted cycle
     is within max_len // 2 of r along the cycle, so the levels stop at
     that radius.  The pruning is exact: the counts and vertices are those
     of an unpruned search over all simple cycles.
 
-    A block holds as many roots as fit their rows of kernel vertices in
-    _BACK_CELLS cells, and a group as many whole blocks as fit its reach
-    bitsets, (max_len // 2 + 1) rows of W words per kernel vertex, in
-    _REACH_WORDS words with at least 64 roots, or one block.  So the
-    arrays of a group take O(kernel size) memory, however many roots
-    there are.
-
-    The chains back from w to r come from the (root, w) cells of two
-    int32 tables, back_first and back_count, which name the run of r's own
-    arcs to w: the reverse of an arc w -> r is an arc r -> w of the same
-    chain id and length, and r's arcs are sorted by (far end, chain id),
-    so the run lists the closing chains in the order w's arcs to r would,
-    without a search.  The tables are allocated once per call, and after
-    each block only the cells it filled are cleared.
+    A group holds as many roots as fit their reach bitsets, (max_len // 2
+    + 1) rows of W words per kernel vertex, in _REACH_WORDS words, and 64
+    roots at least.  Its adjacency bitset is laid out like one level: bit
+    s of row w is set when the group's root s has an arc to w.  A kept
+    extension to w whose root's bit is set there finds its closing chains
+    by a binary search for w's arcs to r, which are sorted by chain id.
+    Only the cells the group set are cleared after it.  So the arrays of a
+    group take O(kernel size) memory, however many roots there are.
 
     ``budget`` caps the path extensions kept, taken in one fixed order
-    (blocks of roots ascending, then depth first, arcs in kernel order);
+    (groups of roots ascending, then depth first, arcs in kernel order);
     cycles that are one chain take none.  When it runs out, completed is
     False, and the counts and vertices are those of the first budget
     extensions, so they are lower bounds that only grow with the budget.
@@ -598,31 +593,23 @@ def simple_cycle_counts(
     kernel_on, chain_on = np.zeros(size, dtype=bool), np.zeros(kern.chain_run.size, dtype=bool)
     left = max(budget, 0)
     radius = max_len // 2
-    per_block = max(1, _BACK_CELLS // max(size, 1))
-    # whole blocks, as many as fit their reach bitsets in _REACH_WORDS words, but 64 roots at least
-    per_group = per_block * max(1, 64 * max(1, _REACH_WORDS // ((radius + 1) * max(size, 1))) // per_block)
+    per_group = 64 * max(1, _REACH_WORDS // ((radius + 1) * max(size, 1)))
     if roots.size:
-        near = _near_arcs(kern, src, radius)
-        reach = np.zeros((1 + (radius + 1) * size, -(-min(per_group, roots.size) // 64)), dtype=np.uint64)
-        cells = min(per_block, roots.size) * size
-        back_first, back_count = np.zeros(cells, dtype=np.int32), np.zeros(cells, dtype=np.int32)
-    for lo in range(0, roots.size, per_block):
-        if lo % per_group == 0:   # a group is whole blocks
-            _reach(near, roots[lo:lo + per_group], reach)
-        block = roots[lo:lo + per_block]
-        # the arcs out of each root, by the cell (slot, far end) they fill;
-        # a root's row is sorted by far end, so each cell's arcs are one run
-        slot, arc = _segments(kern.indptr[block], outdeg[block])
-        cell = slot * size + kern.dst[arc]
-        first = np.flatnonzero(np.diff(cell, prepend=-1))
-        filled = cell[first]
-        back_first[filled] = arc[first]
-        back_count[filled] = np.diff(first, append=cell.size)
-        left = _scan_roots(
-            kern, block, reach, lo % per_group, back_first, back_count, max_len, left, counts, kernel_on, chain_on,
-            collect_len,
-        )
-        back_count[filled] = 0   # back_first is read only where back_count > 0
+        keys = src * size + kern.dst   # ascending: the arcs are sorted by (source, far end, chain id)
+        near = _near_arcs(kern, keys, radius)
+        words = -(-min(per_group, roots.size) // 64)
+        reach = np.zeros((1 + (radius + 1) * size, words), dtype=np.uint64)
+        adjacent = np.zeros(size * words, dtype=np.uint64)
+    for lo in range(0, roots.size, per_group):
+        group = roots[lo:lo + per_group]
+        _reach(near, group, reach)
+        # or'ed in place: parallel chains, and roots of one word with a
+        # common neighbour, repeat a cell
+        slot, arc = _segments(kern.indptr[group], outdeg[group])
+        cell = kern.dst[arc] * words + (slot >> 6)
+        np.bitwise_or.at(adjacent, cell, np.left_shift(np.uint64(1), (slot & 63).astype(np.uint64)))
+        left = _scan_roots(kern, group, reach, adjacent, keys, max_len, left, counts, kernel_on, chain_on, collect_len)
+        adjacent[cell] = 0
         if left < 0:
             break
     run_on = np.zeros(kern.runs.max(initial=-1) + 1, dtype=bool)
@@ -638,11 +625,10 @@ def simple_cycle_counts(
 
 def _scan_roots(
     kern: _Kernel,
-    block: np.ndarray,
+    group: np.ndarray,
     reach: np.ndarray,
-    base: int,
-    back_first: np.ndarray,
-    back_count: np.ndarray,
+    adjacent: np.ndarray,
+    keys: np.ndarray,
     max_len: int,
     left: int,
     counts: np.ndarray,
@@ -651,26 +637,26 @@ def _scan_roots(
     collect_len: int,
 ) -> int:
     """Count into counts the cycles of length <= max_len rooted at the
-    kernel vertices in block, as simple_cycle_counts describes, and mark
+    kernel vertices in group, as simple_cycle_counts describes, and mark
     in kernel_on and chain_on the kernel vertices and chains of those of
-    length <= collect_len.  The root block[s] is bit base + s of the reach
-    bitsets reach (see ``_reach``), and cell s * size + w of back_first
-    and back_count holds its first arc to the kernel vertex w and its
-    number of arcs to w.  Takes at most left extensions; returns how many
-    are left, or -1 when they ran out first."""
+    length <= collect_len.  The root group[s] is bit s of the reach
+    bitsets reach (see ``_reach``), whose rows are W words, and of the
+    adjacency bitset adjacent, whose word w * W + s // 64 holds it when
+    group[s] has an arc to the kernel vertex w; keys are the kernel's
+    arcs' source * size + far end, ascending.  Takes at most left
+    extensions; returns how many are left, or -1 when they ran out first."""
     size = kern.vertices.size
     words = reach.shape[1]
     flat = reach.reshape(-1)
     outdeg = np.diff(kern.indptr)
     slot = np.zeros(size, dtype=np.int64)
-    slot[block] = np.arange(block.size)
-    place = np.arange(block.size) + base
-    word, mask = place >> 6, np.left_shift(np.uint64(1), (place & 63).astype(np.uint64))
+    slot[group] = np.arange(group.size)
+    word, mask = slot >> 6, np.left_shift(np.uint64(1), (slot & 63).astype(np.uint64))
     # per path length l, the first row of the level min(max_len - l, radius),
     # or of level 0, which holds only the roots, once l exceeds max_len
     level_at = 1 + np.clip(max_len - np.arange(2 * max_len), 0, max_len // 2) * size
-    none = np.full(block.size, -1)
-    stack = [_Paths(None, none, block, none, block, none, np.zeros_like(block), np.zeros(block.size, dtype=np.uint64))]
+    none = np.full(group.size, -1)
+    stack = [_Paths(None, none, group, none, group, none, np.zeros_like(group), np.zeros(group.size, dtype=np.uint64))]
     while stack:
         paths = stack[-1]
         start = paths.next
@@ -685,11 +671,9 @@ def _scan_roots(
         row += start
         w, root = kern.dst[arc], paths.root[row]
         length = paths.length[row] + kern.length[arc]
-        at = slot[root]
-        cell = at * size + w
-        within = flat[(level_at[length] + w) * words + word[at]] & mask[at]
+        within = flat[(level_at[length] + w) * words + word[root]] & mask[root]
         keep = np.flatnonzero((w > root) & (within != 0))
-        row, arc, w, cell, length = row[keep], arc[keep], w[keep], cell[keep], length[keep]
+        row, arc, w, root, length = row[keep], arc[keep], w[keep], root[keep], length[keep]
         bit = np.left_shift(np.uint64(1), (w & 63).astype(np.uint64))
         clash = (paths.seen[row] & bit) != 0
         if size > 64 and clash.any():   # the filter is exact up to 64 kernel vertices
@@ -706,13 +690,17 @@ def _scan_roots(
             left = -1
         else:
             left -= keep.size
-        row, arc, w, cell, length, bit = row[keep], arc[keep], w[keep], cell[keep], length[keep], bit[keep]
+        row, arc, w, root, length, bit = row[keep], arc[keep], w[keep], root[keep], length[keep], bit[keep]
         chain = kern.chain[arc]
         lead = paths.lead[row]
         lead = np.where(lead < 0, chain, lead)
         # close through each chain between w and the root whose id is above
-        # the first chain's: the root's arcs to w, by chain id
-        hit, back = _segments(back_first[cell], back_count[cell])
+        # the first chain's: w's arcs to the root, by chain id
+        close = np.flatnonzero(adjacent[w * words + word[root]] & mask[root])
+        key = w[close] * size + root[close]
+        first = np.searchsorted(keys, key)
+        owner, back = _segments(first, np.searchsorted(keys, key, side="right") - first)
+        hit = close[owner]
         total = length[hit] + kern.length[back]
         ok = (kern.chain[back] > lead[hit]) & (total <= max_len)
         counts += np.bincount(total[ok], minlength=max_len + 1)
@@ -925,11 +913,17 @@ def find_good_set(h: Graph, b: set[int], k_target: int, c_big: int) -> tuple[int
     """Greedy good subset of b: drop vertices near short cycles, then add
     candidates in ascending id whose (2C+2)-ball avoids the current set.
     Returns the first k_target vertices found, or the maximal set if the
-    greedy runs out (a shortfall, not an error)."""
+    greedy runs out (a shortfall, not an error); k_target is an integer
+    >= 0, not a bool."""
+    if isinstance(k_target, bool) or not isinstance(k_target, numbers.Integral) or k_target < 0:
+        raise ValueError(f"k_target must be an integer >= 0, got {k_target!r}")
+    candidates = vertex_set(h.n, b).tolist()
+    if k_target == 0:
+        return ()
     blocked = _bfs(h.csr(), _short_cycle_vertices(h, c_big), c_big)
     chosen: list[int] = []
     covered: set[int] = set()
-    for v in vertex_set(h.n, b).tolist():
+    for v in candidates:
         if v in blocked or v in covered:
             continue
         chosen.append(v)

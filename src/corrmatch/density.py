@@ -41,6 +41,7 @@ CSV.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -202,13 +203,20 @@ def level_below(x: float, n: int) -> Fraction:
     return Fraction((b * c - 1) // d, b)
 
 
-def density_exceeds(g: Graph, gamma: Fraction) -> bool:
+def density_exceeds(g: Graph, gamma: Fraction | int) -> bool:
     """Whether some nonempty vertex set U of g has more than gamma * |U|
-    edges.  At gamma <= 1 no flow is run: a component with more edges than
-    vertices has rho* > 1 >= gamma, and otherwise _at_most_one_cycle gives
-    rho* in closed form.  Above 1 a k-core denser than gamma answers yes,
-    an empty ceil(gamma)-core answers no, and otherwise one max-flow on
-    that core decides.  No proves rho* <= gamma without solving for rho*."""
+    edges, for an int or a Fraction gamma (any rational but a bool; a
+    float x is asked at level_below(x, n)).  At gamma <= 1 no flow is run:
+    a component with more edges than vertices has rho* > 1 >= gamma, and
+    otherwise _at_most_one_cycle gives rho* in closed form.  Above 1 a
+    k-core denser than gamma answers yes, an empty ceil(gamma)-core
+    answers no, and otherwise one max-flow on that core decides.  No
+    proves rho* <= gamma without solving for rho*."""
+    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Rational):
+        raise ValueError(
+            f"gamma must be an int or a Fraction, not {type(gamma).__name__}; take a float x at level_below(x, n)"
+        )
+    gamma = Fraction(gamma)
     if gamma <= 1:   # n = 0 answers no
         return g.n > 0 and ((res := _at_most_one_cycle(g)) is None or res.density > gamma)
     core, edges, edge_core = _edge_cores(g)

@@ -778,16 +778,22 @@ def test_simple_cycle_counts_match_kernel_dfs_on_workload_graphs():
         assert adm._contract_core(g.edge_array(), g.core_numbers() >= 2, 12).vertices.size > 64
 
 
+def test_simple_cycle_counts_match_kernel_dfs_at_1e5():
+    # many groups of roots, and the reach fill's pulls of a few rows a level
+    g = sample_er(10**5, 2e-5, stream(9, 0))
+    assert simple_cycle_counts(g, 12, collect_len=12) == _kernel_dfs_counts(g, 12)
+
+
 def test_simple_cycle_counts_do_not_depend_on_block_sizes(monkeypatch):
-    # tiny blocks: many blocks of roots and groups, and paths split across steps
+    # tiny steps split paths across steps; one reach word a group makes
+    # groups of 64 roots, and the default makes one group of them all
     rng = stream(69, 0)
     graphs = [sample_er(int(n), min(1.0, 3.0 / n), rng) for n in rng.integers(30, 80, size=5)]
     graphs.append(_disjoint_union(*(part for parts, _ in KERNEL_CASES.values() for part in parts)))
     graphs.append(sample_er(400, 3.0 / 400, rng))   # over 64 roots: several groups of roots
     want = [[_kernel_dfs_counts(g, max_len) for max_len in (5, 8)] for g in graphs]
-    for row_block, back_cells, reach_words in ((3, 5, 1), (16, 40, 1), (16, 40, 1 << 17)):
+    for row_block, reach_words in ((3, 1), (16, 1), (3, 1 << 17), (16, 1 << 17)):
         monkeypatch.setattr(adm, "_ROW_BLOCK", row_block)
-        monkeypatch.setattr(adm, "_BACK_CELLS", back_cells)
         monkeypatch.setattr(adm, "_REACH_WORDS", reach_words)
         for g, expected in zip(graphs, want):
             for max_len, counts in zip((5, 8), expected):
@@ -836,10 +842,11 @@ def _subset_cycle_counts(h, max_len):
     for u, v in h.edges:
         adj[u, v] = adj[v, u] = 1
     masks = np.arange(1 << n)
-    low = np.full(1 << n, n)
+    low, size = np.full(1 << n, n), np.zeros(1 << n, dtype=np.int64)
     for v in reversed(range(n)):
-        low[masks >> v & 1 == 1] = v
-    size = np.bitwise_count(masks)
+        member = masks >> v & 1 == 1
+        low[member] = v
+        size += member
     walks = np.zeros((1 << n, n), dtype=np.int64)
     walks[1 << np.arange(n), np.arange(n)] = 1
     counts = {k: 0 for k in range(3, max_len + 1)}
@@ -916,17 +923,19 @@ def test_cycle_scan_memory_sparse():
 
 
 # three parallel chains of lengths 1, 2 and 3 between kernel vertices 0 and 1
-# and a loop chain at 0, so several closing arcs share one (root, w) cell, and
-# past them a square 0-1-2-3 with doubled sides 1-2 and 2-3: root 0's arcs to
-# 1 are followed by one to 3 along the last chain, and root 1, a block later
-# under tiny blocks, has no arc to 3 but reaches it through 2
+# and a loop chain at 0, so several closing arcs share one adjacency bit, and
+# past them a square 0-1-2-3 with doubled sides 1-2 and 2-3: roots 0 and 2
+# both have arcs to 1 and to 3, so they set bits of one adjacency word, and
+# root 1 has no arc to 3 but reaches it through 2
 PARALLEL_CHAINS = _chain_graph(
     4, [(0, 1, 1), (0, 1, 2), (0, 1, 3), (0, 0, 3), (1, 2, 1), (1, 2, 2), (2, 3, 1), (2, 3, 2), (0, 3, 2)]
 )
 
 
 def test_parallel_chains_close_through_every_arc(monkeypatch):
-    parts = [PARALLEL_CHAINS, *(part for parts, _ in KERNEL_CASES.values() for part in parts)]
+    # 40 copies of K4 take the first 80 roots, so under one reach word a
+    # group PARALLEL_CHAINS lies in the second group of 64
+    parts = [_complete(4)] * 40 + [PARALLEL_CHAINS, *(part for parts, _ in KERNEL_CASES.values() for part in parts)]
     union = _disjoint_union(*parts)
     want = {}
     for max_len in (5, 8, 12):
@@ -937,12 +946,28 @@ def test_parallel_chains_close_through_every_arc(monkeypatch):
             vertices.update(v + offset for v in part_vertices)
             offset += n
         want[max_len] = ({k: counts[k] for k in range(3, max_len + 1)}, True, vertices)
-    for row_block, dist_cells in ((None, None), (3, 5), (16, 40)):
+    scan, groups = adm._scan_roots, []
+
+    def spy(kern, group, reach, adjacent, *args):
+        # the adjacency bitset holds the arcs of this group's roots, no more
+        words = reach.shape[1]
+        bits = np.zeros_like(adjacent)
+        for s, r in enumerate(group.tolist()):
+            for w in kern.dst[kern.indptr[r]:kern.indptr[r + 1]].tolist():
+                bits[w * words + s // 64] |= np.uint64(1) << np.uint64(s % 64)
+        assert np.array_equal(adjacent, bits)
+        groups.append(group.size)
+        return scan(kern, group, reach, adjacent, *args)
+
+    monkeypatch.setattr(adm, "_scan_roots", spy)
+    for row_block, reach_words in ((None, None), (3, 1), (16, 1), (3, 1 << 17)):
         if row_block is not None:
             monkeypatch.setattr(adm, "_ROW_BLOCK", row_block)
-            monkeypatch.setattr(adm, "_BACK_CELLS", dist_cells)
+            monkeypatch.setattr(adm, "_REACH_WORDS", reach_words)
         for max_len, expected in want.items():
+            groups.clear()
             assert simple_cycle_counts(union, max_len, collect_len=max_len) == expected, (row_block, max_len)
+            assert len(groups) == (2 if reach_words == 1 else 1), groups
 
 
 # a root whose three chains to vertex 1 are longer than the radius at
@@ -1153,6 +1178,15 @@ def test_find_good_set_output_always_good_and_monotone():
         # shrinking preserves goodness
         if len(got) >= 2:
             assert is_good_set(g, set(got[:-1]), 2).ok
+
+
+def test_find_good_set_takes_targets_of_zero_and_above():
+    g = Graph(10, [(0, 1), (2, 3)])
+    assert find_good_set(g, set(range(10)), 0, 1) == ()
+    assert find_good_set(g, set(range(10)), np.int64(2), 1) == (0, 2)
+    for target in (-1, True, False, 1.0, 2.5, "3", None):
+        with pytest.raises(ValueError, match="k_target"):
+            find_good_set(g, set(range(10)), target, 1)
 
 
 def test_find_good_set_reports_shortfall_not_error():

@@ -486,6 +486,25 @@ def test_density_exceeds_at_most_one_takes_no_flow(monkeypatch):
     assert calls == []
 
 
+
+def test_density_exceeds_checks_its_level_once(monkeypatch):
+    # rho* = 53/28, and the best k-core has density 301/163: 3/2 answers
+    # through the core shortcut, 37/20 and 11/5 through the flow, 1/2 with
+    # no flow; a float, a bool or a string is refused on every path alike
+    g = sample_er(200, 4 / 200, stream(3, 0))
+    assert densest_subgraph_exact(g).density == Fraction(53, 28)
+    calls = _count_flows(monkeypatch)
+    for level, flows in ((Fraction(1, 2), 0), (Fraction(3, 2), 0), (Fraction(37, 20), 1), (Fraction(11, 5), 1)):
+        calls.clear()
+        assert density_exceeds(g, level) == (level < Fraction(53, 28)), level
+        assert len(calls) == flows, level
+        with pytest.raises(ValueError, match="level_below"):
+            density_exceeds(g, float(level))
+    assert density_exceeds(g, 1) and not density_exceeds(g, np.int64(2))
+    for level in (True, False, np.bool_(True), "1", 1.0, complex(1)):
+        with pytest.raises(ValueError, match="level_below"):
+            density_exceeds(g, level)
+
 def _level_bruteforce(x, n):
     """max over q <= n of floor(x q)/q, x taken exactly and clamped to [-1, n]."""
     x = min(max(Fraction(x), Fraction(-1)), Fraction(n))
