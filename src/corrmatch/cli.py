@@ -296,6 +296,15 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _finite(text: str) -> float:
+    """The type of --invert-at: a finite float.  nan and inf lie outside
+    every rho curve, so they are refused before any draw."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error, but here 2 means a failed
     statistical check: a malformed command line is a config error."""
@@ -349,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambdas", type=str, default="1,1.5,2,4,8")
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--replicates", type=int, default=10)
-    sp.add_argument("--invert-at", type=float, default=None, help="report rho^{-1}(target)")
+    sp.add_argument("--invert-at", type=_finite, default=None, help="report rho^{-1}(target)")
 
     sp = add("estimate", _cmd_estimate, "MAP matching + candidate acceptance", seeded=True)
     sp.add_argument("--bundle", type=str, required=True)

@@ -7,10 +7,13 @@ capacity b*deg(v) - 2a if that is positive, v->sink with capacity
 2a - b*deg(v) if it is negative) has minimum cut
 2bm - base - 2 max_U (b|E(U)| - a|U|), base = sum_v min(b*deg(v), 2a), so
 one max-flow (solved from the sink end, see _cut_side) decides whether
-any subgraph beats gamma and exhibits a better one when it exists.  Guesses are refined Newton-style (each new
-guess is the density actually attained by the last witness), which keeps
-all capacities integral and small; the attainable densities are rationals
-with denominator <= n, so the loop terminates at the exact optimum.
+any subgraph beats gamma and exhibits a better one when it exists: the
+maximal source side of the minimum cut, the union of all maximizers of
+|E(U)| - gamma|U|, which one BFS over the residual graph finds.  Guesses
+are refined Newton-style (each new guess is the density actually attained
+by the last witness), which keeps all capacities integral and small; the
+attainable densities are rationals with denominator <= n, so the loop
+terminates at the exact optimum.
 
 Three facts cut the work without touching exactness.  The first guess
 gamma_0 is the best density among the whole graph and its k-cores, read
@@ -20,7 +23,8 @@ maximizer U of |E(U)| - gamma|U| loses by dropping any vertex, so every
 vertex has at least gamma neighbours in U and U lies in that core.  And
 the maximizers at a larger gamma lie inside those at a smaller one (the
 parametric min cuts nest, Gallo, Grigoriadis & Tarjan 1989), so each
-Newton step after the first runs inside the last witness.  The flow at
+Newton step after the first runs inside the last witness, the maximal
+maximizer at the last guess.  The flow at
 gamma = rho* ends the loop; its maximal source side is the union of all
 densest subsets (the maximal densest subgraph, unique because densest
 sets are closed under union), and that is the reported maximizer.  When
@@ -97,15 +101,21 @@ def _cut_side(n: int, edges: np.ndarray, gamma: Fraction) -> tuple[bool, np.ndar
     (b*deg(v) < 2a) hang, scipy's Dinic solver took 10-25% less time on
     the flows of sparse G(n, c/n) draws (n from 1e3 to 3e4).
 
-    Returns (improved, side, side_edges).  When some U has
-    b|E(U)| - a|U| > 0 (improved), side holds the minimal source side, the
-    vertices reachable from the source in the residual graph: the least
-    maximizer, whose density exceeds gamma.  Otherwise side holds the
-    maximal source side, the vertices that cannot reach the sink in the
-    residual graph: the union of all maximizers, which at gamma = rho* is
-    the maximal densest subgraph.  Either way its edge count, read off the
-    edge arrays, is checked against the cut identity
-    2(b|E(U)| - a|U|) = 2bm - base - flow_value.
+    Every terminal arc comes with a zero-capacity reverse, as each internal
+    arc already has, so the flow matrix scipy returns has the network's own
+    structure (checked on every call) and the residual capacities are
+    written over the flow values, one entry per arc.  The residual graph
+    of the reversed network is the transpose of the forward one: the
+    vertices the sink reaches in it are those that reach the sink in the
+    forward residual graph, so one BFS from the sink finds the maximal
+    source side for both outcomes.
+
+    Returns (improved, side, side_edges), side the maximal source side:
+    the union of all maximizers of b|E(U)| - a|U|.  When some U makes that
+    positive (improved), side is such a U, so its density exceeds gamma;
+    otherwise, at gamma = rho*, it is the maximal densest subgraph.  Its
+    edge count, read off the edge arrays, is checked against the cut
+    identity 2(b|E(U)| - a|U|) = 2bm - base - flow_value.
     """
     m = len(edges)
     a, b = gamma.numerator, gamma.denominator
@@ -114,28 +124,30 @@ def _cut_side(n: int, edges: np.ndarray, gamma: Fraction) -> tuple[bool, np.ndar
     excess = b * deg - 2 * a
     base = int(np.minimum(b * deg, 2 * a).sum())
     out, into = np.flatnonzero(excess > 0), np.flatnonzero(excess < 0)
-    rows = np.concatenate([np.full(out.size, src), into, edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([out, np.full(into.size, dst), edges[:, 1], edges[:, 0]])
-    caps = np.concatenate([excess[out], -excess[into], np.full(2 * m, b, dtype=np.int64)])
+    terminal = np.concatenate([np.full(out.size, src), into])
+    ends = np.concatenate([out, np.full(into.size, dst)])
+    rows = np.concatenate([terminal, edges[:, 0], edges[:, 1], ends])
+    cols = np.concatenate([ends, edges[:, 1], edges[:, 0], terminal])
+    caps = np.concatenate([
+        excess[out], -excess[into], np.full(2 * m, b, dtype=np.int64), np.zeros(terminal.size, dtype=np.int64)
+    ])
     if caps.size and caps.max() >= 2**31:
         raise OverflowError("capacities exceed the 32-bit flow solver range")
-    # every arc reversed, so `residual` is the transpose of the forward
-    # network's residual graph
+    # every arc reversed: the solver runs from the sink to the source
     graph = csr_matrix(
         (caps.astype(np.int32), (cols, rows)), shape=(n + 2, n + 2)
     )
     result = maximum_flow(graph, dst, src)
-    residual = graph - result.flow
-    residual.data = np.maximum(residual.data, 0)
+    residual = result.flow
+    if not (np.array_equal(residual.indptr, graph.indptr) and np.array_equal(residual.indices, graph.indices)):
+        raise AssertionError("the flow matrix does not share the network's structure")
+    np.subtract(graph.data, residual.data, out=residual.data)   # capacity - flow, at least 0
     residual.eliminate_zeros()
     cut = base + result.flow_value
     improved = cut < 2 * b * m
-    if improved:
-        reach = breadth_first_order(residual.T.tocsr(), src, directed=True, return_predecessors=False)
-    else:
-        reach = breadth_first_order(residual, dst, directed=True, return_predecessors=False)
-    side = np.full(n, not improved)
-    side[reach[reach < n]] = improved
+    reach = breadth_first_order(residual, dst, directed=True, return_predecessors=False)
+    side = np.ones(n, dtype=bool)
+    side[reach[reach < n]] = False
     side_edges = int(np.count_nonzero(side[edges[:, 0]] & side[edges[:, 1]]))
     if 2 * (b * side_edges - a * int(side.sum())) != 2 * b * m - cut:
         raise AssertionError("witness edge count disagrees with the minimum cut")
@@ -232,13 +244,16 @@ def densest_subgraph_exact(g: Graph) -> DensityResult:
     maximal densest subgraph, the union of all densest subsets.
 
     The Newton loop starts at gamma_0, the best density among the whole
-    graph and its k-cores (from `Graph.core_numbers`).  Each improving flow
-    at gamma returns the least maximizer A of f_gamma(U) = |E(U)| - gamma|U|,
-    which is strictly denser than gamma; the next guess gamma' is A's
-    density, and its flow runs on G[A] intersected with the
-    ceil(gamma')-core only.  The terminating flow, at gamma = rho*, returns
-    the union of all maximizers, which is the maximal densest subgraph
-    (densest sets are closed under union).
+    graph and its k-cores (from `Graph.core_numbers`).  Every flow at
+    gamma returns the maximal maximizer A of f_gamma(U) = |E(U)| - gamma|U|,
+    the union of all maximizers (one BFS, see _cut_side).  When the flow
+    improves, f_gamma(A) > 0, so A is strictly denser than gamma; the next
+    guess gamma' is A's density, and its flow runs on G[A] intersected
+    with the ceil(gamma')-core only.  The terminating flow, at
+    gamma = rho*, returns the maximal densest subgraph (densest sets are
+    closed under union).  Continuing from the maximal maximizer rather
+    than the least one can take a step more, but stays exact: the nesting
+    below holds for every maximizer U of f_gamma, the union included.
 
     Both restrictions are exact.  A vertex v of a maximizer U of f_gamma
     has deg_U(v) >= gamma, or dropping it would gain, so U lies in the
@@ -250,7 +265,7 @@ def densest_subgraph_exact(g: Graph) -> DensityResult:
     (gamma' - gamma)|W - U|; the left side is at most
     f_gamma(U) + f_gamma'(W) by maximality, so W - U is empty.  Hence the
     maximizers of f_gamma' over subsets of A are exactly its maximizers
-    over all of G, with the same least one and the same union.
+    over all of G, with the same union.
 
     Graphs whose components each have at most one cycle skip the flows:
     their maximizer has a closed form (_at_most_one_cycle), which a graph

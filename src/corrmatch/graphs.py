@@ -408,10 +408,13 @@ def _pair_count(n: int) -> int:
 
 
 def _decode_pairs(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Linear pair index -> (u, v), u < v, lexicographic order."""
+    """Linear pair index -> (u, v), u < v, lexicographic order, for
+    ascending indices idx (as _sample_distinct returns them): the indices
+    with left endpoint u are a run, counted by searching idx for the n
+    row starts instead of searching the row starts once per index."""
     u_grid = np.arange(n, dtype=np.int64)
     starts = u_grid * n - u_grid * (u_grid + 1) // 2   # first index with left endpoint u
-    us = np.searchsorted(starts, idx, side="right") - 1
+    us = np.repeat(u_grid, np.diff(np.searchsorted(idx, starts), append=idx.size))
     vs = idx - starts[us] + us + 1
     return us, vs
 

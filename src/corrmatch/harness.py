@@ -10,14 +10,17 @@ simulation; the determinism contract covers every other column.
 
 Replicates run in worker processes that parallel_map forks, at most
 os.cpu_count() of them, because the exact flow solves hold the GIL and
-threads would take turns on one core.  The start method is named
-("fork"), not left to the platform default, which Python 3.14 moves to
-"forkserver" on Linux: forked workers inherit the replicate closures,
-which could not be pickled.  Results are collected in item order.  One
-worker, one item, a map inside a worker and a platform without fork run
-serially.  The worker count is read from config.threads only; a
-`threads` argument to a run_* function replaces that field once, on
-entry, so nested runs (the sweep's reference curve) see it too.
+threads would take turns on one core.  Items go to the workers in chunks
+of consecutive indices, about eight chunks per worker (the size follows
+from the item and worker counts), which saves most of the per-item round
+trips through the pool.  The start method is named ("fork"), not left to
+the platform default, which Python 3.14 moves to "forkserver" on Linux:
+forked workers inherit the replicate closures, which could not be
+pickled.  Results are collected in item order.  One worker, one item, a
+map inside a worker and a platform without fork run serially.  The
+worker count is read from config.threads only; a `threads` argument to a
+run_* function replaces that field once, on entry, so nested runs (the
+sweep's reference curve) see it too.
 
 run_rho_curve is the one driver of the rho curve, at one lambda or many,
 and every report, its CSV included, is written through CsvReport.
@@ -235,11 +238,17 @@ def parallel_map(fn, items, threads: int) -> list:
     default, which Python 3.14 moves to "forkserver" on Linux), so they
     inherit fn and items from a module global and only item indices and
     results cross the pipes: fn may be a closure or a lambda, but what it
-    returns or raises must pickle.  Results come back in item order, and the
-    first item in that order whose fn raises passes its exception, type
-    kept, to the caller, as a serial map would; a worker that dies raises
-    BrokenProcessPool.  The pool never exceeds os.cpu_count() processes,
-    since more would only take turns on the same cores.  The map runs
+    returns or raises must pickle.  The indices go out in chunks of
+    ceil(len(items) / (8 * workers)) consecutive ones, computed from the
+    counts and not a setting: about eight chunks per worker, so a 100-item
+    map on two workers makes 15 round trips instead of 100, while the last
+    chunk is small enough not to leave one worker busy alone for long.
+    Results come back in item order, and the first item in that order whose
+    fn raises passes its exception, type kept, to the caller, as a serial
+    map would (a chunk stops at its first failing item, and the chunks are
+    read in order); a worker that dies raises BrokenProcessPool.  The pool
+    never exceeds os.cpu_count() processes, since more would only take
+    turns on the same cores.  The map runs
     serially in the calling process for one worker or at most one item,
     where fork is unavailable, and while another pool of this process is
     running: inside a pool worker (no nested pools) or on a second thread."""
@@ -253,10 +262,11 @@ def parallel_map(fn, items, threads: int) -> list:
         or not _pool_lock.acquire(blocking=False)
     ):
         return [fn(x) for x in items]
+    chunk = -(-len(items) // (8 * workers))
     try:
         _task = (fn, items)
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_run_item, range(len(items))))
+            return list(pool.map(_run_item, range(len(items)), chunksize=chunk))
     finally:
         _task = None
         _pool_lock.release()

@@ -337,6 +337,19 @@ def test_rho_curve_invert_at_reports_inside_and_refuses_outside(capsys):
     assert "refusing to extrapolate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf", "x"])
+def test_rho_curve_refuses_a_nonfinite_invert_at_before_any_draw(target, monkeypatch, capsys):
+    import corrmatch.harness as harness
+
+    draws = []
+    monkeypatch.setattr(harness, "rho_draw", lambda *args: draws.append(args))
+    with pytest.raises(SystemExit) as info:
+        RUN(["rho-curve", "--lambdas", "1,6", "--n", "80", "--replicates", "3", f"--invert-at={target}"])
+    assert info.value.code == 3 and draws == []
+    out, err = capsys.readouterr()
+    assert out == "" and "--invert-at" in err
+
+
 @pytest.mark.parametrize("alpha", ["0", "1", "1.5"])
 def test_placed_sweep_refuses_a_bad_alpha_before_its_reference_curve(capsys, monkeypatch, alpha):
     import corrmatch.cli as cli

@@ -293,11 +293,30 @@ def test_every_flow_is_checked_against_the_cut_identity(monkeypatch):
             densest_subgraph_exact(g)
 
 
+def test_every_flow_is_checked_against_the_network_structure(monkeypatch):
+    g = sample_er(300, 3 / 300, stream(11, 0))
+    calls = _count_flows(monkeypatch)
+    densest_subgraph_exact(g)
+    for bad in range(len(calls)):
+
+        def pruned(call, r):
+            if call != bad:
+                return r
+            flow = r.flow.copy()
+            flow.eliminate_zeros()   # drops the arcs that carry no flow
+            return SimpleNamespace(flow_value=r.flow_value, flow=flow)
+
+        _count_flows(monkeypatch, pruned)
+        with pytest.raises(AssertionError, match="structure"):
+            densest_subgraph_exact(g)
+
+
 def _textbook_cut(n, edges, gamma):
     """The two-arcs-per-vertex reduction network (source->v capacity
     b*deg(v), v->sink capacity 2a, doubled internal arcs of capacity b):
-    (improved, side, side_edges, flow_value), with the same source sides
-    as density._cut_side."""
+    (improved, side, side_edges, flow_value), side the maximal source
+    side for both outcomes, as density._cut_side reports it: the vertices
+    that cannot reach the sink in the residual graph."""
     m = len(edges)
     a, b = gamma.numerator, gamma.denominator
     src, dst = n, n + 1
@@ -312,12 +331,9 @@ def _textbook_cut(n, edges, gamma):
     residual.data = np.maximum(residual.data, 0)
     residual.eliminate_zeros()
     improved = result.flow_value < 2 * b * m
-    if improved:
-        reach = breadth_first_order(residual, src, return_predecessors=False)
-    else:
-        reach = breadth_first_order(residual.T.tocsr(), dst, return_predecessors=False)
-    side = np.full(n, not improved)
-    side[reach[reach < n]] = improved
+    reach = breadth_first_order(residual.T.tocsr(), dst, return_predecessors=False)
+    side = np.ones(n, dtype=bool)
+    side[reach[reach < n]] = False
     side_edges = int(np.count_nonzero(side[edges[:, 0]] & side[edges[:, 1]]))
     return improved, np.flatnonzero(side), side_edges, result.flow_value
 
@@ -402,12 +418,38 @@ def test_parametric_source_sides_nest():
         assert union_hi & ~least_lo == 0, (n, lo, hi)
         nonempty += union_hi != 0
         for gamma in (lo, hi):
-            least, union = _source_sides_bruteforce(g, gamma)
+            _, union = _source_sides_bruteforce(g, gamma)
             improved, side, _ = density_module._cut_side(n, edges, gamma)
-            assert sum(1 << int(v) for v in side) == (least if improved else union)
+            assert sum(1 << int(v) for v in side) == union
             seen.add(improved)
     assert seen == {True, False}, seen
     assert nonempty >= 10, nonempty
+
+
+def test_newton_steps_from_a_maximal_maximizer_stay_exact(monkeypatch):
+    # K5 with a vertex joined to three of its members (13 edges on 6
+    # vertices), a second K5 and a K4: the 4-core (the two K5) has density
+    # 2 and every other core less, so the first flow runs at gamma = 2,
+    # where the first part gains 1 and the second K5 ties at 0
+    k5_plus = (6, [*_clique(5)[1], (0, 5), (1, 5), (2, 5)])
+    g = _disjoint(k5_plus, _clique(5), _clique(4))
+    flows = []
+    cut_side = density_module._cut_side
+
+    def recorded(n, edges, gamma):
+        result = cut_side(n, edges, gamma)
+        flows.append((gamma, result[0]))
+        return result
+
+    monkeypatch.setattr(density_module, "_cut_side", recorded)
+    res = densest_subgraph_exact(g)
+    # the next step runs at the union's density 23/11, not at the least
+    # maximizer's 13/6, and lands on rho* = 13/6 one flow later
+    assert flows == [(Fraction(2), True), (Fraction(23, 11), True), (Fraction(13, 6), False)]
+    least, union = _source_sides_bruteforce(g, Fraction(2))
+    assert (least, union) == (0b111111, 0b11111111111)
+    assert (res.best_subset, res.density) == _maximal_densest_bruteforce(g)
+    assert (res.best_subset, res.density, res.witness_edges) == (tuple(range(6)), Fraction(13, 6), 13)
 
 
 def test_newton_steps_run_inside_the_last_witness(monkeypatch):

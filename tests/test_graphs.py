@@ -543,3 +543,18 @@ def test_first_appearances_at_the_packed_key_limit():
         draws = np.array([big, 3, big, 0, 3], dtype=np.int64)
         values, first = graphs._first_appearances(draws)
         assert values.tolist() == [0, 3, big] and first.tolist() == [3, 1, 0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_decode_pairs_matches_the_per_index_formula(n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]   # lexicographic: index i is pairs[i]
+    total = len(pairs)
+    rng = np.random.default_rng(n)
+    index_sets = [[], [0], [total - 1], [0, total - 1], list(range(total))]
+    index_sets += [sorted(rng.choice(total, size=k, replace=False).tolist()) for k in (1, total // 3, total - 1)]
+    # the last pair of each even row, so the odd rows hold no index
+    index_sets.append([i for i, (u, v) in enumerate(pairs) if v == n - 1 and u % 2 == 0])
+    for idx in index_sets:
+        us, vs = graphs._decode_pairs(n, np.array(idx, dtype=np.int64))
+        assert us.dtype == vs.dtype == np.int64
+        assert list(zip(us.tolist(), vs.tolist())) == [pairs[i] for i in idx]

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import signal
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -399,6 +400,53 @@ def test_parallel_map_caps_threads_at_cpu_count(monkeypatch):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
     assert parallel_map(str, range(5), threads=8) == [str(x) for x in range(5)]
     assert pools == [2]
+
+
+def test_parallel_map_sends_chunks_and_keeps_item_order(monkeypatch):
+    import corrmatch.harness as harness
+
+    chunks = []
+    real_pool = harness.ProcessPoolExecutor
+
+    class RecordingPool(real_pool):
+        def map(self, fn, *iterables, chunksize=1):
+            chunks.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    # ceil(41 / 16) = 3, which does not divide 41
+    assert parallel_map(lambda x: (x, x * x), range(41), threads=2) == [(x, x * x) for x in range(41)]
+    assert parallel_map(str, range(100), threads=2) == [str(x) for x in range(100)]
+    assert chunks == [3, 7]
+
+
+def test_parallel_map_raises_the_earliest_failing_item_across_chunks(monkeypatch):
+    import corrmatch.harness as harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+
+    def fail(x):
+        if x == 4:   # second chunk of 3; slow, so the later failure is met first
+            time.sleep(0.2)
+            raise KeyError("item 4")
+        if x == 30:   # eleventh chunk
+            raise ValueError("item 30")
+        return x
+
+    for threads in (1, 2):
+        with pytest.raises(KeyError, match="item 4") as info:
+            parallel_map(fail, range(41), threads=threads)
+        assert type(info.value) is KeyError
+
+
+def test_rho_curve_of_many_chunks_byte_identical_across_workers(monkeypatch):
+    import corrmatch.harness as harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    # 45 items go to two workers in 15 chunks of 3
+    cfg = small_config("rho-curve", n=60, replicates=15, lambda_grid=(1.5, 3.0, 5.0), seed=9)
+    assert run_rho_curve(cfg, threads=1)[0] == run_rho_curve(cfg, threads=2)[0]
 
 
 def test_parallel_map_runs_two_workers_in_two_processes(monkeypatch):
