@@ -194,7 +194,7 @@ def _core_cut(core, edges, edge_core, gamma: Fraction, within=None):
         kept &= within[edges[:, 0]] & within[edges[:, 1]]
     verts = np.flatnonzero(keep)
     local = np.cumsum(keep) - 1
-    return (verts, *_cut_side(verts.size, local[edges[kept]], gamma))
+    return (verts, *_cut_side(verts.size, local[edges.compress(kept, axis=0)], gamma))
 
 
 def level_below(x: float, n: int) -> Fraction:

@@ -101,12 +101,14 @@ class Graph:
 
     Edges are canonical unordered pairs (u, v) with u < v, stored as a
     sorted array of private keys u*n + v (hence n <= _N_MAX), which the
-    vector query `has_edges` searches.  The one neighbour layout, the
-    compressed sparse rows `csr()` (one sort of the 2m directed keys), is
-    built on first use; the degrees, the peels, `neighbors` and every walk
-    over the graph read it.  A graph read only through its keys, such as
-    the two sides of a correlated pair that `intersection_graph` compares,
-    never sorts its rows.  Instances are immutable.
+    vector query `has_edges` searches and `intersection_graph` merges; a
+    build sorts them only when they arrive out of order.  The one
+    neighbour layout, the compressed sparse rows `csr()` (one sort of the
+    2m directed keys), is built on first use; the degrees, the peels,
+    `neighbors` and every walk over the graph read it.  A graph read only
+    through its keys, such as the two sides of a correlated pair that
+    `intersection_graph` compares, never sorts its rows.  Instances are
+    immutable.
     """
 
     __slots__ = ("n", "_packed", "_offsets", "_columns", "_degrees", "_core")
@@ -125,16 +127,22 @@ class Graph:
         return g
 
     def _build(self, n: int, us, vs) -> None:
-        """Check n and the endpoints, then keep the sorted canonical pair keys."""
+        """Check n and the endpoints, then keep the canonical pair keys,
+        ascending.  Keys that arrive strictly ascending (as from `sample_er`
+        or `intersection_graph`) are distinct already; any others are
+        sorted and checked for a repeat."""
         self.n = n = _count(n)
         us, vs = _ids(n, "edge endpoint out of range", us, vs, ndim=1)
         lo, hi = np.minimum(us, vs), np.maximum(us, vs)
         if (lo == hi).any():
             raise ValueError("self-loops are not allowed")
-        self._packed = np.sort(_pack(n, lo, hi))
-        if np.any(self._packed[1:] == self._packed[:-1]):
-            raise ValueError("duplicate edge")
-        self._packed.flags.writeable = False
+        keys = _pack(n, lo, hi)   # a fresh array: the caller's stay theirs
+        if not (keys[1:] > keys[:-1]).all():
+            keys.sort()
+            if (keys[1:] == keys[:-1]).any():
+                raise ValueError("duplicate edge")
+        keys.flags.writeable = False
+        self._packed = keys
         self._offsets = self._columns = self._degrees = self._core = None
 
     # -- basic queries ----------------------------------------------------
@@ -333,12 +341,17 @@ class Bijection:
         return f"Bijection({self.forward.tolist()})"
 
 
+def _check_real(name: str, value) -> None:
+    """Refuse a value that is not a real number (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def check_p_s(p: float, s: float) -> None:
     """Refuse a p or s that is not a real number (a bool is not one), a parent
     edge probability p outside (0, 1) or a subsampling one s outside (0, 1]."""
-    for name, value in (("p", p), ("s", s)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
+    _check_real("p", p)
+    _check_real("s", s)
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie in (0, 1)")
     if not (0.0 < s <= 1.0):
@@ -420,12 +433,19 @@ def _decode_pairs(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _first_appearances(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the distinct values of draws, ascending; the position where each
-    first appears).  One sort of value * len + position when that key fits
-    in an int64, else one stable argsort."""
+    """(the distinct values of draws, which are non-negative, ascending; the
+    position where each first appears).  One sort of the keys
+    value << shift | position, the position in the low shift bits, when
+    every value fits in the 63 - shift bits above them, else one stable
+    argsort."""
     size = draws.size
-    if int(draws.max()) <= (np.iinfo(np.int64).max - size) // size:
-        values, pos = np.divmod(np.sort(draws * size + np.arange(size)), size)
+    shift = (size - 1).bit_length()
+    if int(draws.max()) >> (63 - shift) == 0:
+        keys = draws << shift
+        keys |= np.arange(size)
+        keys.sort()
+        pos = keys & ((1 << shift) - 1)
+        values = np.right_shift(keys, shift, out=keys)
     else:
         pos = np.argsort(draws, kind="stable")
         values = draws[pos]
@@ -449,12 +469,13 @@ def _sample_distinct(rng: np.random.Generator, universe: int, m: int) -> np.ndar
         draws = np.concatenate([draws, batch])
         values, first = _first_appearances(draws)
         if values.size >= m:
-            return values[first <= np.partition(first, m - 1)[m - 1]]
+            return values.compress(first <= np.partition(first, m - 1)[m - 1])
 
 
 def sample_er(n: int, q: float, rng: np.random.Generator) -> Graph:
     """One G(n, q) draw: binomial edge count, then a uniform edge set."""
     n = _count(n)
+    _check_real("edge probability", q)
     if not (0.0 <= q <= 1.0):
         raise ValueError("edge probability must lie in [0, 1]")
     total = _pair_count(n)
@@ -488,8 +509,8 @@ def sample_correlated(params: ModelParams, seed: int, replicate: int = 0) -> Cor
     keep_g = rng.random(parent_m) < params.s
     keep_gbar = rng.random(parent_m) < params.s
     us, vs = _decode_pairs(n, parent_idx)
-    g = Graph.from_arrays(n, us[keep_g], vs[keep_g])
-    bus, bvs = pi_star.forward[us[keep_gbar]], pi_star.forward[vs[keep_gbar]]
+    g = Graph.from_arrays(n, us.compress(keep_g), vs.compress(keep_g))
+    bus, bvs = pi_star.forward[us.compress(keep_gbar)], pi_star.forward[vs.compress(keep_gbar)]
     g_bar = Graph.from_arrays(n, bus, bvs)
     return CorrelatedSample(params=params, pi_star=pi_star, g=g, g_bar=g_bar)
 
@@ -505,11 +526,19 @@ def sample_independent(params: ModelParams, seed: int, replicate: int = 0) -> tu
 
 
 def intersection_graph(g: Graph, g_bar: Graph, pi: Bijection) -> Graph:
-    """Graph on V keeping (u,v) iff (u,v) is in g and (pi u, pi v) is in g_bar."""
+    """Graph on V keeping (u,v) iff (u,v) is in g and (pi u, pi v) is in g_bar.
+
+    A sorted merge of the two key arrays: g_bar's edges are mapped back
+    through pi's inverse, their keys sorted once and looked up in g's sorted
+    keys, so the common keys come out ascending."""
     n = check_sizes(g, g_bar, pi)
-    us, vs = g.edge_array().T
-    keep = g_bar.has_edges(pi.forward[us], pi.forward[vs])
-    return Graph.from_arrays(n, us[keep], vs[keep])
+    if g.edge_count == 0 or g_bar.edge_count == 0:
+        return Graph(n)
+    a, b = np.divmod(g_bar._packed, n)
+    xs, ys = pi.inverse[a], pi.inverse[b]
+    back = np.sort(_pack(n, np.minimum(xs, ys), np.maximum(xs, ys)))
+    both = back.compress(g._packed.take(g._packed.searchsorted(back), mode="clip") == back)
+    return Graph.from_arrays(n, *np.divmod(both, n))
 
 
 def overlap(pi1: Bijection, pi2: Bijection) -> int:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from functools import partial
 
@@ -49,6 +50,39 @@ def test_rejects_self_loops_and_bad_range():
     for repeated in ([(0, 1), (1, 0)], [(1, 2), (1, 2)]):
         with pytest.raises(ValueError, match="duplicate edge"):
             Graph(3, repeated)
+
+
+_BUILD_CASES = {
+    "sorted canonical": ([0, 0, 1], [1, 3, 2]),
+    "reversed orientation": ([1, 3, 2], [0, 0, 1]),
+    "unsorted": ([1, 0, 3], [2, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("case", list(_BUILD_CASES))
+def test_build_keeps_sorted_read_only_keys_of_its_own(case):
+    us, vs = (np.array(a, dtype=np.int64) for a in _BUILD_CASES[case])
+    for g in (Graph.from_arrays(4, us, vs), Graph(4, zip(us.tolist(), vs.tolist()))):
+        assert g.edges == ((0, 1), (0, 3), (1, 2))
+        assert g._packed.tolist() == [1, 3, 6] and not g._packed.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g._packed[0] = 2
+    g = Graph.from_arrays(4, us, vs)
+    us[:], vs[:] = 2, 3   # the caller's arrays change after the build
+    assert g.edges == ((0, 1), (0, 3), (1, 2)) and g.has_edges([0, 0, 1, 2], [1, 3, 2, 3]).tolist() == [True] * 3 + [False]
+
+
+@pytest.mark.parametrize(
+    "us, vs, message",
+    [
+        ([0, 0, 0, 1], [1, 1, 3, 2], "duplicate edge"),   # adjacent in otherwise sorted keys
+        ([1, 0, 2, 3], [2, 1, 1, 0], "duplicate edge"),   # (1, 2) and (2, 1), apart in unsorted keys
+        ([0, 2, 1], [1, 2, 3], "self-loops"),
+    ],
+)
+def test_build_refuses_a_repeat_or_a_self_loop_on_either_path(us, vs, message):
+    with pytest.raises(ValueError, match=message):
+        Graph.from_arrays(4, np.array(us), np.array(vs))
 
 
 def test_text_round_trip():
@@ -398,6 +432,35 @@ def test_intersection_edge_count_bounded(n, seed):
     assert inter.edge_count <= min(g.edge_count, h.edge_count)
 
 
+def _intersection_by_has_edges(g, g_bar, pi):
+    """The earlier intersection_graph, kept as the oracle: g_bar.has_edges
+    on the pi-images of g's edges."""
+    us, vs = g.edge_array().T
+    keep = g_bar.has_edges(pi.forward[us], pi.forward[vs])
+    return Graph.from_arrays(g.n, us[keep], vs[keep])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 2000])
+def test_intersection_graph_matches_the_has_edges_oracle(n):
+    rng = stream(n, 41)
+    q = min(0.9, 8 / max(n, 1))
+    pis = [Bijection.identity(n), Bijection(np.arange(n)[::-1]), Bijection.uniform(n, rng)]
+    g, h = sample_er(n, q, rng), sample_er(n, q, rng)
+    pairs = [(g, h), (g, Graph(n)), (Graph(n), h), (Graph(n), Graph(n)), (g, relabel(g, pis[2]))]
+    if n >= 2:
+        for s in (0.6, 1.0):
+            smpl = sample_correlated(ModelParams(n=n, p=q, s=s), seed=n, replicate=int(10 * s))
+            pairs.append((smpl.g, smpl.g_bar))
+            pis.append(smpl.pi_star)
+    for g, h in pairs:
+        for pi in pis:
+            got, want = intersection_graph(g, h, pi), _intersection_by_has_edges(g, h, pi)
+            assert got.n == want.n == n
+            assert got._packed.tobytes() == want._packed.tobytes()
+    if n >= 2:   # at s = 1, g_bar is g relabelled through pi*, so the intersection is g
+        assert intersection_graph(smpl.g, smpl.g_bar, smpl.pi_star) == smpl.g
+
+
 # -- the generative laws --
 
 
@@ -558,3 +621,104 @@ def test_decode_pairs_matches_the_per_index_formula(n):
         us, vs = graphs._decode_pairs(n, np.array(idx, dtype=np.int64))
         assert us.dtype == vs.dtype == np.int64
         assert list(zip(us.tolist(), vs.tolist())) == [pairs[i] for i in idx]
+
+
+def _state(rng):
+    """A generator's full state (counter, key and buffer), comparable with ==."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
+
+
+def _first_appearances_by_divmod(draws):
+    """The earlier _first_appearances, kept as the oracle: one sort of
+    value * size + position when that fits in an int64, else a stable
+    argsort."""
+    size = draws.size
+    if int(draws.max()) <= (np.iinfo(np.int64).max - size) // size:
+        values, pos = np.divmod(np.sort(draws * size + np.arange(size)), size)
+    else:
+        pos = np.argsort(draws, kind="stable")
+        values = draws[pos]
+    head = np.ones(size, dtype=bool)
+    head[1:] = values[1:] != values[:-1]
+    return values[head], pos[head]
+
+
+@pytest.mark.parametrize("size", [2, 5, 64, 65, 129, 53_640])
+def test_first_appearances_match_the_divmod_oracle_on_both_sides_of_the_packed_limit(size):
+    limit = 2 ** (63 - (size - 1).bit_length())   # the packed keys hold values below this
+    rng = np.random.default_rng(size)
+    for low, high in ((0, 3 * size), (0, limit), (limit - size, limit), (limit - 1, limit + 1), (limit, 2**63)):
+        draws = rng.integers(low, high, size=size, dtype=np.int64)
+        draws[rng.integers(0, size, size=size // 3)] = draws[0]   # repeats, the first one at position 0
+        got, want = graphs._first_appearances(draws), _first_appearances_by_divmod(draws)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes()
+    # _sample_distinct at m = 100 draws a batch of 129, whose packed keys
+    # hold values below 2**55: one universe inside that limit, one mostly past it
+    for universe in (2**55, 2**58):
+        new, old = np.random.default_rng(size), np.random.default_rng(size)
+        got = graphs._sample_distinct(new, universe, 100)
+        assert got.tobytes() == np.sort(_sample_distinct_by_unique(old, universe, 100)).tobytes()
+        assert new.bit_generator.state == old.bit_generator.state
+
+
+def _sample_correlated_by_masks(params, rng):
+    """The earlier sample_correlated, kept as the oracle, with the earlier
+    sampler of distinct indices: boolean-mask gathers of the kept parent
+    pairs.  Returns pi*'s images and the two sides' sorted pair keys."""
+    n = params.n
+    pi_star = Bijection.uniform(n, rng)
+    total = n * (n - 1) // 2
+    parent_m = int(rng.binomial(total, params.p))
+    parent_idx = np.sort(_sample_distinct_by_unique(rng, total, parent_m))
+    keep_g = rng.random(parent_m) < params.s
+    keep_gbar = rng.random(parent_m) < params.s
+    us, vs = graphs._decode_pairs(n, parent_idx)
+    bus, bvs = pi_star.forward[us[keep_gbar]], pi_star.forward[vs[keep_gbar]]
+
+    def keys(a, b):
+        return np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+
+    return pi_star.forward, keys(us[keep_g], vs[keep_g]), keys(bus, bvs)
+
+
+_SAMPLER_GRID = [
+    (n, p, s, seed)
+    for n in (2, 3, 30, 300)
+    for p in (0.1, 0.5, 0.7)   # 0.7: more than half the pairs, the permutation prefix
+    for s in (0.3, 1.0)
+    for seed in (0, 1)
+] + [(2000, 2000**-0.5, s, 1002) for s in (0.72, 0.85, 1.0)]   # the threshold sweep's shape
+
+
+@pytest.mark.parametrize("n, p, s, seed", _SAMPLER_GRID)
+def test_sample_correlated_matches_the_mask_oracle(monkeypatch, n, p, s, seed):
+    made = []
+
+    def recorded(*args):
+        made.append(stream(*args))
+        return made[-1]
+
+    monkeypatch.setattr(graphs, "stream", recorded)
+    params = ModelParams(n=n, p=p, s=s)
+    smpl = sample_correlated(params, seed, replicate=3)
+    oracle_rng = stream(seed, 3)
+    pi_forward, g_keys, g_bar_keys = _sample_correlated_by_masks(params, oracle_rng)
+    assert smpl.pi_star.forward.tobytes() == pi_forward.tobytes()
+    assert smpl.g._packed.tobytes() == g_keys.tobytes()
+    assert smpl.g_bar._packed.tobytes() == g_bar_keys.tobytes()
+    assert _state(made[0]) == _state(oracle_rng)
+
+
+def test_sample_er_refuses_a_q_that_is_not_a_real_number():
+    for q in (True, False, np.bool_(True), "0.5", None, [0.5]):
+        with pytest.raises(ValueError, match="edge probability must be a number"):
+            sample_er(5, q, stream(1, 0))
+    for q in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="edge probability must lie in"):
+            sample_er(5, q, stream(1, 0))
+    for as_int, as_float in ((0, 0.0), (1, 1.0)):
+        a, b = stream(2, 0), stream(2, 0)
+        assert sample_er(6, as_int, a) == sample_er(6, as_float, b)
+        assert _state(a) == _state(b)
+    assert sample_er(6, 1, stream(2, 0)).edge_count == 15 and sample_er(6, 0, stream(2, 0)).edge_count == 0
