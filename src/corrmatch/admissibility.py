@@ -75,7 +75,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .density import densest_subgraph_exact, density_exceeds, level_below
-from .graphs import Graph, vertex_set
+from .graphs import Graph, check_sizes, vertex_set
 
 __all__ = [
     "AdmissibilityConstants",
@@ -139,11 +139,6 @@ class AdmissibilityConstants:
 
     def cycle_count_cap(self, k: int) -> int:
         return math.ceil(self.n ** (self.delta1 * k))
-
-    @property
-    def good_set_size(self) -> int:
-        """K = floor(n^beta), the good-set size used by the truncation."""
-        return math.floor(self.n**self.beta)
 
 
 def default_constants(alpha: float, rho_hat: float, n: int) -> AdmissibilityConstants:
@@ -236,7 +231,9 @@ class AdmissibilityReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def revalidate(self, h: Graph, consts: AdmissibilityConstants) -> bool:
-        """Re-evaluate every failure witness against its condition."""
+        """Re-evaluate every failure witness against its condition, under
+        constants for h's vertex count (ValueError otherwise)."""
+        check_sizes(h, consts)
         for name, res in self.conditions.items():
             if res.status != "fail":
                 continue
@@ -736,9 +733,10 @@ def check_admissible(
     set_budget: int = 2_000_000,
     cycle_budget: int = CYCLE_BUDGET,
 ) -> AdmissibilityReport:
-    """Evaluate the five conditions on h; see the module docstring."""
+    """Evaluate the five conditions on h, under constants for its vertex
+    count (ValueError otherwise); see the module docstring."""
     consts.validate()
-    if h.n == 0:
+    if check_sizes(h, consts) == 0:
         raise ValueError("graph must have at least one vertex")
     results: dict[str, ConditionResult] = {}
 

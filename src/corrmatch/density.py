@@ -64,7 +64,6 @@ __all__ = [
     "densest_subgraph_exact",
     "density_exceeds",
     "level_below",
-    "densest_subgraph_bruteforce",
     "rho_draw",
     "rho_curve_from_draws",
     "rho_inverse",
@@ -143,7 +142,7 @@ def _cut_side(n: int, edges: np.ndarray, gamma: Fraction) -> tuple[bool, np.ndar
         raise AssertionError("the flow matrix does not share the network's structure")
     np.subtract(graph.data, residual.data, out=residual.data)   # capacity - flow, at least 0
     residual.eliminate_zeros()
-    cut = base + result.flow_value
+    cut = base + int(result.flow_value)
     improved = cut < 2 * b * m
     reach = breadth_first_order(residual, dst, directed=True, return_predecessors=False)
     side = np.ones(n, dtype=bool)
@@ -348,45 +347,6 @@ def _newton(g: Graph) -> DensityResult:
     raise AssertionError("density refinement did not terminate")
 
 
-def densest_subgraph_bruteforce(g: Graph) -> DensityResult:
-    """Exhaustive maximum over all 2^n - 1 nonempty subsets (n <= 20).
-
-    Subset edge counts fill in by dynamic programming on the lowest bit,
-    over adjacency bitsets built here.  Ties break toward smaller, then
-    lexicographically earlier subsets.
-    """
-    if g.n > 20:
-        raise ValueError("brute force limited to n <= 20")
-    if g.edge_count == 0:
-        return DensityResult(best_subset=(0,), density=Fraction(0), witness_edges=0)
-    n = g.n
-    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
-    counts = [0] * (1 << n)
-    best_mask, best_val = 1, Fraction(0)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        prev = mask ^ low
-        cnt = counts[prev] + (adj[low.bit_length() - 1] & prev).bit_count()
-        counts[mask] = cnt
-        val = Fraction(cnt, mask.bit_count())
-        if val > best_val or (
-            val == best_val
-            and (mask.bit_count(), _mask_vertices(mask)) < (best_mask.bit_count(), _mask_vertices(best_mask))
-        ):
-            best_mask, best_val = mask, val
-    subset = _mask_vertices(best_mask)
-    return DensityResult(best_subset=subset, density=best_val, witness_edges=counts[best_mask])
-
-
-def _mask_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 # -- the rho curve ------------------------------------------------------------
 
 
@@ -413,15 +373,6 @@ class RhoCurve:
 
     def isotonic(self) -> np.ndarray:
         return isotonic_fit(np.asarray(self.rho_hat))
-
-    def lower_bound_ok(self, slack: float = 0.0) -> bool:
-        """Pointwise check rho_hat >= max(1, lam/2 * (n-1)/n) - 3 se - slack."""
-        n = self.n_used
-        for lam, r, se in zip(self.lambda_grid, self.rho_hat, self.stderr):
-            floor_val = max(1.0, lam / 2.0 * (n - 1) / n)
-            if r < floor_val - 3.0 * se - slack:
-                return False
-        return True
 
 
 def rho_draw(grid: tuple[float, ...], n: int, replicates: int, seed: int, k: int) -> tuple[float, float]:

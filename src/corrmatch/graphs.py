@@ -321,11 +321,6 @@ class Bijection:
     def invert(self) -> "Bijection":
         return Bijection(self.inverse)
 
-    def compose(self, other: "Bijection") -> "Bijection":
-        """self after other: v -> self(other(v))."""
-        check_sizes(self, other)
-        return Bijection(self.forward[other.forward])
-
     def map_edge(self, u: int, v: int) -> tuple[int, int]:
         u, v = _ids(self.n, "vertex out of range", u, v, ndim=0)
         a, b = int(self.forward[u]), int(self.forward[v])
@@ -378,8 +373,7 @@ class ModelParams:
     """Parameters (n, p, s) of the correlated pair model.
 
     lam = n * p * s^2 is the mean degree of the intersection graph under the
-    true matching; alpha_hat = -ln p / ln n treats the sparsity exponent as
-    exact at finite n.
+    true matching.
     """
 
     n: int
@@ -394,10 +388,6 @@ class ModelParams:
     @property
     def lam(self) -> float:
         return self.n * self.p * self.s**2
-
-    @property
-    def alpha_hat(self) -> float:
-        return -float(np.log(self.p)) / float(np.log(self.n))
 
 
 @dataclass(frozen=True)

@@ -201,10 +201,6 @@ class PosteriorTable:
         if abs(float(self.probs.sum()) - 1.0) > 1e-9:
             raise ValueError("posterior does not normalize")
 
-    @property
-    def entries(self) -> list[tuple[Bijection, float]]:
-        return [(Bijection(row), float(p)) for row, p in zip(self.perms, self.probs)]
-
     def probability_of(self, pi: Bijection) -> float:
         check_sizes(self, pi)
         idx = np.flatnonzero((self.perms == pi.forward).all(axis=1))
@@ -638,7 +634,7 @@ def truncated_mass_f(
     Verification-scale only (n <= COSTLY_ENUMERATION_N_MAX): the sum runs
     over the (n-|A|)! extensions outright, in lexicographic order.
     """
-    a_sorted = vertex_set(check_sizes(g, g_bar, params), a).tolist()
+    a_sorted = vertex_set(check_sizes(g, g_bar, params, consts), a).tolist()
     if vertex_set(g.n, sigma).tolist() != a_sorted or vertex_set(g.n, sigma.values()).size != len(a_sorted):
         raise ValueError("sigma must map a one-to-one into range(n)")
     perms = _matchings(g.n, COSTLY_ENUMERATION_N_MAX)
@@ -655,7 +651,7 @@ def truncated_mass_g(
 ) -> float:
     """max over embeddings sigma of A into the matched side of the
     truncated mass f."""
-    perms = _matchings(check_sizes(g, g_bar, params), COSTLY_ENUMERATION_N_MAX)
+    perms = _matchings(check_sizes(g, g_bar, params, consts), COSTLY_ENUMERATION_N_MAX)
     return float(_truncated_mass_per_image(g, g_bar, vertex_set(g.n, a).tolist(), perms, params, consts).max())
 
 

@@ -17,7 +17,7 @@ space that the two agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, exp, floor, inf, isfinite, lgamma, log, log1p
+from math import exp, inf, isfinite, lgamma, log, log1p
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +40,6 @@ __all__ = [
     "markov_tail_bound",
     "tail_rates",
     "combinatorial_minimum",
-    "combinatorial_minimum_oracle",
     "permutation_count_bound",
     "sample_cycle_orbit_edges",
     "sample_chain_orbit_edges",
@@ -368,70 +367,6 @@ def combinatorial_minimum(
         )
     point = PolytopePoint(x=tuple(xs))
     return _objective(T, nks, xs, rates), point
-
-
-def combinatorial_minimum_oracle(
-    T: int,
-    nks: Sequence[int],
-    rho: float,
-    eta: float,
-    alpha: float,
-) -> tuple[float, PolytopePoint]:
-    """Integer-lattice brute force: enumerate x_1..x_N under the prefix
-    caps; the (x_{N+1}, x_0) completion per residual demand is itself a
-    pre-scanned table over all x_{N+1} values.  Exponential; intended for
-    T <= 30, N <= 3."""
-    big_n = len(nks)
-    rates = tail_rates(alpha, len(nks)).alpha_k
-    rate_last = rates[-1]
-    box = floor(rho * T)
-    need_total = (rho - eta) * T
-    best: tuple[float, tuple[int, ...]] | None = None
-
-    prefix_caps = []
-    acc = 0.0
-    for k in range(1, big_n + 1):
-        acc += (rho + eta) * k * nks[k - 1]
-        prefix_caps.append(acc)
-
-    # completion[r] = (cost, x_{N+1}, x_0) minimizing rate*x_{N+1} + x_0
-    # over x_{N+1}, x_0 in [0, box] with x_{N+1} + x_0 >= r, by full scan
-    max_need = max(0, ceil(need_total - 1e-9))
-    completion: list[tuple[float, int, int] | None] = []
-    for r in range(max_need + 1):
-        entry = None
-        for x_last in range(box + 1):
-            x0 = max(0, r - x_last)
-            if x0 > box:
-                continue
-            cost = rate_last * x_last + x0
-            if entry is None or cost < entry[0] - 1e-15:
-                entry = (cost, x_last, x0)
-        completion.append(entry)
-
-    def rec(k: int, cum: int, partial_cost: float, partial: list[int]) -> None:
-        nonlocal best
-        if k > big_n:
-            rest = max(0, ceil(need_total - cum - 1e-9))
-            entry = completion[rest]
-            if entry is None:
-                return
-            cost, x_last, x0 = entry
-            val = partial_cost + cost
-            if best is None or val < best[0] - 1e-15:
-                best = (val, (x0, *partial, x_last))
-            return
-        cap = min(box, floor(prefix_caps[k - 1] - cum + 1e-9))
-        for xv in range(0, max(cap, -1) + 1):
-            partial.append(xv)
-            rec(k + 1, cum + xv, partial_cost + rates[k - 1] * xv, partial)
-            partial.pop()
-
-    rec(1, 0, 0.0, [])
-    if best is None:
-        raise InfeasiblePolytopeError("no lattice point satisfies the constraints")
-    value = best[0] + sum(nks) - T
-    return value, PolytopePoint(x=tuple(float(v) for v in best[1]))
 
 
 def permutation_count_bound(n: int, T: int, nks: Sequence[int]) -> float:

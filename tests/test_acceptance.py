@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from corrmatch.admissibility import check_admissible, default_constants, find_good_set, is_good_set
-from corrmatch.density import densest_subgraph_bruteforce, densest_subgraph_exact
+from corrmatch.density import densest_subgraph_exact
 from corrmatch.graphs import Bijection, ModelParams, sample_correlated, sample_er
 from corrmatch.harness import (
     ExperimentConfig,
@@ -34,7 +34,6 @@ from corrmatch.inference import (
 from corrmatch.moments import (
     chain_moment,
     combinatorial_minimum,
-    combinatorial_minimum_oracle,
     cycle_moment,
     permutation_count_bound,
     sample_chain_orbit_edges,
@@ -42,6 +41,8 @@ from corrmatch.moments import (
 )
 from corrmatch.orbits import edge_orbits, restricted_orbits
 from corrmatch.rng import stream
+
+from oracles import combinatorial_minimum_oracle, densest_subgraph_bruteforce
 
 THREADS = 8
 

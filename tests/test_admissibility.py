@@ -25,9 +25,17 @@ from corrmatch.admissibility import (
     is_good_set,
     simple_cycle_counts,
 )
-from corrmatch.density import densest_subgraph_bruteforce, densest_subgraph_exact
+from corrmatch.density import densest_subgraph_exact
 from corrmatch.graphs import Graph, sample_er
 from corrmatch.rng import stream
+
+from oracles import (
+    assert_means_match,
+    densest_subgraph_bruteforce,
+    expected_connected_sets,
+    expected_cycles,
+    good_set_size,
+)
 
 
 def k4(n=4):
@@ -85,7 +93,7 @@ def test_infeasible_constants_signal_above_threshold():
 
 def test_good_set_size_is_floor_n_beta():
     c = default_constants(0.5, 1.4, 2000)
-    assert c.good_set_size == int(2000**c.beta)
+    assert good_set_size(c) == int(2000**c.beta)
 
 
 # -- check_admissible --
@@ -280,7 +288,7 @@ def test_local_unicyclicity_condition():
     assert res.witness["edges"] > len(res.witness["subset"])
     assert report.revalidate(g, consts)
     # single triangle passes (one cycle only)
-    tri = Graph(4, [(0, 1), (1, 2), (0, 2)])
+    tri = Graph(6, [(0, 1), (1, 2), (0, 2)])
     assert check_admissible(tri, consts).conditions["local_unicyclicity"].status == "pass"
     # a dense but disconnected witness (K4 plus an isolated vertex) is rejected
     consts5 = lenient_constants(6, tiny_component_cap=5)
@@ -292,8 +300,8 @@ def test_local_unicyclicity_condition():
 
 
 def test_empty_vertex_set_is_refused():
-    with pytest.raises(ValueError):
-        check_admissible(Graph(0), lenient_constants(4))
+    with pytest.raises(ValueError, match="at least one vertex"):
+        check_admissible(Graph(0), lenient_constants(0))
 
 
 def _least_dense_connected_set(g):
@@ -414,7 +422,7 @@ def test_cycle_count_condition_and_witness():
         edges += [(b, b + 1), (b + 1, b + 2), (b, b + 2)]
     g = Graph(9, edges)
     consts = lenient_constants(9)
-    consts = replace(consts, delta1=1e-9, n=2)  # caps collapse to ceil(2^eps) = 2
+    consts = replace(consts, delta1=1e-9)  # caps collapse to ceil(9^eps) = 2
     assert consts.cycle_count_cap(3) == 2
     report = check_admissible(g, consts)
     res = report.conditions["cycle_counts"]
@@ -1115,6 +1123,45 @@ def test_connected_sets_match_bruteforce():
                 if len(sub) <= max_size and all(alive[v] for v in sub) and _induced_connected(adj, sub):
                     want.add(frozenset(sub))
             assert set(got) == want
+
+
+# -- model-level oracles: counts against their exact expectation in G(n, p) --
+
+
+def test_cycle_counts_match_their_expectation_in_gnp():
+    """The mean simple_cycle_counts over 40 draws of G(10^4, 2/10^4) lies
+    within 4 replicate standard errors of (n)_k p^k / (2k) at every length
+    3..12.  It checks the scan and sample_er against the model, not against
+    another enumerator.  It cannot see a miscount of a few cycles per graph
+    (the standard error of the mean is about 0.2 three-cycles and 6
+    twelve-cycles), nor a fault on graphs unlike sparse G(n, p); the exact
+    enumerator oracles above cover those."""
+    n, p = 10**4, Fraction(2, 10**4)
+    counts = {k: [] for k in range(3, 13)}
+    for r in range(40):
+        found, completed, _ = simple_cycle_counts(sample_er(n, 2 / n, stream(4242, r)), 12)
+        assert completed
+        for k in counts:
+            counts[k].append(found.get(k, 0))
+    assert_means_match(counts, {k: expected_cycles(n, p, k) for k in counts}, bound=4)
+
+
+def test_connected_set_counts_match_their_expectation_in_gnp():
+    """The mean number of connected sets of each size 1..5 that
+    _connected_sets yields with every vertex alive, over 20 draws of
+    G(2000, 2/2000), lies within 4 replicate standard errors of C(n, k) P_k.
+    It cannot see a bias below about 5 % of the 3-sets or 10 % of the
+    5-sets per graph (4 standard errors), nor a fault that needs a dead
+    vertex or a set above size 5; the 2^n brute force covers those at
+    small n."""
+    n, p = 2000, Fraction(2, 2000)
+    counts = {k: [] for k in range(1, 6)}
+    for r in range(20):
+        g = sample_er(n, 2 / n, stream(4343, r))
+        sizes = Counter(len(sub) for sub, _ in _connected_sets(g.csr(), [True] * n, 5, [10**8]))
+        for k in counts:
+            counts[k].append(sizes[k])
+    assert_means_match(counts, {k: expected_connected_sets(n, p, k) for k in counts}, bound=4)
 
 
 # -- good sets --

@@ -11,7 +11,6 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 import corrmatch.density as density_module
 from corrmatch.density import (
     RhoCurve,
-    densest_subgraph_bruteforce,
     densest_subgraph_exact,
     density_exceeds,
     isotonic_fit,
@@ -21,6 +20,8 @@ from corrmatch.density import (
 from corrmatch.graphs import Bijection, Graph, relabel, sample_er
 from corrmatch.harness import ExperimentConfig, run_rho_curve
 from corrmatch.rng import stream
+
+from oracles import densest_subgraph_bruteforce, lower_bound_ok
 
 
 def rho_curve(grid, n, replicates, seed):
@@ -532,13 +533,14 @@ def test_density_exceeds_at_most_one_takes_no_flow(monkeypatch):
 def test_density_exceeds_checks_its_level_once(monkeypatch):
     # rho* = 53/28, and the best k-core has density 301/163: 3/2 answers
     # through the core shortcut, 37/20 and 11/5 through the flow, 1/2 with
-    # no flow; a float, a bool or a string is refused on every path alike
+    # no flow; each answers a Python bool, and a float, a bool or a string
+    # is refused on every path alike
     g = sample_er(200, 4 / 200, stream(3, 0))
     assert densest_subgraph_exact(g).density == Fraction(53, 28)
     calls = _count_flows(monkeypatch)
     for level, flows in ((Fraction(1, 2), 0), (Fraction(3, 2), 0), (Fraction(37, 20), 1), (Fraction(11, 5), 1)):
         calls.clear()
-        assert density_exceeds(g, level) == (level < Fraction(53, 28)), level
+        assert density_exceeds(g, level) is (level < Fraction(53, 28)), level
         assert len(calls) == flows, level
         with pytest.raises(ValueError, match="level_below"):
             density_exceeds(g, float(level))
@@ -606,7 +608,7 @@ def test_rho_curve_monotone_after_isotonic_and_bounds():
     _, curve = rho_curve([1.5, 2.0, 4.0], n=300, replicates=4, seed=6)
     iso = curve.isotonic()
     assert all(iso[i] <= iso[i + 1] + 1e-12 for i in range(len(iso) - 1))
-    assert curve.lower_bound_ok(slack=0.1)
+    assert lower_bound_ok(curve, slack=0.1)
 
 
 def test_isotonic_fit_pools_violators():

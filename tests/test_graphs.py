@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrmatch import graphs
+from corrmatch.admissibility import simple_cycle_counts
 from corrmatch.graphs import (
     Bijection,
     Graph,
@@ -21,6 +23,8 @@ from corrmatch.graphs import (
     sample_independent,
 )
 from corrmatch.rng import stream
+
+from oracles import alpha_hat, assert_means_match, compose, expected_cycles
 
 
 def path_graph(n):
@@ -344,7 +348,7 @@ def test_pair_and_array_builders_agree(seed):
 
 def test_bijection_inverse_composition():
     pi = Bijection([2, 0, 1])
-    assert pi.invert().compose(pi) == Bijection.identity(3)
+    assert compose(pi.invert(), pi) == Bijection.identity(3)
     assert repr(pi) == "Bijection([2, 0, 1])" and pi.map_edge(np.int64(2), 0) == (1, 2)
     with pytest.raises(ValueError):
         Bijection([0, 0, 1])
@@ -475,7 +479,7 @@ def test_params_validation():
         ModelParams(n=5, p=0.5, s=1.5)
     params = ModelParams(n=100, p=0.1, s=0.5)
     assert params.lam == pytest.approx(100 * 0.1 * 0.25)
-    assert params.alpha_hat == pytest.approx(-np.log(0.1) / np.log(100))
+    assert alpha_hat(params) == pytest.approx(-np.log(0.1) / np.log(100))
 
 
 def test_s_equal_one_copies_parent_through_pi_star():
@@ -563,6 +567,28 @@ def test_er_sampler_mean():
     mean = np.mean(counts) / pairs
     se = np.sqrt(0.3 * 0.7 / (300 * pairs))
     assert abs(mean - 0.3) < 4 * se
+
+
+def test_intersection_at_the_truth_has_the_cycle_counts_of_gnp():
+    """Under pi*, H = intersection_graph(G, Gbar, pi*) is exactly G(n, ps^2).
+    Over 20 draws at n = 10^4, p = 8/10^4 and s = 1/2 (ps^2 = 2/10^4), the
+    mean simple-cycle count of H at every length 3..12 lies within 4
+    replicate standard errors of (n)_k (ps^2)^k / (2k).  It checks
+    sample_correlated and intersection_graph against the model.  It cannot
+    see a fault that moves a few edges per draw (the standard error of the
+    mean is about 0.4 three-cycles and 7 twelve-cycles), nor one that
+    keeps the law of H but breaks the marginals of G and Gbar; the
+    chi-square and parent-body tests above cover those."""
+    params = ModelParams(n=10**4, p=8 / 10**4, s=0.5)
+    counts = {k: [] for k in range(3, 13)}
+    for r in range(20):
+        pair = sample_correlated(params, 4545, r)
+        found, completed, _ = simple_cycle_counts(intersection_graph(pair.g, pair.g_bar, pair.pi_star), 12)
+        assert completed
+        for k in counts:
+            counts[k].append(found.get(k, 0))
+    ps2 = Fraction(8, 10**4) * Fraction(1, 4)
+    assert_means_match(counts, {k: expected_cycles(params.n, ps2, k) for k in counts}, bound=4)
 
 
 def _sample_distinct_by_unique(rng, universe, m):

@@ -9,7 +9,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from corrmatch.admissibility import default_constants, find_good_set, is_good_set
+from corrmatch.admissibility import check_admissible, default_constants, find_good_set, is_good_set
 from corrmatch.density import densest_subgraph_exact, level_below
 from corrmatch.graphs import (
     Bijection,
@@ -53,6 +53,8 @@ from corrmatch.harness import posterior_dump_csv
 from corrmatch.moments import markov_tail_bound
 from corrmatch.orbits import edge_orbits, phi_of, restricted_orbits
 from corrmatch.rng import stream
+
+from oracles import compose, entries
 
 
 def pair_pmf_oracle(x, y, p, s):
@@ -185,7 +187,7 @@ def test_posterior_single_edge_concentrates_on_edge_preservers():
     e = Graph(4, [(0, 1)])
     table = exact_posterior(e, e, params)
     best = set()
-    for (pi, prob) in table.entries:
+    for (pi, prob) in entries(table):
         if {int(pi.forward[0]), int(pi.forward[1])} == {0, 1}:
             best.add(prob)
         else:
@@ -193,7 +195,7 @@ def test_posterior_single_edge_concentrates_on_edge_preservers():
     # the 4 matchings mapping {0,1} onto {0,1} share the top probability
     assert len(best) == 1
     top = best.pop()
-    others = [p for (pi, p) in table.entries if {int(pi.forward[0]), int(pi.forward[1])} != {0, 1}]
+    others = [p for (pi, p) in entries(table) if {int(pi.forward[0]), int(pi.forward[1])} != {0, 1}]
     assert len(others) == 20 and all(p < top for p in others)
 
 
@@ -808,7 +810,7 @@ def test_truncated_mass_good_set_indicator_bites():
 SIZES, VERTEX = "size mismatch: vertex counts", "vertex out of range"
 G, G_BAR, PI = random_instance(5, 0.5, 3)
 PARAMS, WIDE = ModelParams(n=5, p=0.4, s=0.7), ModelParams(n=6, p=0.4, s=0.7)
-CFG, CONSTS = EstimatorConfig(rho_hat=0.5), make_lenient_consts(5)
+CFG, CONSTS, WIDE_CONSTS = EstimatorConfig(rho_hat=0.5), make_lenient_consts(5), make_lenient_consts(6)
 SHORT = Bijection.identity(4)
 
 
@@ -816,7 +818,7 @@ SHORT = Bijection.identity(4)
     "call, message",
     [
         # a part of the pair with another vertex count
-        (lambda: PI.compose(SHORT), SIZES),
+        (lambda: compose(PI, SHORT), SIZES),
         (lambda: CorrelatedSample(WIDE, PI, G, G_BAR), SIZES),
         (lambda: intersection_graph(G, Graph(4), PI), SIZES),
         (lambda: overlap(PI, SHORT), SIZES),
@@ -833,6 +835,11 @@ SHORT = Bijection.identity(4)
         (lambda: posterior_overlap_mass(exact_posterior(G, G_BAR, PARAMS), SHORT, 0.5), SIZES),
         (lambda: posterior_dump_csv(exact_posterior(G, G_BAR, PARAMS), Bijection.identity(1)), SIZES),
         (lambda: truncated_mass_g(G, G_BAR, {0}, WIDE, CONSTS), SIZES),
+        # admissibility constants instantiated for another n
+        (lambda: check_admissible(G, WIDE_CONSTS), SIZES),
+        (lambda: check_admissible(G, CONSTS).revalidate(G, WIDE_CONSTS), SIZES),
+        (lambda: truncated_mass_f(G, G_BAR, {0}, {0: 0}, PARAMS, WIDE_CONSTS), SIZES),
+        (lambda: truncated_mass_g(G, G_BAR, {0}, PARAMS, WIDE_CONSTS), SIZES),
         # a vertex set with an id outside [0, n), which numpy would wrap, or not an integer
         (lambda: restricted_orbits(PI, PI, {-1, 0}), VERTEX),
         (lambda: is_good_set(intersection_graph(G, G_BAR, PI), {-1}, 1), VERTEX),
@@ -845,7 +852,8 @@ SHORT = Bijection.identity(4)
         "compose", "correlated_sample", "intersection_graph", "overlap", "relabel", "phi_of",
         "log_likelihood_ratio", "exact_posterior", "map_estimator_graph", "map_estimator_params",
         "joint_log_prob", "null_log_prob", "candidate_search", "probability_of", "overlap_mass",
-        "posterior_dump", "truncated_mass_params", "restricted_orbits", "is_good_set", "find_good_set",
+        "posterior_dump", "truncated_mass_params", "check_admissible_consts", "revalidate_consts",
+        "truncated_mass_f_consts", "truncated_mass_g_consts", "restricted_orbits", "is_good_set", "find_good_set",
         "find_good_set_float", "truncated_mass_f", "truncated_mass_g",
     ],
 )

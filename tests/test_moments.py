@@ -11,7 +11,6 @@ from corrmatch.moments import (
     chain_recurrence,
     char_roots,
     combinatorial_minimum,
-    combinatorial_minimum_oracle,
     cycle_moment,
     log_chain_moment,
     log_cycle_moment,
@@ -23,6 +22,8 @@ from corrmatch.moments import (
 )
 from corrmatch.orbits import OrbitDecomposition, EdgeOrbit
 from corrmatch.rng import stream
+
+from oracles import combinatorial_minimum_oracle
 
 PARAM_GRID = [(0.25, 0.5), (0.25, 0.8), (0.4, 0.5), (0.4, 0.8), (0.3, 0.6)]
 

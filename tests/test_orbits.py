@@ -15,6 +15,8 @@ from corrmatch.orbits import (
 )
 from corrmatch.rng import stream
 
+from oracles import compose
+
 
 def bijection_from_cycles(n, cycles):
     fwd = list(range(n))
@@ -163,7 +165,7 @@ def test_orbit_independence_diagnostic():
         # rebuild with the fixed pi_star/pi: resample by relabeling the draw
         g, g_bar = smpl.g, smpl.g_bar
         tgt = smpl.pi_star
-        adj = pi_star.compose(tgt.invert())
+        adj = compose(pi_star, tgt.invert())
         g_bar_fixed = __import__("corrmatch.graphs", fromlist=["relabel"]).relabel(g_bar, adj)
         xs[r] = sum(
             1 for (u, v) in big[0].edges if g.has_edge(u, v) and g_bar_fixed.has_edge(*pi.map_edge(u, v))
