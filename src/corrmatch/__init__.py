@@ -5,13 +5,12 @@ Submodules:
   graphs        generative laws, matchings, intersection graphs
   orbits        edge-orbit decompositions and censuses
   moments       exact orbit moments, tail bounds, combinatorial minimum
-  density       exact densest subgraph, rho curve, threshold inversion
+  density       exact densest subgraph, rho-curve fit, threshold inversion
   admissibility truncation event and good sets
   inference     likelihoods, exact posterior, estimators, TV experiments
-  harness       experiment configs, deterministic replication
-  report        CsvReport, the schema-checked writer of every CSV report
+  harness       experiment configs, deterministic replication, every CSV report
 """
 
-from . import admissibility, density, graphs, harness, inference, moments, orbits, report  # noqa: F401
+from . import admissibility, density, graphs, harness, inference, moments, orbits  # noqa: F401
 
 __version__ = "0.1.0"

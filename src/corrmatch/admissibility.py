@@ -75,7 +75,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .density import densest_subgraph_exact, density_exceeds, level_below
-from .graphs import Graph, check_sizes, vertex_set
+from .graphs import Graph, check_real, check_sizes, vertex_set
 
 __all__ = [
     "AdmissibilityConstants",
@@ -151,6 +151,8 @@ def default_constants(alpha: float, rho_hat: float, n: int) -> AdmissibilityCons
     cap.  Raises when rho_hat >= 1/alpha, which signals the regime above
     the recovery threshold where no truncation constants exist.
     """
+    check_real("alpha", alpha)
+    check_real("rho_hat", rho_hat)
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     if not rho_hat >= 1.0:

@@ -38,6 +38,7 @@ from .harness import (
     _is_int,
     _sweep_alpha,
     acceptance_rates,
+    census_csv,
     posterior_dump_csv,
     run_moment_verification,
     run_posterior_study,
@@ -56,7 +57,7 @@ from .inference import (
     tv_exact,
     tv_mc,
 )
-from .orbits import census_csv, edge_orbits, restricted_orbits
+from .orbits import edge_orbits, restricted_orbits
 from .rng import stream
 
 EXIT_OK = 0

@@ -35,11 +35,9 @@ vertices exceed xi = (1.4 + 2)/2, whose float lies below 17/10), and
 "rho* <= x?" is one such call at level_below(x, n).
 
 rho(lambda), the large-n limit of the maximum density of G(n, lambda/n),
-has no usable closed form; it is estimated by Monte Carlo over exact
-solves.  This module supplies one replicate (rho_draw), the aggregation
-(rho_curve_from_draws) and the inversion of the fitted monotone curve
-(rho_inverse); harness.run_rho_curve drives the replicates and writes the
-CSV.
+has no usable closed form; harness.run_rho_curve estimates it by Monte
+Carlo over exact solves, and this module fits the curve's monotone
+envelope and inverts it (rho_inverse).
 """
 
 from __future__ import annotations
@@ -54,8 +52,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_flow
 
-from .graphs import Graph, sample_er
-from .rng import stream
+from .graphs import Graph
 
 __all__ = [
     "DensityResult",
@@ -64,8 +61,6 @@ __all__ = [
     "densest_subgraph_exact",
     "density_exceeds",
     "level_below",
-    "rho_draw",
-    "rho_curve_from_draws",
     "rho_inverse",
     "isotonic_fit",
 ]
@@ -373,42 +368,6 @@ class RhoCurve:
 
     def isotonic(self) -> np.ndarray:
         return isotonic_fit(np.asarray(self.rho_hat))
-
-
-def rho_draw(grid: tuple[float, ...], n: int, replicates: int, seed: int, k: int) -> tuple[float, float]:
-    """Draw k of a rho curve: replicate k % replicates at grid point
-    k // replicates, sampled from the stream (seed, k).  Returns the exact
-    maximum density of that G(n, lambda/n) and its maximizer's size
-    fraction (the c_lambda readout)."""
-    res = densest_subgraph_exact(sample_er(n, grid[k // replicates] / n, stream(seed, k)))
-    return float(res.density), len(res.best_subset) / n
-
-
-def rho_curve_from_draws(
-    grid: tuple[float, ...], n: int, replicates: int, draws: list[tuple[float, float]]
-) -> RhoCurve:
-    """Per grid point, the mean and stderr of the densities and the 5% / 50%
-    quantiles of the size fractions, over draws[j * replicates + i]."""
-    if replicates < 1:
-        raise ValueError("need at least one replicate")
-    rho_hat, stderr, q05, q50 = [], [], [], []
-    for j in range(len(grid)):
-        block = draws[j * replicates:(j + 1) * replicates]
-        densities = np.array([d for d, _ in block])
-        fractions = np.array([f for _, f in block])
-        rho_hat.append(float(densities.mean()))
-        stderr.append(float(densities.std(ddof=1) / np.sqrt(replicates)) if replicates > 1 else 0.0)
-        q05.append(float(np.quantile(fractions, 0.05)))
-        q50.append(float(np.quantile(fractions, 0.50)))
-    return RhoCurve(
-        lambda_grid=tuple(grid),
-        rho_hat=tuple(rho_hat),
-        stderr=tuple(stderr),
-        size_q05=tuple(q05),
-        size_q50=tuple(q50),
-        n_used=n,
-        replicates=replicates,
-    )
 
 
 def isotonic_fit(values: np.ndarray) -> np.ndarray:

@@ -336,7 +336,7 @@ class Bijection:
         return f"Bijection({self.forward.tolist()})"
 
 
-def _check_real(name: str, value) -> None:
+def check_real(name: str, value) -> None:
     """Refuse a value that is not a real number (a bool is not one)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
@@ -345,8 +345,8 @@ def _check_real(name: str, value) -> None:
 def check_p_s(p: float, s: float) -> None:
     """Refuse a p or s that is not a real number (a bool is not one), a parent
     edge probability p outside (0, 1) or a subsampling one s outside (0, 1]."""
-    _check_real("p", p)
-    _check_real("s", s)
+    check_real("p", p)
+    check_real("s", s)
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie in (0, 1)")
     if not (0.0 < s <= 1.0):
@@ -465,7 +465,7 @@ def _sample_distinct(rng: np.random.Generator, universe: int, m: int) -> np.ndar
 def sample_er(n: int, q: float, rng: np.random.Generator) -> Graph:
     """One G(n, q) draw: binomial edge count, then a uniform edge set."""
     n = _count(n)
-    _check_real("edge probability", q)
+    check_real("edge probability", q)
     if not (0.0 <= q <= 1.0):
         raise ValueError("edge probability must lie in [0, 1]")
     total = _pair_count(n)

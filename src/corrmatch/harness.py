@@ -1,4 +1,4 @@
-"""Experiment orchestration: configs, deterministic replication, CSV reports.
+"""The one experiment layer: configs, replicate draws, every CSV report.
 
 Every experiment is a pure function of (config, master seed): replicate i
 of grid point j draws from the stream (seed, j * replicates + i), except in
@@ -18,17 +18,15 @@ the platform default, which Python 3.14 moves to "forkserver" on Linux:
 forked workers inherit the replicate closures, which could not be
 pickled.  Results are collected in item order.  One worker, one item, a
 map inside a worker and a platform without fork run serially.  The
-worker count is read from config.threads only; a `threads` argument to a
-run_* function replaces that field once, on entry, so nested runs (the
-sweep's reference curve) see it too.
-
-run_rho_curve is the one driver of the rho curve, at one lambda or many,
-and every report, its CSV included, is written through CsvReport.
+worker count is read from config.threads; run_rho_curve and
+run_threshold_sweep, which the benchmark calls with a worker count, also
+take a `threads` argument that replaces that field on entry, so nested
+runs (the sweep's reference curve) see it too.
 """
 
 from __future__ import annotations
 
-import functools
+import io
 import json
 import math
 import multiprocessing
@@ -41,8 +39,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .density import RhoCurve, rho_curve_from_draws, rho_draw, rho_inverse
-from .graphs import Bijection, ModelParams, check_sizes, overlap, sample_correlated
+from .density import RhoCurve, densest_subgraph_exact, rho_inverse
+from .graphs import Bijection, ModelParams, check_sizes, overlap, sample_correlated, sample_er
 from .inference import (
     ENUMERATION_N_MAX,
     EstimatorConfig,
@@ -52,7 +50,7 @@ from .inference import (
     reasonable_candidate_check,
 )
 from .moments import chain_moment, cycle_moment, sample_chain_orbit_edges, sample_cycle_orbit_edges
-from .report import CsvReport
+from .orbits import OrbitDecomposition
 from .rng import stream
 
 __all__ = [
@@ -67,6 +65,7 @@ __all__ = [
     "sweep_grid",
     "run_posterior_study",
     "posterior_dump_csv",
+    "census_csv",
 ]
 
 CONFIG_VERSION = 1
@@ -101,10 +100,9 @@ class ExperimentConfig:
     (kept as tuples, whatever sequence the constructor is given) of
     finite numbers (``theta_grid`` entries with e^theta a float,
     ``k_grid`` entries integers >= 1), and in ``estimator`` ``run_map``
-    must be a bool, ``curve_n`` and
-    ``curve_replicates`` integers >= 1, ``budget`` an integer and ``eta``
-    and ``c_lambda_hat`` finite numbers, the last three within the ranges
-    that EstimatorConfig.check_range states.
+    must be a bool and ``curve_n`` and ``curve_replicates`` integers >= 1,
+    while ``eta``, ``c_lambda_hat`` and ``budget`` must have the types and
+    ranges that EstimatorConfig.check_range states.
 
     Each kind reads only the fields that READS lists for it:
     moment-verification seed, replicates, p, s, theta_grid, k_grid and
@@ -174,12 +172,10 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown estimator keys: {sorted(unknown)}")
         for key, value in self.estimator.items():
+            if not isinstance(value, (int, float)):   # a JSON number or bool, so to_json holds it
+                raise ConfigError(f"estimator {key} must be a JSON number or bool, got {value!r}")
             if key == "run_map" and not isinstance(value, bool):
                 raise ConfigError(f"estimator run_map must be true or false, got {value!r}")
-            if key in ("eta", "c_lambda_hat") and not _is_finite(value):
-                raise ConfigError(f"estimator {key} must be a finite number, got {value!r}")
-            if key == "budget" and not _is_int(value):
-                raise ConfigError(f"estimator budget must be an integer, got {value!r}")
             if key in ("curve_n", "curve_replicates") and not (_is_int(value) and value >= 1):
                 raise ConfigError(f"estimator {key} must be an integer >= 1, got {value!r}")
             if key in ("eta", "c_lambda_hat", "budget"):
@@ -272,6 +268,47 @@ def parallel_map(fn, items, threads: int) -> list:
         _pool_lock.release()
 
 
+class CsvReport:
+    """Schema-validated CSV accumulation: every row is checked against the
+    declared column types before it is written.  A bool is an int
+    subclass, so bools (Python or numpy) are refused in int and float
+    columns instead of rendering as True or 0."""
+
+    def __init__(self, columns: tuple[str, ...], types: tuple[type, ...]):
+        if len(columns) != len(types):
+            raise ValueError("columns and types must align")
+        self.columns = columns
+        self.types = types
+        self._rows: list[tuple] = []
+
+    def add_row(self, *values) -> None:
+        if len(values) != len(self.columns):
+            raise ValueError(f"expected {len(self.columns)} fields, got {len(values)}")
+        for v, t in zip(values, self.types):
+            if t in (int, float) and isinstance(v, (bool, np.bool_)):
+                raise TypeError(f"field {v!r} is a bool, not of type {t.__name__}")
+            if t is float and isinstance(v, (int, np.integer)):
+                continue
+            if not isinstance(v, t):
+                raise TypeError(f"field {v!r} is not of type {t.__name__}")
+        self._rows.append(values)
+
+    def text(self) -> str:
+        buf = io.StringIO()
+        buf.write(",".join(self.columns) + "\n")
+        for row in self._rows:
+            rendered = []
+            for v, t in zip(row, self.types):
+                if t is float:
+                    rendered.append(f"{float(v):.10g}")
+                elif t is bool:
+                    rendered.append("true" if v else "false")
+                else:
+                    rendered.append(str(v))
+            buf.write(",".join(rendered) + "\n")
+        return buf.getvalue()
+
+
 # -- moment verification ----------------------------------------------------------
 
 
@@ -287,13 +324,11 @@ def z_score(mean: float, exact: float, se: float) -> float:
     return 0.0 if mean == exact else math.copysign(math.inf, mean - exact)
 
 
-def run_moment_verification(config: ExperimentConfig, threads: int | None = None) -> tuple[str, list[str]]:
+def run_moment_verification(config: ExperimentConfig) -> tuple[str, list[str]]:
     """Closed-form orbit moments against Monte Carlo, one row per
     (class, k, theta); returns (csv, failures).  Each failure names its
     row: one with |z| > Z_GATE, or with a closed form, mean, stderr or z that
     is not finite (past the float range nothing is verified)."""
-    if threads is not None:
-        config = replace(config, threads=threads)
     if config.p is None or config.s is None:
         raise ConfigError("moment verification needs p and s")
     if config.replicates < 2:
@@ -343,8 +378,10 @@ def run_moment_verification(config: ExperimentConfig, threads: int | None = None
 
 def run_rho_curve(config: ExperimentConfig, threads: int | None = None) -> tuple[str, RhoCurve]:
     """The rho curve over the sorted lambda grid and its CSV, one row per
-    grid point: density.rho_draw mapped over the replicates in parallel,
-    aggregated by density.rho_curve_from_draws."""
+    grid point.  Draw k = j * replicates + i solves G(n, lambda_j / n) from
+    the stream (seed, k) exactly; per grid point, the densities give the
+    mean and stderr (0 for one replicate) and the maximizers' size
+    fractions (the c_lambda readout) the 5% and 50% quantiles."""
     if threads is not None:
         config = replace(config, threads=threads)
     if not config.lambda_grid:
@@ -353,17 +390,29 @@ def run_rho_curve(config: ExperimentConfig, threads: int | None = None) -> tuple
     for lam in grid:
         if not 0.0 <= lam <= config.n:
             raise ConfigError(f"lambda {lam} outside [0, n={config.n}]: lambda/n is an edge probability")
-    draw = functools.partial(rho_draw, grid, config.n, config.replicates, config.seed)
-    draws = parallel_map(draw, range(len(grid) * config.replicates), config.threads)
-    curve = rho_curve_from_draws(grid, config.n, config.replicates, draws)
+    n, reps = config.n, config.replicates
+
+    def draw(k):
+        res = densest_subgraph_exact(sample_er(n, grid[k // reps] / n, stream(config.seed, k)))
+        return float(res.density), len(res.best_subset) / n
+
+    draws = parallel_map(draw, range(len(grid) * reps), config.threads)
+    rho_hat, stderr, q05, q50 = [], [], [], []
+    for j in range(len(grid)):
+        block = draws[j * reps:(j + 1) * reps]
+        densities = np.array([d for d, _ in block])
+        fractions = np.array([f for _, f in block])
+        rho_hat.append(float(densities.mean()))
+        stderr.append(float(densities.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0)
+        q05.append(float(np.quantile(fractions, 0.05)))
+        q50.append(float(np.quantile(fractions, 0.50)))
+    curve = RhoCurve(grid, tuple(rho_hat), tuple(stderr), tuple(q05), tuple(q50), n_used=n, replicates=reps)
     report = CsvReport(
         ("lambda", "n", "replicates", "rho_hat", "stderr", "size_q05", "size_q50"),
         (float, int, int, float, float, float, float),
     )
-    for lam, rho, se, q05, q50 in zip(
-        curve.lambda_grid, curve.rho_hat, curve.stderr, curve.size_q05, curve.size_q50
-    ):
-        report.add_row(lam, curve.n_used, curve.replicates, rho, se, q05, q50)
+    for lam, rho, se, lo, mid in zip(grid, rho_hat, stderr, q05, q50):
+        report.add_row(lam, n, reps, rho, se, lo, mid)
     return report.text(), curve
 
 
@@ -503,11 +552,9 @@ def acceptance_rates(sweep_csv: str, estimator: str = "pi_star") -> dict[float, 
 # -- posterior study ------------------------------------------------------------------
 
 
-def run_posterior_study(config: ExperimentConfig, threads: int | None = None) -> str:
+def run_posterior_study(config: ExperimentConfig) -> str:
     """Exact-posterior replicates at tiny n: posterior mass at the truth,
     the top atom, and their ratio to the uniform baseline."""
-    if threads is not None:
-        config = replace(config, threads=threads)
     if config.p is None or config.s is None:
         raise ConfigError("posterior study needs p and s")
     if config.n > ENUMERATION_N_MAX:
@@ -549,4 +596,15 @@ def posterior_dump_csv(table: PosteriorTable, truth: Bijection) -> str:
     notations = notation.view(f"S{width}").ravel().astype(str).tolist()
     for row in zip(notations, log_post.tolist(), overlaps.tolist()):
         report.add_row(*row)
+    return report.text()
+
+
+def census_csv(decomposition: OrbitDecomposition) -> str:
+    """Census export with columns (length, kind, special, count), one row
+    per non-zero census entry."""
+    report = CsvReport(("length", "kind", "special", "count"), (int, str, bool, int))
+    for k, (s_k, l_k, t_k) in decomposition.census.items():
+        for kind, special, count in (("cycle", True, s_k), ("cycle", False, l_k), ("chain", False, t_k)):
+            if count:
+                report.add_row(k, kind, special, count)
     return report.text()

@@ -19,6 +19,7 @@ gated to small n where the n! enumeration is affordable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -32,6 +33,7 @@ from .graphs import (
     Graph,
     ModelParams,
     check_p_s,
+    check_real,
     check_sizes,
     intersection_graph,
     pair_pmf,
@@ -293,10 +295,11 @@ class EstimatorConfig:
     """Settings of the estimators and the reasonable-candidate test, and
     the one place that states their defaults and ranges.
 
-    rho_hat is the density level, from the density module; c_lambda_hat
-    the size floor as a fraction of n, in (0, 1]; eta the density margin,
-    finite and > 0; budget the hill climb's move budget, >= 1.  In the
-    supercritical regime the proof takes 0 < eta < (rho_hat - 1/alpha)/4.
+    rho_hat is the density level, finite; c_lambda_hat the size floor as a
+    fraction of n, in (0, 1]; eta the density margin, finite and > 0, all
+    real numbers; budget the hill climb's move budget, an integer >= 1;
+    none a bool.  In the supercritical regime the proof takes
+    0 < eta < (rho_hat - 1/alpha)/4.
     """
 
     rho_hat: float
@@ -306,20 +309,28 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.rho_hat):
-            raise ValueError("rho_hat must be finite")
-        for name in ("c_lambda_hat", "eta", "budget"):
+        for name in ("rho_hat", "c_lambda_hat", "eta", "budget"):
             self.check_range(name, getattr(self, name))
 
     @staticmethod
-    def check_range(name: str, value: float) -> None:
-        """Raise ValueError unless value lies in the range of the setting
-        `name` (c_lambda_hat, eta or budget)."""
-        in_range, what = {
-            "c_lambda_hat": (0.0 < value <= 1.0, "lie in (0, 1]"),
-            "eta": (0.0 < value < math.inf, "be finite and positive"),
-            "budget": (value >= 1, "be at least 1"),
-        }[name]
+    def check_range(name: str, value) -> None:
+        """Raise ValueError unless value has the type of the setting `name`
+        (rho_hat, c_lambda_hat, eta or budget) and lies in its range."""
+        if name == "budget":
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"budget must be an integer, got {value!r}")
+            in_range, what = value >= 1, "be at least 1"
+        else:
+            check_real(name, value)
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:   # an int past the float range
+                finite = False
+            in_range, what = {
+                "rho_hat": (finite, "be finite"),
+                "c_lambda_hat": (0.0 < value <= 1.0, "lie in (0, 1]"),
+                "eta": (finite and value > 0, "be finite and positive"),
+            }[name]
         if not in_range:
             raise ValueError(f"{name} must {what}, got {value!r}")
 

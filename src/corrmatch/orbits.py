@@ -3,7 +3,8 @@
 The edge map Phi induced by phi partitions the unordered pairs inside a
 vertex set A into cycles and maximal chains; pair variables (G_e, Gbar at
 the pi-image of e) are independent across distinct orbits, which is what
-makes the orbit census the right bookkeeping unit for moment bounds.
+makes the orbit census the right bookkeeping unit for moment bounds
+(harness.census_csv writes it; this module only computes).
 
 Orbit structure facts used here: the orbit of (u, v) is a cycle iff the
 node cycles of u and v both lie inside A; disjoint node cycles of lengths
@@ -19,7 +20,6 @@ from math import floor
 import numpy as np
 
 from .graphs import Bijection, CorrelatedSample, check_sizes, vertex_set
-from .report import CsvReport
 
 __all__ = [
     "NodeCycleDecomposition",
@@ -32,7 +32,6 @@ __all__ = [
     "orbit_edge_stats",
     "short_cycle_cutoff",
     "phi_of",
-    "census_csv",
 ]
 
 
@@ -268,14 +267,3 @@ def orbit_edge_stats(
         else:
             e_long += hits
     return OrbitEdgeStats(e_special=e_special, e_k=tuple(e_k), e_long=e_long, n_cutoff=n_cutoff)
-
-
-def census_csv(decomposition: OrbitDecomposition) -> str:
-    """Census export with columns (length, kind, special, count), one row
-    per non-zero census entry."""
-    report = CsvReport(("length", "kind", "special", "count"), (int, str, bool, int))
-    for k, (s_k, l_k, t_k) in decomposition.census.items():
-        for kind, special, count in (("cycle", True, s_k), ("cycle", False, l_k), ("chain", False, t_k)):
-            if count:
-                report.add_row(k, kind, special, count)
-    return report.text()

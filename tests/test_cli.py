@@ -304,7 +304,7 @@ def test_moments_check_exits_2_on_statistical_failure(monkeypatch, capsys):
     import corrmatch.cli as cli
 
     failure = "cycle k=1 theta=0.5: |z| = 5.3 exceeds 4"
-    monkeypatch.setattr(cli, "run_moment_verification", lambda cfg, threads=None: ("stub\n", [failure]))
+    monkeypatch.setattr(cli, "run_moment_verification", lambda cfg: ("stub\n", [failure]))
     assert RUN(["moments-check"]) == 2
     assert f"FAIL: {failure}" in capsys.readouterr().err
 
@@ -342,7 +342,7 @@ def test_rho_curve_refuses_a_nonfinite_invert_at_before_any_draw(target, monkeyp
     import corrmatch.harness as harness
 
     draws = []
-    monkeypatch.setattr(harness, "rho_draw", lambda *args: draws.append(args))
+    monkeypatch.setattr(harness, "sample_er", lambda *args: draws.append(args))
     with pytest.raises(SystemExit) as info:
         RUN(["rho-curve", "--lambdas", "1,6", "--n", "80", "--replicates", "3", f"--invert-at={target}"])
     assert info.value.code == 3 and draws == []
@@ -777,14 +777,13 @@ def test_worker_errors_exit_3_with_two_workers(argv, message, monkeypatch, capsy
     ],
 )
 def test_out_of_range_lambdas_exit_3_before_any_draw(argv, message, monkeypatch, capsys):
-    import corrmatch.density as density
     import corrmatch.harness as harness
 
     def refuse(*args, **kwargs):
         raise AssertionError("a draw ran before the grid was checked")
 
-    for module, name in ((density, "sample_er"), (harness, "sample_correlated"), (harness, "sweep_reference_curve")):
-        monkeypatch.setattr(module, name, refuse)
+    for name in ("sample_er", "sample_correlated", "sweep_reference_curve"):
+        monkeypatch.setattr(harness, name, refuse)
     assert RUN(argv) == 3
     assert message in capsys.readouterr().err
 

@@ -5,12 +5,13 @@ import os
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from corrmatch.density import rho_curve_from_draws, rho_draw
-from corrmatch.graphs import ModelParams, sample_correlated
+from corrmatch.density import RhoCurve, densest_subgraph_exact
+from corrmatch.graphs import ModelParams, sample_correlated, sample_er
 from corrmatch.harness import (
     _SWEEP_CURVE_OFFSET,
     _SWEEP_ESTIMATOR_OFFSET,
@@ -26,8 +27,8 @@ from corrmatch.harness import (
     run_threshold_sweep,
     sweep_reference_curve,
 )
-from corrmatch import report
 from corrmatch.inference import exact_posterior
+from corrmatch.rng import stream
 
 
 def small_config(kind, **kw):
@@ -233,10 +234,6 @@ def test_csv_report_refuses_bools_in_numeric_columns(value):
     assert rep.text() == f"a,b,c\n1,2,{'true' if value else 'false'}\n"
 
 
-def test_csv_report_is_one_object():
-    assert CsvReport is report.CsvReport
-
-
 # -- determinism across worker counts, and the worker pool --
 
 
@@ -247,19 +244,48 @@ def test_rho_curve_byte_identical_across_threads():
     assert csv1 == csv8
 
 
+def _rho_curve_oracle(n, replicates, grid, seed):
+    """The rho curve by sequential exact solves, replicate i of grid point j
+    on stream(seed, j * replicates + i), with numpy block statistics."""
+    grid = sorted(grid)
+    dens, frac = np.empty((len(grid), replicates)), np.empty((len(grid), replicates))
+    for j, lam in enumerate(grid):
+        for i in range(replicates):
+            res = densest_subgraph_exact(sample_er(n, lam / n, stream(seed, j * replicates + i)))
+            dens[j, i], frac[j, i] = float(res.density), len(res.best_subset) / n
+    stderr = dens.std(axis=1, ddof=1) / np.sqrt(replicates) if replicates > 1 else np.zeros(len(grid))
+    return RhoCurve(
+        lambda_grid=tuple(grid),
+        rho_hat=tuple(dens.mean(axis=1).tolist()),
+        stderr=tuple(stderr.tolist()),
+        size_q05=tuple(np.quantile(frac, 0.05, axis=1).tolist()),
+        size_q50=tuple(np.quantile(frac, 0.50, axis=1).tolist()),
+        n_used=n,
+        replicates=replicates,
+    )
+
+
 def test_run_rho_curve_matches_sequential_reference():
     cfg = small_config("rho-curve", n=80, replicates=3, lambda_grid=(3.0, 1.5), seed=21, threads=2)
-    grid = (1.5, 3.0)
-    draws = [rho_draw(grid, 80, 3, 21, k) for k in range(len(grid) * 3)]
-    assert run_rho_curve(cfg)[1] == rho_curve_from_draws(grid, 80, 3, draws)
+    assert run_rho_curve(cfg)[1] == _rho_curve_oracle(80, 3, (3.0, 1.5), 21)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_replicate_rho_curve_over_an_unsorted_grid(threads):
+    cfg = small_config("rho-curve", n=80, replicates=1, lambda_grid=(4.0, 1.0, 2.5), seed=21, threads=threads)
+    csv, curve = run_rho_curve(cfg)
+    assert curve == _rho_curve_oracle(80, 1, (4.0, 1.0, 2.5), 21)
+    assert curve.lambda_grid == (1.0, 2.5, 4.0) and curve.stderr == (0.0, 0.0, 0.0)
+    assert curve.size_q05 == curve.size_q50
+    assert [row.split(",")[0] for row in csv.splitlines()[1:]] == ["1", "2.5", "4"]
 
 
 def test_moment_verification_byte_identical_across_threads():
     cfg = small_config(
         "moment-verification", p=0.3, s=0.6, replicates=5000, k_grid=(1, 2), theta_grid=(0.5,), seed=3
     )
-    csv1, failures1 = run_moment_verification(cfg, threads=1)
-    csv8, failures8 = run_moment_verification(cfg, threads=8)
+    csv1, failures1 = run_moment_verification(replace(cfg, threads=1))
+    csv8, failures8 = run_moment_verification(replace(cfg, threads=8))
     assert csv1 == csv8 and failures1 == failures8
 
 
@@ -496,17 +522,17 @@ def test_worker_errors_keep_their_type(monkeypatch):
     import corrmatch.harness as harness
 
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    real_sample, real_draw = harness.sample_correlated, harness.rho_draw
+    real_sample, real_er = harness.sample_correlated, harness.sample_er
 
     def sample(params, seed, replicate):
         if replicate >= 2:   # the second grid point's replicates
             raise ConfigError("replicate refused")
         return real_sample(params, seed, replicate)
 
-    def draw(grid, n, replicates, seed, k):
-        if k >= replicates:
+    def draw(n, q, rng):
+        if q > 2.5 / n:   # the second grid point's replicates
             raise ValueError("replicate refused")
-        return real_draw(grid, n, replicates, seed, k)
+        return real_er(n, q, rng)
 
     sweep = small_config(
         "threshold-sweep", n=60, alpha=0.5, replicates=2, lambda_grid=(2.0, 3.0), seed=3,
@@ -517,7 +543,7 @@ def test_worker_errors_keep_their_type(monkeypatch):
     for threads in (1, 2):
         with pytest.raises(ConfigError, match="replicate refused"):
             run_threshold_sweep(sweep, threads=threads)
-    monkeypatch.setattr(harness, "rho_draw", draw)
+    monkeypatch.setattr(harness, "sample_er", draw)
     for threads in (1, 2):
         with pytest.raises(ValueError, match="replicate refused") as info:
             run_rho_curve(curve, threads=threads)
@@ -541,7 +567,7 @@ def test_posterior_study_csv_and_signal():
 
 def test_posterior_study_byte_identical_across_workers():
     cfg = small_config("posterior-study", n=5, p=0.4, s=0.8, replicates=6, seed=13)
-    assert run_posterior_study(cfg, threads=1) == run_posterior_study(cfg, threads=2)
+    assert run_posterior_study(replace(cfg, threads=1)) == run_posterior_study(replace(cfg, threads=2))
 
 
 def test_posterior_study_rejects_large_n():

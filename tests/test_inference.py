@@ -293,6 +293,33 @@ def test_costly_enumerations_refuse_n8():
 # -- estimators --
 
 
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("rho_hat", [True, np.bool_(False), "1.5", None, math.nan, math.inf, 10**400]),
+        ("c_lambda_hat", [True, np.bool_(True), "0.5", [0.5], math.nan, 0, 1.5]),
+        ("eta", [True, "0.15", None, math.nan, math.inf, 10**400, 0]),
+        ("budget", [2.5, np.float64(3.0), True, np.bool_(True), "3", None, 0]),
+    ],
+)
+def test_estimator_config_has_one_type_rule(key, bad):
+    # levels are real numbers and the budget an integer, none a bool
+    for value in bad:
+        with pytest.raises(ValueError, match=key):
+            EstimatorConfig(**{"rho_hat": 1.5, key: value})
+    good = {"rho_hat": [1, np.float64(1.5), -2.0], "c_lambda_hat": [1, np.float32(0.5)],
+            "eta": [2, np.float64(0.1)], "budget": [1, np.int64(3)]}[key]
+    for value in good:
+        EstimatorConfig(**{"rho_hat": 1.5, key: value})
+
+
+def test_default_constants_refuse_bool_levels():
+    assert default_constants(0.5, 1, 100).xi == 1.5
+    for args, name in (((0.5, True, 100), "rho_hat"), ((True, 1.5, 100), "alpha"), ((np.bool_(True), 1.5, 100), "alpha")):
+        with pytest.raises(ValueError, match=name):
+            default_constants(*args)
+
+
 def asymmetric_graph():
     # 6-vertex asymmetric graph (trivial automorphism group), checked below
     g = Graph(6, [(0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3)])
@@ -735,6 +762,19 @@ def test_tv_mc_matches_exact_within_4se():
     exact = tv_exact(params)
     est, se = tv_mc(params, replicates=4000, seed=21)
     assert abs(est - exact) < 4 * se + 1e-12
+
+
+@pytest.mark.parametrize("seed", [1.5, True, np.bool_(True), np.float64(7.9), "1", None])
+def test_seeds_that_are_not_integers_are_refused(seed):
+    # a float or bool seed would be truncated onto an integer's stream
+    params = ModelParams(n=4, p=0.5, s=0.8)
+    for draw in (lambda: stream(seed, 0), lambda: stream(0, seed), lambda: sample_correlated(params, seed),
+                 lambda: sample_correlated(params, 0, seed), lambda: tv_mc(params, 3, seed)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            draw()
+    # numpy integers keep their streams
+    assert stream(np.int64(7), np.uint64(3)).random() == stream(7, 3).random()
+    assert sample_correlated(params, np.int32(1)).pi_star == sample_correlated(params, 1).pi_star
 
 
 # -- truncated masses --

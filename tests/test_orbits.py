@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from corrmatch.graphs import Bijection, CorrelatedSample, Graph, ModelParams, sample_correlated
+from corrmatch.harness import census_csv
 from corrmatch.orbits import (
-    census_csv,
     edge_orbits,
     node_cycles,
     orbit_edge_stats,

@@ -1,7 +1,11 @@
-"""The package ships no public name without a caller: every name in a
-module's `__all__` is used in `src/corrmatch` or `perfbench/` beyond its
-own definition and its `__all__` entry, or the README lists it among the
-paper features that wait for a caller."""
+"""The package's surface and layering, read off the source's AST.
+
+It ships no public name without a caller: every name in a module's
+`__all__` is used in `src/corrmatch` or `perfbench/` beyond its own
+definition and its `__all__` entry, or the README lists it among the paper
+features that wait for a caller.  And `harness` is the one layer that draws
+replicates and writes CSV: no other module builds a `CsvReport` or calls
+`parallel_map`, and the compute modules draw no random stream of their own."""
 
 import ast
 import re
@@ -66,3 +70,33 @@ def test_every_public_name_has_a_caller_or_waits_in_the_readme():
     assert not uncalled - waiting, f"public with no caller: {sorted(f'{public[n]}.{n}' for n in uncalled - waiting)}"
     # the list stays exact: a name that gained a caller or left the package leaves it
     assert waiting <= uncalled, f"listed but called or gone: {sorted(waiting - uncalled)}"
+
+
+# Modules that only compute: their randomness, if any, is a generator
+# handed in by a caller.
+COMPUTE_ONLY = ("density", "orbits", "moments", "admissibility")
+
+
+def _layering_breaches(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    breaches = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and path.stem != "harness":
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("CsvReport", "parallel_map"):
+                breaches.append(f"{path.stem}:{node.lineno} calls {name}")
+        if path.stem in COMPUTE_ONLY:
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if any(m.split(".")[-1] == "rng" for m in modules):
+                breaches.append(f"{path.stem}:{node.lineno} imports from rng")
+    return breaches
+
+
+def test_only_harness_draws_replicates_and_writes_csv():
+    breaches = [b for path in sorted((ROOT / "src" / "corrmatch").glob("*.py")) for b in _layering_breaches(path)]
+    assert not breaches, breaches
