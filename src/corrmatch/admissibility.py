@@ -75,7 +75,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .density import densest_subgraph_exact, density_exceeds, level_below
-from .graphs import Graph, check_real, check_sizes, vertex_set
+from .graphs import Graph, _count, check_real, check_sizes, vertex_set
 
 __all__ = [
     "AdmissibilityConstants",
@@ -157,6 +157,7 @@ def default_constants(alpha: float, rho_hat: float, n: int) -> AdmissibilityCons
         raise ValueError("alpha must lie in (0, 1)")
     if not rho_hat >= 1.0:
         raise ValueError("rho_hat must be at least 1")
+    n = _count(n)
     if n < 4:
         raise ValueError("n too small for the caps")
     inv_a = 1.0 / alpha

@@ -355,7 +355,6 @@ class RhoCurve:
     size_q05: tuple[float, ...]
     size_q50: tuple[float, ...]
     n_used: int
-    replicates: int
 
     def __post_init__(self) -> None:
         k = len(self.lambda_grid)
@@ -389,7 +388,6 @@ _STDERR_BAND = 2.0   # half-width of rho_inverse's interval, in stderrs
 class LambdaStarEstimate:
     """Inverted threshold estimate with a stderr-band interval."""
 
-    target: float
     lambda_star: float
     lo: float
     hi: float
@@ -425,5 +423,5 @@ def rho_inverse(target: float, curve: RhoCurve) -> LambdaStarEstimate:
     lower_curve = isotonic_fit(np.asarray(curve.rho_hat) - _STDERR_BAND * se)
     lo = _invert_monotone(grid, upper_curve, target) if target <= upper_curve[-1] else float(grid[-1])
     hi = _invert_monotone(grid, lower_curve, target) if target <= lower_curve[-1] else float(grid[-1])
-    return LambdaStarEstimate(target=target, lambda_star=center, lo=min(lo, hi), hi=max(lo, hi))
+    return LambdaStarEstimate(lambda_star=center, lo=min(lo, hi), hi=max(lo, hi))
 

@@ -318,9 +318,6 @@ class Bijection:
     def uniform(cls, n: int, rng: np.random.Generator) -> "Bijection":
         return cls(rng.permutation(_count(n)))
 
-    def invert(self) -> "Bijection":
-        return Bijection(self.inverse)
-
     def map_edge(self, u: int, v: int) -> tuple[int, int]:
         u, v = _ids(self.n, "vertex out of range", u, v, ndim=0)
         a, b = int(self.forward[u]), int(self.forward[v])

@@ -406,7 +406,7 @@ def run_rho_curve(config: ExperimentConfig, threads: int | None = None) -> tuple
         stderr.append(float(densities.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0)
         q05.append(float(np.quantile(fractions, 0.05)))
         q50.append(float(np.quantile(fractions, 0.50)))
-    curve = RhoCurve(grid, tuple(rho_hat), tuple(stderr), tuple(q05), tuple(q50), n_used=n, replicates=reps)
+    curve = RhoCurve(grid, tuple(rho_hat), tuple(stderr), tuple(q05), tuple(q50), n_used=n)
     report = CsvReport(
         ("lambda", "n", "replicates", "rho_hat", "stderr", "size_q05", "size_q50"),
         (float, int, int, float, float, float, float),

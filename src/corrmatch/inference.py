@@ -263,6 +263,7 @@ def exact_posterior(g: Graph, g_bar: Graph, params: ModelParams) -> PosteriorTab
 def posterior_overlap_mass(table: PosteriorTable, pi_tilde: Bijection, delta: float) -> float:
     """Posterior mass of matchings agreeing with pi_tilde on >= ceil(delta n)
     vertices."""
+    check_real("delta", delta)
     if not (0.0 <= delta <= 1.0):
         raise ValueError("delta must lie in [0, 1]")
     threshold = math.ceil(delta * check_sizes(table, pi_tilde))
@@ -273,6 +274,7 @@ def posterior_overlap_mass(table: PosteriorTable, pi_tilde: Bijection, delta: fl
 def posterior_w(table: PosteriorTable, delta: float) -> float:
     """max over reference matchings of the delta-overlap posterior mass
     (exhaustive over all n! references, so n <= COSTLY_ENUMERATION_N_MAX)."""
+    check_real("delta", delta)
     if not (0.0 <= delta <= 1.0):
         raise ValueError("delta must lie in [0, 1]")
     if table.n > COSTLY_ENUMERATION_N_MAX:
@@ -298,8 +300,9 @@ class EstimatorConfig:
     rho_hat is the density level, finite; c_lambda_hat the size floor as a
     fraction of n, in (0, 1]; eta the density margin, finite and > 0, all
     real numbers; budget the hill climb's move budget, an integer >= 1;
-    none a bool.  In the supercritical regime the proof takes
-    0 < eta < (rho_hat - 1/alpha)/4.
+    seed its master seed, an integer in [0, 2**64) (the key range of
+    rng.stream); none a bool.  In the supercritical regime the proof
+    takes 0 < eta < (rho_hat - 1/alpha)/4.
     """
 
     rho_hat: float
@@ -309,17 +312,20 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("rho_hat", "c_lambda_hat", "eta", "budget"):
+        for name in ("rho_hat", "c_lambda_hat", "eta", "budget", "seed"):
             self.check_range(name, getattr(self, name))
 
     @staticmethod
     def check_range(name: str, value) -> None:
         """Raise ValueError unless value has the type of the setting `name`
-        (rho_hat, c_lambda_hat, eta or budget) and lies in its range."""
-        if name == "budget":
+        (rho_hat, c_lambda_hat, eta, budget or seed) and lies in its range."""
+        if name in ("budget", "seed"):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"budget must be an integer, got {value!r}")
-            in_range, what = value >= 1, "be at least 1"
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name == "budget":
+                in_range, what = value >= 1, "be at least 1"
+            else:
+                in_range, what = 0 <= value < 1 << 64, "lie in [0, 2**64)"
         else:
             check_real(name, value)
             try:
@@ -611,6 +617,8 @@ def tv_mc(params: ModelParams, replicates: int, seed: int) -> tuple[float, float
     """Monte Carlo TV estimate E_null[(1 - L)_+] and its standard error,
     with the exact mixture likelihood ratio L (n <= COSTLY_ENUMERATION_N_MAX)."""
     n = params.n
+    if isinstance(replicates, bool) or not isinstance(replicates, numbers.Integral):
+        raise ValueError(f"replicate count must be an integer, got {replicates!r}")
     if replicates < 2:
         raise ValueError("need at least two replicates")
     perm_maps = _pair_perm_maps(n)

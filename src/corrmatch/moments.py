@@ -12,25 +12,26 @@ c1 mu1^k + c2 mu2^k with coefficients pinned by the k = 1, 2 values.
 Every closed form here is paired with an independent computation route, and
 every moment read, log_cycle_moment and log_chain_moment, asserts in log
 space that the two agree.
+Every order (k, m, T, n, the cutoff N) must be an integer, not a bool, and
+the tail functions return plain tuples.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import exp, inf, isfinite, lgamma, log, log1p
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import ModelParams, check_p_s, check_sizes, pair_pmf
+from .graphs import ModelParams, check_p_s, check_real, check_sizes, pair_pmf
 from .orbits import OrbitDecomposition
 
 __all__ = [
     "ConsistencyError",
     "InfeasiblePolytopeError",
     "MomentCoefficients",
-    "TailRateParams",
-    "PolytopePoint",
     "chain_recurrence",
     "char_roots",
     "cycle_moment",
@@ -54,6 +55,13 @@ class ConsistencyError(AssertionError):
 
 class InfeasiblePolytopeError(ValueError):
     """The constraint polytope is empty."""
+
+
+def _order(name: str, value, least: int) -> int:
+    """value if it is an integer (no bool) of at least `least`, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def char_roots(theta: float, p: float, s: float) -> tuple[float, float]:
@@ -93,8 +101,7 @@ def chain_recurrence(m: int, theta: float, p: float, s: float) -> tuple[float, f
     combination of I, M and M^2.
     """
     check_p_s(p, s)
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _order("m", m, 1)
     w, u = exp(-max(theta, 0.0)), exp(min(theta, 0.0))   # e^theta w = u, and one of them is 1
     ps = p * s
     (q00, q10), _ = pair_pmf(p, s).tolist()
@@ -141,8 +148,7 @@ def log_cycle_moment(k: int, theta: float, p: float, s: float) -> float:
     k * theta.  Checked against the boundary combination
     q00 a_k + q11 b_k + 2 q10 c_k with q = graphs.pair_pmf; the two logs
     must agree to 1e-9."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _order("k", k, 1)
     mu1, mu2 = char_roots(theta, p, s)   # mu1 >= b/2 >= 1/2
     closed = k * log(mu1) + log1p((mu2 / mu1) ** k)
     a, b, c, logscale = chain_recurrence(k, theta, p, s)
@@ -191,8 +197,7 @@ def log_chain_moment(k: int, theta: float, p: float, s: float) -> float:
     k log mu1 + log(c1 + c2 (mu2/mu1)^k); the two logs must agree to 1e-9.
     Past theta of about 355 the coefficients overflow and the check is
     skipped."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _order("k", k, 1)
     a, b, c, logscale = chain_recurrence(k, theta, p, s)
     ps = p * s
     combo = log((1.0 - ps) ** 2 * a + ps * ps * b + 2.0 * ps * (1.0 - ps) * c) + logscale
@@ -213,23 +218,15 @@ def chain_moment(k: int, theta: float, p: float, s: float) -> float:
 # -- tail bounds ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TailRateParams:
-    """Exponents alpha_k = (k-1)/k for short cycles; alpha_{N+1} caps at alpha."""
-
-    alpha: float
-    n_cutoff: int
-    alpha_k: tuple[float, ...]   # alpha_1 .. alpha_{N+1}
-
-
-def tail_rates(alpha: float, n_cutoff: int) -> TailRateParams:
+def tail_rates(alpha: float, n_cutoff: int) -> tuple[float, ...]:
+    """The exponents (alpha_1, ..., alpha_{N+1}): alpha_k = (k-1)/k for the
+    short cycles, and alpha_{N+1} = min(alpha, N/(N+1)) for the long ones."""
+    check_real("alpha", alpha)
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
-    if n_cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
+    _order("n_cutoff", n_cutoff, 1)
     rates = tuple((k - 1) / k for k in range(1, n_cutoff + 1))
-    rates = rates + (min(alpha, n_cutoff / (n_cutoff + 1)),)
-    return TailRateParams(alpha=alpha, n_cutoff=n_cutoff, alpha_k=rates)
+    return rates + (min(alpha, n_cutoff / (n_cutoff + 1)),)
 
 
 def markov_tail_bound(
@@ -263,11 +260,11 @@ def markov_tail_bound(
     if orbit_class == "special":
         theta = log(n) - log(log(n))
     elif orbit_class == "k_cycle":
-        if k is None or not (1 <= k <= n_cutoff):
+        if k is None or _order("k", k, 1) > n_cutoff:
             raise ValueError("k_cycle bound needs 1 <= k <= cutoff")
-        theta = rates.alpha_k[k - 1] * log(n) - log(lam)
+        theta = rates[k - 1] * log(n) - log(lam)
     elif orbit_class == "long":
-        theta = alpha * log(n) if alpha < 1.0 else rates.alpha_k[-1] * log(n) - log(lam)
+        theta = alpha * log(n) if alpha < 1.0 else rates[-1] * log(n) - log(lam)
     else:
         raise ValueError(f"unknown orbit class {orbit_class!r}")
     theta = max(theta, 0.0)
@@ -290,17 +287,6 @@ def markov_tail_bound(
 # -- the combinatorial minimum ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolytopePoint:
-    """A point (x_0, ..., x_{N+1}) of the constraint polytope."""
-
-    x: tuple[float, ...]
-
-    @property
-    def x0(self) -> float:
-        return self.x[0]
-
-
 def _objective(T: int, nks: Sequence[int], point: Sequence[float], rates: tuple[float, ...]) -> float:
     # rates = (alpha_1, ..., alpha_{N+1}); point = (x_0, ..., x_{N+1})
     return sum(nks) - T + point[0] + sum(r * xv for r, xv in zip(rates, point[1:]))
@@ -312,8 +298,9 @@ def combinatorial_minimum(
     rho: float,
     eta: float,
     alpha: float,
-) -> tuple[float, PolytopePoint]:
-    """Minimum of sum(n_k) - T + x_0 + sum(alpha_k x_k) over the relaxation.
+) -> tuple[float, tuple[float, ...]]:
+    """Minimum of sum(n_k) - T + x_0 + sum(alpha_k x_k) over the relaxation,
+    returned as (value, x) with x = (x_0, ..., x_{N+1}) a minimising point.
 
     Constraints: 0 <= x_i <= rho T, sum(x_i) >= (rho - eta) T, and prefix
     caps sum_{k<=m} x_k <= (rho + eta) sum_{k<=m} k n_k for m <= N.  The
@@ -324,6 +311,7 @@ def combinatorial_minimum(
     The rates are tail_rates(alpha, N), so alpha outside (0, 1] raises
     ValueError.
     """
+    _order("T", T, 0)
     big_n = len(nks)
     if big_n < 1:
         raise ValueError("need at least one short-cycle count")
@@ -335,7 +323,7 @@ def combinatorial_minimum(
         raise ValueError("rho must exceed 1")
     if eta < 0.0:
         raise ValueError("eta must be non-negative")
-    rates = tail_rates(alpha, len(nks)).alpha_k
+    rates = tail_rates(alpha, len(nks))
     box = rho * T
     need = (rho - eta) * T
     xs = [0.0] * (big_n + 2)   # x_0, x_1, ..., x_{N+1}
@@ -365,15 +353,14 @@ def combinatorial_minimum(
         raise InfeasiblePolytopeError(
             f"cannot reach sum {(rho - eta) * T} within the caps (short by {need})"
         )
-    point = PolytopePoint(x=tuple(xs))
-    return _objective(T, nks, xs, rates), point
+    return _objective(T, nks, xs, rates), tuple(xs)
 
 
 def permutation_count_bound(n: int, T: int, nks: Sequence[int]) -> float:
     """Log of the bound n(n-1)...(n-T+1) / prod(k^{n_k} n_k!) on the number
     of embeddings of a T-set whose induced permutation has n_k short
     k-cycles inside it."""
-    if not (0 <= T <= n):
+    if _order("T", T, 0) > _order("n", n, 0):
         raise ValueError("need 0 <= T <= n")
     if sum(k * v for k, v in zip(range(1, len(nks) + 1), nks)) > T:
         raise ValueError("cycle counts exceed T")

@@ -22,7 +22,6 @@ import numpy as np
 from .graphs import Bijection, CorrelatedSample, check_sizes, vertex_set
 
 __all__ = [
-    "NodeCycleDecomposition",
     "EdgeOrbit",
     "OrbitDecomposition",
     "OrbitEdgeStats",
@@ -33,17 +32,6 @@ __all__ = [
     "short_cycle_cutoff",
     "phi_of",
 ]
-
-
-@dataclass(frozen=True)
-class NodeCycleDecomposition:
-    """Vertex cycles of a permutation; cycles partition [0, n)."""
-
-    cycles: tuple[tuple[int, ...], ...]
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cycles)
 
 
 @dataclass(frozen=True)
@@ -95,19 +83,14 @@ class OrbitDecomposition:
 class OrbitEdgeStats:
     """Intersection-graph edges inside A, grouped by orbit class.
 
-    e_k[k-1] counts edges from non-special k-cycles for 1 <= k <= n_cutoff;
-    chains and longer non-special cycles pool into e_long; special cycles
-    of any length pool into e_special.
+    e_k[k-1] counts edges from non-special k-cycles for 1 <= k <= N, the
+    cutoff len(e_k); chains and longer non-special cycles pool into e_long;
+    special cycles of any length pool into e_special.
     """
 
     e_special: int
     e_k: tuple[int, ...]
     e_long: int
-    n_cutoff: int
-
-    @property
-    def total(self) -> int:
-        return self.e_special + sum(self.e_k) + self.e_long
 
 
 def phi_of(pi_star: Bijection, pi: Bijection) -> Bijection:
@@ -116,8 +99,9 @@ def phi_of(pi_star: Bijection, pi: Bijection) -> Bijection:
     return Bijection(pi.inverse[pi_star.forward])
 
 
-def node_cycles(phi: Bijection) -> NodeCycleDecomposition:
-    """Cycle decomposition; each cycle starts at its least vertex."""
+def node_cycles(phi: Bijection) -> tuple[tuple[int, ...], ...]:
+    """Cycle decomposition, a tuple of cycles that partition [0, n); each
+    cycle starts at its least vertex."""
     fwd = phi.forward
     seen = np.zeros(phi.n, dtype=bool)
     cycles = []
@@ -132,7 +116,7 @@ def node_cycles(phi: Bijection) -> NodeCycleDecomposition:
             seen[v] = True
             v = int(fwd[v])
         cycles.append(tuple(cyc))
-    return NodeCycleDecomposition(cycles=tuple(cycles))
+    return tuple(cycles)
 
 
 def short_cycle_cutoff(alpha: float, rho: float | None = None, eta: float | None = None) -> int:
@@ -152,18 +136,18 @@ def short_cycle_cutoff(alpha: float, rho: float | None = None, eta: float | None
     return floor(1.0 / (rho - eta - 1.0)) + 1
 
 
-def _cycle_index(phi: Bijection) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, ...]]]:
+def _cycle_index(phi: Bijection) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
     """Per-vertex (cycle id, position in cycle, cycle length)."""
-    dec = node_cycles(phi)
+    cycles = node_cycles(phi)
     cid = np.empty(phi.n, dtype=np.int64)
     pos = np.empty(phi.n, dtype=np.int64)
     clen = np.empty(phi.n, dtype=np.int64)
-    for i, cyc in enumerate(dec.cycles):
+    for i, cyc in enumerate(cycles):
         for j, v in enumerate(cyc):
             cid[v] = i
             pos[v] = j
             clen[v] = len(cyc)
-    return cid, pos, clen, list(dec.cycles)
+    return cid, pos, clen, cycles
 
 
 def restricted_orbits(pi_star: Bijection, pi: Bijection, a: set[int] | None = None) -> OrbitDecomposition:
@@ -266,4 +250,4 @@ def orbit_edge_stats(
             e_k[orbit.length - 1] += hits
         else:
             e_long += hits
-    return OrbitEdgeStats(e_special=e_special, e_k=tuple(e_k), e_long=e_long, n_cutoff=n_cutoff)
+    return OrbitEdgeStats(e_special=e_special, e_k=tuple(e_k), e_long=e_long)

@@ -17,7 +17,7 @@ from corrmatch.admissibility import AdmissibilityConstants
 from corrmatch.density import DensityResult, RhoCurve
 from corrmatch.graphs import Bijection, Graph, ModelParams, check_sizes
 from corrmatch.inference import PosteriorTable
-from corrmatch.moments import InfeasiblePolytopeError, PolytopePoint, tail_rates
+from corrmatch.moments import InfeasiblePolytopeError, tail_rates
 
 # -- brute forces and lattice scans ---------------------------------------------
 
@@ -67,13 +67,13 @@ def combinatorial_minimum_oracle(
     rho: float,
     eta: float,
     alpha: float,
-) -> tuple[float, PolytopePoint]:
+) -> tuple[float, tuple[float, ...]]:
     """Integer-lattice brute force: enumerate x_1..x_N under the prefix
     caps; the (x_{N+1}, x_0) completion per residual demand is itself a
     pre-scanned table over all x_{N+1} values.  Exponential; intended for
     T <= 30, N <= 3."""
     big_n = len(nks)
-    rates = tail_rates(alpha, len(nks)).alpha_k
+    rates = tail_rates(alpha, len(nks))
     rate_last = rates[-1]
     box = floor(rho * T)
     need_total = (rho - eta) * T
@@ -122,7 +122,7 @@ def combinatorial_minimum_oracle(
     if best is None:
         raise InfeasiblePolytopeError("no lattice point satisfies the constraints")
     value = best[0] + sum(nks) - T
-    return value, PolytopePoint(x=tuple(float(v) for v in best[1]))
+    return value, tuple(float(v) for v in best[1])
 
 
 # -- former methods of package classes ------------------------------------------

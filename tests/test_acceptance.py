@@ -247,7 +247,7 @@ def test_criterion_07_combinatorial_minimum():
             budget -= k * v
         value, point = combinatorial_minimum(T, tuple(nks), rho, eta, alpha)
         oracle_value, _ = combinatorial_minimum_oracle(T, tuple(nks), rho, eta, alpha)
-        integral = all(abs(x - round(x)) < 1e-9 for x in point.x)
+        integral = all(abs(x - round(x)) < 1e-9 for x in point)
         if integral and abs(value - oracle_value) <= 1e-9:
             equal += 1
 

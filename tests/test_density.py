@@ -654,7 +654,6 @@ def test_rho_inverse_at_knot_and_refusal():
         size_q05=(0.05, 0.2, 0.5, 0.8),
         size_q50=(0.08, 0.3, 0.6, 0.86),
         n_used=1000,
-        replicates=10,
     )
     est = rho_inverse(1.4, curve)
     assert est.lambda_star == pytest.approx(2.0, abs=0.05)

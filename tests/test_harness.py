@@ -261,7 +261,6 @@ def _rho_curve_oracle(n, replicates, grid, seed):
         size_q05=tuple(np.quantile(frac, 0.05, axis=1).tolist()),
         size_q50=tuple(np.quantile(frac, 0.50, axis=1).tolist()),
         n_used=n,
-        replicates=replicates,
     )
 
 

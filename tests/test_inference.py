@@ -50,7 +50,15 @@ from corrmatch.inference import (
     tv_mc,
 )
 from corrmatch.harness import posterior_dump_csv
-from corrmatch.moments import markov_tail_bound
+from corrmatch.moments import (
+    chain_moment,
+    chain_recurrence,
+    combinatorial_minimum,
+    cycle_moment,
+    markov_tail_bound,
+    permutation_count_bound,
+    tail_rates,
+)
 from corrmatch.orbits import edge_orbits, phi_of, restricted_orbits
 from corrmatch.rng import stream
 
@@ -300,22 +308,26 @@ def test_costly_enumerations_refuse_n8():
         ("c_lambda_hat", [True, np.bool_(True), "0.5", [0.5], math.nan, 0, 1.5]),
         ("eta", [True, "0.15", None, math.nan, math.inf, 10**400, 0]),
         ("budget", [2.5, np.float64(3.0), True, np.bool_(True), "3", None, 0]),
+        ("seed", [True, 2.5, -1, 2**64, "0"]),
     ],
 )
 def test_estimator_config_has_one_type_rule(key, bad):
-    # levels are real numbers and the budget an integer, none a bool
+    # levels are real numbers, the budget an integer and the seed a stream key, none a bool
     for value in bad:
         with pytest.raises(ValueError, match=key):
             EstimatorConfig(**{"rho_hat": 1.5, key: value})
     good = {"rho_hat": [1, np.float64(1.5), -2.0], "c_lambda_hat": [1, np.float32(0.5)],
-            "eta": [2, np.float64(0.1)], "budget": [1, np.int64(3)]}[key]
+            "eta": [2, np.float64(0.1)], "budget": [1, np.int64(3)], "seed": [0, np.int64(3), 2**64 - 1]}[key]
     for value in good:
         EstimatorConfig(**{"rho_hat": 1.5, key: value})
 
 
 def test_default_constants_refuse_bool_levels():
     assert default_constants(0.5, 1, 100).xi == 1.5
-    for args, name in (((0.5, True, 100), "rho_hat"), ((True, 1.5, 100), "alpha"), ((np.bool_(True), 1.5, 100), "alpha")):
+    for args, name in (
+        ((0.5, True, 100), "rho_hat"), ((True, 1.5, 100), "alpha"), ((np.bool_(True), 1.5, 100), "alpha"),
+        ((0.5, 1.5, True), "vertex count"), ((0.5, 1.5, 100.5), "vertex count"), ((0.5, 1.5, 1e3), "vertex count"),
+    ):
         with pytest.raises(ValueError, match=name):
             default_constants(*args)
 
@@ -909,6 +921,10 @@ DRAW, DRAW_CONSTS = sample_correlated(ModelParams(n=5, p=0.6, s=0.8), 3), defaul
 CENSUS_10 = edge_orbits(Bijection.uniform(10, stream(1, 0)), Bijection.uniform(10, stream(2, 0)))
 
 
+def _table():
+    return exact_posterior(DRAW.g, DRAW.g_bar, DRAW.params)
+
+
 def _mass_f(sigma):
     return truncated_mass_f(DRAW.g, DRAW.g_bar, {0}, sigma, DRAW.params, DRAW_CONSTS)
 
@@ -933,11 +949,30 @@ def _mass_f(sigma):
         (lambda: _mass_f({0: True}), "integers"),
         # an orbit census of another vertex count than the params
         (lambda: markov_tail_bound("long", 3.0, CENSUS_10, ModelParams(n=60, p=0.35, s=0.6), 0.5, 3), SIZES),
+        # delta is a real number, and the replicate count an integer
+        (lambda: posterior_overlap_mass(_table(), DRAW.pi_star, True), "delta must be a number"),
+        (lambda: posterior_w(_table(), True), "delta must be a number"),
+        (lambda: tv_mc(DRAW.params, 2.5, 0), "replicate count must be an integer"),
+        # the orders in moments are integers, not bools; alpha is a real number
+        (lambda: chain_moment(True, 0.5, 0.3, 0.6), "k must be an integer"),
+        (lambda: cycle_moment(2.5, 0.5, 0.3, 0.6), "k must be an integer"),
+        (lambda: chain_recurrence(2.0, 0.5, 0.3, 0.6), "m must be an integer"),
+        (lambda: combinatorial_minimum(True, [0], 2.0, 0.1, 0.5), "T must be an integer"),
+        (lambda: permutation_count_bound(10, 2.5, [1]), "T must be an integer"),
+        (lambda: permutation_count_bound(10.0, 2, [1]), "n must be an integer"),
+        (lambda: tail_rates(True, 2), "alpha must be a number"),
+        (lambda: tail_rates(0.5, 2.5), "n_cutoff must be an integer"),
+        (lambda: markov_tail_bound("long", 3.0, CENSUS_10, ModelParams(n=10, p=0.35, s=0.6), 0.5, 2.5), "n_cutoff"),
+        (lambda: markov_tail_bound("k_cycle", 3.0, CENSUS_10, ModelParams(n=10, p=0.35, s=0.6), 0.5, 3, k=1.5), "k must"),
     ],
     ids=[
         "bijection_bool", "from_arrays_bool", "init_bool", "vertex_set_bool", "vertex_set_numpy_bool",
         "params_string_p", "params_bool_s", "likelihood_bool_p", "from_text_int",
         "sigma_float_image", "sigma_bool_image", "census_size",
+        "overlap_mass_bool_delta", "posterior_w_bool_delta", "tv_mc_float_replicates",
+        "chain_moment_bool_k", "cycle_moment_float_k", "chain_recurrence_float_m", "minimum_bool_t",
+        "count_bound_float_t", "count_bound_float_n", "tail_rates_bool_alpha", "tail_rates_float_cutoff",
+        "tail_bound_float_cutoff", "tail_bound_float_k",
     ],
 )
 def test_sample_inputs_are_refused_where_they_are_read(call, message):

@@ -283,7 +283,7 @@ def test_k_cycle_tail_bound_is_the_product_over_its_non_special_k_cycles():
 
     params = ModelParams(n=60, p=0.35, s=0.6)
     census = {2: (1, 3, 2), 3: (0, 2, 1)}   # L_2 = 3; the special 2-cycle and the rest are not read
-    theta = tail_rates(0.5, 2).alpha_k[1] * log(params.n) - log(params.lam)
+    theta = tail_rates(0.5, 2)[1] * log(params.n) - log(params.lam)
     assert theta > 0
     for x in (0.0, 1.0, 3.0):
         want = exp(-theta * x) * cycle_moment(2, theta, params.p, params.s) ** 3
@@ -323,10 +323,8 @@ def test_tail_bound_empirical_frequency_below_bound():
 
 
 def test_tail_rates_values():
-    rates = tail_rates(0.5, 2)
-    assert rates.alpha_k == (0.0, 0.5, 0.5)  # alpha_3 = min(0.5, 2/3)
-    rates = tail_rates(0.9, 3)
-    assert rates.alpha_k[-1] == pytest.approx(min(0.9, 0.75))
+    assert tail_rates(0.5, 2) == (0.0, 0.5, 0.5)  # alpha_3 = min(0.5, 2/3)
+    assert tail_rates(0.9, 3)[-1] == pytest.approx(min(0.9, 0.75))
 
 
 # -- combinatorial minimum ------------------------------------------------------
@@ -337,7 +335,7 @@ def test_minimum_all_counts_zero_closed_form():
     nks = (0, 0)
     value, point = combinatorial_minimum(T, nks, rho, eta, alpha)
     alpha_np1 = min(alpha, 2 / 3)
-    assert point.x == pytest.approx((0.0, 0.0, 0.0, (rho - eta) * T))
+    assert point == pytest.approx((0.0, 0.0, 0.0, (rho - eta) * T))
     assert value == pytest.approx((alpha_np1 * (rho - eta) - 1) * T)
 
 
@@ -347,7 +345,7 @@ def test_minimum_matches_integer_oracle_when_integral():
     nks = (2, 1)
     value, point = combinatorial_minimum(T, nks, rho, eta, alpha)
     ov, opt = combinatorial_minimum_oracle(T, nks, rho, eta, alpha)
-    assert all(abs(x - round(x)) < 1e-9 for x in point.x)
+    assert all(abs(x - round(x)) < 1e-9 for x in point)
     assert value == pytest.approx(ov, abs=1e-9)
 
 
@@ -370,15 +368,15 @@ def test_relaxation_below_integer_oracle_random():
         ov, _ = combinatorial_minimum_oracle(T, tuple(nks), rho, eta, alpha)
         assert value <= ov + 1e-9
         # the relaxed minimizer is feasible
-        assert sum(point.x) >= (rho - eta) * T - 1e-9
-        assert all(-1e-12 <= x <= rho * T + 1e-9 for x in point.x)
+        assert sum(point) >= (rho - eta) * T - 1e-9
+        assert all(-1e-12 <= x <= rho * T + 1e-9 for x in point)
 
 
 def test_polytope_always_feasible_under_valid_inputs():
     # eta >= 0 forces (rho - eta) T <= rho T, so the pooled coordinate alone
     # can always satisfy the sum constraint; only bad inputs are rejected.
     value, point = combinatorial_minimum(10, (0,), rho=1.01, eta=0.0, alpha=0.5)
-    assert sum(point.x) >= 1.01 * 10 - 1e-9
+    assert sum(point) >= 1.01 * 10 - 1e-9
     with pytest.raises(ValueError):
         combinatorial_minimum(5, (10,), rho=2.0, eta=0.1, alpha=0.5)  # counts exceed T
     with pytest.raises(ValueError):
@@ -399,8 +397,8 @@ def test_minimum_respects_prefix_caps():
     T, rho, eta, alpha = 12, 2.0, 0.25, 0.5
     nks = (1, 2)
     _, point = combinatorial_minimum(T, nks, rho, eta, alpha)
-    assert point.x[1] <= (rho + eta) * 1 * 1 + 1e-9
-    assert point.x[1] + point.x[2] <= (rho + eta) * (1 + 4) + 1e-9
+    assert point[1] <= (rho + eta) * 1 * 1 + 1e-9
+    assert point[1] + point[2] <= (rho + eta) * (1 + 4) + 1e-9
 
 
 # -- permutation count bound ------------------------------------------------------
