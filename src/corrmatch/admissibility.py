@@ -65,7 +65,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -75,7 +74,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .density import densest_subgraph_exact, density_exceeds, level_below
-from .graphs import Graph, _count, check_real, check_sizes, vertex_set
+from .graphs import Graph, _count, check_int, check_real, check_sizes, vertex_set
 
 __all__ = [
     "AdmissibilityConstants",
@@ -582,6 +581,8 @@ def simple_cycle_counts(
     False, and the counts and vertices are those of the first budget
     extensions, so they are lower bounds that only grow with the budget.
     """
+    max_len, budget = check_int("max_len", max_len), check_int("budget", budget)
+    collect_len = check_int("collect_len", collect_len)
     if max_len < 3:
         return {}, True, set()
     kern = _contract_core(h.edge_array(), h.core_numbers() >= 2, max_len)
@@ -738,6 +739,7 @@ def check_admissible(
 ) -> AdmissibilityReport:
     """Evaluate the five conditions on h, under constants for its vertex
     count (ValueError otherwise); see the module docstring."""
+    set_budget, cycle_budget = check_int("set_budget", set_budget), check_int("cycle_budget", cycle_budget)
     consts.validate()
     if check_sizes(h, consts) == 0:
         raise ValueError("graph must have at least one vertex")
@@ -885,8 +887,6 @@ class GoodSetResult:
 
 
 def _short_cycle_vertices(h: Graph, c_big: int) -> set[int]:
-    if c_big < 3:
-        return set()
     _, completed, verts = simple_cycle_counts(h, c_big, collect_len=c_big)
     if not completed:
         raise BudgetExceeded("cycle enumeration for good sets ran out of budget")
@@ -896,6 +896,7 @@ def _short_cycle_vertices(h: Graph, c_big: int) -> set[int]:
 def is_good_set(h: Graph, a: set[int], c_big: int) -> GoodSetResult:
     """True iff members of a are pairwise farther than 2C+2 apart and
     farther than C from every cycle of length <= C."""
+    c_big = check_int("c_big", c_big)
     a_sorted = vertex_set(h.n, a).tolist()
     near_cycles = _bfs(h.csr(), _short_cycle_vertices(h, c_big), c_big)
     for v in a_sorted:
@@ -916,8 +917,7 @@ def find_good_set(h: Graph, b: set[int], k_target: int, c_big: int) -> tuple[int
     Returns the first k_target vertices found, or the maximal set if the
     greedy runs out (a shortfall, not an error); k_target is an integer
     >= 0, not a bool."""
-    if isinstance(k_target, bool) or not isinstance(k_target, numbers.Integral) or k_target < 0:
-        raise ValueError(f"k_target must be an integer >= 0, got {k_target!r}")
+    k_target, c_big = check_int("k_target", k_target, 0), check_int("c_big", c_big)
     candidates = vertex_set(h.n, b).tolist()
     if k_target == 0:
         return ()

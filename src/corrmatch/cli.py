@@ -151,7 +151,7 @@ def _cmd_orbits(args) -> int:
         pi = Bijection.identity(params.n)
     else:
         pi = Bijection.uniform(params.n, stream(args.seed, 1))
-    if args.subset:
+    if args.subset is not None:
         subset = {int(v) for v in args.subset.split(",")}
         dec = restricted_orbits(pi_star, pi, subset)
     else:
@@ -266,7 +266,7 @@ def _cmd_admissibility(args) -> int:
 
 
 def _cmd_threshold_sweep(args) -> int:
-    grid = tuple(float(v) for v in args.lambdas.split(",")) if args.lambdas else ()
+    grid = tuple(float(v) for v in args.lambdas.split(",")) if args.lambdas is not None else ()
     cfg = _load_config(
         args,
         "threshold-sweep",

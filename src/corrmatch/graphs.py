@@ -11,8 +11,10 @@ distinction between V and the matched side.  Every entry point reads its
 inputs by two rules: a vertex count n is an integer in [0, isqrt(2**63)]
 (`_count`), and vertex ids are integer arrays of one shape, with entries in
 [0, n) (`_ids`), 1-D for the graph builders and Bijection.  Anything else
-raises ValueError.  Package-wide, the parts of a pair share one n through
-`check_sizes`, and vertex sets are read through `vertex_set`.
+raises ValueError.  Package-wide, integer arguments (Python or numpy, not
+bools) are read through `check_int` and real ones through `check_real`, the
+parts of a pair share one n through `check_sizes`, and vertex sets are read
+through `vertex_set`.
 """
 
 from __future__ import annotations
@@ -74,13 +76,10 @@ def _int_ids(values, out_of_range: str) -> np.ndarray:
 
 def _count(n) -> int:
     """n as an int if it is an integer in [0, _N_MAX] (no bool), else ValueError."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"vertex count must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
+    n = check_int("vertex count", n, 0)
     if n > _N_MAX:
         raise ValueError(f"vertex count {n} exceeds {_N_MAX}, the most whose pair keys fit in an int64")
-    return int(n)
+    return n
 
 
 def _ids(n: int, out_of_range: str, *arrays, ndim: int | None = None) -> list[np.ndarray]:
@@ -331,6 +330,14 @@ class Bijection:
 
     def __repr__(self) -> str:
         return f"Bijection({self.forward.tolist()})"
+
+
+def check_int(name: str, value, least: int | None = None) -> int:
+    """value as an int if it is an integer (Python or numpy, not a bool) of
+    at least `least` when given, else ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (least is not None and value < least):
+        raise ValueError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
+    return int(value)
 
 
 def check_real(name: str, value) -> None:

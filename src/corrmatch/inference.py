@@ -19,7 +19,6 @@ gated to small n where the n! enumeration is affordable.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -32,6 +31,7 @@ from .graphs import (
     Bijection,
     Graph,
     ModelParams,
+    check_int,
     check_p_s,
     check_real,
     check_sizes,
@@ -319,13 +319,10 @@ class EstimatorConfig:
     def check_range(name: str, value) -> None:
         """Raise ValueError unless value has the type of the setting `name`
         (rho_hat, c_lambda_hat, eta, budget or seed) and lies in its range."""
-        if name in ("budget", "seed"):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if name == "budget":
-                in_range, what = value >= 1, "be at least 1"
-            else:
-                in_range, what = 0 <= value < 1 << 64, "lie in [0, 2**64)"
+        if name == "budget":
+            in_range, what = check_int(name, value) >= 1, "be at least 1"
+        elif name == "seed":
+            in_range, what = 0 <= check_int(name, value) < 1 << 64, "lie in [0, 2**64)"
         else:
             check_real(name, value)
             try:
@@ -617,9 +614,7 @@ def tv_mc(params: ModelParams, replicates: int, seed: int) -> tuple[float, float
     """Monte Carlo TV estimate E_null[(1 - L)_+] and its standard error,
     with the exact mixture likelihood ratio L (n <= COSTLY_ENUMERATION_N_MAX)."""
     n = params.n
-    if isinstance(replicates, bool) or not isinstance(replicates, numbers.Integral):
-        raise ValueError(f"replicate count must be an integer, got {replicates!r}")
-    if replicates < 2:
+    if check_int("replicate count", replicates) < 2:
         raise ValueError("need at least two replicates")
     perm_maps = _pair_perm_maps(n)
     consts = LikelihoodConstants.from_params(params.p, params.s)

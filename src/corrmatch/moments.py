@@ -12,20 +12,20 @@ c1 mu1^k + c2 mu2^k with coefficients pinned by the k = 1, 2 values.
 Every closed form here is paired with an independent computation route, and
 every moment read, log_cycle_moment and log_chain_moment, asserts in log
 space that the two agree.
-Every order (k, m, T, n, the cutoff N) must be an integer, not a bool, and
-the tail functions return plain tuples.
+Every order (k, m, T, n, the cutoff N) and short-cycle count n_k goes
+through graphs.check_int, every real (theta, x, alpha, rho, eta) through
+graphs.check_real, and the tail functions return plain tuples.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from math import exp, inf, isfinite, lgamma, log, log1p
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import ModelParams, check_p_s, check_real, check_sizes, pair_pmf
+from .graphs import ModelParams, check_int, check_p_s, check_real, check_sizes, pair_pmf
 from .orbits import OrbitDecomposition
 
 __all__ = [
@@ -57,13 +57,6 @@ class InfeasiblePolytopeError(ValueError):
     """The constraint polytope is empty."""
 
 
-def _order(name: str, value, least: int) -> int:
-    """value if it is an integer (no bool) of at least `least`, else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return value
-
-
 def char_roots(theta: float, p: float, s: float) -> tuple[float, float]:
     """Roots (mu1, mu2) of the characteristic polynomial, mu1 >= mu2.
 
@@ -72,6 +65,7 @@ def char_roots(theta: float, p: float, s: float) -> tuple[float, float]:
     mu2 = c / mu1 (Vieta) keeps full precision when small.
     """
     check_p_s(p, s)
+    check_real("theta", theta)
     nu = exp(theta) - 1.0
     b = 1.0 + p * s * s * nu
     c = (p * s * s - p * p * s * s) * nu
@@ -101,7 +95,8 @@ def chain_recurrence(m: int, theta: float, p: float, s: float) -> tuple[float, f
     combination of I, M and M^2.
     """
     check_p_s(p, s)
-    _order("m", m, 1)
+    m = check_int("m", m, 1)
+    check_real("theta", theta)
     w, u = exp(-max(theta, 0.0)), exp(min(theta, 0.0))   # e^theta w = u, and one of them is 1
     ps = p * s
     (q00, q10), _ = pair_pmf(p, s).tolist()
@@ -148,7 +143,7 @@ def log_cycle_moment(k: int, theta: float, p: float, s: float) -> float:
     k * theta.  Checked against the boundary combination
     q00 a_k + q11 b_k + 2 q10 c_k with q = graphs.pair_pmf; the two logs
     must agree to 1e-9."""
-    _order("k", k, 1)
+    k = check_int("k", k, 1)
     mu1, mu2 = char_roots(theta, p, s)   # mu1 >= b/2 >= 1/2
     closed = k * log(mu1) + log1p((mu2 / mu1) ** k)
     a, b, c, logscale = chain_recurrence(k, theta, p, s)
@@ -179,8 +174,8 @@ class MomentCoefficients:
 
     @classmethod
     def from_params(cls, theta: float, p: float, s: float) -> "MomentCoefficients":
-        nu = exp(theta) - 1.0
         mu1, mu2 = char_roots(theta, p, s)
+        nu = exp(theta) - 1.0
         a1 = 1.0 + p * p * s * s * nu
         a2 = 1.0 + 2.0 * p * p * s * s * nu + p**3 * s**4 * nu * nu
         if mu1 == mu2:
@@ -197,7 +192,7 @@ def log_chain_moment(k: int, theta: float, p: float, s: float) -> float:
     k log mu1 + log(c1 + c2 (mu2/mu1)^k); the two logs must agree to 1e-9.
     Past theta of about 355 the coefficients overflow and the check is
     skipped."""
-    _order("k", k, 1)
+    k = check_int("k", k, 1)
     a, b, c, logscale = chain_recurrence(k, theta, p, s)
     ps = p * s
     combo = log((1.0 - ps) ** 2 * a + ps * ps * b + 2.0 * ps * (1.0 - ps) * c) + logscale
@@ -224,7 +219,7 @@ def tail_rates(alpha: float, n_cutoff: int) -> tuple[float, ...]:
     check_real("alpha", alpha)
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
-    _order("n_cutoff", n_cutoff, 1)
+    n_cutoff = check_int("n_cutoff", n_cutoff, 1)
     rates = tuple((k - 1) / k for k in range(1, n_cutoff + 1))
     return rates + (min(alpha, n_cutoff / (n_cutoff + 1)),)
 
@@ -247,6 +242,7 @@ def markov_tail_bound(
     clamped at 0, where the bound degenerates to a valid (vacuous) >= 1
     value.
     """
+    check_real("tail level", x)
     if x < 0:
         raise ValueError("tail level must be non-negative")
     n, p, s = params.n, params.p, params.s
@@ -260,7 +256,7 @@ def markov_tail_bound(
     if orbit_class == "special":
         theta = log(n) - log(log(n))
     elif orbit_class == "k_cycle":
-        if k is None or _order("k", k, 1) > n_cutoff:
+        if k is None or check_int("k", k, 1) > n_cutoff:
             raise ValueError("k_cycle bound needs 1 <= k <= cutoff")
         theta = rates[k - 1] * log(n) - log(lam)
     elif orbit_class == "long":
@@ -287,9 +283,13 @@ def markov_tail_bound(
 # -- the combinatorial minimum ----------------------------------------------
 
 
-def _objective(T: int, nks: Sequence[int], point: Sequence[float], rates: tuple[float, ...]) -> float:
-    # rates = (alpha_1, ..., alpha_{N+1}); point = (x_0, ..., x_{N+1})
-    return sum(nks) - T + point[0] + sum(r * xv for r, xv in zip(rates, point[1:]))
+def _cycle_counts(T: int, nks: Sequence[int]) -> tuple[int, ...]:
+    """The short-cycle counts (n_1, ..., n_N) as ints >= 0 whose cycles fit
+    in T vertices (sum k n_k <= T), else ValueError."""
+    counts = tuple(check_int("cycle count", v, 0) for v in nks)
+    if sum(k * v for k, v in enumerate(counts, 1)) > T:
+        raise ValueError("cycle counts exceed the vertex budget T")
+    return counts
 
 
 def combinatorial_minimum(
@@ -311,19 +311,17 @@ def combinatorial_minimum(
     The rates are tail_rates(alpha, N), so alpha outside (0, 1] raises
     ValueError.
     """
-    _order("T", T, 0)
+    nks = _cycle_counts(check_int("T", T, 0), nks)
     big_n = len(nks)
     if big_n < 1:
         raise ValueError("need at least one short-cycle count")
-    if any(v < 0 for v in nks):
-        raise ValueError("cycle counts must be non-negative")
-    if sum(k * v for k, v in zip(range(1, big_n + 1), nks)) > T:
-        raise ValueError("cycle counts exceed the vertex budget T")
+    check_real("rho", rho)
+    check_real("eta", eta)
     if rho <= 1.0:
         raise ValueError("rho must exceed 1")
     if eta < 0.0:
         raise ValueError("eta must be non-negative")
-    rates = tail_rates(alpha, len(nks))
+    rates = tail_rates(alpha, big_n)
     box = rho * T
     need = (rho - eta) * T
     xs = [0.0] * (big_n + 2)   # x_0, x_1, ..., x_{N+1}
@@ -353,19 +351,17 @@ def combinatorial_minimum(
         raise InfeasiblePolytopeError(
             f"cannot reach sum {(rho - eta) * T} within the caps (short by {need})"
         )
-    return _objective(T, nks, xs, rates), tuple(xs)
+    return sum(nks) - T + xs[0] + sum(r * xv for r, xv in zip(rates, xs[1:])), tuple(xs)
 
 
 def permutation_count_bound(n: int, T: int, nks: Sequence[int]) -> float:
     """Log of the bound n(n-1)...(n-T+1) / prod(k^{n_k} n_k!) on the number
     of embeddings of a T-set whose induced permutation has n_k short
     k-cycles inside it."""
-    if _order("T", T, 0) > _order("n", n, 0):
+    if check_int("T", T, 0) > check_int("n", n, 0):
         raise ValueError("need 0 <= T <= n")
-    if sum(k * v for k, v in zip(range(1, len(nks) + 1), nks)) > T:
-        raise ValueError("cycle counts exceed T")
     out = lgamma(n + 1) - lgamma(n - T + 1)
-    for k, v in zip(range(1, len(nks) + 1), nks):
+    for k, v in enumerate(_cycle_counts(T, nks), 1):
         out -= v * log(k) + lgamma(v + 1)
     return out
 

@@ -19,7 +19,7 @@ from math import floor
 
 import numpy as np
 
-from .graphs import Bijection, CorrelatedSample, check_sizes, vertex_set
+from .graphs import Bijection, CorrelatedSample, check_int, check_real, check_sizes, vertex_set
 
 __all__ = [
     "EdgeOrbit",
@@ -125,12 +125,15 @@ def short_cycle_cutoff(alpha: float, rho: float | None = None, eta: float | None
     N = floor(1/(1 - alpha)) for alpha < 1; at alpha = 1 the cutoff needs
     the density level rho and the margin eta.
     """
+    check_real("alpha", alpha)
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     if alpha < 1.0:
         return floor(1.0 / (1.0 - alpha))
     if rho is None or eta is None:
         raise ValueError("alpha = 1 requires rho and eta to set the cutoff")
+    check_real("rho", rho)
+    check_real("eta", eta)
     if rho - eta <= 1.0:
         raise ValueError("alpha = 1 cutoff needs rho - eta > 1")
     return floor(1.0 / (rho - eta - 1.0)) + 1
@@ -231,8 +234,7 @@ def orbit_edge_stats(
         if alpha is None:
             raise ValueError("pass alpha or n_cutoff")
         n_cutoff = short_cycle_cutoff(alpha)
-    if n_cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
+    n_cutoff = check_int("n_cutoff", n_cutoff, 1)
     dec = restricted_orbits(sample.pi_star, pi, a)
     e_special = 0
     e_k = [0] * n_cutoff

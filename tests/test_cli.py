@@ -521,6 +521,12 @@ def test_mutated_flags_honour_the_exit_codes(tmp_path_factory, small_bundle, cas
     assert code in (0, 2, 3), argv
 
 
+def test_an_empty_subset_is_not_an_absent_one(small_bundle, capsys):
+    # only an absent --subset means every vertex; an explicit empty one exits 3
+    assert RUN(["orbits", "--bundle", small_bundle, "--subset="]) == 3
+    assert "invalid literal for int()" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--rho-hat", "--eta"])
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_non_finite_estimator_flags_exit_3(small_bundle, capsys, flag, value):
@@ -774,6 +780,9 @@ def test_worker_errors_exit_3_with_two_workers(argv, message, monkeypatch, capsy
         (["rho-curve", "--n", "5", "--lambdas=-1,2"], "lambda -1.0 outside [0, n=5]"),
         (["threshold-sweep", "--n", "60", "--lambdas", "0,2"], "lambda 0.0 needs s <= 0"),
         (["threshold-sweep", "--n", "60", "--lambdas", "2,10"], "lambda 10.0 needs s > 1"),
+        # an explicit empty grid is not an absent one, which the sweep would place
+        (["threshold-sweep", "--n", "60", "--lambdas="], "could not convert string to float"),
+        (["rho-curve", "--n", "5", "--lambdas="], "could not convert string to float"),
     ],
 )
 def test_out_of_range_lambdas_exit_3_before_any_draw(argv, message, monkeypatch, capsys):

@@ -9,7 +9,13 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from corrmatch.admissibility import check_admissible, default_constants, find_good_set, is_good_set
+from corrmatch.admissibility import (
+    check_admissible,
+    default_constants,
+    find_good_set,
+    is_good_set,
+    simple_cycle_counts,
+)
 from corrmatch.density import densest_subgraph_exact, level_below
 from corrmatch.graphs import (
     Bijection,
@@ -53,13 +59,14 @@ from corrmatch.harness import posterior_dump_csv
 from corrmatch.moments import (
     chain_moment,
     chain_recurrence,
+    char_roots,
     combinatorial_minimum,
     cycle_moment,
     markov_tail_bound,
     permutation_count_bound,
     tail_rates,
 )
-from corrmatch.orbits import edge_orbits, phi_of, restricted_orbits
+from corrmatch.orbits import edge_orbits, orbit_edge_stats, phi_of, restricted_orbits, short_cycle_cutoff
 from corrmatch.rng import stream
 
 from oracles import compose, entries
@@ -918,6 +925,8 @@ def test_mismatched_pairs_and_wrapped_vertices_are_refused(call, message):
 
 
 DRAW, DRAW_CONSTS = sample_correlated(ModelParams(n=5, p=0.6, s=0.8), 3), default_constants(0.5, 1.4, 5)
+DRAW_H = intersection_graph(DRAW.g, DRAW.g_bar, DRAW.pi_star)
+TAIL_PARAMS = ModelParams(n=10, p=0.35, s=0.6)
 CENSUS_10 = edge_orbits(Bijection.uniform(10, stream(1, 0)), Bijection.uniform(10, stream(2, 0)))
 
 
@@ -964,6 +973,32 @@ def _mass_f(sigma):
         (lambda: tail_rates(0.5, 2.5), "n_cutoff must be an integer"),
         (lambda: markov_tail_bound("long", 3.0, CENSUS_10, ModelParams(n=10, p=0.35, s=0.6), 0.5, 2.5), "n_cutoff"),
         (lambda: markov_tail_bound("k_cycle", 3.0, CENSUS_10, ModelParams(n=10, p=0.35, s=0.6), 0.5, 3, k=1.5), "k must"),
+        # the counts, cutoffs, lengths and budgets are integers, not bools
+        (lambda: orbit_edge_stats(DRAW, DRAW.pi_star, set(range(5)), n_cutoff=True), "n_cutoff must be an integer"),
+        (lambda: orbit_edge_stats(DRAW, DRAW.pi_star, set(range(5)), n_cutoff=2.5), "n_cutoff must be an integer"),
+        (lambda: combinatorial_minimum(10, (True,), 2.0, 0.1, 0.5), "cycle count must be an integer"),
+        (lambda: combinatorial_minimum(10, (0.5,), 2.0, 0.1, 0.5), "cycle count must be an integer"),
+        (lambda: permutation_count_bound(10, 4, (0.5,)), "cycle count must be an integer"),
+        (lambda: permutation_count_bound(10, 4, (True,)), "cycle count must be an integer"),
+        (lambda: simple_cycle_counts(DRAW_H, True), "max_len must be an integer"),
+        (lambda: simple_cycle_counts(DRAW_H, 6, 2.5), "budget must be an integer"),
+        (lambda: simple_cycle_counts(DRAW_H, 6, collect_len=True), "collect_len must be an integer"),
+        (lambda: check_admissible(DRAW_H, DRAW_CONSTS, set_budget=True), "set_budget must be an integer"),
+        (lambda: check_admissible(DRAW_H, DRAW_CONSTS, cycle_budget=2.5), "cycle_budget must be an integer"),
+        (lambda: find_good_set(DRAW_H, set(range(5)), 3, 2.5), "c_big must be an integer"),
+        (lambda: is_good_set(DRAW_H, {1}, True), "c_big must be an integer"),
+        # theta, x, rho, eta and alpha are real numbers, not bools or strings
+        (lambda: chain_moment(2, True, 0.3, 0.6), "theta must be a number"),
+        (lambda: char_roots("0.5", 0.3, 0.6), "theta must be a number"),
+        (lambda: chain_recurrence(3, "0.5", 0.3, 0.6), "theta must be a number"),
+        (lambda: markov_tail_bound("long", True, {3: (0, 1, 2)}, TAIL_PARAMS, 0.5, 3), "tail level must be a number"),
+        (lambda: markov_tail_bound("long", "3", {3: (0, 1, 2)}, TAIL_PARAMS, 0.5, 3), "tail level must be a number"),
+        (lambda: combinatorial_minimum(10, (1,), 2.0, True, 0.5), "eta must be a number"),
+        (lambda: combinatorial_minimum(10, (1,), "2", 0.1, 0.5), "rho must be a number"),
+        (lambda: short_cycle_cutoff(True, 3.0, 0.5), "alpha must be a number"),
+        (lambda: short_cycle_cutoff(1.0, "3", 0.5), "rho must be a number"),
+        (lambda: short_cycle_cutoff(1.0, 3.0, True), "eta must be a number"),
+        (lambda: orbit_edge_stats(DRAW, DRAW.pi_star, set(range(5)), alpha="0.5"), "alpha must be a number"),
     ],
     ids=[
         "bijection_bool", "from_arrays_bool", "init_bool", "vertex_set_bool", "vertex_set_numpy_bool",
@@ -973,6 +1008,13 @@ def _mass_f(sigma):
         "chain_moment_bool_k", "cycle_moment_float_k", "chain_recurrence_float_m", "minimum_bool_t",
         "count_bound_float_t", "count_bound_float_n", "tail_rates_bool_alpha", "tail_rates_float_cutoff",
         "tail_bound_float_cutoff", "tail_bound_float_k",
+        "edge_stats_bool_cutoff", "edge_stats_float_cutoff", "minimum_bool_count", "minimum_float_count",
+        "count_bound_float_count", "count_bound_bool_count", "cycle_counts_bool_max_len", "cycle_counts_float_budget",
+        "cycle_counts_bool_collect_len", "admissible_bool_set_budget", "admissible_float_cycle_budget",
+        "find_good_set_float_c", "is_good_set_bool_c",
+        "chain_moment_bool_theta", "char_roots_string_theta", "chain_recurrence_string_theta",
+        "tail_bound_bool_x", "tail_bound_string_x", "minimum_bool_eta", "minimum_string_rho",
+        "cutoff_bool_alpha", "cutoff_string_rho", "cutoff_bool_eta", "edge_stats_string_alpha",
     ],
 )
 def test_sample_inputs_are_refused_where_they_are_read(call, message):
@@ -987,3 +1029,25 @@ def test_sample_inputs_the_routes_keep():
     assert markov_tail_bound("long", 3.0, CENSUS_10, ModelParams(n=10, p=0.35, s=0.6), 0.5, 3) == (
         markov_tail_bound("long", 3.0, CENSUS_10.census, ModelParams(n=10, p=0.35, s=0.6), 0.5, 3)
     )
+    # numpy integers at the integer sites, numpy floats at the real ones
+    i = np.int64
+    stats = orbit_edge_stats(DRAW, DRAW.pi_star, set(range(5)), n_cutoff=2)
+    assert orbit_edge_stats(DRAW, DRAW.pi_star, set(range(5)), n_cutoff=i(2)) == stats
+    assert orbit_edge_stats(DRAW, DRAW.pi_star, set(range(5)), alpha=np.float64(0.5)) == stats
+    assert combinatorial_minimum(10, (i(1),), np.float64(2.0), np.float64(0.1), 0.5) == (
+        combinatorial_minimum(10, (1,), 2.0, 0.1, 0.5)
+    )
+    assert permutation_count_bound(10, 4, (i(1), i(0))) == permutation_count_bound(10, 4, (1, 0))
+    assert simple_cycle_counts(DRAW_H, i(6), i(1000), i(4)) == simple_cycle_counts(DRAW_H, 6, 1000, 4)
+    assert check_admissible(DRAW_H, DRAW_CONSTS, i(1000), i(1000)).to_json() == (
+        check_admissible(DRAW_H, DRAW_CONSTS, 1000, 1000).to_json()
+    )
+    assert find_good_set(DRAW_H, set(range(5)), 3, i(1)) == find_good_set(DRAW_H, set(range(5)), 3, 1)
+    assert is_good_set(DRAW_H, {1}, i(1)) == is_good_set(DRAW_H, {1}, 1)
+    assert chain_moment(2, np.float64(0.5), 0.3, 0.6) == chain_moment(2, 0.5, 0.3, 0.6)
+    assert char_roots(np.float64(0.5), 0.3, 0.6) == char_roots(0.5, 0.3, 0.6)
+    assert chain_recurrence(3, np.float64(0.5), 0.3, 0.6) == chain_recurrence(3, 0.5, 0.3, 0.6)
+    assert markov_tail_bound("long", np.float64(3.0), {3: (0, 1, 2)}, TAIL_PARAMS, 0.5, 3) == (
+        markov_tail_bound("long", 3.0, {3: (0, 1, 2)}, TAIL_PARAMS, 0.5, 3)
+    )
+    assert short_cycle_cutoff(np.float64(1.0), np.float64(3.0), np.float64(0.5)) == short_cycle_cutoff(1.0, 3.0, 0.5)

@@ -3,9 +3,11 @@
 It ships no public name without a caller: every name in a module's
 `__all__` is used in `src/corrmatch` or `perfbench/` beyond its own
 definition and its `__all__` entry, or the README lists it among the paper
-features that wait for a caller.  And `harness` is the one layer that draws
+features that wait for a caller.  `harness` is the one layer that draws
 replicates and writes CSV: no other module builds a `CsvReport` or calls
-`parallel_map`, and the compute modules draw no random stream of their own."""
+`parallel_map`, and the compute modules draw no random stream of their own.
+And the integer rule is written once, in `graphs.check_int` (with the ids'
+own copy in `graphs._int_ids` and `rng.stream`'s below `graphs`)."""
 
 import ast
 import re
@@ -100,3 +102,31 @@ def _layering_breaches(path: Path) -> list[str]:
 def test_only_harness_draws_replicates_and_writes_csv():
     breaches = [b for path in sorted((ROOT / "src" / "corrmatch").glob("*.py")) for b in _layering_breaches(path)]
     assert not breaches, breaches
+
+
+# The only places that may test numbers.Integral: the integer rule itself,
+# the vertex-id arrays, and rng.stream, which graphs imports.
+INTEGER_RULE = {"graphs.check_int", "graphs._int_ids", "rng.stream"}
+
+
+def _integral_uses(path: Path) -> list[str]:
+    """module.function of each reference to `Integral` in the module."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            name = getattr(child, "attr", None) or getattr(child, "id", None) or getattr(child, "name", None)
+            if isinstance(child, (ast.Attribute, ast.Name, ast.alias)) and name == "Integral":
+                found.append(f"{path.stem}.{scope}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_the_integer_rule_is_written_once():
+    uses = {use for path in sorted((ROOT / "src" / "corrmatch").glob("*.py")) for use in _integral_uses(path)}
+    assert uses <= INTEGER_RULE, f"numbers.Integral outside graphs.check_int: {sorted(uses - INTEGER_RULE)}"
