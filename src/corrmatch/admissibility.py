@@ -150,12 +150,8 @@ def default_constants(alpha: float, rho_hat: float, n: int) -> AdmissibilityCons
     cap.  Raises when rho_hat >= 1/alpha, which signals the regime above
     the recovery threshold where no truncation constants exist.
     """
-    check_real("alpha", alpha)
-    check_real("rho_hat", rho_hat)
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    if not rho_hat >= 1.0:
-        raise ValueError("rho_hat must be at least 1")
+    check_real("alpha", alpha, "(0, 1)")
+    check_real("rho_hat", rho_hat, "[1, inf)")
     n = _count(n)
     if n < 4:
         raise ValueError("n too small for the caps")

@@ -52,7 +52,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_flow
 
-from .graphs import Graph
+from .graphs import Graph, check_real
 
 __all__ = [
     "DensityResult",
@@ -198,8 +198,9 @@ def level_below(x: float, n: int) -> Fraction:
     to [-1, n] changes no answer and keeps the integers small.  The
     nearest such fraction c/d is the level if it is at most x; otherwise
     its lower neighbour of order n is, (b c - 1)/d over the largest
-    b <= n with b c = 1 (mod d)."""
-    x = min(max(Fraction(x), Fraction(-1)), Fraction(n))
+    b <= n with b c = 1 (mod d).  x is any finite real (`check_real`)."""
+    check_real("x", x)
+    x = min(max(Fraction(x if isinstance(x, numbers.Rational) else float(x)), Fraction(-1)), Fraction(n))
     near = x.limit_denominator(n)
     if near <= x:
         return near

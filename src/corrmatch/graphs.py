@@ -12,9 +12,11 @@ inputs by two rules: a vertex count n is an integer in [0, isqrt(2**63)]
 (`_count`), and vertex ids are integer arrays of one shape, with entries in
 [0, n) (`_ids`), 1-D for the graph builders and Bijection.  Anything else
 raises ValueError.  Package-wide, integer arguments (Python or numpy, not
-bools) are read through `check_int` and real ones through `check_real`, the
-parts of a pair share one n through `check_sizes`, and vertex sets are read
-through `vertex_set`.
+bools) are read through `check_int`, and real ones through
+`check_real(name, value, interval)`: a real number (not a bool) inside an
+interval written as in mathematics, "(0, 1]", where NaN and an int past the
+float range lie in none.  The parts of a pair share one n through
+`check_sizes`, and vertex sets are read through `vertex_set`.
 """
 
 from __future__ import annotations
@@ -340,21 +342,30 @@ def check_int(name: str, value, least: int | None = None) -> int:
     return int(value)
 
 
-def check_real(name: str, value) -> None:
-    """Refuse a value that is not a real number (a bool is not one)."""
+def check_real(name: str, value, interval: str = "(-inf, inf)") -> None:
+    """Refuse a value that is not a real number (Python, numpy or a Fraction,
+    not a bool) in `interval`, written as in mathematics ("(0, 1]",
+    "[1, inf)"), with ValueError naming it.  The value is compared exactly
+    against the two float bounds; NaN lies in no interval, and neither does
+    an int or Fraction past the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    try:
+        x = float(value)   # a numpy float of another width compares as a float
+    except OverflowError:
+        x = math.nan
+    if isinstance(value, numbers.Rational) and not math.isnan(x):
+        x = value   # an int or Fraction compares exactly, not rounded to a float
+    if not ((lo < x if interval[0] == "(" else lo <= x) and (x < hi if interval[-1] == ")" else x <= hi)):
+        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
 
 
 def check_p_s(p: float, s: float) -> None:
-    """Refuse a p or s that is not a real number (a bool is not one), a parent
-    edge probability p outside (0, 1) or a subsampling one s outside (0, 1]."""
-    check_real("p", p)
-    check_real("s", s)
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie in (0, 1)")
-    if not (0.0 < s <= 1.0):
-        raise ValueError("s must lie in (0, 1]")
+    """Refuse a parent edge probability p outside (0, 1) or a subsampling
+    one s outside (0, 1], through `check_real`."""
+    check_real("p", p, "(0, 1)")
+    check_real("s", s, "(0, 1]")
 
 
 def check_sizes(*parts) -> int:
@@ -469,9 +480,7 @@ def _sample_distinct(rng: np.random.Generator, universe: int, m: int) -> np.ndar
 def sample_er(n: int, q: float, rng: np.random.Generator) -> Graph:
     """One G(n, q) draw: binomial edge count, then a uniform edge set."""
     n = _count(n)
-    check_real("edge probability", q)
-    if not (0.0 <= q <= 1.0):
-        raise ValueError("edge probability must lie in [0, 1]")
+    check_real("edge probability", q, "[0, 1]")
     total = _pair_count(n)
     m = int(rng.binomial(total, q)) if total else 0
     idx = _sample_distinct(rng, total, m)

@@ -40,7 +40,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .density import RhoCurve, densest_subgraph_exact, rho_inverse
-from .graphs import Bijection, ModelParams, check_sizes, overlap, sample_correlated, sample_er
+from .graphs import Bijection, ModelParams, check_real, check_sizes, overlap, sample_correlated, sample_er
 from .inference import (
     ENUMERATION_N_MAX,
     EstimatorConfig,
@@ -49,7 +49,7 @@ from .inference import (
     map_estimator,
     reasonable_candidate_check,
 )
-from .moments import chain_moment, cycle_moment, sample_chain_orbit_edges, sample_cycle_orbit_edges
+from .moments import THETA_MAX, chain_moment, cycle_moment, sample_chain_orbit_edges, sample_cycle_orbit_edges
 from .orbits import OrbitDecomposition
 from .rng import stream
 
@@ -73,9 +73,6 @@ CONFIG_VERSION = 1
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
-
-
-_THETA_MAX = math.log(sys.float_info.max)   # the largest theta whose e^theta is a float
 
 
 def _is_int(value) -> bool:
@@ -152,7 +149,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be a finite number or null, got {value!r}")
         for key, ok, what in (
             ("lambda_grid", _is_finite, "finite numbers"),
-            ("theta_grid", lambda t: _is_finite(t) and t <= _THETA_MAX, "finite numbers with e^theta a float"),
+            ("theta_grid", lambda t: _is_finite(t) and t <= THETA_MAX, "finite numbers with e^theta a float"),
             ("k_grid", lambda k: _is_int(k) and k >= 1, "integers >= 1"),
         ):
             bad = [v for v in getattr(self, key) if not ok(v)]
@@ -531,8 +528,7 @@ def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) ->
     )
     for rows in results:
         for row in rows:
-            if not (0.0 <= row[4] <= 1.0):
-                raise ValueError("overlap fraction must lie in [0, 1]")
+            check_real("overlap fraction", row[4], "[0, 1]")
             report.add_row(*row)
     return report.text()
 

@@ -124,6 +124,7 @@ class LikelihoodConstants:
 
 def edge_ll(x: int, y: int, p: float, s: float) -> float:
     """The three-case edge likelihood ratio ell(x, y)."""
+    check_p_s(p, s)
     if x not in (0, 1) or y not in (0, 1):
         raise ValueError("bits must be 0 or 1")
     ps = p * s
@@ -263,9 +264,7 @@ def exact_posterior(g: Graph, g_bar: Graph, params: ModelParams) -> PosteriorTab
 def posterior_overlap_mass(table: PosteriorTable, pi_tilde: Bijection, delta: float) -> float:
     """Posterior mass of matchings agreeing with pi_tilde on >= ceil(delta n)
     vertices."""
-    check_real("delta", delta)
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError("delta must lie in [0, 1]")
+    check_real("delta", delta, "[0, 1]")
     threshold = math.ceil(delta * check_sizes(table, pi_tilde))
     agree = (table.perms == pi_tilde.forward.astype(np.int8)).sum(axis=1)
     return float(table.probs[agree >= threshold].sum())
@@ -274,9 +273,7 @@ def posterior_overlap_mass(table: PosteriorTable, pi_tilde: Bijection, delta: fl
 def posterior_w(table: PosteriorTable, delta: float) -> float:
     """max over reference matchings of the delta-overlap posterior mass
     (exhaustive over all n! references, so n <= COSTLY_ENUMERATION_N_MAX)."""
-    check_real("delta", delta)
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError("delta must lie in [0, 1]")
+    check_real("delta", delta, "[0, 1]")
     if table.n > COSTLY_ENUMERATION_N_MAX:
         raise ValueError(f"posterior_w limited to n <= {COSTLY_ENUMERATION_N_MAX}")
     threshold = math.ceil(delta * table.n)
@@ -297,12 +294,13 @@ class EstimatorConfig:
     """Settings of the estimators and the reasonable-candidate test, and
     the one place that states their defaults and ranges.
 
-    rho_hat is the density level, finite; c_lambda_hat the size floor as a
-    fraction of n, in (0, 1]; eta the density margin, finite and > 0, all
-    real numbers; budget the hill climb's move budget, an integer >= 1;
-    seed its master seed, an integer in [0, 2**64) (the key range of
-    rng.stream); none a bool.  In the supercritical regime the proof
-    takes 0 < eta < (rho_hat - 1/alpha)/4.
+    rho_hat is the density level, in (-inf, inf); c_lambda_hat the size
+    floor as a fraction of n, in (0, 1]; eta the density margin, in
+    (0, inf), all real numbers (graphs.check_real), and the test's levels
+    rho_hat + eta and rho_hat - eta finite too; budget the hill climb's
+    move budget, an integer >= 1; seed its master seed, an integer in
+    [0, 2**64) (the key range of rng.stream); none a bool.  In the
+    supercritical regime the proof takes 0 < eta < (rho_hat - 1/alpha)/4.
     """
 
     rho_hat: float
@@ -314,28 +312,20 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         for name in ("rho_hat", "c_lambda_hat", "eta", "budget", "seed"):
             self.check_range(name, getattr(self, name))
+        check_real("rho_hat + eta", self.rho_hat + self.eta)   # the test's two levels
+        check_real("rho_hat - eta", self.rho_hat - self.eta)
 
     @staticmethod
     def check_range(name: str, value) -> None:
         """Raise ValueError unless value has the type of the setting `name`
         (rho_hat, c_lambda_hat, eta, budget or seed) and lies in its range."""
         if name == "budget":
-            in_range, what = check_int(name, value) >= 1, "be at least 1"
+            check_int(name, value, 1)
         elif name == "seed":
-            in_range, what = 0 <= check_int(name, value) < 1 << 64, "lie in [0, 2**64)"
+            if not 0 <= check_int(name, value) < 1 << 64:
+                raise ValueError(f"seed {value} outside [0, 2**64)")
         else:
-            check_real(name, value)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:   # an int past the float range
-                finite = False
-            in_range, what = {
-                "rho_hat": (finite, "be finite"),
-                "c_lambda_hat": (0.0 < value <= 1.0, "lie in (0, 1]"),
-                "eta": (finite and value > 0, "be finite and positive"),
-            }[name]
-        if not in_range:
-            raise ValueError(f"{name} must {what}, got {value!r}")
+            check_real(name, value, {"rho_hat": "(-inf, inf)", "c_lambda_hat": "(0, 1]", "eta": "(0, inf)"}[name])
 
 
 @dataclass(frozen=True)

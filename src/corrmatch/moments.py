@@ -13,12 +13,15 @@ Every closed form here is paired with an independent computation route, and
 every moment read, log_cycle_moment and log_chain_moment, asserts in log
 space that the two agree.
 Every order (k, m, T, n, the cutoff N) and short-cycle count n_k goes
-through graphs.check_int, every real (theta, x, alpha, rho, eta) through
-graphs.check_real, and the tail functions return plain tuples.
+through graphs.check_int, and every real through graphs.check_real with
+its interval: theta in [-inf, THETA_MAX] (e^theta a float), x in
+[0, inf), alpha in (0, 1], rho in (1, inf) and eta in [0, inf).  The tail
+functions return plain tuples.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import exp, inf, isfinite, lgamma, log, log1p
 from typing import Sequence
@@ -47,6 +50,8 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
+THETA_MAX = log(sys.float_info.max)   # the largest theta whose e^theta is a float
+_THETA = f"[-inf, {THETA_MAX!r}]"
 
 
 class ConsistencyError(AssertionError):
@@ -65,7 +70,7 @@ def char_roots(theta: float, p: float, s: float) -> tuple[float, float]:
     mu2 = c / mu1 (Vieta) keeps full precision when small.
     """
     check_p_s(p, s)
-    check_real("theta", theta)
+    check_real("theta", theta, _THETA)
     nu = exp(theta) - 1.0
     b = 1.0 + p * s * s * nu
     c = (p * s * s - p * p * s * s) * nu
@@ -96,7 +101,7 @@ def chain_recurrence(m: int, theta: float, p: float, s: float) -> tuple[float, f
     """
     check_p_s(p, s)
     m = check_int("m", m, 1)
-    check_real("theta", theta)
+    check_real("theta", theta, _THETA)
     w, u = exp(-max(theta, 0.0)), exp(min(theta, 0.0))   # e^theta w = u, and one of them is 1
     ps = p * s
     (q00, q10), _ = pair_pmf(p, s).tolist()
@@ -216,9 +221,7 @@ def chain_moment(k: int, theta: float, p: float, s: float) -> float:
 def tail_rates(alpha: float, n_cutoff: int) -> tuple[float, ...]:
     """The exponents (alpha_1, ..., alpha_{N+1}): alpha_k = (k-1)/k for the
     short cycles, and alpha_{N+1} = min(alpha, N/(N+1)) for the long ones."""
-    check_real("alpha", alpha)
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
+    check_real("alpha", alpha, "(0, 1]")
     n_cutoff = check_int("n_cutoff", n_cutoff, 1)
     rates = tuple((k - 1) / k for k in range(1, n_cutoff + 1))
     return rates + (min(alpha, n_cutoff / (n_cutoff + 1)),)
@@ -242,9 +245,7 @@ def markov_tail_bound(
     clamped at 0, where the bound degenerates to a valid (vacuous) >= 1
     value.
     """
-    check_real("tail level", x)
-    if x < 0:
-        raise ValueError("tail level must be non-negative")
+    check_real("tail level", x, "[0, inf)")
     n, p, s = params.n, params.p, params.s
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -315,12 +316,8 @@ def combinatorial_minimum(
     big_n = len(nks)
     if big_n < 1:
         raise ValueError("need at least one short-cycle count")
-    check_real("rho", rho)
-    check_real("eta", eta)
-    if rho <= 1.0:
-        raise ValueError("rho must exceed 1")
-    if eta < 0.0:
-        raise ValueError("eta must be non-negative")
+    check_real("rho", rho, "(1, inf)")
+    check_real("eta", eta, "[0, inf)")
     rates = tail_rates(alpha, big_n)
     box = rho * T
     need = (rho - eta) * T
@@ -374,6 +371,7 @@ def sample_cycle_orbit_edges(
 ) -> np.ndarray:
     """Sample |H-edges| of a k-cycle orbit: pairs share parent indicators
     cyclically, edge i present iff I_i J_i I_{i-1} Jbar_i all fire."""
+    check_p_s(p, s)
     I = rng.random((size, k)) < p
     J = rng.random((size, k)) < s
     Jb = rng.random((size, k)) < s
@@ -387,6 +385,7 @@ def sample_chain_orbit_edges(
 ) -> np.ndarray:
     """Sample |H-edges| of a k-chain orbit: k-1 internal correlated pairs
     plus independent Bern(ps) boundary values at both ends."""
+    check_p_s(p, s)
     ps = p * s
     I = rng.random((size, k - 1)) < p if k > 1 else np.zeros((size, 0), dtype=bool)
     J = rng.random((size, k - 1)) < s if k > 1 else I

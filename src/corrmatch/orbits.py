@@ -125,18 +125,16 @@ def short_cycle_cutoff(alpha: float, rho: float | None = None, eta: float | None
     N = floor(1/(1 - alpha)) for alpha < 1; at alpha = 1 the cutoff needs
     the density level rho and the margin eta.
     """
-    check_real("alpha", alpha)
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
+    check_real("alpha", alpha, "(0, 1]")
     if alpha < 1.0:
         return floor(1.0 / (1.0 - alpha))
     if rho is None or eta is None:
         raise ValueError("alpha = 1 requires rho and eta to set the cutoff")
-    check_real("rho", rho)
-    check_real("eta", eta)
+    check_real("rho", rho, "(1, inf)")
+    check_real("eta", eta, "[0, inf)")
     if rho - eta <= 1.0:
         raise ValueError("alpha = 1 cutoff needs rho - eta > 1")
-    return floor(1.0 / (rho - eta - 1.0)) + 1
+    return floor(1 / (rho - eta - 1)) + 1   # exact for a Fraction, whose margin a float may round to 0
 
 
 def _cycle_index(phi: Bijection) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:

@@ -87,7 +87,7 @@ def test_infeasible_constants_signal_above_threshold():
         default_constants(0.5, 2.2, 1000)   # rho_hat >= 1/alpha
     with pytest.raises(ConstantsInfeasibleError):
         default_constants(0.999, 1.0, 1000)  # no grid zeta below 1/alpha
-    with pytest.raises(ValueError, match="rho_hat must be at least 1"):
+    with pytest.raises(ValueError, match=r"rho_hat must lie in \[1, inf\)"):
         default_constants(0.5, float("nan"), 1000)
 
 

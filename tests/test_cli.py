@@ -531,7 +531,14 @@ def test_an_empty_subset_is_not_an_absent_one(small_bundle, capsys):
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_non_finite_estimator_flags_exit_3(small_bundle, capsys, flag, value):
     assert RUN(["estimate", "--bundle", small_bundle, f"{flag}={value}"]) == 3
-    assert "must be finite" in capsys.readouterr().err
+    assert f"{flag[2:].replace('-', '_')} must lie in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rho_hat, level", [("1e308", "rho_hat + eta"), ("-1e308", "rho_hat - eta")])
+def test_estimator_levels_past_the_float_range_exit_3(small_bundle, capsys, rho_hat, level):
+    # each setting is finite, but one level of the candidate test is not
+    assert RUN(["estimate", "--bundle", small_bundle, f"--rho-hat={rho_hat}", "--eta=1e308"]) == 3
+    assert f"{level} must lie in (-inf, inf)" in capsys.readouterr().err
 
 
 def test_moments_check_past_the_float_range_fails_naming_the_row(tmp_path, capsys):

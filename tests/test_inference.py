@@ -62,8 +62,11 @@ from corrmatch.moments import (
     char_roots,
     combinatorial_minimum,
     cycle_moment,
+    THETA_MAX,
     markov_tail_bound,
     permutation_count_bound,
+    sample_chain_orbit_edges,
+    sample_cycle_orbit_edges,
     tail_rates,
 )
 from corrmatch.orbits import edge_orbits, orbit_edge_stats, phi_of, restricted_orbits, short_cycle_cutoff
@@ -999,6 +1002,51 @@ def _mass_f(sigma):
         (lambda: short_cycle_cutoff(1.0, "3", 0.5), "rho must be a number"),
         (lambda: short_cycle_cutoff(1.0, 3.0, True), "eta must be a number"),
         (lambda: orbit_edge_stats(DRAW, DRAW.pi_star, set(range(5)), alpha="0.5"), "alpha must be a number"),
+        # every real lies in its interval: NaN in none, nor an int past the float range
+        (lambda: ModelParams(n=5, p=math.nan, s=0.5), r"p must lie in \(0, 1\), got nan"),
+        (lambda: ModelParams(n=5, p=10**400, s=0.5), r"p must lie in \(0, 1\), got 1000"),
+        (lambda: ModelParams(n=5, p=0.5, s=math.inf), r"s must lie in \(0, 1\], got inf"),
+        (lambda: sample_er(5, math.nan, stream(0, 0)), r"edge probability must lie in \[0, 1\], got nan"),
+        (lambda: sample_er(5, -math.inf, stream(0, 0)), r"edge probability must lie in \[0, 1\], got -inf"),
+        (lambda: level_below(math.inf, 10), r"x must lie in \(-inf, inf\), got inf"),
+        (lambda: level_below(-math.inf, 10), r"x must lie in \(-inf, inf\), got -inf"),
+        (lambda: level_below(math.nan, 10), r"x must lie in \(-inf, inf\), got nan"),
+        (lambda: level_below(10**400, 10), r"x must lie in \(-inf, inf\), got 1000"),
+        (lambda: default_constants(math.nan, 1.5, 100), r"alpha must lie in \(0, 1\), got nan"),
+        (lambda: default_constants(0.5, math.inf, 100), r"rho_hat must lie in \[1, inf\), got inf"),
+        (lambda: default_constants(0.5, 10**400, 100), r"rho_hat must lie in \[1, inf\), got 1000"),
+        (lambda: posterior_overlap_mass(_table(), DRAW.pi_star, math.nan), r"delta must lie in \[0, 1\], got nan"),
+        (lambda: posterior_w(_table(), math.inf), r"delta must lie in \[0, 1\], got inf"),
+        (lambda: posterior_w(_table(), 10**400), r"delta must lie in \[0, 1\], got 1000"),
+        (lambda: edge_ll(1, 1, 0.0, 0.5), r"p must lie in \(0, 1\), got 0.0"),
+        (lambda: edge_ll(0, 0, True, 0.5), "p must be a number"),
+        (lambda: edge_ll(0, 1, 0.5, math.nan), r"s must lie in \(0, 1\], got nan"),
+        (lambda: EstimatorConfig(rho_hat=1e308, eta=1e308), r"rho_hat \+ eta must lie in \(-inf, inf\), got inf"),
+        (lambda: EstimatorConfig(rho_hat=-1e308, eta=1e308), r"rho_hat - eta must lie in \(-inf, inf\), got -inf"),
+        (lambda: char_roots(math.nan, 0.3, 0.6), r"theta must lie in \[-inf, 709.78"),
+        (lambda: char_roots(710.0, 0.3, 0.6), r"theta must lie in \[-inf, 709.78"),
+        (lambda: chain_recurrence(3, math.inf, 0.3, 0.6), r"theta must lie in \[-inf, 709.78"),
+        (lambda: chain_recurrence(3, 10**400, 0.3, 0.6), r"theta must lie in \[-inf, 709.78"),
+        (lambda: chain_moment(3, math.nan, 0.3, 0.6), r"theta must lie in \[-inf, 709.78"),
+        (lambda: cycle_moment(3, math.nan, 0.3, 0.6), r"theta must lie in \[-inf, 709.78"),
+        (lambda: cycle_moment(3, 710.0, 0.3, 0.6), r"theta must lie in \[-inf, 709.78"),
+        (lambda: tail_rates(math.nan, 2), r"alpha must lie in \(0, 1\], got nan"),
+        (lambda: tail_rates(10**400, 2), r"alpha must lie in \(0, 1\], got 1000"),
+        (lambda: markov_tail_bound("k_cycle", math.inf, {1: (0, 1, 0)}, TAIL_PARAMS, 0.5, 2, k=1), r"tail level must lie in \[0, inf\), got inf"),
+        (lambda: markov_tail_bound("k_cycle", math.nan, {1: (0, 1, 0)}, TAIL_PARAMS, 0.5, 2, k=1), r"tail level must lie in \[0, inf\), got nan"),
+        (lambda: markov_tail_bound("k_cycle", 10**400, {1: (0, 1, 0)}, TAIL_PARAMS, 0.5, 2, k=1), r"tail level must lie in \[0, inf\), got 1000"),
+        (lambda: combinatorial_minimum(10, (1,), 2.0, math.nan, 0.5), r"eta must lie in \[0, inf\), got nan"),
+        (lambda: combinatorial_minimum(10, (1,), 2.0, math.inf, 0.5), r"eta must lie in \[0, inf\), got inf"),
+        (lambda: combinatorial_minimum(10, (1,), math.nan, 0.1, 0.5), r"rho must lie in \(1, inf\), got nan"),
+        (lambda: combinatorial_minimum(10, (1,), math.inf, 0.1, 0.5), r"rho must lie in \(1, inf\), got inf"),
+        (lambda: combinatorial_minimum(10, (1,), 10**400, 0.1, 0.5), r"rho must lie in \(1, inf\), got 1000"),
+        (lambda: sample_cycle_orbit_edges(3, math.nan, 0.6, stream(0, 0), 4), r"p must lie in \(0, 1\), got nan"),
+        (lambda: sample_chain_orbit_edges(3, 0.3, math.inf, stream(0, 0), 4), r"s must lie in \(0, 1\], got inf"),
+        (lambda: short_cycle_cutoff(math.nan), r"alpha must lie in \(0, 1\], got nan"),
+        (lambda: short_cycle_cutoff(1.0, math.nan, 0.1), r"rho must lie in \(1, inf\), got nan"),
+        (lambda: short_cycle_cutoff(1.0, 10**400, 1), r"rho must lie in \(1, inf\), got 1000"),
+        (lambda: short_cycle_cutoff(1.0, 3.0, -0.5), r"eta must lie in \[0, inf\), got -0.5"),
+        (lambda: short_cycle_cutoff(1.0, 3.0, math.inf), r"eta must lie in \[0, inf\), got inf"),
     ],
     ids=[
         "bijection_bool", "from_arrays_bool", "init_bool", "vertex_set_bool", "vertex_set_numpy_bool",
@@ -1015,6 +1063,17 @@ def _mass_f(sigma):
         "chain_moment_bool_theta", "char_roots_string_theta", "chain_recurrence_string_theta",
         "tail_bound_bool_x", "tail_bound_string_x", "minimum_bool_eta", "minimum_string_rho",
         "cutoff_bool_alpha", "cutoff_string_rho", "cutoff_bool_eta", "edge_stats_string_alpha",
+        "params_nan_p", "params_huge_p", "params_inf_s", "sample_er_nan_q", "sample_er_minus_inf_q",
+        "level_below_inf", "level_below_minus_inf", "level_below_nan", "level_below_huge",
+        "constants_nan_alpha", "constants_inf_rho_hat", "constants_huge_rho_hat",
+        "overlap_mass_nan_delta", "posterior_w_inf_delta", "posterior_w_huge_delta",
+        "edge_ll_zero_p", "edge_ll_bool_p", "edge_ll_nan_s", "config_cap_overflows", "config_floor_overflows",
+        "char_roots_nan_theta", "char_roots_theta_past_float", "chain_recurrence_inf_theta",
+        "chain_recurrence_huge_theta", "chain_moment_nan_theta", "cycle_moment_nan_theta",
+        "cycle_moment_theta_past_float", "tail_rates_nan_alpha", "tail_rates_huge_alpha",
+        "tail_bound_inf_x", "tail_bound_nan_x", "tail_bound_huge_x", "minimum_nan_eta", "minimum_inf_eta",
+        "minimum_nan_rho", "minimum_inf_rho", "minimum_huge_rho", "cycle_orbit_nan_p", "chain_orbit_inf_s",
+        "cutoff_nan_alpha", "cutoff_nan_rho", "cutoff_huge_rho", "cutoff_negative_eta", "cutoff_inf_eta",
     ],
 )
 def test_sample_inputs_are_refused_where_they_are_read(call, message):
@@ -1051,3 +1110,21 @@ def test_sample_inputs_the_routes_keep():
         markov_tail_bound("long", 3.0, {3: (0, 1, 2)}, TAIL_PARAMS, 0.5, 3)
     )
     assert short_cycle_cutoff(np.float64(1.0), np.float64(3.0), np.float64(0.5)) == short_cycle_cutoff(1.0, 3.0, 0.5)
+    # the closed ends of each interval, and numpy floats of another width and Fractions
+    assert sample_er(5, 0, stream(0, 0)).edge_count == 0 and sample_er(5, 1, stream(0, 0)).edge_count == 10
+    assert posterior_overlap_mass(_table(), DRAW.pi_star, 0) == posterior_w(_table(), 0.0) == pytest.approx(1.0)
+    assert posterior_overlap_mass(_table(), DRAW.pi_star, 1) <= posterior_w(_table(), 1.0) <= 1.0
+    assert combinatorial_minimum(10, (1,), 2.0, 0, 0.5) == combinatorial_minimum(10, (1,), 2.0, 0.0, 0.5)
+    assert short_cycle_cutoff(1.0, 3.0, 0) == short_cycle_cutoff(1.0, 3.0, 0.0) == 1
+    assert short_cycle_cutoff(1.0, Fraction(10**400 + 1, 10**400), 0) == 10**400 + 1
+    assert markov_tail_bound("long", 0, {3: (0, 1, 2)}, TAIL_PARAMS, 0.5, 3) >= 1.0
+    assert char_roots(-math.inf, 0.3, 0.6) == char_roots(-1e300, 0.3, 0.6)
+    assert chain_recurrence(3, -math.inf, 0.3, 0.6) == chain_recurrence(3, -1e300, 0.3, 0.6)
+    assert cycle_moment(3, -math.inf, 0.3, 0.6) == pytest.approx(0.912037888)
+    assert char_roots(THETA_MAX, 0.3, 0.6)[0] < math.inf and chain_recurrence(3, THETA_MAX, 0.3, 0.6)[3] < math.inf
+    assert default_constants(0.5, 1, 100) == default_constants(0.5, 1.0, 100)
+    assert ModelParams(n=5, p=np.float32(0.5), s=Fraction(1)).s == 1
+    assert char_roots(np.float32(0.5), Fraction(3, 10), 0.6) == char_roots(0.5, 0.3, 0.6)
+    assert tail_rates(np.float32(0.5), 2) == tail_rates(0.5, 2)
+    assert level_below(Fraction(7, 10), 10) == level_below(np.float32(0.75), 10) - Fraction(1, 20) == Fraction(7, 10)
+    assert EstimatorConfig(rho_hat=Fraction(3, 2), c_lambda_hat=np.float32(0.5), eta=Fraction(1, 10)).eta == Fraction(1, 10)

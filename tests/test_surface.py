@@ -7,7 +7,9 @@ features that wait for a caller.  `harness` is the one layer that draws
 replicates and writes CSV: no other module builds a `CsvReport` or calls
 `parallel_map`, and the compute modules draw no random stream of their own.
 And the integer rule is written once, in `graphs.check_int` (with the ids'
-own copy in `graphs._int_ids` and `rng.stream`'s below `graphs`)."""
+own copy in `graphs._int_ids` and `rng.stream`'s below `graphs`), and so is
+the real rule, in `graphs.check_real` (with the sweep's alpha, a config
+error, apart)."""
 
 import ast
 import re
@@ -104,29 +106,49 @@ def test_only_harness_draws_replicates_and_writes_csv():
     assert not breaches, breaches
 
 
-# The only places that may test numbers.Integral: the integer rule itself,
-# the vertex-id arrays, and rng.stream, which graphs imports.
-INTEGER_RULE = {"graphs.check_int", "graphs._int_ids", "rng.stream"}
-
-
-def _integral_uses(path: Path) -> list[str]:
-    """module.function of each reference to `Integral` in the module."""
-    found = []
+def _scopes(path: Path, hit) -> set[str]:
+    """module.function of each node of the module for which hit(node) holds."""
+    found = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            name = getattr(child, "attr", None) or getattr(child, "id", None) or getattr(child, "name", None)
-            if isinstance(child, (ast.Attribute, ast.Name, ast.alias)) and name == "Integral":
-                found.append(f"{path.stem}.{scope}")
+            if hit(child):
+                found.add(f"{path.stem}.{scope}")
             visit(child, scope)
 
     visit(ast.parse(path.read_text()), "<module>")
     return found
 
 
+def _names_integral(node) -> bool:
+    name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+    return isinstance(node, (ast.Attribute, ast.Name, ast.alias)) and name == "Integral"
+
+
+def _says_must_lie_in(node) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and "must lie in" in node.value
+
+
+# The only places that may test numbers.Integral: the integer rule itself,
+# the vertex-id arrays, and rng.stream, which graphs imports.
+INTEGER_RULE = {"graphs.check_int", "graphs._int_ids", "rng.stream"}
+# The only places that may word a range "must lie in": the real rule
+# itself, and the sweep's alpha, which a config refuses as a ConfigError.
+REAL_RULE = {"graphs.check_real", "harness._sweep_alpha"}
+
+
+def _package_scopes(hit) -> set[str]:
+    return {use for path in sorted((ROOT / "src" / "corrmatch").glob("*.py")) for use in _scopes(path, hit)}
+
+
 def test_the_integer_rule_is_written_once():
-    uses = {use for path in sorted((ROOT / "src" / "corrmatch").glob("*.py")) for use in _integral_uses(path)}
+    uses = _package_scopes(_names_integral)
     assert uses <= INTEGER_RULE, f"numbers.Integral outside graphs.check_int: {sorted(uses - INTEGER_RULE)}"
+
+
+def test_the_real_rule_is_written_once():
+    uses = _package_scopes(_says_must_lie_in)
+    assert uses <= REAL_RULE, f"a range worded outside graphs.check_real: {sorted(uses - REAL_RULE)}"
