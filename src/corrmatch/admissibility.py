@@ -24,8 +24,8 @@ xi and zeta exactly, as the density module says.
 Otherwise conditions (ii) and (iv) are decided by exhaustive enumeration of
 connected candidate sets inside the relevant core (any inclusion-minimal
 violator is connected with min degree above the ratio, hence lives in that
-core).  The enumeration carries an explicit budget; exceeding it yields an
-"undecided" status, never a silent pass.
+core), depth first on one explicit stack.  The caller counts the sets it
+reads against a budget; running out yields "undecided", never a silent pass.
 
 Condition (iv) (at most t vertices) enumerates near short cycles only.  An
 inclusion-minimal violator U has |E(U)| > |U| and minimum degree 2 in U,
@@ -81,7 +81,6 @@ __all__ = [
     "ConditionResult",
     "AdmissibilityReport",
     "ConstantsInfeasibleError",
-    "BudgetExceeded",
     "default_constants",
     "check_admissible",
     "is_good_set",
@@ -103,10 +102,6 @@ class ConstantsInfeasibleError(ValueError):
     above the admissibility level 1/alpha)."""
 
 
-class BudgetExceeded(RuntimeError):
-    """Internal signal: an enumeration ran out of budget."""
-
-
 @dataclass(frozen=True)
 class AdmissibilityConstants:
     alpha: float
@@ -122,7 +117,10 @@ class AdmissibilityConstants:
     cycle_len_cap: int = 12
 
     def validate(self) -> None:
-        """Assert the five defining inequalities."""
+        """Assert integer n and caps >= 0, an integer C >= 1 and the five defining inequalities."""
+        check_int("c_big", self.c_big, 1)
+        for name in ("n", "degree_cap", "small_set_cap", "tiny_component_cap", "cycle_len_cap"):
+            check_int(name, getattr(self, name), 0)
         a = self.alpha
         if not self.xi < 1.0 / a:
             raise ConstantsInfeasibleError(f"xi={self.xi} >= 1/alpha={1/a}")
@@ -287,10 +285,11 @@ def _bfs(csr: tuple[np.ndarray, np.ndarray], sources, depth: int | None = None, 
     return dist
 
 
-def _connected_sets(csr: tuple[np.ndarray, np.ndarray], alive: list[bool], max_size: int, budget: list[int]):
+def _connected_sets(csr: tuple[np.ndarray, np.ndarray], alive: list[bool], max_size: int):
     """Yield (set, edge count) for every connected vertex set of size <=
     max_size within the alive mask of the graph whose `Graph.csr()` is csr,
-    each set exactly once (ESU-style growth from each root).
+    each set exactly once (ESU-style growth from each root, depth first on
+    one stack of [extension, next index, edge count] frames).
 
     cover[w] counts the current members adjacent to w.  ESU bans from the
     extension every alive vertex above the root that already neighbours the
@@ -300,12 +299,21 @@ def _connected_sets(csr: tuple[np.ndarray, np.ndarray], alive: list[bool], max_s
     edges to the set."""
     offsets, columns = csr
     cover = [0] * len(alive)
-
-    def grow(root: int, sub: list[int], ext: list[int], edges: int):
-        for i, u in enumerate(ext):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceeded
+    for root in range(len(alive)):
+        if not alive[root]:
+            continue
+        sub, stack = [], [[[root], 0, 0]]
+        while stack:
+            ext, i, edges = frame = stack[-1]
+            if i == len(ext):
+                stack.pop()
+                if sub:   # the member whose extension this was leaves
+                    u = sub.pop()
+                    for w in columns[offsets[u]:offsets[u + 1]].tolist():
+                        cover[w] -= 1
+                continue
+            frame[1] = i + 1
+            u = ext[i]
             sub.append(u)
             grown = edges + cover[u]
             yield tuple(sub), grown
@@ -314,14 +322,9 @@ def _connected_sets(csr: tuple[np.ndarray, np.ndarray], alive: list[bool], max_s
                 fresh = [w for w in row if alive[w] and w > root and not cover[w]]
                 for w in row:
                     cover[w] += 1
-                yield from grow(root, sub, ext[i + 1:] + fresh, grown)
-                for w in row:
-                    cover[w] -= 1
-            sub.pop()
-
-    for root in range(len(alive)):
-        if alive[root]:
-            yield from grow(root, [], [root], 0)
+                stack.append([ext[i + 1:] + fresh, 0, grown])
+            else:
+                sub.pop()
 
 
 def _csr(size: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> csr_matrix:
@@ -827,13 +830,11 @@ def _first_dense_set(
     set has minimum degree above ratio inside it, so an alive mask that
     holds the (floor(ratio) + 1)-core loses none."""
     num, den = Fraction(ratio).as_integer_ratio()
-    budget = [set_budget]
-    try:
-        for sub, edges in _connected_sets(csr, alive, cap, budget):
-            if edges * den > num * len(sub):
-                return ConditionResult("fail", {"subset": list(sub), "edges": edges})
-    except BudgetExceeded:
-        return ConditionResult("undecided", {"stage": "connected_sets", "budget": set_budget})
+    for count, (sub, edges) in enumerate(_connected_sets(csr, alive, cap)):
+        if count >= set_budget:
+            return ConditionResult("undecided", {"stage": "connected_sets", "budget": set_budget})
+        if edges * den > num * len(sub):
+            return ConditionResult("fail", {"subset": list(sub), "edges": edges})
     return ConditionResult("pass")
 
 
@@ -885,14 +886,14 @@ class GoodSetResult:
 def _short_cycle_vertices(h: Graph, c_big: int) -> set[int]:
     _, completed, verts = simple_cycle_counts(h, c_big, collect_len=c_big)
     if not completed:
-        raise BudgetExceeded("cycle enumeration for good sets ran out of budget")
+        raise RuntimeError("cycle enumeration for good sets ran out of budget")
     return verts
 
 
 def is_good_set(h: Graph, a: set[int], c_big: int) -> GoodSetResult:
     """True iff members of a are pairwise farther than 2C+2 apart and
     farther than C from every cycle of length <= C."""
-    c_big = check_int("c_big", c_big)
+    c_big = check_int("c_big", c_big, 1)
     a_sorted = vertex_set(h.n, a).tolist()
     near_cycles = _bfs(h.csr(), _short_cycle_vertices(h, c_big), c_big)
     for v in a_sorted:
@@ -913,7 +914,7 @@ def find_good_set(h: Graph, b: set[int], k_target: int, c_big: int) -> tuple[int
     Returns the first k_target vertices found, or the maximal set if the
     greedy runs out (a shortfall, not an error); k_target is an integer
     >= 0, not a bool."""
-    k_target, c_big = check_int("k_target", k_target, 0), check_int("c_big", c_big)
+    k_target, c_big = check_int("k_target", k_target, 0), check_int("c_big", c_big, 1)
     candidates = vertex_set(h.n, b).tolist()
     if k_target == 0:
         return ()

@@ -533,15 +533,14 @@ def run_threshold_sweep(config: ExperimentConfig, threads: int | None = None) ->
     return report.text()
 
 
-def acceptance_rates(sweep_csv: str, estimator: str = "pi_star") -> dict[float, float]:
-    """Acceptance rate per lambda from a sweep CSV."""
+def acceptance_rates(sweep_csv: str) -> dict[float, float]:
+    """Acceptance rate per lambda of the pi* rows of a sweep CSV."""
     rows = sweep_csv.strip().splitlines()[1:]
     tally: dict[float, list[int]] = {}
     for row in rows:
         lam_s, _, _, name, _, accepted, _ = row.split(",")
-        if name != estimator:
-            continue
-        tally.setdefault(float(lam_s), []).append(1 if accepted == "true" else 0)
+        if name == "pi_star":
+            tally.setdefault(float(lam_s), []).append(1 if accepted == "true" else 0)
     return {lam: sum(v) / len(v) for lam, v in sorted(tally.items())}
 
 

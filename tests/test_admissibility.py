@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import tracemalloc
@@ -447,6 +448,28 @@ def test_budget_exhaustion_reports_undecided():
     res = res.conditions["local_unicyclicity"]
     assert res.status == "undecided"
     assert res.witness == {"stage": "connected_sets", "budget": 5}
+
+
+@pytest.mark.parametrize(
+    "make, cap, ratio, budget",
+    [
+        # the connected sets of a ring are its arcs, so a cap of 2 500 once
+        # meant a 2 500-deep recursion
+        (lambda: Graph.from_arrays(3000, range(3000), [(i + 1) % 3000 for i in range(3000)]), 2500, 1, 3000),
+        # the 2-core of a sparse G(20 000), at condition (ii)'s cap n / log2 n
+        (lambda: sample_er(20000, 3.6 / 20000, stream(9, 0)), 1399, 1.5, 2000),
+    ],
+    ids=["ring_3000", "gnp_20000_core"],
+)
+def test_deep_connected_set_scans_count_their_budget(make, cap, ratio, budget):
+    """A scan whose sets grow past the interpreter's recursion limit runs
+    out of budget and says so.  A full check_admissible on the G(20 000)
+    draw stays out of tier-1: its cycle scan alone takes about 5 s, and its
+    default 2 M-set budget much longer."""
+    g = make()
+    alive = (g.core_numbers() >= 2).tolist()
+    res = adm._first_dense_set(g.csr(), alive, cap, ratio, budget)
+    assert res == ConditionResult("undecided", {"stage": "connected_sets", "budget": budget})
 
 
 def test_budget_cut_cycle_witness_revalidates():
@@ -1113,7 +1136,7 @@ def test_connected_sets_match_bruteforce():
         max_size = int(rng.integers(1, n + 1))
         for alive in ((g.core_numbers() >= 2).tolist(), [True] * n):
             got = Counter()
-            for sub, edges in _connected_sets(g.csr(), alive, max_size, [10**6]):
+            for sub, edges in _connected_sets(g.csr(), alive, max_size):
                 got[frozenset(sub)] += 1
                 assert edges == g.edges_within(sub)
             assert set(got.values()) <= {1}
@@ -1123,6 +1146,16 @@ def test_connected_sets_match_bruteforce():
                 if len(sub) <= max_size and all(alive[v] for v in sub) and _induced_connected(adj, sub):
                     want.add(frozenset(sub))
             assert set(got) == want
+
+
+def test_connected_set_order_is_pinned():
+    """The sets come in one fixed order (the first witness depends on it),
+    pinned by a digest recorded from the recursive enumerator that the
+    one-stack scan replaced."""
+    g = sample_er(12, 0.4, stream(62, 0))
+    sets = list(_connected_sets(g.csr(), [True] * 12, 5))
+    assert len(sets) == 950
+    assert hashlib.sha256(repr(sets).encode()).hexdigest().startswith("2703d61dd505a7b1")
 
 
 # -- model-level oracles: counts against their exact expectation in G(n, p) --
@@ -1158,7 +1191,7 @@ def test_connected_set_counts_match_their_expectation_in_gnp():
     counts = {k: [] for k in range(1, 6)}
     for r in range(20):
         g = sample_er(n, 2 / n, stream(4343, r))
-        sizes = Counter(len(sub) for sub, _ in _connected_sets(g.csr(), [True] * n, 5, [10**8]))
+        sizes = Counter(len(sub) for sub, _ in _connected_sets(g.csr(), [True] * n, 5))
         for k in counts:
             counts[k].append(sizes[k])
     assert_means_match(counts, {k: expected_connected_sets(n, p, k) for k in counts}, bound=4)
@@ -1240,3 +1273,15 @@ def test_find_good_set_reports_shortfall_not_error():
     g = Graph(3, [(0, 1), (1, 2)])
     got = find_good_set(g, {0, 1, 2}, k_target=3, c_big=1)
     assert len(got) < 3  # everything is within 2C+2 of vertex 0
+
+
+def test_good_sets_refuse_a_cut_short_cycle_scan(monkeypatch):
+    """Good sets need every vertex near a short cycle: a cycle scan that
+    runs out of budget raises rather than miss one."""
+    scan = adm.simple_cycle_counts
+    monkeypatch.setattr(adm, "simple_cycle_counts", lambda h, max_len, collect_len: scan(h, max_len, 0, collect_len))
+    message = "cycle enumeration for good sets ran out of budget"
+    with pytest.raises(RuntimeError, match=message):
+        is_good_set(k4(), {0}, 3)
+    with pytest.raises(RuntimeError, match=message):
+        find_good_set(k4(), set(range(4)), 1, 3)

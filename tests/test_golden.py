@@ -53,6 +53,9 @@ ROUTES = (
     "rho-curve --n 300 --replicates 4 --invert-at 1.2 --threads 2 --out {out}",
     "threshold-sweep --n 150 --replicates 3 --lambdas 2,3,4 --threads 1 --out {out}",
     "threshold-sweep --n 150 --replicates 3 --lambdas 2,3,4 --threads 2 --out {out}",
+    # no --lambdas: the grid placed around lambda_hat*, announced on stderr
+    "threshold-sweep --n 150 --replicates 2 --threads 1 --out {out}",
+    "threshold-sweep --n 150 --replicates 2 --threads 2 --out {out}",
 )
 
 

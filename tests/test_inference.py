@@ -929,6 +929,8 @@ def test_mismatched_pairs_and_wrapped_vertices_are_refused(call, message):
 
 DRAW, DRAW_CONSTS = sample_correlated(ModelParams(n=5, p=0.6, s=0.8), 3), default_constants(0.5, 1.4, 5)
 DRAW_H = intersection_graph(DRAW.g, DRAW.g_bar, DRAW.pi_star)
+TRIANGLE_AND_EDGE = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
+CONSTS_100 = default_constants(0.5, 1.4, 100)
 TAIL_PARAMS = ModelParams(n=10, p=0.35, s=0.6)
 CENSUS_10 = edge_orbits(Bijection.uniform(10, stream(1, 0)), Bijection.uniform(10, stream(2, 0)))
 
@@ -990,6 +992,12 @@ def _mass_f(sigma):
         (lambda: check_admissible(DRAW_H, DRAW_CONSTS, cycle_budget=2.5), "cycle_budget must be an integer"),
         (lambda: find_good_set(DRAW_H, set(range(5)), 3, 2.5), "c_big must be an integer"),
         (lambda: is_good_set(DRAW_H, {1}, True), "c_big must be an integer"),
+        # the admissibility constants hold integer caps, and C is an integer >= 1
+        (lambda: check_admissible(Graph(100, []), replace(CONSTS_100, c_big=0)), "c_big must be an integer >= 1"),
+        (lambda: check_admissible(Graph(100, []), replace(CONSTS_100, degree_cap=2.5)), "degree_cap must be an integer"),
+        (lambda: check_admissible(Graph(100, []), replace(CONSTS_100, cycle_len_cap=-1)), "cycle_len_cap must be an integer >= 0"),
+        (lambda: is_good_set(TRIANGLE_AND_EDGE, {0, 1}, -3), "c_big must be an integer >= 1"),
+        (lambda: find_good_set(TRIANGLE_AND_EDGE, set(range(6)), 6, -3), "c_big must be an integer >= 1"),
         # theta, x, rho, eta and alpha are real numbers, not bools or strings
         (lambda: chain_moment(2, True, 0.3, 0.6), "theta must be a number"),
         (lambda: char_roots("0.5", 0.3, 0.6), "theta must be a number"),
@@ -1059,7 +1067,8 @@ def _mass_f(sigma):
         "edge_stats_bool_cutoff", "edge_stats_float_cutoff", "minimum_bool_count", "minimum_float_count",
         "count_bound_float_count", "count_bound_bool_count", "cycle_counts_bool_max_len", "cycle_counts_float_budget",
         "cycle_counts_bool_collect_len", "admissible_bool_set_budget", "admissible_float_cycle_budget",
-        "find_good_set_float_c", "is_good_set_bool_c",
+        "find_good_set_float_c", "is_good_set_bool_c", "constants_zero_c", "constants_float_degree_cap",
+        "constants_negative_cycle_len_cap", "is_good_set_negative_c", "find_good_set_negative_c",
         "chain_moment_bool_theta", "char_roots_string_theta", "chain_recurrence_string_theta",
         "tail_bound_bool_x", "tail_bound_string_x", "minimum_bool_eta", "minimum_string_rho",
         "cutoff_bool_alpha", "cutoff_string_rho", "cutoff_bool_eta", "edge_stats_string_alpha",

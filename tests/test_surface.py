@@ -9,7 +9,9 @@ replicates and writes CSV: no other module builds a `CsvReport` or calls
 And the integer rule is written once, in `graphs.check_int` (with the ids'
 own copy in `graphs._int_ids` and `rng.stream`'s below `graphs`), and so is
 the real rule, in `graphs.check_real` (with the sweep's alpha, a config
-error, apart)."""
+error, apart).  No function calls itself by name: every enumeration keeps
+its own stack, so a deep search never meets the interpreter's recursion
+limit."""
 
 import ast
 import re
@@ -152,3 +154,20 @@ def test_the_integer_rule_is_written_once():
 def test_the_real_rule_is_written_once():
     uses = _package_scopes(_says_must_lie_in)
     assert uses <= REAL_RULE, f"a range worded outside graphs.check_real: {sorted(uses - REAL_RULE)}"
+
+
+def _self_calls(path: Path) -> set[str]:
+    """module.function of each function, nested ones included, whose body
+    calls it by its bare name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            isinstance(call, ast.Call) and getattr(call.func, "id", None) == node.name for call in ast.walk(node)
+        ):
+            found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_no_function_recurses():
+    calls = {name for path in sorted((ROOT / "src" / "corrmatch").glob("*.py")) for name in _self_calls(path)}
+    assert not calls, f"functions that call themselves: {sorted(calls)}"
