@@ -15,17 +15,18 @@ fail condition (iii) constantly, which would defeat the event's purpose of
 holding with probability near one.
 
 Conditions (i) and (ii) first ask one question: is rho* <= min(xi, zeta)?
-One density.density_exceeds call at density.level_below(min(xi, zeta), n)
-answers it exactly, with at most one max-flow; "no" passes both.  On
-"yes" the exact maximizer decides (i), and (ii) fails on it or on its
-greedy shrink when either is small enough.  Densities are compared with
+One density.density_exceeds(h, min(xi, zeta)) call answers it exactly, with
+at most one max-flow; "no" passes both.  On "yes" the exact maximizer
+decides (i), and (ii) fails on it or on its greedy shrink when either is
+small enough.  Densities are compared with
 xi and zeta exactly, as the density module says.
 
 Otherwise conditions (ii) and (iv) are decided by exhaustive enumeration of
 connected candidate sets inside the relevant core (any inclusion-minimal
 violator is connected with min degree above the ratio, hence lives in that
 core), depth first on one explicit stack.  The caller counts the sets it
-reads against a budget; running out yields "undecided", never a silent pass.
+reads against SET_BUDGET; running out yields "undecided", never a silent
+pass.
 
 Condition (iv) (at most t vertices) enumerates near short cycles only.  An
 inclusion-minimal violator U has |E(U)| > |U| and minimum degree 2 in U,
@@ -54,10 +55,10 @@ as one bit of the reach bitsets that a multi-source Dial fills per
 group, and closed where one bit of the group's adjacency bitset says
 that an arc leads back to the root.  That distance is a lower bound on
 the length of any way back that a counted cycle can take, so the
-pruning loses no cycle.  The scan's budget counts the path extensions it
-keeps, in one fixed order; running out yields lower-bound counts and
-"undecided" (or a failure those lower bounds already prove), never a
-silent pass.
+pruning loses no cycle.  The scan's budget, CYCLE_BUDGET, counts the path
+extensions it keeps, in one fixed order; running out yields lower-bound
+counts and "undecided" (or a failure those lower bounds already prove),
+never a silent pass.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .density import densest_subgraph_exact, density_exceeds, level_below
+from .density import densest_subgraph_exact, density_exceeds
 from .graphs import Graph, _count, check_int, check_real, check_sizes, vertex_set
 
 __all__ = [
@@ -90,6 +91,7 @@ __all__ = [
 ]
 
 ZETA_GRID = tuple(1.0 + 0.5**j for j in range(1, 8))   # 1.5, 1.25, ..., ~1.0078
+SET_BUDGET = 2_000_000      # connected sets a scan of condition (ii) or (iv) may read
 CYCLE_BUDGET = 20_000_000   # path extensions a cycle scan may keep
 
 _ROW_BLOCK = 32768      # arcs joined per step of the cycle scan
@@ -296,7 +298,9 @@ def _connected_sets(csr: tuple[np.ndarray, np.ndarray], alive: list[bool], max_s
     set, which is every such w with cover[w] > 0 (members past the root
     included), so a neighbour of a new member is fresh exactly when it is
     alive, above the root and uncovered.  A joining vertex u adds cover[u]
-    edges to the set."""
+    edges to the set.  A max_size below 1 yields nothing."""
+    if max_size < 1:
+        return
     offsets, columns = csr
     cover = [0] * len(alive)
     for root in range(len(alive)):
@@ -523,13 +527,11 @@ def _reach(near: _Near, group: np.ndarray, reach: np.ndarray) -> None:
             changed = pull[(new != old).any(axis=1)]
 
 
-def simple_cycle_counts(
-    h: Graph, max_len: int, budget: int = CYCLE_BUDGET, collect_len: int = 0
-) -> tuple[dict[int, int], bool, set[int]]:
+def simple_cycle_counts(h: Graph, max_len: int, *, collect_len: int = 0) -> tuple[dict[int, int], bool, set[int]]:
     """(counts, completed, vertices) of the simple cycles of h of lengths
     3..max_len: counts per length, whether the search finished within
-    budget, and every vertex on a counted cycle of length <= collect_len
-    (none at 0).
+    CYCLE_BUDGET, and every vertex on a counted cycle of length <=
+    collect_len (none at 0).
 
     Cycles live in the 2-core, and they are counted on its kernel
     multigraph (see ``_contract_core``): each maximal chain of
@@ -574,14 +576,13 @@ def simple_cycle_counts(
     Only the cells the group set are cleared after it.  So the arrays of a
     group take O(kernel size) memory, however many roots there are.
 
-    ``budget`` caps the path extensions kept, taken in one fixed order
+    CYCLE_BUDGET caps the path extensions kept, taken in one fixed order
     (groups of roots ascending, then depth first, arcs in kernel order);
     cycles that are one chain take none.  When it runs out, completed is
-    False, and the counts and vertices are those of the first budget
+    False, and the counts and vertices are those of the first CYCLE_BUDGET
     extensions, so they are lower bounds that only grow with the budget.
     """
-    max_len, budget = check_int("max_len", max_len), check_int("budget", budget)
-    collect_len = check_int("collect_len", collect_len)
+    max_len, collect_len = check_int("max_len", max_len), check_int("collect_len", collect_len)
     if max_len < 3:
         return {}, True, set()
     kern = _contract_core(h.edge_array(), h.core_numbers() >= 2, max_len)
@@ -591,7 +592,7 @@ def simple_cycle_counts(
     src = np.repeat(np.arange(size), outdeg)
     roots = np.flatnonzero(np.bincount(src[kern.dst > src], minlength=size) >= 2)
     kernel_on, chain_on = np.zeros(size, dtype=bool), np.zeros(kern.chain_run.size, dtype=bool)
-    left = max(budget, 0)
+    left = CYCLE_BUDGET
     radius = max_len // 2
     per_group = 64 * max(1, _REACH_WORDS // ((radius + 1) * max(size, 1)))
     if roots.size:
@@ -730,22 +731,16 @@ def _scan_roots(
 # -- the admissibility check ----------------------------------------------------
 
 
-def check_admissible(
-    h: Graph,
-    consts: AdmissibilityConstants,
-    set_budget: int = 2_000_000,
-    cycle_budget: int = CYCLE_BUDGET,
-) -> AdmissibilityReport:
+def check_admissible(h: Graph, consts: AdmissibilityConstants) -> AdmissibilityReport:
     """Evaluate the five conditions on h, under constants for its vertex
     count (ValueError otherwise); see the module docstring."""
-    set_budget, cycle_budget = check_int("set_budget", set_budget), check_int("cycle_budget", cycle_budget)
     consts.validate()
     if check_sizes(h, consts) == 0:
         raise ValueError("graph must have at least one vertex")
     results: dict[str, ConditionResult] = {}
 
     # (i) and (ii): both pass exactly when rho* <= min(xi, zeta)
-    if not density_exceeds(h, level_below(min(consts.xi, consts.zeta), h.n)):
+    if not density_exceeds(h, min(consts.xi, consts.zeta)):
         results["density_cap"] = results["small_set_density"] = ConditionResult("pass")
     else:
         dens = densest_subgraph_exact(h)
@@ -755,7 +750,7 @@ def check_admissible(
             )
         else:
             results["density_cap"] = ConditionResult("pass")
-        results["small_set_density"] = _check_small_sets(h, consts, dens, set_budget)
+        results["small_set_density"] = _check_small_sets(h, consts, dens)
 
     degs = h.degrees
     if int(degs.max()) >= consts.degree_cap:
@@ -766,15 +761,13 @@ def check_admissible(
 
     # one scan: (iv) looks near the cycles of length <= t, (v) counts up to cycle_len_cap
     t = consts.tiny_component_cap
-    counts, completed, near = simple_cycle_counts(h, max(t, consts.cycle_len_cap), cycle_budget, collect_len=t)
-    results["local_unicyclicity"] = _check_tiny_components(
-        h.csr(), h.core_numbers(), t, near if completed else None, set_budget
-    )
-    results["cycle_counts"] = _check_cycle_counts(counts, completed, consts, cycle_budget)
+    counts, completed, near = simple_cycle_counts(h, max(t, consts.cycle_len_cap), collect_len=t)
+    results["local_unicyclicity"] = _check_tiny_components(h.csr(), h.core_numbers(), t, near if completed else None)
+    results["cycle_counts"] = _check_cycle_counts(counts, completed, consts)
     return AdmissibilityReport(conditions=results)
 
 
-def _check_small_sets(h, consts, dens, set_budget) -> ConditionResult:
+def _check_small_sets(h, consts, dens) -> ConditionResult:
     if dens.density <= consts.zeta:
         return ConditionResult("pass")   # no subset of any size violates zeta
     subset = list(dens.best_subset)
@@ -784,7 +777,7 @@ def _check_small_sets(h, consts, dens, set_budget) -> ConditionResult:
     if len(shrunk) <= consts.small_set_cap:
         return ConditionResult("fail", {"subset": shrunk, "edges": h.edges_within(shrunk)})
     alive = (h.core_numbers() >= math.floor(consts.zeta) + 1).tolist()
-    return _first_dense_set(h.csr(), alive, consts.small_set_cap, consts.zeta, set_budget)
+    return _first_dense_set(h.csr(), alive, consts.small_set_cap, consts.zeta)
 
 
 def _shrink_violator(h: Graph, subset: list[int], ratio: float) -> list[int]:
@@ -821,29 +814,23 @@ def _shrink_violator(h: Graph, subset: list[int], ratio: float) -> list[int]:
                 heapq.heappush(heaps[din[w]], position[w])
 
 
-def _first_dense_set(
-    csr: tuple[np.ndarray, np.ndarray], alive: list[bool], cap: int, ratio: float, set_budget: int
-) -> ConditionResult:
+def _first_dense_set(csr: tuple[np.ndarray, np.ndarray], alive: list[bool], cap: int, ratio: float) -> ConditionResult:
     """Fail on the first connected set of at most cap alive vertices of csr
-    with more than ratio * size edges; undecided when set_budget sets were
+    with more than ratio * size edges; undecided when SET_BUDGET sets were
     enumerated without one, pass otherwise.  Every inclusion-minimal such
     set has minimum degree above ratio inside it, so an alive mask that
     holds the (floor(ratio) + 1)-core loses none."""
     num, den = Fraction(ratio).as_integer_ratio()
     for count, (sub, edges) in enumerate(_connected_sets(csr, alive, cap)):
-        if count >= set_budget:
-            return ConditionResult("undecided", {"stage": "connected_sets", "budget": set_budget})
+        if count >= SET_BUDGET:
+            return ConditionResult("undecided", {"stage": "connected_sets", "budget": SET_BUDGET})
         if edges * den > num * len(sub):
             return ConditionResult("fail", {"subset": list(sub), "edges": edges})
     return ConditionResult("pass")
 
 
 def _check_tiny_components(
-    csr: tuple[np.ndarray, np.ndarray],
-    core: np.ndarray,
-    t: int,
-    near: set[int] | None,
-    set_budget: int,
+    csr: tuple[np.ndarray, np.ndarray], core: np.ndarray, t: int, near: set[int] | None
 ) -> ConditionResult:
     """Condition (iv): no connected set of at most t vertices of csr, with
     core numbers core, has more edges than vertices.  near holds every vertex on a cycle of length
@@ -853,12 +840,12 @@ def _check_tiny_components(
     module docstring says why the smaller region loses no
     inclusion-minimal violator."""
     if near is None:
-        return _first_dense_set(csr, (core >= 2).tolist(), t, 1, set_budget)
+        return _first_dense_set(csr, (core >= 2).tolist(), t, 1)
     region = _bfs(csr, near, max(0, t - 6), within=set(np.flatnonzero(core >= 2).tolist()))
-    return _first_dense_set(csr, [v in region for v in range(core.size)], t, 1, set_budget)
+    return _first_dense_set(csr, [v in region for v in range(core.size)], t, 1)
 
 
-def _check_cycle_counts(counts, completed, consts, cycle_budget) -> ConditionResult:
+def _check_cycle_counts(counts, completed, consts) -> ConditionResult:
     """Fail at the first length whose count exceeds its cap.  When the
     enumeration was cut short the witness count is a lower bound on the
     true count, which still proves the violation."""
@@ -867,7 +854,7 @@ def _check_cycle_counts(counts, completed, consts, cycle_budget) -> ConditionRes
         if counts.get(k, 0) > cap:
             return ConditionResult("fail", {"length": k, "count": counts[k], "cap": cap})
     if not completed:
-        return ConditionResult("undecided", {"stage": "cycle_paths", "budget": cycle_budget})
+        return ConditionResult("undecided", {"stage": "cycle_paths", "budget": CYCLE_BUDGET})
     return ConditionResult("pass")
 
 

@@ -28,11 +28,11 @@ maximizer at the last guess.  The flow at
 gamma = rho* ends the loop; its maximal source side is the union of all
 densest subsets (the maximal densest subgraph, unique because densest
 sets are closed under union), and that is the reported maximizer.  When
-only "rho* <= gamma?" is asked, density_exceeds answers with at most one
-flow, at gamma on the ceil(gamma)-core, and with none at gamma <= 1
-(see there).  A float level x is taken at its exact value (17 edges on 10
-vertices exceed xi = (1.4 + 2)/2, whose float lies below 17/10), and
-"rho* <= x?" is one such call at level_below(x, n).
+only "rho* <= x?" is asked, density_exceeds answers with at most one
+flow, at the level gamma = the largest density of an n-vertex graph that
+is at most x, on the ceil(gamma)-core, and with none at gamma <= 1 (see
+there).  Any real x is taken at its exact value (17 edges on 10 vertices
+exceed xi = (1.4 + 2)/2, whose float lies below 17/10).
 
 rho(lambda), the large-n limit of the maximum density of G(n, lambda/n),
 has no usable closed form; harness.run_rho_curve estimates it by Monte
@@ -60,7 +60,6 @@ __all__ = [
     "LambdaStarEstimate",
     "densest_subgraph_exact",
     "density_exceeds",
-    "level_below",
     "rho_inverse",
     "isotonic_fit",
 ]
@@ -191,15 +190,13 @@ def _core_cut(core, edges, edge_core, gamma: Fraction, within=None):
     return (verts, *_cut_side(verts.size, local[edges.compress(kept, axis=0)], gamma))
 
 
-def level_below(x: float, n: int) -> Fraction:
-    """The largest fraction with denominator <= n at most x (at x's exact
-    value), n >= 1: every density of an n-vertex graph is one, so a
-    density_exceeds call here decides "rho* <= x" both ways.  Clamping x
-    to [-1, n] changes no answer and keeps the integers small.  The
-    nearest such fraction c/d is the level if it is at most x; otherwise
-    its lower neighbour of order n is, (b c - 1)/d over the largest
-    b <= n with b c = 1 (mod d).  x is any finite real (`check_real`)."""
-    check_real("x", x)
+def _level_below(x: float, n: int) -> Fraction:
+    """The largest fraction with denominator <= n at most the real x (at
+    its exact value), n >= 1: every density of an n-vertex graph is one, so
+    rho* > x exactly when rho* exceeds it.  Clamping x to [-1, n] changes no
+    answer and keeps the integers small.  The nearest such fraction c/d is
+    the level if it is at most x; otherwise its lower neighbour of order n
+    is, (b c - 1)/d over the largest b <= n with b c = 1 (mod d)."""
     x = min(max(Fraction(x if isinstance(x, numbers.Rational) else float(x)), Fraction(-1)), Fraction(n))
     near = x.limit_denominator(n)
     if near <= x:
@@ -210,22 +207,21 @@ def level_below(x: float, n: int) -> Fraction:
     return Fraction((b * c - 1) // d, b)
 
 
-def density_exceeds(g: Graph, gamma: Fraction | int) -> bool:
-    """Whether some nonempty vertex set U of g has more than gamma * |U|
-    edges, for an int or a Fraction gamma (any rational but a bool; a
-    float x is asked at level_below(x, n)).  At gamma <= 1 no flow is run:
-    a component with more edges than vertices has rho* > 1 >= gamma, and
-    otherwise _at_most_one_cycle gives rho* in closed form.  Above 1 a
-    k-core denser than gamma answers yes, an empty ceil(gamma)-core
-    answers no, and otherwise one max-flow on that core decides.  No
-    proves rho* <= gamma without solving for rho*."""
-    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Rational):
-        raise ValueError(
-            f"gamma must be an int or a Fraction, not {type(gamma).__name__}; take a float x at level_below(x, n)"
-        )
-    gamma = Fraction(gamma)
-    if gamma <= 1:   # n = 0 answers no
-        return g.n > 0 and ((res := _at_most_one_cycle(g)) is None or res.density > gamma)
+def density_exceeds(g: Graph, x: float) -> bool:
+    """Whether some nonempty vertex set U of g has more than x * |U| edges,
+    for any finite real x (`check_real`) at its exact value; an empty graph
+    answers no.  The question is asked at gamma = _level_below(x, n).  At
+    gamma <= 1 no flow is run: a component with more edges than vertices
+    has rho* > 1 >= gamma, and otherwise _at_most_one_cycle gives rho* in
+    closed form.  Above 1 a k-core denser than gamma answers yes, an empty
+    ceil(gamma)-core answers no, and otherwise one max-flow on that core
+    decides.  No proves rho* <= x without solving for rho*."""
+    check_real("x", x)
+    if g.n == 0:
+        return False
+    gamma = _level_below(x, g.n)
+    if gamma <= 1:
+        return (res := _at_most_one_cycle(g)) is None or res.density > gamma
     core, edges, edge_core = _edge_cores(g)
     if _best_core_density(core, edge_core) > gamma:
         return True

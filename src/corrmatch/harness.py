@@ -97,9 +97,10 @@ class ExperimentConfig:
     (kept as tuples, whatever sequence the constructor is given) of
     finite numbers (``theta_grid`` entries with e^theta a float,
     ``k_grid`` entries integers >= 1), and in ``estimator`` ``run_map``
-    must be a bool and ``curve_n`` and ``curve_replicates`` integers >= 1,
-    while ``eta``, ``c_lambda_hat`` and ``budget`` must have the types and
-    ranges that EstimatorConfig.check_range states.
+    must be a bool, ``curve_n`` an integer >= 2 (the reference curve's
+    floor) and ``curve_replicates`` one >= 1, while ``eta``,
+    ``c_lambda_hat`` and ``budget`` must have the types and ranges that
+    EstimatorConfig.check_range states.
 
     Each kind reads only the fields that READS lists for it:
     moment-verification seed, replicates, p, s, theta_grid, k_grid and
@@ -173,8 +174,9 @@ class ExperimentConfig:
                 raise ConfigError(f"estimator {key} must be a JSON number or bool, got {value!r}")
             if key == "run_map" and not isinstance(value, bool):
                 raise ConfigError(f"estimator run_map must be true or false, got {value!r}")
-            if key in ("curve_n", "curve_replicates") and not (_is_int(value) and value >= 1):
-                raise ConfigError(f"estimator {key} must be an integer >= 1, got {value!r}")
+            floor = {"curve_n": 2, "curve_replicates": 1}.get(key)
+            if floor and not (_is_int(value) and value >= floor):
+                raise ConfigError(f"estimator {key} must be an integer >= {floor}, got {value!r}")
             if key in ("eta", "c_lambda_hat", "budget"):
                 try:
                     EstimatorConfig.check_range(key, value)

@@ -26,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .admissibility import AdmissibilityConstants, check_admissible, is_good_set
-from .density import densest_subgraph_exact, density_exceeds, level_below
+from .density import densest_subgraph_exact, density_exceeds
 from .graphs import (
     Bijection,
     Graph,
@@ -450,9 +450,9 @@ def reasonable_candidate_check(
     (ii) some subset of size >= ceil(c_lambda_hat n) reaches density
     rho_hat - eta: min-degree peeling of the whole graph down to the size
     floor is tried first.  (i) the global max density stays at most
-    rho_hat + eta: when the peel qualifies, one density_exceeds call at
-    level_below(rho_hat + eta, n) decides it exactly, with at most one
-    flow.  The exact maximizer is solved only when the peel misses; it
+    rho_hat + eta: when the peel qualifies, one
+    density_exceeds(h, rho_hat + eta) call decides it exactly, with at most
+    one flow.  The exact maximizer is solved only when the peel misses; it
     then decides (i) and is tried for (ii).  Levels are compared exactly,
     as the density module says.  The certificate is the peel's prefix when
     the peel qualifies, else the maximizer when it qualifies; a returned
@@ -471,7 +471,7 @@ def reasonable_candidate_check(
         if len(dens.best_subset) >= size_min and dens.density >= target:
             found = dens.best_subset, dens.density
     else:
-        cap_ok = not density_exceeds(h, level_below(cap, h.n))
+        cap_ok = not density_exceeds(h, cap)
     certificate, cert_density = found or (None, None)
     return CandidateCheck(
         accepted=cap_ok and found is not None,

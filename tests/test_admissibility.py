@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import inspect
 import json
 import math
 import tracemalloc
@@ -219,6 +220,7 @@ def test_small_set_density_matches_bruteforce(monkeypatch):
 
     for name in ("_shrink_violator", "_first_dense_set"):
         monkeypatch.setattr(adm, name, counted(name))
+    monkeypatch.setattr(adm, "SET_BUDGET", 10**6)
     stages = Counter()
     rng = stream(63, 0)
     for _ in range(300):
@@ -227,7 +229,7 @@ def test_small_set_density_matches_bruteforce(monkeypatch):
         zeta = float(rng.choice([1.25, 1.5]))
         consts = lenient_constants(n, zeta=zeta, small_set_cap=int(rng.integers(2, 6)))
         calls.clear()
-        res = adm._check_small_sets(g, consts, densest_subgraph_exact(g), 10**6)
+        res = adm._check_small_sets(g, consts, densest_subgraph_exact(g))
         assert res.status == ("fail" if _has_small_violator(g, consts.small_set_cap, zeta) else "pass")
         if res.status == "fail":
             report = AdmissibilityReport({"small_set_density": res})
@@ -344,8 +346,8 @@ def test_local_unicyclicity_matches_bruteforce(monkeypatch):
     real = adm._check_tiny_components
     scans = []
 
-    def recorded(adj, core, t, shortest, set_budget):
-        res = real(adj, core, t, shortest, set_budget)
+    def recorded(adj, core, t, shortest):
+        res = real(adj, core, t, shortest)
         scans.append(("near cycles" if shortest is not None else "whole core", res.status))
         return res
 
@@ -361,7 +363,8 @@ def test_local_unicyclicity_matches_bruteforce(monkeypatch):
         for t in range(3, 9):
             for cycle_len_cap, cycle_budget in ((t, 10**6), (t + 3, 10**6), (t - 1, 10**6), (t + 3, 0)):
                 consts = lenient_constants(g.n, tiny_component_cap=t, cycle_len_cap=cycle_len_cap)
-                report = check_admissible(g, consts, cycle_budget=cycle_budget)
+                monkeypatch.setattr(adm, "CYCLE_BUDGET", cycle_budget)
+                report = check_admissible(g, consts)
                 res = report.conditions["local_unicyclicity"]
                 assert res.status == ("fail" if least is not None and least <= t else "pass"), (g.edges, t)
                 if res.status == "fail":
@@ -432,11 +435,14 @@ def test_cycle_count_condition_and_witness():
     assert report.revalidate(g, consts)
 
 
-def test_budget_exhaustion_reports_undecided():
+def test_budget_exhaustion_reports_undecided(monkeypatch):
     g = sample_er(60, 0.15, stream(77, 0))
     consts = lenient_constants(60, small_set_cap=30, tiny_component_cap=10)
     consts = replace(consts, xi=8.0, zeta=1.01, c_big=2, delta1=0.1)
-    report = check_admissible(g, consts, set_budget=5, cycle_budget=5)
+    monkeypatch.setattr(adm, "SET_BUDGET", 5)
+    with monkeypatch.context() as m:
+        m.setattr(adm, "CYCLE_BUDGET", 5)
+        report = check_admissible(g, consts)
     statuses = {name: r.status for name, r in report.conditions.items()}
     assert "undecided" in statuses.values()
     assert not report.admissible
@@ -444,7 +450,7 @@ def test_budget_exhaustion_reports_undecided():
     # a 10-cycle is unicyclic, so only the budget stops the set enumeration
     # near it (t = 10 reaches the cycle)
     ring = Graph(10, [(i, (i + 1) % 10) for i in range(10)])
-    res = check_admissible(ring, lenient_constants(10, tiny_component_cap=10), set_budget=5)
+    res = check_admissible(ring, lenient_constants(10, tiny_component_cap=10))
     res = res.conditions["local_unicyclicity"]
     assert res.status == "undecided"
     assert res.witness == {"stage": "connected_sets", "budget": 5}
@@ -461,22 +467,50 @@ def test_budget_exhaustion_reports_undecided():
     ],
     ids=["ring_3000", "gnp_20000_core"],
 )
-def test_deep_connected_set_scans_count_their_budget(make, cap, ratio, budget):
+def test_deep_connected_set_scans_count_their_budget(make, cap, ratio, budget, monkeypatch):
     """A scan whose sets grow past the interpreter's recursion limit runs
     out of budget and says so.  A full check_admissible on the G(20 000)
     draw stays out of tier-1: its cycle scan alone takes about 5 s, and its
     default 2 M-set budget much longer."""
     g = make()
     alive = (g.core_numbers() >= 2).tolist()
-    res = adm._first_dense_set(g.csr(), alive, cap, ratio, budget)
+    monkeypatch.setattr(adm, "SET_BUDGET", budget)
+    res = adm._first_dense_set(g.csr(), alive, cap, ratio)
     assert res == ConditionResult("undecided", {"stage": "connected_sets", "budget": budget})
 
 
-def test_budget_cut_cycle_witness_revalidates():
+def test_a_cap_of_zero_holds_vacuously(monkeypatch):
+    """A connected-set scan with a cap below 1 reads no set, so conditions
+    (ii) and (iv) pass at a cap of 0 however small the set budget."""
+    g = Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    assert list(_connected_sets(g.csr(), [True] * 4, 0)) == []
+    monkeypatch.setattr(adm, "SET_BUDGET", 3)
+    monkeypatch.setattr(adm, "CYCLE_BUDGET", 0)
+    base = default_constants(0.5, 1.4, 200)
+    for q, caps, name in (
+        (2, {"tiny_component_cap": 0}, "local_unicyclicity"),
+        (4, {"small_set_cap": 0}, "small_set_density"),   # zeta = 1.5 < rho*
+    ):
+        report = check_admissible(sample_er(200, q / 200, stream(906, 0)), replace(base, **caps))
+        assert report.conditions[name] == ConditionResult("pass"), name
+
+
+def test_the_scans_take_no_budget_argument():
+    """The budgets are SET_BUDGET and CYCLE_BUDGET, which a witness names; a
+    stale positional budget is refused, not read as collect_len."""
+    assert list(inspect.signature(check_admissible).parameters) == ["h", "consts"]
+    assert list(inspect.signature(simple_cycle_counts).parameters) == ["h", "max_len", "collect_len"]
+    with pytest.raises(TypeError):
+        simple_cycle_counts(k4(), 6, 1000)
+
+
+def test_budget_cut_cycle_witness_revalidates(monkeypatch):
     # the cut-short count is a lower bound: 10 of the 71406 8-cycles
     g = sample_er(16, 0.5, stream(31, 0))
     consts = default_constants(0.5, 1.4, 16)
-    report = check_admissible(g, consts, cycle_budget=2000)
+    with monkeypatch.context() as m:
+        m.setattr(adm, "CYCLE_BUDGET", 2000)
+        report = check_admissible(g, consts)
     res = report.conditions["cycle_counts"]
     assert res.status == "fail"
     k, count, cap = res.witness["length"], res.witness["count"], res.witness["cap"]
@@ -660,26 +694,32 @@ def test_simple_cycle_counts_kernel_cases():
     assert simple_cycle_counts(rings, 6, collect_len=6)[2] == set(range(11))
 
 
-def test_cycle_budget_cut_gives_lower_bounds():
+def test_cycle_budget_cut_gives_lower_bounds(monkeypatch):
+    default = adm.CYCLE_BUDGET
+
+    def scan(g, max_len, budget, **kwargs):
+        monkeypatch.setattr(adm, "CYCLE_BUDGET", budget)
+        return simple_cycle_counts(g, max_len, **kwargs)
+
     rng = stream(66, 0)
     cut = 0
     for _ in range(20):
         n = int(rng.integers(6, 25))
         g = sample_er(n, min(1.0, float(rng.uniform(1.5, 5.0)) / n), rng)
         max_len = int(rng.integers(3, 10))
-        full = simple_cycle_counts(g, max_len, collect_len=max_len)
+        full = scan(g, max_len, default, collect_len=max_len)
         assert full[1]
         # the least budget that completes; completion is monotone in the budget
         lo, hi = 0, 1
-        while not simple_cycle_counts(g, max_len, budget=hi)[1]:
+        while not scan(g, max_len, hi)[1]:
             lo, hi = hi, 2 * hi
         while lo < hi:
             mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if simple_cycle_counts(g, max_len, budget=mid)[1] else (mid + 1, hi)
+            lo, hi = (lo, mid) if scan(g, max_len, mid)[1] else (mid + 1, hi)
         budgets = {0, hi - 1, hi, hi + 1} | {int(b) for b in rng.integers(0, hi + 1, size=4)}
         previous = None
         for budget in sorted(b for b in budgets if b >= 0):
-            counts, done, verts = simple_cycle_counts(g, max_len, budget=budget, collect_len=max_len)
+            counts, done, verts = scan(g, max_len, budget, collect_len=max_len)
             assert done == (budget >= hi)
             if done:
                 assert (counts, verts) == (full[0], full[2])
@@ -693,7 +733,7 @@ def test_cycle_budget_cut_gives_lower_bounds():
     assert cut > 20
     # cycles that are one chain are counted before the search, whatever the budget
     ring = Graph(*_chain_graph(1, [(0, 0, 5)]))
-    assert simple_cycle_counts(ring, 5, budget=0) == ({3: 0, 4: 0, 5: 1}, True, set())
+    assert scan(ring, 5, 0) == ({3: 0, 4: 0, 5: 1}, True, set())
 
 
 def _kernel_dfs_counts(h, max_len):
@@ -1060,11 +1100,12 @@ def test_reach_bitsets_match_dijkstra(monkeypatch):
     assert most_words > 1 and most_groups > 1 and alone > 0
 
 
-# (total count, completed, vertex count) of simple_cycle_counts(g, 12, budget,
-# collect_len=6) at each of _PINNED_BUDGETS (None for the default), recorded
-# when the scan still found its arcs by binary search.  A cut-short scan
-# counts the first budget extensions in the scan's fixed order, so a change of
-# that order moves these values while every oracle test still passes.
+# (total count, completed, vertex count) of simple_cycle_counts(g, 12,
+# collect_len=6) at each CYCLE_BUDGET of _PINNED_BUDGETS (None for the
+# default), recorded when the scan still found its arcs by binary search.  A
+# cut-short scan counts the first budget extensions in the scan's fixed
+# order, so a change of that order moves these values while every oracle
+# test still passes.
 _PINNED_BUDGETS = (0, 1, 7, 100, 1000, 5000, None)
 _PINNED_WORKLOAD = {   # G(2000, 2/2000) from stream(906, rep), the admissibility benchmark's draws
     0: [(0, False, 0), (0, False, 0), (0, False, 0), (0, False, 0), (1, False, 3), (17, False, 58), (339, True, 73)],
@@ -1104,16 +1145,19 @@ _PINNED_SMALL = {   # sample_er(n, p, stream(seed, i)) by (n, p, seed, i)
 }
 
 
-def _pinned_scan(g, budget):
-    counts, completed, vertices = simple_cycle_counts(g, 12, *(() if budget is None else (budget,)), collect_len=6)
+def _pinned_scan(g, budget, monkeypatch):
+    with monkeypatch.context() as m:
+        if budget is not None:
+            m.setattr(adm, "CYCLE_BUDGET", budget)
+        counts, completed, vertices = simple_cycle_counts(g, 12, collect_len=6)
     return sum(counts.values()), completed, len(vertices)
 
 
-def test_cycle_scan_budget_order_is_pinned():
+def test_cycle_scan_budget_order_is_pinned(monkeypatch):
     cases = [(sample_er(2000, 2.0 / 2000, stream(906, rep)), want) for rep, want in _PINNED_WORKLOAD.items()]
     cases += [(sample_er(n, p, stream(seed, i)), want) for (n, p, seed, i), want in _PINNED_SMALL.items()]
     for g, want in cases:
-        assert [_pinned_scan(g, budget) for budget in _PINNED_BUDGETS] == want, (g.n, want)
+        assert [_pinned_scan(g, budget, monkeypatch) for budget in _PINNED_BUDGETS] == want, (g.n, want)
 
 
 def _induced_connected(adj, subset):
@@ -1278,8 +1322,7 @@ def test_find_good_set_reports_shortfall_not_error():
 def test_good_sets_refuse_a_cut_short_cycle_scan(monkeypatch):
     """Good sets need every vertex near a short cycle: a cycle scan that
     runs out of budget raises rather than miss one."""
-    scan = adm.simple_cycle_counts
-    monkeypatch.setattr(adm, "simple_cycle_counts", lambda h, max_len, collect_len: scan(h, max_len, 0, collect_len))
+    monkeypatch.setattr(adm, "CYCLE_BUDGET", 0)
     message = "cycle enumeration for good sets ran out of budget"
     with pytest.raises(RuntimeError, match=message):
         is_good_set(k4(), {0}, 3)

@@ -11,10 +11,10 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 import corrmatch.density as density_module
 from corrmatch.density import (
     RhoCurve,
+    _level_below,
     densest_subgraph_exact,
     density_exceeds,
     isotonic_fit,
-    level_below,
     rho_inverse,
 )
 from corrmatch.graphs import Bijection, Graph, relabel, sample_er
@@ -487,11 +487,11 @@ def test_density_exceeds_matches_the_exact_maximum(monkeypatch):
             assert len(calls) <= 1
             if gamma > 0:
                 branches.add((len(calls), rho > gamma))
-        # at the level of a float x, the one call decides rho* <= x
+        # at a float x, taken exactly, the one call decides rho* <= x
         fl = float(rho)
         for x in (fl, math.nextafter(fl, 0), math.nextafter(fl, math.inf), float(rng.uniform(-1.0, 4.0))):
             calls.clear()
-            assert density_exceeds(g, level_below(x, n)) == (rho > x), (n, x)
+            assert density_exceeds(g, x) == (rho > x), (n, x)
             assert len(calls) <= 1
     # a k-core denser than gamma (no flow), an empty ceil(gamma)-core (no
     # flow), and both answers of the flow
@@ -533,21 +533,23 @@ def test_density_exceeds_at_most_one_takes_no_flow(monkeypatch):
 def test_density_exceeds_checks_its_level_once(monkeypatch):
     # rho* = 53/28, and the best k-core has density 301/163: 3/2 answers
     # through the core shortcut, 37/20 and 11/5 through the flow, 1/2 with
-    # no flow; each answers a Python bool, and a float, a bool or a string
-    # is refused on every path alike
+    # no flow; each answers a Python bool, a float at the level as its
+    # exact value does, and a bool, a string or a non-finite float is
+    # refused on every path alike
     g = sample_er(200, 4 / 200, stream(3, 0))
     assert densest_subgraph_exact(g).density == Fraction(53, 28)
     calls = _count_flows(monkeypatch)
     for level, flows in ((Fraction(1, 2), 0), (Fraction(3, 2), 0), (Fraction(37, 20), 1), (Fraction(11, 5), 1)):
-        calls.clear()
-        assert density_exceeds(g, level) is (level < Fraction(53, 28)), level
-        assert len(calls) == flows, level
-        with pytest.raises(ValueError, match="level_below"):
-            density_exceeds(g, float(level))
-    assert density_exceeds(g, 1) and not density_exceeds(g, np.int64(2))
-    for level in (True, False, np.bool_(True), "1", 1.0, complex(1)):
-        with pytest.raises(ValueError, match="level_below"):
+        for x in (level, float(level), np.float32(level)):
+            calls.clear()
+            assert density_exceeds(g, x) is (level < Fraction(53, 28)), x
+            assert len(calls) == flows, x
+    assert density_exceeds(g, 1) and density_exceeds(g, 1.0) and not density_exceeds(g, np.int64(2))
+    for level in (True, False, np.bool_(True), "1", complex(1), math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x must"):
             density_exceeds(g, level)
+    # an empty graph has no nonempty set to exceed any level
+    assert not any(density_exceeds(Graph(0), x) for x in (-1, Fraction(1, 2), 1, 2, Fraction(7, 2), 2.5))
 
 def _level_bruteforce(x, n):
     """max over q <= n of floor(x q)/q, x taken exactly and clamped to [-1, n]."""
@@ -559,10 +561,10 @@ def test_level_below_is_the_exact_grid_floor():
     # 0.7 * 10 rounds up to 7.0 in floats, but the float 0.7 lies below 7/10
     assert 0.7 * 10 == 7.0 and Fraction(0.7) < Fraction(7, 10)
     # and the largest density of a 10-vertex graph below it is 2/3, not 3/5
-    assert level_below(0.7, 10) == Fraction(2, 3)
-    assert level_below(1.5, 4) == Fraction(3, 2)
-    assert level_below(1e300, 5) == 5 and level_below(-1e300, 5) == -1
-    assert level_below(-0.3, 10) == Fraction(-3, 10) and level_below(0.05, 10) == 0
+    assert _level_below(0.7, 10) == Fraction(2, 3)
+    assert _level_below(1.5, 4) == Fraction(3, 2)
+    assert _level_below(1e300, 5) == 5 and _level_below(-1e300, 5) == -1
+    assert _level_below(-0.3, 10) == Fraction(-3, 10) and _level_below(0.05, 10) == 0
     rng = stream(13, 0)
     for i in range(3000):
         n = int(rng.integers(1, 91))
@@ -574,7 +576,7 @@ def test_level_below_is_the_exact_grid_floor():
             float(rng.uniform(-3.0, 0.0)),                                   # negative
             float(rng.uniform(n, 3 * n)),                                    # above n
         ][i % 5]
-        assert level_below(x, n) == _level_bruteforce(x, n), (x, n)
+        assert _level_below(x, n) == _level_bruteforce(x, n), (x, n)
 
 
 def test_solver_invariant_under_relabeling():

@@ -78,7 +78,7 @@ def test_config_rejects_unread_keys():
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(json.dumps({"kind": "threshold-sweep", "estimator": estimator}))
     keys = ("curve_n", "curve_replicates", "eta", "c_lambda_hat", "budget")
-    cfg = ExperimentConfig(kind="threshold-sweep", estimator={**dict.fromkeys(keys, 1), "run_map": True})
+    cfg = ExperimentConfig(kind="threshold-sweep", estimator={**dict.fromkeys(keys, 1), "curve_n": 2, "run_map": True})
     assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
 
@@ -157,7 +157,7 @@ def test_sweep_reference_curve_reads_only_the_rho_curve_fields():
     "key, bad, good",
     [
         ("run_map", ["false", 0, 1, None], [True, False]),
-        ("curve_n", [0, -3, 2.0, "100", True, None], [1, 500]),
+        ("curve_n", [0, 1, -3, 2.0, "100", True, None], [2, 500]),
         ("curve_replicates", [0, 1.5, False], [1, 6]),
         ("budget", [0, 20000.0, "20000", True], [1, 20000]),
         ("eta", [math.nan, math.inf, -math.inf, "0.15", True, None, 0, -1.0], [0.15, 2]),

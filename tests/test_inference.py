@@ -16,7 +16,7 @@ from corrmatch.admissibility import (
     is_good_set,
     simple_cycle_counts,
 )
-from corrmatch.density import densest_subgraph_exact, level_below
+from corrmatch.density import _level_below, densest_subgraph_exact, density_exceeds
 from corrmatch.graphs import (
     Bijection,
     CorrelatedSample,
@@ -687,7 +687,7 @@ def test_candidate_check_solves_only_when_the_flow_cannot_decide(monkeypatch):
     # rho* just under rho_hat + eta: the level is rho* itself, and the one
     # flow there decides the cap with no solve
     near = EstimatorConfig(rho_hat=rho - 0.15 + 1e-9, c_lambda_hat=0.5, eta=0.15)
-    assert level_below(near.rho_hat + near.eta, h.n) == densest_subgraph_exact(h).density
+    assert _level_below(near.rho_hat + near.eta, h.n) == densest_subgraph_exact(h).density
     calls.clear()
     res = reasonable_candidate_check(smpl.pi_star, smpl.g, smpl.g_bar, near)
     assert res.density_cap_ok and calls == []
@@ -986,10 +986,7 @@ def _mass_f(sigma):
         (lambda: permutation_count_bound(10, 4, (0.5,)), "cycle count must be an integer"),
         (lambda: permutation_count_bound(10, 4, (True,)), "cycle count must be an integer"),
         (lambda: simple_cycle_counts(DRAW_H, True), "max_len must be an integer"),
-        (lambda: simple_cycle_counts(DRAW_H, 6, 2.5), "budget must be an integer"),
         (lambda: simple_cycle_counts(DRAW_H, 6, collect_len=True), "collect_len must be an integer"),
-        (lambda: check_admissible(DRAW_H, DRAW_CONSTS, set_budget=True), "set_budget must be an integer"),
-        (lambda: check_admissible(DRAW_H, DRAW_CONSTS, cycle_budget=2.5), "cycle_budget must be an integer"),
         (lambda: find_good_set(DRAW_H, set(range(5)), 3, 2.5), "c_big must be an integer"),
         (lambda: is_good_set(DRAW_H, {1}, True), "c_big must be an integer"),
         # the admissibility constants hold integer caps, and C is an integer >= 1
@@ -1016,10 +1013,10 @@ def _mass_f(sigma):
         (lambda: ModelParams(n=5, p=0.5, s=math.inf), r"s must lie in \(0, 1\], got inf"),
         (lambda: sample_er(5, math.nan, stream(0, 0)), r"edge probability must lie in \[0, 1\], got nan"),
         (lambda: sample_er(5, -math.inf, stream(0, 0)), r"edge probability must lie in \[0, 1\], got -inf"),
-        (lambda: level_below(math.inf, 10), r"x must lie in \(-inf, inf\), got inf"),
-        (lambda: level_below(-math.inf, 10), r"x must lie in \(-inf, inf\), got -inf"),
-        (lambda: level_below(math.nan, 10), r"x must lie in \(-inf, inf\), got nan"),
-        (lambda: level_below(10**400, 10), r"x must lie in \(-inf, inf\), got 1000"),
+        (lambda: density_exceeds(DRAW_H, math.inf), r"x must lie in \(-inf, inf\), got inf"),
+        (lambda: density_exceeds(DRAW_H, -math.inf), r"x must lie in \(-inf, inf\), got -inf"),
+        (lambda: density_exceeds(DRAW_H, math.nan), r"x must lie in \(-inf, inf\), got nan"),
+        (lambda: density_exceeds(DRAW_H, 10**400), r"x must lie in \(-inf, inf\), got 1000"),
         (lambda: default_constants(math.nan, 1.5, 100), r"alpha must lie in \(0, 1\), got nan"),
         (lambda: default_constants(0.5, math.inf, 100), r"rho_hat must lie in \[1, inf\), got inf"),
         (lambda: default_constants(0.5, 10**400, 100), r"rho_hat must lie in \[1, inf\), got 1000"),
@@ -1065,8 +1062,8 @@ def _mass_f(sigma):
         "count_bound_float_t", "count_bound_float_n", "tail_rates_bool_alpha", "tail_rates_float_cutoff",
         "tail_bound_float_cutoff", "tail_bound_float_k",
         "edge_stats_bool_cutoff", "edge_stats_float_cutoff", "minimum_bool_count", "minimum_float_count",
-        "count_bound_float_count", "count_bound_bool_count", "cycle_counts_bool_max_len", "cycle_counts_float_budget",
-        "cycle_counts_bool_collect_len", "admissible_bool_set_budget", "admissible_float_cycle_budget",
+        "count_bound_float_count", "count_bound_bool_count", "cycle_counts_bool_max_len",
+        "cycle_counts_bool_collect_len",
         "find_good_set_float_c", "is_good_set_bool_c", "constants_zero_c", "constants_float_degree_cap",
         "constants_negative_cycle_len_cap", "is_good_set_negative_c", "find_good_set_negative_c",
         "chain_moment_bool_theta", "char_roots_string_theta", "chain_recurrence_string_theta",
@@ -1106,9 +1103,9 @@ def test_sample_inputs_the_routes_keep():
         combinatorial_minimum(10, (1,), 2.0, 0.1, 0.5)
     )
     assert permutation_count_bound(10, 4, (i(1), i(0))) == permutation_count_bound(10, 4, (1, 0))
-    assert simple_cycle_counts(DRAW_H, i(6), i(1000), i(4)) == simple_cycle_counts(DRAW_H, 6, 1000, 4)
-    assert check_admissible(DRAW_H, DRAW_CONSTS, i(1000), i(1000)).to_json() == (
-        check_admissible(DRAW_H, DRAW_CONSTS, 1000, 1000).to_json()
+    assert simple_cycle_counts(DRAW_H, i(6), collect_len=i(4)) == simple_cycle_counts(DRAW_H, 6, collect_len=4)
+    assert check_admissible(DRAW_H, replace(DRAW_CONSTS, tiny_component_cap=i(4))).to_json() == (
+        check_admissible(DRAW_H, replace(DRAW_CONSTS, tiny_component_cap=4)).to_json()
     )
     assert find_good_set(DRAW_H, set(range(5)), 3, i(1)) == find_good_set(DRAW_H, set(range(5)), 3, 1)
     assert is_good_set(DRAW_H, {1}, i(1)) == is_good_set(DRAW_H, {1}, 1)
@@ -1135,5 +1132,6 @@ def test_sample_inputs_the_routes_keep():
     assert ModelParams(n=5, p=np.float32(0.5), s=Fraction(1)).s == 1
     assert char_roots(np.float32(0.5), Fraction(3, 10), 0.6) == char_roots(0.5, 0.3, 0.6)
     assert tail_rates(np.float32(0.5), 2) == tail_rates(0.5, 2)
-    assert level_below(Fraction(7, 10), 10) == level_below(np.float32(0.75), 10) - Fraction(1, 20) == Fraction(7, 10)
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])   # rho* = 3/4
+    assert density_exceeds(path, Fraction(7, 10)) and not density_exceeds(path, np.float32(0.75))
     assert EstimatorConfig(rho_hat=Fraction(3, 2), c_lambda_hat=np.float32(0.5), eta=Fraction(1, 10)).eta == Fraction(1, 10)

@@ -9,7 +9,9 @@ replicates and writes CSV: no other module builds a `CsvReport` or calls
 And the integer rule is written once, in `graphs.check_int` (with the ids'
 own copy in `graphs._int_ids` and `rng.stream`'s below `graphs`), and so is
 the real rule, in `graphs.check_real` (with the sweep's alpha, a config
-error, apart).  No function calls itself by name: every enumeration keeps
+error, apart).  The level rule, the largest density of an n-vertex graph
+at most x, is density's alone: other modules ask `density_exceeds(g, x)`
+at x itself.  No function calls itself by name: every enumeration keeps
 its own stack, so a deep search never meets the interpreter's recursion
 limit."""
 
@@ -125,9 +127,14 @@ def _scopes(path: Path, hit) -> set[str]:
     return found
 
 
-def _names_integral(node) -> bool:
-    name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
-    return isinstance(node, (ast.Attribute, ast.Name, ast.alias)) and name == "Integral"
+def _names(*wanted):
+    """A hit on each attribute, name or import of one of the wanted names."""
+
+    def hit(node) -> bool:
+        name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+        return isinstance(node, (ast.Attribute, ast.Name, ast.alias)) and name in wanted
+
+    return hit
 
 
 def _says_must_lie_in(node) -> bool:
@@ -147,13 +154,18 @@ def _package_scopes(hit) -> set[str]:
 
 
 def test_the_integer_rule_is_written_once():
-    uses = _package_scopes(_names_integral)
+    uses = _package_scopes(_names("Integral"))
     assert uses <= INTEGER_RULE, f"numbers.Integral outside graphs.check_int: {sorted(uses - INTEGER_RULE)}"
 
 
 def test_the_real_rule_is_written_once():
     uses = _package_scopes(_says_must_lie_in)
     assert uses <= REAL_RULE, f"a range worded outside graphs.check_real: {sorted(uses - REAL_RULE)}"
+
+
+def test_the_level_rule_has_one_owner():
+    modules = {use.split(".")[0] for use in _package_scopes(_names("level_below", "_level_below"))}
+    assert modules <= {"density"}, f"the level rule named outside density: {sorted(modules - {'density'})}"
 
 
 def _self_calls(path: Path) -> set[str]:
